@@ -1,9 +1,9 @@
-(* Reader/writer for BENCH_sim.json (schema bench_sim/v7).
+(* Reader/writer for BENCH_sim.json (schema bench_sim/v8).
 
    The file is both produced and consumed here, so instead of pulling in a
-   JSON library the reader line-matches the exact shape the writer emits
-   (one bench object per line). Unparseable or missing files read as
-   empty, so a stale or hand-edited file degrades to a fresh start rather
+   JSON library the reader scans the flat shape the writer emits (one
+   bench object per line). Unparseable lines are skipped and missing files
+   read as empty, so a stale or hand-edited file degrades to a fresh start rather
    than an error.
 
    v2 additions over v1:
@@ -46,7 +46,19 @@
    (Machine_link counts both whether or not batching is enabled, so the
    figures are identical batched and under MK_NO_WIRE_BATCH=1). The ratio
    msgs/batches is the wire coalescing factor the batching layer exploits.
-   0/0 = the bench drove no wire links (or pre-v7 entry). *)
+   0/0 = the bench drove no wire links (or pre-v7 entry).
+
+   v8 additions: the PDES parallelism profile (see Pdes.profile) —
+   [pdes_events] executed inside windows, [pdes_critical] (per window the
+   busiest shard's events, summed), [pdes_busy] shard-windows with work
+   out of [pdes_slots], plus the two ratios derived from them for
+   readers: [pdes_speedup_bound] = events / critical and
+   [pdes_busy_share] = busy / slots. Event counts depend on fusion, so
+   these are host-side figures. All 0 = nothing sharded (or pre-v8).
+
+   Every version writes one flat object per bench line, so one reader
+   covers them all: it reads the line's key/value pairs and fills what an
+   older version did not write with the defaults listed above. *)
 
 type gc = { minor_words : float; promoted_words : float; major_collections : int }
 
@@ -61,6 +73,10 @@ type entry = {
   cluster_machines : int;  (* largest cluster swept; 0 = not a cluster sweep *)
   wire_batches : int;  (* coalescable wire flush groups; 0 = no wire links *)
   wire_msgs : int;  (* frames inside those groups *)
+  pdes_events : int;  (* events executed inside PDES windows *)
+  pdes_critical : int;  (* per window, the busiest shard's events; summed *)
+  pdes_busy : int;  (* shard-windows with at least one event *)
+  pdes_slots : int;  (* shard-windows, busy or idle *)
   mode : string;  (* "serial" | "pool" | "pdes" *)
   gc : gc option;
   jobs : int;  (* harness -j when this entry was recorded; 0 = unknown *)
@@ -70,245 +86,64 @@ let mode_of_jobs jobs = if jobs > 1 then "pool" else "serial"
 
 let rate e = if e.wall_s > 0.0 then float_of_int e.events /. e.wall_s else 0.0
 
-let parse_line_v7 line =
-  match
-    Scanf.sscanf line
-      " {%S: %S, %S: %f, %S: %d, %S: %d, %S: %d, %S: %f, %S: %f, %S: %f, %S: %d, %S: %d, \
-       %S: %S, %S: %d, %S: %d, %S: %d, %S: %d, %S: %d"
-      (fun k1 name k2 wall_s k3 events k4 executed k5 fused _k6 _rate k7 minor k8 promoted
-           k9 major k10 jobs k11 mode k12 barriers k13 shards k14 cluster_machines
-           k15 wire_batches k16 wire_msgs ->
-        if
-          k1 = "name" && k2 = "wall_s" && k3 = "events" && k4 = "executed" && k5 = "fused"
-          && k7 = "minor_words" && k8 = "promoted_words" && k9 = "major_collections"
-          && k10 = "jobs" && k11 = "mode" && k12 = "barriers" && k13 = "shards"
-          && k14 = "cluster_machines" && k15 = "wire_batches" && k16 = "wire_msgs"
-        then
-          Some
-            {
-              name;
-              wall_s;
-              events;
-              executed;
-              fused;
-              barriers;
-              shards;
-              cluster_machines;
-              wire_batches;
-              wire_msgs;
-              mode;
-              gc = Some { minor_words = minor; promoted_words = promoted; major_collections = major };
-              jobs;
-            }
-        else None)
-  with
-  | entry -> entry
-  | exception _ -> None
+let ratio a b = if b > 0 then float_of_int a /. float_of_int b else 0.0
 
-let parse_line_v6 line =
-  match
-    Scanf.sscanf line
-      " {%S: %S, %S: %f, %S: %d, %S: %d, %S: %d, %S: %f, %S: %f, %S: %f, %S: %d, %S: %d, \
-       %S: %S, %S: %d, %S: %d, %S: %d"
-      (fun k1 name k2 wall_s k3 events k4 executed k5 fused _k6 _rate k7 minor k8 promoted
-           k9 major k10 jobs k11 mode k12 barriers k13 shards k14 cluster_machines ->
-        if
-          k1 = "name" && k2 = "wall_s" && k3 = "events" && k4 = "executed" && k5 = "fused"
-          && k7 = "minor_words" && k8 = "promoted_words" && k9 = "major_collections"
-          && k10 = "jobs" && k11 = "mode" && k12 = "barriers" && k13 = "shards"
-          && k14 = "cluster_machines"
-        then
-          Some
-            {
-              name;
-              wall_s;
-              events;
-              executed;
-              fused;
-              barriers;
-              shards;
-              cluster_machines;
-              wire_batches = 0;
-              wire_msgs = 0;
-              mode;
-              gc = Some { minor_words = minor; promoted_words = promoted; major_collections = major };
-              jobs;
-            }
-        else None)
-  with
-  | entry -> entry
-  | exception _ -> None
+(* Critical-path speedup bound of the bench's PDES windows, and the share
+   of shard-windows that had work; 0 when nothing sharded. *)
+let speedup_bound e = ratio e.pdes_events e.pdes_critical
+let busy_share e = ratio e.pdes_busy e.pdes_slots
 
-let parse_line_v5 line =
-  match
-    Scanf.sscanf line
-      " {%S: %S, %S: %f, %S: %d, %S: %d, %S: %d, %S: %f, %S: %f, %S: %f, %S: %d, %S: %d, \
-       %S: %S, %S: %d, %S: %d"
-      (fun k1 name k2 wall_s k3 events k4 executed k5 fused _k6 _rate k7 minor k8 promoted
-           k9 major k10 jobs k11 mode k12 barriers k13 shards ->
-        if
-          k1 = "name" && k2 = "wall_s" && k3 = "events" && k4 = "executed" && k5 = "fused"
-          && k7 = "minor_words" && k8 = "promoted_words" && k9 = "major_collections"
-          && k10 = "jobs" && k11 = "mode" && k12 = "barriers" && k13 = "shards"
-        then
-          Some
-            {
-              name;
-              wall_s;
-              events;
-              executed;
-              fused;
-              barriers;
-              shards;
-              cluster_machines = 0;
-              wire_batches = 0;
-              wire_msgs = 0;
-              mode;
-              gc = Some { minor_words = minor; promoted_words = promoted; major_collections = major };
-              jobs;
-            }
-        else None)
-  with
-  | entry -> entry
-  | exception _ -> None
-
-let parse_line_v4 line =
-  match
-    Scanf.sscanf line
-      " {%S: %S, %S: %f, %S: %d, %S: %d, %S: %d, %S: %f, %S: %f, %S: %f, %S: %d, %S: %d, \
-       %S: %S, %S: %d"
-      (fun k1 name k2 wall_s k3 events k4 executed k5 fused _k6 _rate k7 minor k8 promoted
-           k9 major k10 jobs k11 mode k12 barriers ->
-        if
-          k1 = "name" && k2 = "wall_s" && k3 = "events" && k4 = "executed" && k5 = "fused"
-          && k7 = "minor_words" && k8 = "promoted_words" && k9 = "major_collections"
-          && k10 = "jobs" && k11 = "mode" && k12 = "barriers"
-        then
-          Some
-            {
-              name;
-              wall_s;
-              events;
-              executed;
-              fused;
-              barriers;
-              shards = 0;
-              cluster_machines = 0;
-              wire_batches = 0;
-              wire_msgs = 0;
-              mode;
-              gc = Some { minor_words = minor; promoted_words = promoted; major_collections = major };
-              jobs;
-            }
-        else None)
-  with
-  | entry -> entry
-  | exception _ -> None
-
-let parse_line_v3 line =
-  match
-    Scanf.sscanf line
-      " {%S: %S, %S: %f, %S: %d, %S: %d, %S: %d, %S: %f, %S: %f, %S: %f, %S: %d, %S: %d"
-      (fun k1 name k2 wall_s k3 events k4 executed k5 fused _k6 _rate k7 minor k8 promoted
-           k9 major k10 jobs ->
-        if
-          k1 = "name" && k2 = "wall_s" && k3 = "events" && k4 = "executed" && k5 = "fused"
-          && k7 = "minor_words" && k8 = "promoted_words" && k9 = "major_collections"
-          && k10 = "jobs"
-        then
-          Some
-            {
-              name;
-              wall_s;
-              events;
-              executed;
-              fused;
-              barriers = 0;
-              shards = 0;
-              cluster_machines = 0;
-              wire_batches = 0;
-              wire_msgs = 0;
-              mode = mode_of_jobs jobs;
-              gc = Some { minor_words = minor; promoted_words = promoted; major_collections = major };
-              jobs;
-            }
-        else None)
-  with
-  | entry -> entry
-  | exception _ -> None
-
-let parse_line_v2 line =
-  match
-    Scanf.sscanf line " {%S: %S, %S: %f, %S: %d, %S: %d, %S: %d, %S: %f, %S: %f, %S: %f, %S: %d"
-      (fun k1 name k2 wall_s k3 events k4 executed k5 fused _k6 _rate k7 minor k8 promoted
-           k9 major ->
-        if
-          k1 = "name" && k2 = "wall_s" && k3 = "events" && k4 = "executed" && k5 = "fused"
-          && k7 = "minor_words" && k8 = "promoted_words" && k9 = "major_collections"
-        then
-          Some
-            {
-              name;
-              wall_s;
-              events;
-              executed;
-              fused;
-              barriers = 0;
-              shards = 0;
-              cluster_machines = 0;
-              wire_batches = 0;
-              wire_msgs = 0;
-              mode = "serial";
-              gc = Some { minor_words = minor; promoted_words = promoted; major_collections = major };
-              jobs = 0;
-            }
-        else None)
-  with
-  | entry -> entry
-  | exception _ -> None
-
-let parse_line_v1 line =
-  match
-    Scanf.sscanf line " {%S: %S, %S: %f, %S: %d" (fun k1 name k2 wall_s k3 events ->
-        if k1 = "name" && k2 = "wall_s" && k3 = "events" then
-          Some
-            {
-              name;
-              wall_s;
-              events;
-              executed = events;
-              fused = 0;
-              barriers = 0;
-              shards = 0;
-              cluster_machines = 0;
-              wire_batches = 0;
-              wire_msgs = 0;
-              mode = "serial";
-              gc = None;
-              jobs = 0;
-            }
-        else None)
-  with
-  | entry -> entry
-  | exception _ -> None
+(* The key/value pairs of one [{"k": v, ...}] line: strings unescaped,
+   numbers kept as their text. [] for any other line. *)
+let fields line =
+  let ib = Scanf.Scanning.from_string line in
+  let rec pairs acc =
+    let k = Scanf.bscanf ib " %S : " Fun.id in
+    let v =
+      if Scanf.bscanf ib "%0c" Fun.id = '"' then Scanf.bscanf ib "%S" Fun.id
+      else Scanf.bscanf ib "%[^,}]" String.trim
+    in
+    let acc = (k, v) :: acc in
+    if Scanf.bscanf ib " %c" Fun.id = ',' then pairs acc else List.rev acc
+  in
+  try
+    Scanf.bscanf ib " {" ();
+    pairs []
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> []
 
 let parse_line line =
-  match parse_line_v7 line with
-  | Some e -> Some e
-  | None ->
-  match parse_line_v6 line with
-  | Some e -> Some e
-  | None ->
-  match parse_line_v5 line with
-  | Some e -> Some e
-  | None ->
-    (match parse_line_v4 line with
-    | Some e -> Some e
-    | None ->
-      (match parse_line_v3 line with
-      | Some e -> Some e
-      | None ->
-        (match parse_line_v2 line with Some e -> Some e | None -> parse_line_v1 line)))
+  let f = fields line in
+  let num conv k = Option.bind (List.assoc_opt k f) conv in
+  let int ?(default = 0) k = Option.value (num int_of_string_opt k) ~default in
+  let float k = num float_of_string_opt k in
+  match (List.assoc_opt "name" f, float "wall_s", num int_of_string_opt "events") with
+  | Some name, Some wall_s, Some events ->
+    let jobs = int "jobs" in
+    Some
+      {
+        name;
+        wall_s;
+        events;
+        executed = int "executed" ~default:events;
+        fused = int "fused";
+        barriers = int "barriers";
+        shards = int "shards";
+        cluster_machines = int "cluster_machines";
+        wire_batches = int "wire_batches";
+        wire_msgs = int "wire_msgs";
+        pdes_events = int "pdes_events";
+        pdes_critical = int "pdes_critical";
+        pdes_busy = int "pdes_busy";
+        pdes_slots = int "pdes_slots";
+        mode = Option.value (List.assoc_opt "mode" f) ~default:(mode_of_jobs jobs);
+        gc =
+          (match (float "minor_words", float "promoted_words") with
+          | Some minor_words, Some promoted_words ->
+            Some { minor_words; promoted_words; major_collections = int "major_collections" }
+          | _ -> None);
+        jobs;
+      }
+  | _ -> None
 
 let read path =
   match open_in path with
@@ -338,7 +173,7 @@ let write path ~jobs entries =
   let oc = open_out path in
   let total_wall = List.fold_left (fun a e -> a +. e.wall_s) 0.0 entries in
   let total_events = List.fold_left (fun a e -> a + e.events) 0 entries in
-  Printf.fprintf oc "{\n  \"schema\": \"bench_sim/v7\",\n  \"jobs\": %d,\n" jobs;
+  Printf.fprintf oc "{\n  \"schema\": \"bench_sim/v8\",\n  \"jobs\": %d,\n" jobs;
   Printf.fprintf oc "  \"benches\": [\n";
   List.iteri
     (fun i e ->
@@ -351,10 +186,13 @@ let write path ~jobs entries =
         "    {\"name\": %S, \"wall_s\": %.6f, \"events\": %d, \"executed\": %d, \"fused\": \
          %d, \"events_per_sec\": %.0f, \"minor_words\": %.0f, \"promoted_words\": %.0f, \
          \"major_collections\": %d, \"jobs\": %d, \"mode\": %S, \"barriers\": %d, \
-         \"shards\": %d, \"cluster_machines\": %d, \"wire_batches\": %d, \"wire_msgs\": %d}%s\n"
+         \"shards\": %d, \"cluster_machines\": %d, \"wire_batches\": %d, \"wire_msgs\": %d, \
+         \"pdes_events\": %d, \"pdes_critical\": %d, \"pdes_busy\": %d, \"pdes_slots\": %d, \
+         \"pdes_speedup_bound\": %.3f, \"pdes_busy_share\": %.3f}%s\n"
         e.name e.wall_s e.events e.executed e.fused (rate e) g.minor_words g.promoted_words
         g.major_collections e.jobs e.mode e.barriers e.shards e.cluster_machines
-        e.wire_batches e.wire_msgs
+        e.wire_batches e.wire_msgs e.pdes_events e.pdes_critical e.pdes_busy e.pdes_slots
+        (speedup_bound e) (busy_share e)
         (if i = List.length entries - 1 then "" else ","))
     entries;
   Printf.fprintf oc "  ],\n";

@@ -52,6 +52,10 @@ type timing = {
   shards : int;  (* PDES shard count, high-water (0 unless the bench sharded) *)
   wire_batches : int;  (* coalescable wire flush groups (0: no wire links) *)
   wire_msgs : int;  (* frames inside those groups *)
+  pdes_events : int;  (* PDES parallelism profile (Pool.counter), 0 unsharded *)
+  pdes_critical : int;
+  pdes_busy : int;
+  pdes_slots : int;
   minor_words : float;
   promoted_words : float;
   major_collections : int;
@@ -71,24 +75,40 @@ let logical t = t.executed + t.fused
 let instrumented name f () =
   let ev0 = Pool.total_executed () in
   let fu0 = Pool.total_fused () in
-  let ba0 = Pool.total_barriers () in
-  let wb0 = Pool.total_wire_batches () in
-  let wm0 = Pool.total_wire_msgs () in
+  let before =
+    List.map
+      (fun c -> (c, Pool.total c))
+      Pool.
+        [
+          Barriers;
+          Wire_batches;
+          Wire_msgs;
+          Pdes_events;
+          Pdes_critical;
+          Pdes_busy;
+          Pdes_slots;
+        ]
+  in
   let mi0 = Pool.total_minor_words () in
   let pr0 = Pool.total_promoted_words () in
   let ma0 = Pool.total_major_collections () in
   let t0 = Unix.gettimeofday () in
   let (), shards = Pool.with_shards f in
   let wall_s = Unix.gettimeofday () -. t0 in
+  let delta c = Pool.total c - List.assoc c before in
   {
     name;
     wall_s;
     executed = Pool.total_executed () - ev0;
     fused = Pool.total_fused () - fu0;
-    barriers = Pool.total_barriers () - ba0;
+    barriers = delta Barriers;
     shards;
-    wire_batches = Pool.total_wire_batches () - wb0;
-    wire_msgs = Pool.total_wire_msgs () - wm0;
+    wire_batches = delta Wire_batches;
+    wire_msgs = delta Wire_msgs;
+    pdes_events = delta Pdes_events;
+    pdes_critical = delta Pdes_critical;
+    pdes_busy = delta Pdes_busy;
+    pdes_slots = delta Pdes_slots;
     minor_words = Pool.total_minor_words () -. mi0;
     promoted_words = Pool.total_promoted_words () -. pr0;
     major_collections = Pool.total_major_collections () - ma0;
@@ -109,16 +129,26 @@ let rate events wall_s = if wall_s > 0.0 then float_of_int events /. wall_s else
 
 let json_path = "BENCH_sim.json"
 
+(* The PDES columns: [par] is the critical-path speedup bound of the
+   bench's windows (events / sum of per-window busiest-shard events) and
+   [busy%] the share of shard-windows that had work; "-" when nothing
+   sharded. Host figures: event counts differ with fusion off. *)
 let report ~jobs ~timings ~harness_wall =
   Printf.printf "\n==== Simulator performance (host side) ====\n";
-  Printf.printf "%-10s %9s %12s %10s %9s %12s %12s %6s\n" "bench" "wall(s)" "events"
-    "fused" "barriers" "events/s" "minorMw" "majGC";
+  Printf.printf "%-10s %9s %12s %10s %9s %12s %12s %6s %6s %6s\n" "bench" "wall(s)" "events"
+    "fused" "barriers" "events/s" "minorMw" "majGC" "par" "busy%";
   List.iter
     (fun t ->
-      Printf.printf "%-10s %9.3f %12d %10d %9d %12.2e %12.1f %6d\n" t.name t.wall_s
+      let par, busy =
+        if t.pdes_critical = 0 then ("-", "-")
+        else
+          ( Printf.sprintf "%.2f" (Bench_json.ratio t.pdes_events t.pdes_critical),
+            Printf.sprintf "%.1f" (100.0 *. Bench_json.ratio t.pdes_busy t.pdes_slots) )
+      in
+      Printf.printf "%-10s %9.3f %12d %10d %9d %12.2e %12.1f %6d %6s %6s\n" t.name t.wall_s
         (logical t) t.fused t.barriers
         (rate (logical t) t.wall_s)
-        (t.minor_words /. 1e6) t.major_collections)
+        (t.minor_words /. 1e6) t.major_collections par busy)
     timings;
   let total_events = List.fold_left (fun a t -> a + logical t) 0 timings in
   Printf.printf "%-10s %9.3f %12d %10s %12.2e  (%d job%s)\n" "total" harness_wall
@@ -144,6 +174,10 @@ let report ~jobs ~timings ~harness_wall =
             (if t.name = "cluster" then Cluster_bench.reported_machines () else 0);
           wire_batches = t.wire_batches;
           wire_msgs = t.wire_msgs;
+          pdes_events = t.pdes_events;
+          pdes_critical = t.pdes_critical;
+          pdes_busy = t.pdes_busy;
+          pdes_slots = t.pdes_slots;
           mode = mode ~jobs t;
           gc =
             Some

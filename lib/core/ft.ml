@@ -105,9 +105,17 @@ let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
       deaths = 0;
     }
   in
+  (* Each detector loop starts on its monitor's own shard. Called from a
+     task mid-run, starting a remote shard's loop directly would read that
+     shard's clock and push onto its event queue while it runs its own
+     window on another domain: the start time would then depend on how far
+     that domain had got, and the result on the domain count. [Os.post] is
+     a direct call unsharded, same-shard or from host context, and one
+     interconnect leg otherwise. *)
   for c = 0 to n - 1 do
-    Monitor.start_ft (Os.monitor os ~core:c) ~interval:hb_interval ~threshold
-      ~until ~on_death:(fun ~core ~at -> handle_death t ~by:c ~core ~at)
+    Os.post os ~core:c (fun () ->
+        Monitor.start_ft (Os.monitor os ~core:c) ~interval:hb_interval ~threshold
+          ~until ~on_death:(fun ~core ~at -> handle_death t ~by:c ~core ~at))
   done;
   (* Wire the fault plan's core stops to the monitors they stop. Sharded:
      every shard machine carries its own injector (armed with an

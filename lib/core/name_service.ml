@@ -45,6 +45,10 @@ let home_core t = t.home
 let call t ~from_core req =
   if from_core = t.home then begin
     Machine.compute t.m ~core:t.home local_call_cost;
+    (* The table is shared with the server loop: touch it at the true time,
+       after the call's cost, as an unfused run does. [compute] only banks
+       that cost. *)
+    Mk_sim.Engine.flush_charge ();
     match req with
     | Register r ->
       Hashtbl.replace t.table r.srv_name r;

@@ -66,7 +66,8 @@ let flush t =
   if frames > 0 then begin
     t.tx_batches <- t.tx_batches + 1;
     t.frames_at_flush <- t.tx_frames;
-    Pool.note_wire ~batches:1 ~msgs:frames
+    Pool.note Wire_batches 1;
+    Pool.note Wire_msgs frames
   end;
   let n = t.n_buf in
   if n > 0 then begin

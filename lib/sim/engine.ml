@@ -52,6 +52,7 @@ type t = {
   (* Names of live tasks, for Stalled diagnostics: task id -> ~name. *)
   names : (int, string) Hashtbl.t;
   mutable next_task : int;
+  mutable self : t option;  (* [Some t], built once: [run] publishes it *)
 }
 
 let nop () = ()
@@ -69,23 +70,28 @@ let run_ev (x : ev) =
   else (Obj.obj x : unit -> unit) ()
 
 let create () =
-  {
-    now = 0;
-    seq = 0;
-    (* Pre-sized with the engine's own dummy thunk so the first far-future
-       event of a run does not pay the backing-array allocation mid-flight;
-       the arrays are recycled across runs of a [reset] engine. *)
-    heap = Heap.create ~dummy:nop_ev ();
-    wheel = Wheel.create ~dummy:nop_ev;
-    fq_seq = Array.make 64 0;
-    fq_thunk = Array.make 64 nop_ev;
-    fq_head = 0;
-    fq_len = 0;
-    live = 0;
-    executed = 0;
-    names = Hashtbl.create 16;
-    next_task = 0;
-  }
+  let t =
+    {
+      now = 0;
+      seq = 0;
+      (* Pre-sized with the engine's own dummy thunk so the first far-future
+         event of a run does not pay the backing-array allocation mid-flight;
+         the arrays are recycled across runs of a [reset] engine. *)
+      heap = Heap.create ~dummy:nop_ev ();
+      wheel = Wheel.create ~dummy:nop_ev;
+      fq_seq = Array.make 64 0;
+      fq_thunk = Array.make 64 nop_ev;
+      fq_head = 0;
+      fq_len = 0;
+      live = 0;
+      executed = 0;
+      names = Hashtbl.create 16;
+      next_task = 0;
+      self = None;
+    }
+  in
+  t.self <- Some t;
+  t
 
 (* Rewind an *idle* engine (no pending events, no live tasks) to t=0 so its
    FIFO rings, wheel slots and heap arrays are reused by the next run
@@ -106,21 +112,22 @@ let events_executed t = t.executed
 let live_tasks t = t.live
 
 (* Earliest pending event across the three fronts (FIFO entries are due at
-   the current time). [None] = idle engine. This is what a windowed
+   the current time); [max_int] = idle engine. This is what a windowed
    executor (Pdes) uses to pick the next lookahead horizon without popping
-   anything. *)
+   anything, and it returns an unboxed int because Pdes asks every shard
+   once per window. *)
 let next_time t =
-  let nt = ref max_int in
-  if t.fq_len > 0 then nt := t.now;
-  if not (Wheel.is_empty t.wheel) then begin
-    let wt = Wheel.min_time t.wheel in
-    if wt < !nt then nt := wt
-  end;
-  if not (Heap.is_empty t.heap) then begin
+  let nt = if t.fq_len > 0 then t.now else max_int in
+  let nt =
+    if Wheel.is_empty t.wheel then nt
+    else
+      let wt = Wheel.min_time t.wheel in
+      if wt < nt then wt else nt
+  in
+  if Heap.is_empty t.heap then nt
+  else
     let ht = Heap.min_time t.heap in
-    if ht < !nt then nt := ht
-  end;
-  if !nt = max_int then None else Some !nt
+    if ht < nt then ht else nt
 
 (* Events executed by every engine on this domain: lets the bench harness
    attribute events/sec to a bench without threading engine handles out,
@@ -372,93 +379,115 @@ let src_fifo = 0
 let src_wheel = 1
 let src_heap = 2
 
-let run t ?until ?(allow_stall = true) () =
-  let limit = until in
-  let dom_counter = Domain.DLS.get domain_executed in
-  let rec loop () =
-    let have_f = t.fq_len > 0 in
-    let have_w = not (Wheel.is_empty t.wheel) in
-    let have_h = not (Heap.is_empty t.heap) in
-    if not have_f && not have_w && not have_h then begin
-      if t.live > 0 && not allow_stall then begin
-        (* Name the stuck tasks (in spawn order, capped) — "3 tasks
-           suspended" alone sends the reader straight to a debugger. *)
-        let ids = Hashtbl.fold (fun id nm acc -> (id, nm) :: acc) t.names [] in
-        let names = List.sort compare ids |> List.map snd in
-        let cap = 8 in
-        let shown = List.filteri (fun i _ -> i < cap) names in
-        let extra = List.length names - List.length shown in
-        let who =
-          String.concat ", " shown
-          ^ (if extra > 0 then Printf.sprintf ", ... (+%d more)" extra else "")
-        in
-        raise
-          (Stalled
-             (Printf.sprintf "%d task(s) suspended forever at t=%d: %s" t.live t.now who))
-      end
-    end
-    else begin
-      (* Next event by (time, seq) across the three fronts. FIFO entries
-         are at t.now, so they beat any strictly-later wheel/heap entry;
-         at equal time, lower seq wins. *)
-      let src = ref src_fifo in
-      let ntime = ref max_int and nseq = ref max_int in
-      if have_f then begin
-        ntime := t.now;
-        nseq := fifo_front_seq t
-      end;
-      if have_w then begin
-        let wt = Wheel.min_time t.wheel in
-        if wt < !ntime || (wt = !ntime && Wheel.min_seq t.wheel < !nseq) then begin
-          src := src_wheel;
-          ntime := wt;
-          nseq := Wheel.min_seq t.wheel
-        end
-      end;
-      if have_h then begin
-        let ht = Heap.min_time t.heap in
-        if ht < !ntime || (ht = !ntime && Heap.min_seq t.heap < !nseq) then begin
-          src := src_heap;
-          ntime := ht
-        end
-      end;
-      let ntime = !ntime in
-      match limit with
-      | Some lim when ntime > lim ->
-        if lim >= t.now then
-          (* Forward stop (the common case; a PDES window barrier does this
-             once per window). The FIFO is necessarily empty — its entries
-             are due at [t.now <= lim] and would have run — and the wheel
-             can stay put: every pending wheel time lies in
-             (lim, lim + window), so pushes after the clock moves to [lim]
-             cannot collide with an occupied slot (and Wheel.push refuses
-             and falls back to the heap if one ever did). *)
-          t.now <- lim
-        else begin
-          (* Rewinding stop ([until] before the current time): spill
-             everything into the heap so (time, seq) survives the
-             re-anchoring. *)
-          fifo_spill t;
-          wheel_spill t;
-          t.now <- lim
-        end
-      | _ ->
-        let thunk =
-          if !src = src_fifo then fifo_pop t
-          else if !src = src_wheel then Wheel.pop_exn t.wheel
-          else Heap.pop_exn t.heap
-        in
-        t.now <- ntime;
-        t.executed <- t.executed + 1;
-        incr dom_counter;
-        run_ev thunk;
-        loop ()
-    end
+(* Stop the clock at [lim] with every pending event due after it — the one
+   way both [run ~until] and [skip_idle] leave an engine. *)
+let stop_at t lim =
+  if lim >= t.now then
+    (* Forward stop (the common case; a PDES window barrier does this once
+       per shard and window). The FIFO is necessarily empty — its entries
+       are due at [t.now <= lim] — and the wheel can stay put: every
+       pending wheel time lies in (lim, lim + window), so pushes after the
+       clock moves to [lim] cannot collide with an occupied slot (and
+       Wheel.push refuses and falls back to the heap if one ever did). *)
+    t.now <- lim
+  else begin
+    (* Rewinding stop ([until] before the current time): spill everything
+       into the heap so (time, seq) survives the re-anchoring. *)
+    fifo_spill t;
+    wheel_spill t;
+    t.now <- lim
+  end
+
+let skip_idle t ~until =
+  let nt = next_time t in
+  if nt <= until then false
+  else begin
+    (* With nothing pending the run loop would return at once, clock
+       untouched; otherwise its first look at the fronts stops it. *)
+    if nt < max_int then stop_at t until;
+    true
+  end
+
+let stalled t =
+  (* Name the stuck tasks (in spawn order, capped) — "3 tasks suspended"
+     alone sends the reader straight to a debugger. *)
+  let ids = Hashtbl.fold (fun id nm acc -> (id, nm) :: acc) t.names [] in
+  let names = List.sort compare ids |> List.map snd in
+  let cap = 8 in
+  let shown = List.filteri (fun i _ -> i < cap) names in
+  let extra = List.length names - List.length shown in
+  let who =
+    String.concat ", " shown
+    ^ if extra > 0 then Printf.sprintf ", ... (+%d more)" extra else ""
   in
+  raise
+    (Stalled (Printf.sprintf "%d task(s) suspended forever at t=%d: %s" t.live t.now who))
+
+(* The run loop: a top-level function of its state rather than a closure,
+   so entering it allocates nothing. [lim = max_int] means no limit. *)
+let rec drain t lim allow_stall dom_counter =
+  let have_f = t.fq_len > 0 in
+  let have_w = not (Wheel.is_empty t.wheel) in
+  let have_h = not (Heap.is_empty t.heap) in
+  if not have_f && not have_w && not have_h then begin
+    if t.live > 0 && not allow_stall then stalled t
+  end
+  else begin
+    (* Next event by (time, seq) across the three fronts. FIFO entries are
+       at t.now, so they beat any strictly-later wheel/heap entry; at
+       equal time, lower seq wins. *)
+    let src = ref src_fifo in
+    let ntime = ref max_int and nseq = ref max_int in
+    if have_f then begin
+      ntime := t.now;
+      nseq := fifo_front_seq t
+    end;
+    if have_w then begin
+      let wt = Wheel.min_time t.wheel in
+      if wt < !ntime || (wt = !ntime && Wheel.min_seq t.wheel < !nseq) then begin
+        src := src_wheel;
+        ntime := wt;
+        nseq := Wheel.min_seq t.wheel
+      end
+    end;
+    if have_h then begin
+      let ht = Heap.min_time t.heap in
+      if ht < !ntime || (ht = !ntime && Heap.min_seq t.heap < !nseq) then begin
+        src := src_heap;
+        ntime := ht
+      end
+    end;
+    let ntime = !ntime in
+    if ntime > lim then stop_at t lim
+    else begin
+      let thunk =
+        if !src = src_fifo then fifo_pop t
+        else if !src = src_wheel then Wheel.pop_exn t.wheel
+        else Heap.pop_exn t.heap
+      in
+      t.now <- ntime;
+      t.executed <- t.executed + 1;
+      incr dom_counter;
+      run_ev thunk;
+      drain t lim allow_stall dom_counter
+    end
+  end
+
+let run_to t lim allow_stall =
   let cur = Domain.DLS.get domain_running in
   let saved = !cur in
-  cur := Some t;
-  Fun.protect ~finally:(fun () -> cur := saved) loop
+  cur := t.self;
+  match drain t lim allow_stall (Domain.DLS.get domain_executed) with
+  | () -> cur := saved
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    cur := saved;
+    Printexc.raise_with_backtrace e bt
+
+let run t ?until ?(allow_stall = true) () =
+  run_to t (match until with Some u -> u | None -> max_int) allow_stall
+
+let run_until t until = run_to t until true
 
 (* Task-level API. Every operation that can observe or be observed by the
    rest of the simulation flushes the charge bank first, so banked delays

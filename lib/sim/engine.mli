@@ -29,9 +29,9 @@ val reset : t -> unit
 val now : t -> int
 (** Current simulated time. *)
 
-val next_time : t -> int option
+val next_time : t -> int
 (** Time of the earliest pending event (FIFO/wheel/heap), without popping
-    it; [None] when the engine is idle. A windowed executor uses this to
+    it; [max_int] when the engine is idle. A windowed executor uses this to
     compute the next conservative lookahead horizon. *)
 
 val events_executed : t -> int
@@ -83,6 +83,18 @@ val run : t -> ?until:int -> ?allow_stall:bool -> unit -> unit
     [until]. If tasks remain suspended when the heap drains, raises
     {!Stalled} unless [allow_stall] is true (default: true, because
     long-lived server tasks legitimately out-live a run). *)
+
+val run_until : t -> int -> unit
+(** [run_until t u] is [run t ~until:u ()] without boxing [u]: the form a
+    windowed executor calls once per shard and window. *)
+
+val skip_idle : t -> until:int -> bool
+(** The idle-window path. If no event is due at or before [until], leave
+    [t] exactly as [run t ~until ()] would — the clock moves to [until]
+    when events are pending (spilling the FIFO and wheel into the heap if
+    [until] is before {!now}) and stays put when none are — and return
+    [true] without entering the run loop. Otherwise change nothing and
+    return [false]. *)
 
 val live_tasks : t -> int
 (** Number of spawned tasks that have not yet terminated. *)

@@ -37,8 +37,8 @@
    wait, unable to claim shard jobs 1..3, and the batch would deadlock
    under pool contention. Dedicated domains make the rendezvous safe; the
    pool still sees the run's costs because {!exec} folds every worker's
-   counters back through {!Pool.absorb} and reports its window count via
-   {!Pool.note_barriers}. *)
+   counters back through {!Pool.absorb} and reports its windows and their
+   parallelism profile through {!Pool.note}. *)
 
 type msg = {
   at : int;  (* absolute delivery time *)
@@ -65,41 +65,63 @@ type packet = Msg of msg | Run of run
 type shard = {
   eng : Engine.t;
   buf : Buffer.t;  (* captured output, replayed in shard order *)
+  sink : Buffer.t option;  (* [Some buf], built once *)
+  mutable key : (t * int) option;  (* [Some (owner, index)], built once *)
   outbox : packet list array;  (* per destination shard, newest first *)
   mutable send_seq : int;
   mutable flush : (unit -> unit) list;  (* registration order *)
   mutable err : (exn * Printexc.raw_backtrace) option;
+  mutable seen : int;  (* engine events executed when the last window ended *)
 }
 
-type t = {
+and t = {
   shards : shard array;
   lookahead : int;
   mutable horizon : int;  (* exclusive upper bound of the last window *)
   mutable barriers : int;  (* windows executed, across exec calls *)
+  mutable events : int;  (* events executed inside windows *)
+  mutable critical : int;  (* per window, the busiest shard's events; summed *)
+  mutable busy : int;  (* shard-windows that executed at least one event *)
 }
 
 let create ~n_shards ~lookahead =
   if n_shards <= 0 then invalid_arg "Pdes.create: n_shards must be positive";
   if lookahead <= 0 then invalid_arg "Pdes.create: lookahead must be positive";
-  {
-    shards =
-      Array.init n_shards (fun _ ->
-          {
-            eng = Engine.create ();
-            buf = Buffer.create 256;
-            outbox = Array.make n_shards [];
-            send_seq = 0;
-            flush = [];
-            err = None;
-          });
-    lookahead;
-    horizon = 0;
-    barriers = 0;
-  }
+  let t =
+    {
+      shards =
+        Array.init n_shards (fun _ ->
+            let buf = Buffer.create 256 in
+            {
+              eng = Engine.create ();
+              buf;
+              sink = Some buf;
+              key = None;
+              outbox = Array.make n_shards [];
+              send_seq = 0;
+              flush = [];
+              err = None;
+              seen = 0;
+            });
+      lookahead;
+      horizon = 0;
+      barriers = 0;
+      events = 0;
+      critical = 0;
+      busy = 0;
+    }
+  in
+  Array.iteri (fun i s -> s.key <- Some (t, i)) t.shards;
+  t
 
 let n_shards t = Array.length t.shards
 let lookahead t = t.lookahead
 let barriers t = t.barriers
+
+type profile = { windows : int; events : int; critical : int; busy : int }
+
+let profile (t : t) =
+  { windows = t.barriers; events = t.events; critical = t.critical; busy = t.busy }
 
 let engine t i =
   if i < 0 || i >= Array.length t.shards then invalid_arg "Pdes.engine: bad shard";
@@ -169,16 +191,27 @@ let add_flush t ~shard f =
   let s = t.shards.(shard) in
   s.flush <- s.flush @ [ f ]
 
-(* -- window execution -- *)
+(* -- window execution --
+
+   A window's fixed cost must not grow with the shard count: sharded app
+   runs execute hundreds of thousands of windows at a few dozen events
+   each, most shards with nothing due. An idle shard costs one
+   [Engine.skip_idle] (a look at its three queue fronts); a busy one
+   installs its prebuilt context key and output sink and enters the run
+   loop, none of which allocates. *)
 
 let run_shard t i ~until =
   let s = t.shards.(i) in
-  let saved = Domain.DLS.get cur_key in
-  Domain.DLS.set cur_key (Some (t, i));
-  (match Pool.redirect_to s.buf (fun () -> Engine.run s.eng ~until ()) with
-  | () -> ()
-  | exception e -> s.err <- Some (e, Printexc.get_raw_backtrace ()));
-  Domain.DLS.set cur_key saved
+  if not (Engine.skip_idle s.eng ~until) then begin
+    let saved = Domain.DLS.get cur_key in
+    Domain.DLS.set cur_key s.key;
+    let out = Pool.swap_sink s.sink in
+    (match Engine.run_until s.eng until with
+    | () -> ()
+    | exception e -> s.err <- Some (e, Printexc.get_raw_backtrace ()));
+    ignore (Pool.swap_sink out : Buffer.t option);
+    Domain.DLS.set cur_key saved
+  end
 
 let compare_msg a b =
   let c = compare a.at b.at in
@@ -243,6 +276,26 @@ let deliver_merged eng singles runs =
       else take_run i
   done
 
+(* Collect every outbox entry for [dst] and schedule it on [dst]'s engine
+   in canonical order. *)
+let deliver t dst =
+  let singles = ref [] in
+  let runs = ref [] in
+  for src = 0 to Array.length t.shards - 1 do
+    match t.shards.(src).outbox.(dst) with
+    | [] -> ()
+    | l ->
+      List.iter
+        (function Msg m -> singles := m :: !singles | Run r -> runs := r :: !runs)
+        l;
+      t.shards.(src).outbox.(dst) <- []
+  done;
+  let eng = t.shards.(dst).eng in
+  let singles = List.sort compare_msg !singles in
+  match !runs with
+  | [] -> List.iter (fun m -> Engine.schedule_at eng ~at:m.at m.fn) singles
+  | rl -> deliver_merged eng singles (Array.of_list rl)
+
 (* Deliver every pending cross-shard message. Flush hooks run first — in
    shard order, then registration order — so senders that coalesce frames
    per window hand them over before any outbox is collected. Per
@@ -254,42 +307,63 @@ let deliver_merged eng singles runs =
    frames traveled individually or as runs. *)
 let exchange t =
   let n = Array.length t.shards in
-  Array.iter
-    (fun s ->
-      match s.flush with [] -> () | hooks -> List.iter (fun f -> f ()) hooks)
-    t.shards;
+  for i = 0 to n - 1 do
+    match t.shards.(i).flush with [] -> () | hooks -> List.iter (fun f -> f ()) hooks
+  done;
   for dst = 0 to n - 1 do
-    let singles = ref [] in
-    let runs = ref [] in
+    let pending = ref false in
     for src = 0 to n - 1 do
-      match t.shards.(src).outbox.(dst) with
-      | [] -> ()
-      | l ->
-        List.iter
-          (function
-            | Msg m -> singles := m :: !singles
-            | Run r -> runs := r :: !runs)
-          l;
-        t.shards.(src).outbox.(dst) <- []
+      match t.shards.(src).outbox.(dst) with [] -> () | _ -> pending := true
     done;
-    match (!singles, !runs) with
-    | [], [] -> ()
-    | l, [] ->
-      let eng = t.shards.(dst).eng in
-      List.iter
-        (fun m -> Engine.schedule_at eng ~at:m.at m.fn)
-        (List.sort compare_msg l)
-    | l, rl ->
-      deliver_merged t.shards.(dst).eng (List.sort compare_msg l) (Array.of_list rl)
+    if !pending then deliver t dst
   done
 
+(* Earliest pending event anywhere; [max_int] = every shard idle. *)
 let global_min t =
-  Array.fold_left
-    (fun acc s ->
-      match Engine.next_time s.eng with
-      | None -> acc
-      | Some nt -> ( match acc with None -> Some nt | Some a -> Some (min a nt)))
-    None t.shards
+  let m = ref max_int in
+  for i = 0 to Array.length t.shards - 1 do
+    let nt = Engine.next_time t.shards.(i).eng in
+    if nt < !m then m := nt
+  done;
+  !m
+
+(* Fold the window just run into the parallelism profile: what each shard
+   executed, and the busiest shard's share — the window's critical path. *)
+let account t =
+  let top = ref 0 in
+  for i = 0 to Array.length t.shards - 1 do
+    let s = t.shards.(i) in
+    let e = Engine.events_executed s.eng in
+    let d = e - s.seen in
+    s.seen <- e;
+    if d > 0 then begin
+      t.events <- t.events + d;
+      t.busy <- t.busy + 1;
+      if d > !top then top := d
+    end
+  done;
+  t.critical <- t.critical + !top
+
+let failed t =
+  let f = ref false in
+  for i = 0 to Array.length t.shards - 1 do
+    match t.shards.(i).err with None -> () | Some _ -> f := true
+  done;
+  !f
+
+(* The window loop both executors share: exchange, pick the horizon, run
+   every shard up to it ([run_window] decides where), until no event is
+   pending anywhere or a shard raised. *)
+let rec windows t run_window =
+  exchange t;
+  let tmin = global_min t in
+  if tmin < max_int then begin
+    t.horizon <- tmin + t.lookahead;
+    run_window (t.horizon - 1);
+    t.barriers <- t.barriers + 1;
+    account t;
+    if not (failed t) then windows t run_window
+  end
 
 let check_errors t =
   Array.iter
@@ -301,15 +375,28 @@ let check_errors t =
       | None -> ())
     t.shards
 
-let finish t ~rounds =
-  t.barriers <- t.barriers + rounds;
-  Pool.note_barriers rounds;
+(* Bracket one [exec]: events executed outside windows (host code
+   driving a shard engine between runs) stay out of the profile, and what
+   this run added is reported to the Pool counters on return. *)
+let start t =
+  Array.iter (fun s -> s.seen <- Engine.events_executed s.eng) t.shards;
+  profile t
+
+let finish t (p0 : profile) =
+  let p = profile t in
+  let windows = p.windows - p0.windows in
+  Pool.note Barriers windows;
+  Pool.note Pdes_events (p.events - p0.events);
+  Pool.note Pdes_critical (p.critical - p0.critical);
+  Pool.note Pdes_busy (p.busy - p0.busy);
+  Pool.note Pdes_slots (windows * Array.length t.shards);
   Pool.note_shards (Array.length t.shards);
   Array.iter
     (fun s ->
       Pool.emit (Buffer.contents s.buf);
       Buffer.clear s.buf)
-    t.shards
+    t.shards;
+  check_errors t
 
 (* -- worker team --
 
@@ -381,8 +468,9 @@ let exec_team t ~domains:d =
     let ev0 = Engine.domain_events_executed () and fu0 = Engine.domain_events_fused () in
     let g0 = Gc.quick_stat () in
     let my_round = ref 0 in
+    let published () = Atomic.get round <> !my_round in
     let rec loop () =
-      wait_for ~mu ~cv (fun () -> Atomic.get round <> !my_round);
+      wait_for ~mu ~cv published;
       incr my_round;
       let h = Atomic.get horizon_pub in
       if h >= 0 then begin
@@ -405,6 +493,7 @@ let exec_team t ~domains:d =
     tot.w_promoted <- g1.Gc.promoted_words -. g0.Gc.promoted_words;
     tot.w_major <- g1.Gc.major_collections - g0.Gc.major_collections
   in
+  let p0 = start t in
   let workers = List.init (d - 1) (fun w -> Domain.spawn (worker (w + 1))) in
   let quit () =
     Atomic.set horizon_pub (-1);
@@ -417,57 +506,29 @@ let exec_team t ~domains:d =
           ~promoted:w.w_promoted ~major:w.w_major ())
       totals
   in
-  let rounds = ref 0 in
-  let rec loop () =
-    exchange t;
-    match global_min t with
-    | None -> quit ()
-    | Some tmin ->
-      t.horizon <- tmin + t.lookahead;
-      Atomic.set done_n 0;
-      Atomic.set horizon_pub t.horizon;
-      Atomic.incr round;
-      wake ~mu ~cv;
-      let i = ref 0 in
-      while !i < n do
-        run_shard t !i ~until:(t.horizon - 1);
-        i := !i + d
-      done;
-      wait_for ~mu ~cv (fun () -> Atomic.get done_n >= d - 1);
-      incr rounds;
-      if Array.exists (fun s -> s.err <> None) t.shards then begin
-        quit ();
-        finish t ~rounds:!rounds;
-        check_errors t
-      end
-      else loop ()
-  in
-  loop ();
-  finish t ~rounds:!rounds;
-  check_errors t
+  let all_done () = Atomic.get done_n >= d - 1 in
+  Fun.protect ~finally:quit (fun () ->
+      windows t (fun until ->
+          Atomic.set done_n 0;
+          Atomic.set horizon_pub t.horizon;
+          Atomic.incr round;
+          wake ~mu ~cv;
+          let i = ref 0 in
+          while !i < n do
+            run_shard t !i ~until;
+            i := !i + d
+          done;
+          wait_for ~mu ~cv all_done));
+  finish t p0
 
 let exec_serial t =
+  let p0 = start t in
   let n = Array.length t.shards in
-  let rounds = ref 0 in
-  let rec loop () =
-    exchange t;
-    match global_min t with
-    | None -> ()
-    | Some tmin ->
-      t.horizon <- tmin + t.lookahead;
+  windows t (fun until ->
       for i = 0 to n - 1 do
-        run_shard t i ~until:(t.horizon - 1)
-      done;
-      incr rounds;
-      if Array.exists (fun s -> s.err <> None) t.shards then begin
-        finish t ~rounds:!rounds;
-        check_errors t
-      end
-      else loop ()
-  in
-  loop ();
-  finish t ~rounds:!rounds;
-  check_errors t
+        run_shard t i ~until
+      done);
+  finish t p0
 
 (* -- domain-count configuration (MK_PDES env, --pdes flag) -- *)
 

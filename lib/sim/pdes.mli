@@ -114,7 +114,23 @@ val exec : ?domains:int -> t -> unit
 
 val barriers : t -> int
 (** Exchange barriers (= windows) executed so far, summed across {!exec}
-    calls. Also reported to {!Pool.note_barriers} for the bench harness. *)
+    calls. Also reported to {!Pool.note} for the bench harness. *)
+
+type profile = {
+  windows : int;  (** windows executed (= {!barriers}) *)
+  events : int;  (** events the shards executed inside windows *)
+  critical : int;  (** per window, the busiest shard's events; summed *)
+  busy : int;  (** shard-windows that executed at least one event *)
+}
+(** Parallelism profile of the windows run so far, summed across {!exec}
+    calls. [events / critical] bounds the speedup any domain count can
+    reach: a window lasts at least as long as its busiest shard.
+    [busy / (windows * n_shards)] is the share of shard-windows that had
+    work. Event counts depend on latency-charge fusion, so these are host
+    figures, never simulated output. Each {!exec} also reports its share
+    to {!Pool.note}. *)
+
+val profile : t -> profile
 
 val set_domains_override : int option -> unit
 (** Process-wide override of the default domain count ([--pdes N] in the

@@ -25,15 +25,44 @@ let emit s =
     flush stdout
   | Some buf -> Buffer.add_string buf s
 
+(* Install [sink] as this domain's output sink and return the one it
+   replaces: the allocation-free core of [redirect_to], for callers that
+   restore the sink themselves (Pdes does, once per busy shard window). *)
+let swap_sink sink =
+  let saved = Domain.DLS.get out_key in
+  Domain.DLS.set out_key sink;
+  saved
+
 (* Save/restore rather than reset-to-None: a pool job that is itself a
    redirected bench must fall back to the job's capture buffer, not to
    stdout, when its inner redirection ends. *)
 let redirect_to buf f =
-  let saved = Domain.DLS.get out_key in
-  Domain.DLS.set out_key (Some buf);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set out_key saved) f
+  let saved = swap_sink (Some buf) in
+  Fun.protect ~finally:(fun () -> ignore (swap_sink saved : Buffer.t option)) f
 
 (* -- per-domain totals (own counters + absorbed foreign jobs) -- *)
+
+(* Additive structure counters that layers above the engine report here,
+   so the per-job capture below needs no dependency on them. *)
+type counter =
+  | Barriers  (* PDES window barriers *)
+  | Wire_batches  (* coalesced wire handoffs (Machine_link) *)
+  | Wire_msgs  (* frames inside those handoffs *)
+  | Pdes_events  (* events shards executed inside PDES windows *)
+  | Pdes_critical  (* per window, the busiest shard's events; summed *)
+  | Pdes_busy  (* shard-windows that executed at least one event *)
+  | Pdes_slots  (* shard-windows, busy or idle *)
+
+let n_counters = 7
+
+let index = function
+  | Barriers -> 0
+  | Wire_batches -> 1
+  | Wire_msgs -> 2
+  | Pdes_events -> 3
+  | Pdes_critical -> 4
+  | Pdes_busy -> 5
+  | Pdes_slots -> 6
 
 type foreign = {
   mutable f_executed : int;
@@ -41,10 +70,8 @@ type foreign = {
   mutable f_minor : float;
   mutable f_promoted : float;
   mutable f_major : int;
-  mutable f_barriers : int;  (* PDES window barriers (Pdes reports here) *)
   mutable f_shards : int;  (* high-water PDES shard count (max, not sum) *)
-  mutable f_wire_batches : int;  (* coalesced wire handoffs (Machine_link) *)
-  mutable f_wire_msgs : int;  (* frames inside those handoffs *)
+  f_counts : int array;  (* [counter]s, by [index] *)
 }
 
 let foreign_key : foreign Domain.DLS.key =
@@ -55,10 +82,8 @@ let foreign_key : foreign Domain.DLS.key =
         f_minor = 0.0;
         f_promoted = 0.0;
         f_major = 0;
-        f_barriers = 0;
         f_shards = 0;
-        f_wire_batches = 0;
-        f_wire_msgs = 0;
+        f_counts = Array.make n_counters 0;
       })
 
 (* Fold counters produced on other domains into this domain's totals. The
@@ -73,11 +98,15 @@ let absorb ?(executed = 0) ?(fused = 0) ?(minor = 0.0) ?(promoted = 0.0) ?(major
   fo.f_promoted <- fo.f_promoted +. promoted;
   fo.f_major <- fo.f_major + major
 
-(* Window barriers executed by PDES runs on (or absorbed into) this
-   domain: lives here rather than in Pdes so the per-job counter capture
-   below needs no dependency on it. *)
-let note_barriers n = (Domain.DLS.get foreign_key).f_barriers <- (Domain.DLS.get foreign_key).f_barriers + n
-let total_barriers () = (Domain.DLS.get foreign_key).f_barriers
+(* Counters are per domain, plus whatever pool runs absorbed from jobs
+   that ran elsewhere. Pdes reports its windows and Machine_link its wire
+   handoffs here, on the domain that calls [Pdes.exec]. *)
+let note c n =
+  let counts = (Domain.DLS.get foreign_key).f_counts in
+  counts.(index c) <- counts.(index c) + n
+
+let total c = (Domain.DLS.get foreign_key).f_counts.(index c)
+let total_barriers () = total Barriers
 
 (* PDES shard count is a high-water mark, not a sum: two sharded runs on 4
    shards still ran "over 4 shards". Pdes reports its structure here. *)
@@ -86,20 +115,6 @@ let note_shards n =
   fo.f_shards <- max fo.f_shards n
 
 let total_shards () = (Domain.DLS.get foreign_key).f_shards
-
-(* Wire-link coalescing counters (Machine_link reports at its flush
-   points, which run on the Pdes exec-calling domain): [batches] counts
-   window-sized handoff groups, [msgs] the frames inside them. Counted
-   identically whether batching is on or off — the counters describe the
-   coalescable traffic, not the transport — so referee runs stay
-   byte-identical. *)
-let note_wire ~batches ~msgs =
-  let fo = Domain.DLS.get foreign_key in
-  fo.f_wire_batches <- fo.f_wire_batches + batches;
-  fo.f_wire_msgs <- fo.f_wire_msgs + msgs
-
-let total_wire_batches () = (Domain.DLS.get foreign_key).f_wire_batches
-let total_wire_msgs () = (Domain.DLS.get foreign_key).f_wire_msgs
 
 (* Scope the shard high-water mark: run [f] with the counter zeroed,
    return what it reached during [f] (including what nested pool runs
@@ -255,10 +270,8 @@ type 'a cell = {
   mutable d_minor : float;
   mutable d_promoted : float;
   mutable d_major : int;
-  mutable d_barriers : int;
   mutable d_shards : int;
-  mutable d_wire_batches : int;
-  mutable d_wire_msgs : int;
+  d_counts : int array;
 }
 
 (* Execute one job on whatever domain claimed it: capture its output and
@@ -269,9 +282,9 @@ let exec_cell cell f () =
   cell.dom <- (Domain.self () :> int);
   let ev0 = total_executed () and fu0 = total_fused () in
   let mi0 = total_minor_words () and pr0 = total_promoted_words () in
-  let ma0 = total_major_collections () and ba0 = total_barriers () in
-  let wb0 = total_wire_batches () and wm0 = total_wire_msgs () in
+  let ma0 = total_major_collections () in
   let fo = Domain.DLS.get foreign_key in
+  let counts0 = Array.copy fo.f_counts in
   let sh0 = fo.f_shards in
   fo.f_shards <- 0;
   (match redirect_to cell.buf f with
@@ -286,9 +299,7 @@ let exec_cell cell f () =
   cell.d_minor <- total_minor_words () -. mi0;
   cell.d_promoted <- total_promoted_words () -. pr0;
   cell.d_major <- total_major_collections () - ma0;
-  cell.d_barriers <- total_barriers () - ba0;
-  cell.d_wire_batches <- total_wire_batches () - wb0;
-  cell.d_wire_msgs <- total_wire_msgs () - wm0
+  Array.iteri (fun i c0 -> cell.d_counts.(i) <- fo.f_counts.(i) - c0) counts0
 
 let run ?pool fs =
   match fs with
@@ -306,10 +317,8 @@ let run ?pool fs =
             d_minor = 0.0;
             d_promoted = 0.0;
             d_major = 0;
-            d_barriers = 0;
             d_shards = 0;
-            d_wire_batches = 0;
-            d_wire_msgs = 0;
+            d_counts = Array.make n_counters 0;
           })
         fs
       |> Array.of_list
@@ -335,10 +344,8 @@ let run ?pool fs =
           fo.f_minor <- fo.f_minor +. c.d_minor;
           fo.f_promoted <- fo.f_promoted +. c.d_promoted;
           fo.f_major <- fo.f_major + c.d_major;
-          fo.f_barriers <- fo.f_barriers + c.d_barriers;
           fo.f_shards <- max fo.f_shards c.d_shards;
-          fo.f_wire_batches <- fo.f_wire_batches + c.d_wire_batches;
-          fo.f_wire_msgs <- fo.f_wire_msgs + c.d_wire_msgs
+          Array.iteri (fun i d -> fo.f_counts.(i) <- fo.f_counts.(i) + d) c.d_counts
         end)
       cells;
     Array.iter

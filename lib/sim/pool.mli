@@ -63,6 +63,12 @@ val redirect_to : Buffer.t -> (unit -> 'a) -> 'a
 (** Run the closure with {!emit} appending to [buf]; restores the previous
     sink on exit (nesting-safe). *)
 
+val swap_sink : Buffer.t option -> Buffer.t option
+(** [swap_sink s] makes [s] the current domain's output sink ([None] =
+    stdout) and returns the sink it replaced. The allocation-free core of
+    {!redirect_to}, for a caller that restores the old sink itself — on
+    every path, exceptions included. *)
+
 (** {1 Per-domain totals}
 
     Engine event counters and GC allocation counters for this domain,
@@ -83,12 +89,31 @@ val absorb :
     for the worker-domain halves of a sharded window run, so an enclosing
     measurement reads the same totals wherever the shards executed. *)
 
-val note_barriers : int -> unit
-(** Record [n] PDES window barriers against this domain's totals. *)
+type counter =
+  | Barriers  (** PDES window barriers *)
+  | Wire_batches  (** coalescable wire handoff groups ([Machine_link]) *)
+  | Wire_msgs  (** frames inside those groups *)
+  | Pdes_events  (** events shards executed inside PDES windows *)
+  | Pdes_critical  (** per window, the busiest shard's events, summed *)
+  | Pdes_busy  (** shard-windows that executed at least one event *)
+  | Pdes_slots  (** shard-windows, busy or idle *)
+(** Additive counters that layers above the engine report against the
+    current domain. [Pdes_events / Pdes_critical] bounds the speedup any
+    domain count can get from the windows (each window costs at least its
+    busiest shard), and [Pdes_busy / Pdes_slots] is the share of
+    shard-windows that had work. The wire counts are identical whether
+    batching is enabled or not: they describe the coalescable traffic, not
+    the transport. *)
+
+val note : counter -> int -> unit
+(** Add [n] to a counter of the current domain. *)
+
+val total : counter -> int
+(** A counter's value on (or absorbed into) the current domain; measure a
+    delta around a call. *)
 
 val total_barriers : unit -> int
-(** Window barriers executed by (or absorbed into) this domain. The bench
-    harness reports the delta per run; 0 for non-PDES runs. *)
+(** [total Barriers]. *)
 
 val note_shards : int -> unit
 (** Record that a PDES run over [n] shards executed on this domain. Unlike
@@ -98,17 +123,6 @@ val note_shards : int -> unit
 val total_shards : unit -> int
 (** The shard high-water mark for the current scope (see {!with_shards});
     0 when nothing sharded. *)
-
-val note_wire : batches:int -> msgs:int -> unit
-(** Record wire-link coalescing against this domain's totals: [batches]
-    window-sized handoff groups carrying [msgs] frames. [Machine_link]
-    reports at its flush points; the counts describe the coalescable
-    traffic and are identical whether batching is enabled or not. *)
-
-val total_wire_batches : unit -> int
-val total_wire_msgs : unit -> int
-(** Wire handoff groups / frames recorded by (or absorbed into) this
-    domain; the bench harness reports the delta per run. *)
 
 val with_shards : (unit -> 'a) -> 'a * int
 (** [with_shards f] runs [f] with the shard mark zeroed and returns the

@@ -310,6 +310,83 @@ let test_charge_nonpositive_is_noop () =
       in
       check_int "no time" 0 t)
 
+(* -- the idle-window path: [skip_idle] against [run ~until] -- *)
+
+(* An engine whose clock stands at [t0], with one logged event pending at
+   [t0 + d] for each of [delays]: 0 lands in the FIFO, a delay below the
+   wheel window in the wheel (once enough events are pending), anything
+   longer in the heap. *)
+let pending_engine ~t0 ~delays log =
+  let eng = Engine.create () in
+  Engine.schedule_at eng ~at:t0 ignore;
+  Engine.run eng ();
+  List.iteri
+    (fun i d ->
+      Engine.schedule_at eng ~at:(t0 + d) (fun () -> log := (i, Engine.now eng) :: !log))
+    delays;
+  eng
+
+let gen_delay =
+  QCheck2.Gen.(
+    frequency
+      [ (1, return 0); (3, int_range 1 (Mk_sim.Wheel.window - 1)); (1, int_range 4096 100_000) ])
+
+(* Two engines built alike: one stopped by the run loop, the other by the
+   idle path when it applies (else by [run_until]). They must agree on
+   the clock and the pending front, and — after more events are queued
+   on both — on everything that runs afterwards, in order and time. *)
+let prop_skip_idle_matches_run =
+  qtest ~count:300 "skip_idle leaves the engine as run ~until does"
+    QCheck2.Gen.(
+      tup4 (int_range 5_000 20_000)
+        (frequency [ (1, return []); (6, list_size (int_range 1 60) gen_delay) ])
+        (pair (int_range 0 3) (int_range 1 4_999))
+        (list_size (int_range 0 30) gen_delay))
+    (fun (t0, delays, (where, k), later) ->
+      let log_a = ref [] and log_b = ref [] in
+      let a = pending_engine ~t0 ~delays log_a in
+      let b = pending_engine ~t0 ~delays log_b in
+      let nt = Engine.next_time a in
+      let front = if nt = max_int then t0 else nt in
+      (* Before the clock, just before the next event, at it, after it. *)
+      let until =
+        match where with 0 -> t0 - k | 1 -> front - 1 | 2 -> front | _ -> front + k
+      in
+      Engine.run a ~until ();
+      let skipped = Engine.skip_idle b ~until in
+      let untouched = skipped || Engine.now b = t0 in
+      if not skipped then Engine.run_until b until;
+      let stop_agrees =
+        skipped = (nt > until)
+        && ((not skipped) || !log_a = [])
+        && untouched
+        && Engine.now a = Engine.now b
+        && Engine.next_time a = Engine.next_time b
+      in
+      List.iteri
+        (fun i d ->
+          List.iter
+            (fun (eng, log) ->
+              Engine.schedule_at eng ~at:(Engine.now eng + d) (fun () ->
+                  log := (1000 + i, Engine.now eng) :: !log))
+            [ (a, log_a); (b, log_b) ])
+        later;
+      Engine.run a ();
+      Engine.run b ();
+      stop_agrees && !log_a = !log_b && Engine.now a = Engine.now b)
+
+let test_skip_idle_directed () =
+  let eng = Engine.create () in
+  check_bool "empty engine is idle" true (Engine.skip_idle eng ~until:50);
+  check_int "empty engine keeps its clock" 0 (Engine.now eng);
+  check_int "empty engine has no next event" max_int (Engine.next_time eng);
+  Engine.schedule_at eng ~at:100 ignore;
+  check_bool "event due before until: not idle" false (Engine.skip_idle eng ~until:100);
+  check_int "not idle: clock untouched" 0 (Engine.now eng);
+  check_bool "event after until: idle" true (Engine.skip_idle eng ~until:99);
+  check_int "idle: clock moves to until" 99 (Engine.now eng);
+  check_int "event still pending" 100 (Engine.next_time eng)
+
 let suite =
   ( "engine",
     [
@@ -335,4 +412,6 @@ let suite =
       tc "charge counts fused events" test_charge_counts_fused_events;
       tc "fusion off is eager" test_fusion_off_is_eager;
       tc "charge nonpositive noop" test_charge_nonpositive_is_noop;
+      tc "skip_idle directed" test_skip_idle_directed;
+      prop_skip_idle_matches_run;
     ] )

@@ -148,6 +148,54 @@ let test_stats_summary () =
   Stats.add_int s 20;
   check_bool "summary text" true (String.length (Stats.summary s) > 10)
 
+(* BENCH_sim.json: what the writer emits reads back unchanged, and lines
+   from older schemas read with the documented defaults. *)
+let test_bench_json_schemas () =
+  let module J = Mk_benches.Bench_json in
+  let e =
+    {
+      J.name = "fig9";
+      wall_s = 0.5;
+      events = 1000;
+      executed = 700;
+      fused = 300;
+      barriers = 40;
+      shards = 4;
+      cluster_machines = 0;
+      wire_batches = 2;
+      wire_msgs = 9;
+      pdes_events = 600;
+      pdes_critical = 400;
+      pdes_busy = 70;
+      pdes_slots = 160;
+      mode = "serial";
+      gc = Some { J.minor_words = 12345.0; promoted_words = 67.0; major_collections = 3 };
+      jobs = 1;
+    }
+  in
+  let path = Filename.temp_file "bench_sim" ".json" in
+  J.write path ~jobs:1 [ e ];
+  let back = J.read path in
+  Sys.remove path;
+  check_bool "v8 round trip" true (back = [ e ]);
+  check_bool "speedup bound" true (J.speedup_bound e = 1.5);
+  let v7 =
+    {|    {"name": "net", "wall_s": 0.090075, "events": 241297, "executed": 189381, "fused": 51916, "events_per_sec": 2678845, "minor_words": 13437787, "promoted_words": 1008098, "major_collections": 11, "jobs": 2, "mode": "pool", "barriers": 0, "shards": 0, "cluster_machines": 0, "wire_batches": 5, "wire_msgs": 7},|}
+  in
+  (match J.parse_line v7 with
+  | Some e ->
+    check_string "v7 mode" "pool" e.J.mode;
+    check_int "v7 wire msgs" 7 e.J.wire_msgs;
+    check_int "v7 has no profile" 0 e.J.pdes_critical
+  | None -> Alcotest.fail "v7 line unread");
+  (match J.parse_line {|{"name": "old", "wall_s": 1.5, "events": 42}|} with
+  | Some e ->
+    check_int "v1 executed = events" 42 e.J.executed;
+    check_bool "v1 has no gc" true (e.J.gc = None);
+    check_string "v1 mode" "serial" e.J.mode
+  | None -> Alcotest.fail "v1 line unread");
+  check_bool "header line skipped" true (J.parse_line {|  "schema": "bench_sim/v8",|} = None)
+
 let suite =
   ( "misc",
     [
@@ -163,4 +211,5 @@ let suite =
       tc "urpc stats under load" test_urpc_stats_under_load;
       tc "echo light load" test_echo_harness_under_light_load;
       tc "stats summary" test_stats_summary;
+      tc "bench json schemas" test_bench_json_schemas;
     ] )

@@ -276,6 +276,56 @@ let qcheck_referee =
       let b = ping_pong ~n_shards ~actors ~hops ~domains in
       a = b)
 
+(* -- per-window cost and parallelism profile -- *)
+
+(* One busy shard ticking [windows] times (each wait is the only pending
+   event, so every tick is a window of its own) next to [idle] shards:
+   half hold nothing, half one event far past the ticks, so both idle
+   cases — clock untouched and clock moved to the horizon — are covered. *)
+let ticking ~idle ~windows =
+  let p = Pdes.create ~n_shards:(1 + idle) ~lookahead:100 in
+  Pdes.spawn p ~shard:0 (fun () ->
+      for _ = 1 to windows do
+        Engine.wait 100
+      done);
+  for s = 1 to idle do
+    if s mod 2 = 0 then Engine.schedule_at (Pdes.engine p s) ~at:1_000_000_000 ignore
+  done;
+  p
+
+let words_per_window ~idle =
+  let p = ticking ~idle ~windows:20_000 in
+  let w0 = Gc.minor_words () in
+  Pdes.exec ~domains:1 p;
+  (Gc.minor_words () -. w0) /. float_of_int (Pdes.barriers p)
+
+let test_idle_shards_cost_nothing () =
+  let alone = words_per_window ~idle:0 and crowded = words_per_window ~idle:7 in
+  if Float.abs (crowded -. alone) > 2.0 then
+    Alcotest.failf "words per window: %.2f with 7 idle shards, %.2f alone" crowded alone
+
+let test_profile () =
+  let p = ticking ~idle:3 ~windows:50 in
+  Pdes.exec ~domains:1 p;
+  let pr = Pdes.profile p in
+  check_int "windows" (Pdes.barriers p) pr.Pdes.windows;
+  (* Only shard 0 works, except the one window that fires shard 2's far
+     event: the critical path is every event, so the speedup bound is 1. *)
+  check_int "critical = events" pr.Pdes.events pr.Pdes.critical;
+  check_int "one busy shard per window" pr.Pdes.windows pr.Pdes.busy;
+  (* Two equally busy shards halve the critical path. *)
+  let p = Pdes.create ~n_shards:2 ~lookahead:100 in
+  for s = 0 to 1 do
+    Pdes.spawn p ~shard:s (fun () ->
+        for _ = 1 to 10 do
+          Engine.wait 100
+        done)
+  done;
+  Pdes.exec ~domains:1 p;
+  let pr = Pdes.profile p in
+  check_int "both shards busy in every window" (2 * pr.Pdes.windows) pr.Pdes.busy;
+  check_int "critical path is half the events" pr.Pdes.events (2 * pr.Pdes.critical)
+
 let suite =
   ( "pdes",
     [
@@ -291,4 +341,6 @@ let suite =
       tc "cross-shard urpc" test_cross_shard_urpc;
       tc "hw referee across domain counts" test_hw_referee_domain_counts;
       qcheck_referee;
+      tc "idle shards cost nothing per window" test_idle_shards_cost_nothing;
+      tc "parallelism profile" test_profile;
     ] )
