@@ -7,9 +7,12 @@
 
    The 64-core point always runs so CI's byte-diff referees cover these
    code paths; the 256/512/1024 points ride behind `--large` (the nightly
-   workflow). OS boots skip latency probing ([Os.No_measure]) — asserting
-   n*(n-1) SKB facts is exactly the quadratic structure this sweep
-   exists to keep out. *)
+   workflow). The sweep's OS boots skip latency probing ([Os.No_measure])
+   — asserting n*(n-1) SKB facts is exactly the quadratic structure this
+   sweep exists to keep out. `--large` also times full [Representative]
+   boots at 256 and 512 cores: their simulated side (SKB facts, boot end
+   time) is printed with the tables, their host time in the harness's
+   performance section ({!host_boots}). *)
 
 open Mk_sim
 open Mk_hw
@@ -24,6 +27,11 @@ let twopc_rounds = 4
 let vaddr = 0x600000
 
 let sizes () = if !large then [ 64; 256; 512; 1024 ] else [ 64 ]
+let boot_sizes () = if !large then [ 256; 512 ] else []
+
+(* Host seconds per timed boot, "<family>/<cores>", for the perf section. *)
+let boot_times : (string * float) list ref = ref []
+let host_boots () = !boot_times
 
 (* cores -> platform, per family. Packages of 4 cores throughout. *)
 let families =
@@ -94,6 +102,33 @@ let twopc plat ~ncores =
       done;
       Stats.mean s)
 
+(* A full boot with Representative latency probing: SKB fact count and
+   simulated end of boot, plus the host time it took. *)
+let boot plat =
+  let t0 = Unix.gettimeofday () in
+  let os = Os.boot ~measure_latencies:Os.Representative plat in
+  let host_s = Unix.gettimeofday () -. t0 in
+  (Skb.size (Os.skb os), Engine.now (Os.machine os).Machine.eng, host_s)
+
+let run_boots () =
+  let sizes = boot_sizes () in
+  if sizes <> [] then begin
+    Common.sub "mesh: Representative boot";
+    Common.printf "%6s %12s %14s\n" "cores" "skb facts" "boot end(cyc)";
+    let cells =
+      List.map
+        (fun ncores () ->
+          boot (Platform.synthetic_mesh ~packages:(ncores / 4) ~cores_per_package:4))
+        sizes
+    in
+    let rows = Pool.run cells in
+    List.iter2
+      (fun ncores (facts, end_at, host_s) ->
+        Common.printf "%6d %12d %14d\n%!" ncores facts end_at;
+        boot_times := !boot_times @ [ (Printf.sprintf "mesh/%d" ncores, host_s) ])
+      sizes rows
+  end
+
 let run () =
   Common.hr "Large machines: shootdown / unmap / 2PC at 64-1024 cores";
   List.iter
@@ -125,4 +160,5 @@ let run () =
             v.((5 * i) + 3)
             v.((5 * i) + 4))
         (sizes ()))
-    families
+    families;
+  run_boots ()

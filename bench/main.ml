@@ -156,6 +156,11 @@ let report ~jobs ~timings ~harness_wall =
     (rate total_events harness_wall)
     jobs
     (if jobs = 1 then "" else "s");
+  (* Host side of the --large Representative boots (their simulated side
+     is in the large bench's own output). *)
+  List.iter
+    (fun (what, s) -> Printf.printf "large boot %-10s %9.3f s host\n" what s)
+    (Large.host_boots ());
   (* Merge into the existing file rather than overwriting, so a partial
      run (e.g. `-j 2 micro table1`) refreshes only the benches that ran
      and keeps the rest of the record intact. *)

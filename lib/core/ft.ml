@@ -120,7 +120,9 @@ let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
   (* Wire the fault plan's core stops to the monitors they stop. Sharded:
      every shard machine carries its own injector (armed with an
      [?only]-its-cores filter), so each stop event fires on the victim's
-     own shard and kills a same-shard monitor. *)
+     own shard and kills a same-shard monitor. Each hook is registered
+     from its shard's own context, like the detector loops above: the
+     injector's hook list is that shard's state. *)
   let wire inj =
     Mk_fault.Injector.on_core_stop inj (fun core ->
         Monitor.kill (Os.monitor os ~core))
@@ -130,7 +132,8 @@ let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
    | Some sh ->
      for s = 0 to Shard.n_shards sh - 1 do
        let inj = (Shard.machine sh s).Mk_hw.Machine.fault in
-       if inj != Mk_fault.Injector.none then wire inj
+       if inj != Mk_fault.Injector.none then
+         Os.post os ~core:(Shard.first_core sh s) (fun () -> wire inj)
      done);
   t
 

@@ -98,6 +98,11 @@ type t = {
   mutable on_replica : (key:string -> value:int -> unit) option;
   mutable mesh : t array;  (* all monitors, indexed by core; set by [connect] *)
   inbox : Sync.Semaphore.t;
+  (* Incoming channels with pending messages, by scan position (sender
+     order, skipping ourselves — see [scan_pos]). Set by each channel's
+     notify hook, cleared by the receive that empties the channel, so bit
+     j is set exactly when channel j has a message waiting. *)
+  ready : Bitset.t;
   mutable scan_idx : int;
   mutable next_seq : int;
   fans : (int, fan_state) Hashtbl.t;
@@ -138,6 +143,7 @@ let create m driver =
     on_replica = None;
     mesh = [||];
     inbox = Sync.Semaphore.create 0;
+    ready = Bitset.create ~n:(max 1 (Machine.n_cores m - 1));
     scan_idx = 0;
     next_seq = 0;
     fans = Hashtbl.create 8;
@@ -165,6 +171,15 @@ let fresh_xid t =
   x
 
 let origin_of_xid xid = xid / 1_000_000
+
+(* Position of [src]'s channel in [receiver]'s scan order. *)
+let scan_pos ~receiver src = if src < receiver then src else src - 1
+
+(* A message landed on the channel from [src]: mark it ready, then count
+   it on the inbox the event loop sleeps on. *)
+let notify_arrival mdst ~src () =
+  Bitset.add mdst.ready (scan_pos ~receiver:mdst.core_id src);
+  Sync.Semaphore.release mdst.inbox
 
 (* A mesh edge's reserved buffers are 21 contiguous lines: a 16-slot ring
    and the 2-line send / 3-line recv control blocks ([Urpc.preallocate]'s
@@ -231,12 +246,12 @@ let chan_to t dst =
                         ~send_base:mdst.rx_send_base.(src)
                         ~recv_base:mdst.rx_recv_base.(src) ()
                     in
-                    Urpc.set_notify rx (fun () -> Sync.Semaphore.release mdst.inbox);
+                    Urpc.set_notify rx (notify_arrival mdst ~src);
                     mdst.rx_peers.(src) <- Some rx;
                     rx
                 in
                 Urpc.deliver_remote rx payload))
-      | _ -> Urpc.set_notify ch (fun () -> Sync.Semaphore.release mdst.inbox));
+      | _ -> Urpc.set_notify ch (notify_arrival mdst ~src:t.core_id));
       t.peers.(dst) <- Some ch;
       ch
     end
@@ -441,32 +456,25 @@ let handle t msg =
 (* The monitor's event loop: one schedulable task multiplexing all incoming
    channels. A semaphore counts visible messages across channels, so the
    simulated monitor only runs when there is work — the real system's poll
-   loop cost is approximated by a per-message scan charge. *)
+   loop cost is approximated by a per-message scan charge.
+
+   Which channel is served follows the poll: the first channel with a
+   message, in sender order, at or after [scan_idx], wrapping once. The
+   [ready] set answers that with a few word reads (one per 32 channels
+   at worst) instead of probing all n-1 channels per message; since a
+   bit is set exactly when its channel is non-empty, the pick is the one
+   a linear scan would make. *)
 let run_loop t =
   let n = Array.length t.mesh - 1 in
-  (* Incoming channels in sender order (the scan order), resolved through
-     the senders' peer tables: an edge nobody has sent on yet is simply
-     not materialized, which for the scan is the same as empty. A
-     cross-shard edge must NOT be resolved through the sender (that would
-     read another shard's state mid-window): its receiver half lives in
-     our own [rx_peers], reserved at connect time ([rx_slot_base] >= 0)
-     and materialized by the first arriving message. *)
+  (* Incoming channel at scan position [j] (one with a message: its edge
+     is materialized). A cross-shard edge must NOT be resolved through
+     the sender (that would read another shard's state mid-window): its
+     receiver half lives in our own [rx_peers]. *)
   let in_chan j =
     let src = if j < t.core_id then j else j + 1 in
     match if Array.length t.rx_peers = 0 then None else t.rx_peers.(src) with
-    | Some _ as c -> c
-    | None ->
-      if Array.length t.rx_slot_base > 0 && t.rx_slot_base.(src) >= 0 then None
-      else t.mesh.(src).peers.(t.core_id)
-  in
-  let rec next_msg scanned idx =
-    if scanned > n then None
-    else
-      match in_chan (idx mod n) with
-      | Some ch when Urpc.pending ch > 0 ->
-        t.scan_idx <- (idx + 1) mod n;
-        Some (Urpc.recv ch)
-      | _ -> next_msg (scanned + 1) (idx + 1)
+    | Some ch -> ch
+    | None -> Option.get t.mesh.(src).peers.(t.core_id)
   in
   let rec loop () =
     let idle_from = Engine.now_ () in
@@ -482,9 +490,16 @@ let run_loop t =
       Engine.wait wakeup_cost
     end;
     Engine.wait poll_scan_cost;
-    (match next_msg 0 t.scan_idx with
-     | Some msg -> handle t msg
-     | None -> ());
+    let j = Bitset.find_next t.ready t.scan_idx in
+    if j >= 0 then begin
+      let ch = in_chan j in
+      t.scan_idx <- (j + 1) mod n;
+      let msg = Urpc.recv ch in
+      (* The receive may yield (line fetches), and arrivals meanwhile
+         re-set the bit; clear it only if the channel is empty now. *)
+      if Urpc.pending ch = 0 then Bitset.remove t.ready j;
+      handle t msg
+    end;
     loop ()
   in
   loop ()

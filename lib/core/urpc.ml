@@ -227,7 +227,9 @@ let send t ?(lines = 1) payload =
   Engine.charge (send_sw_cost + if t.prefetch then prefetch_latency_penalty else 0);
   (* Ring-position and channel-state updates (sender-local lines: one
      sender task per channel, so these hits fuse into the banked charge). *)
-  Array.iter (fun a -> Coherence.store_local t.m.Machine.coh ~core:t.src a) t.send_ctrl;
+  for i = 0 to Array.length t.send_ctrl - 1 do
+    Coherence.store_local t.m.Machine.coh ~core:t.src t.send_ctrl.(i)
+  done;
   let slot_addr = t.slot_addrs.(t.head) in
   t.head <- (t.head + 1) mod Array.length t.slot_addrs;
   let delay = post_message t ~slot_addr ~lines in
@@ -281,7 +283,9 @@ let charge_receive t (d : 'a delivery) =
       Coherence.load coh ~core:t.dst (d.slot_addr + (i * cl))
     done;
   (* Dispatch-table and waitset updates (receiver-local lines). *)
-  Array.iter (fun a -> Coherence.store_local t.m.Machine.coh ~core:t.dst a) t.recv_ctrl;
+  for i = 0 to Array.length t.recv_ctrl - 1 do
+    Coherence.store_local t.m.Machine.coh ~core:t.dst t.recv_ctrl.(i)
+  done;
   Engine.charge recv_sw_cost;
   t.received <- t.received + 1;
   (* A duplicate redelivers a slot whose flow credit was already returned. *)
@@ -377,7 +381,9 @@ module Broadcast = struct
     match Queue.take_opt t.wire_q with
     | Some (visible_at, payload) ->
       Engine.wait_until visible_at;
-      Array.iter (fun box -> Sync.Mailbox.send box payload) t.order;
+      for i = 0 to Array.length t.order - 1 do
+        Sync.Mailbox.send t.order.(i) payload
+      done;
       wire_loop t
     | None ->
       Engine.suspend (fun w -> t.wire_waker <- Some w);

@@ -51,16 +51,23 @@ let cardinal t =
   done;
   !count
 
+(* Index of the lowest set bit of a nonzero word: a branchy binary search
+   over the 32 bits a word holds, no loop and no allocation. *)
+let lowest_bit w =
+  let w = w land -w in
+  let n = if w land 0xFFFF = 0 then 16 else 0 in
+  let n = if w land (0xFF lsl n) = 0 then n + 8 else n in
+  let n = if w land (0xF lsl n) = 0 then n + 4 else n in
+  let n = if w land (0x3 lsl n) = 0 then n + 2 else n in
+  if w land (0x1 lsl n) = 0 then n + 1 else n
+
 (* Members in ascending order: peel the lowest set bit of each word. *)
 let iter f t =
   for k = 0 to Array.length t.words - 1 do
     let w = ref t.words.(k) in
     let base = k * bits_per_word in
     while !w <> 0 do
-      let low = !w land - !w in
-      (* log2 of an isolated 32-bit-range bit *)
-      let rec bitpos b acc = if b = 1 then acc else bitpos (b lsr 1) (acc + 1) in
-      f (base + bitpos low 0);
+      f (base + lowest_bit !w);
       w := !w land (!w - 1)
     done
   done
@@ -76,13 +83,25 @@ let choose t =
   let rec go k =
     if k = Array.length t.words then raise Not_found
     else if t.words.(k) = 0 then go (k + 1)
-    else begin
-      let low = t.words.(k) land -t.words.(k) in
-      let rec bitpos b acc = if b = 1 then acc else bitpos (b lsr 1) (acc + 1) in
-      (k * bits_per_word) + bitpos low 0
-    end
+    else (k * bits_per_word) + lowest_bit t.words.(k)
   in
   go 0
+
+(* First member in words [k, nw), or -1. *)
+let rec first_from words k =
+  if k = Array.length words then -1
+  else if words.(k) = 0 then first_from words (k + 1)
+  else (k * bits_per_word) + lowest_bit words.(k)
+
+let find_next t i =
+  check t i;
+  let k = word_of i in
+  (* Mask off the members of [i]'s word below [i]. *)
+  let w = t.words.(k) land (-1 lsl (i land 31)) in
+  if w <> 0 then (k * bits_per_word) + lowest_bit w
+  else
+    let j = first_from t.words (k + 1) in
+    if j >= 0 then j else first_from t.words 0
 
 let copy t = { words = Array.copy t.words; nbits = t.nbits }
 

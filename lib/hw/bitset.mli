@@ -36,5 +36,11 @@ val to_list : t -> int list
 val choose : t -> int
 (** Smallest member. Raises [Not_found] when empty. *)
 
+val find_next : t -> int -> int
+(** [find_next t i] is the first member at or after [i], wrapping once
+    past the end to [0]; [-1] when [t] is empty. Word-at-a-time and
+    allocation-free: the cyclic "next ready" query of a polling loop.
+    Raises [Invalid_argument] outside [0, capacity). *)
+
 val copy : t -> t
 val equal : t -> t -> bool

@@ -49,10 +49,22 @@ type t = {
   mutable fq_len : int;
   mutable live : int;
   mutable executed : int;
-  (* Names of live tasks, for Stalled diagnostics: task id -> ~name. *)
-  names : (int, string) Hashtbl.t;
+  (* Live tasks, for Stalled diagnostics: a task holds one slot from spawn
+     to exit — its spawn number in [slot_id] (-1 = free) and its ~name in
+     [slot_name]. Freed slots are stacked in [free_slots]. *)
+  mutable slot_id : int array;
+  mutable slot_name : string array;
+  mutable free_slots : int array;
+  mutable n_free : int;
   mutable next_task : int;
-  mutable self : t option;  (* [Some t], built once: [run] publishes it *)
+  self : t option;  (* [Some t], built once: [run] publishes it *)
+  (* The payload of the [E_wait]/[E_suspend] being handled, parked here so
+     [effc] can hand back a handler built once per engine instead of a
+     fresh closure per perform. *)
+  mutable wait_n : int;
+  mutable register : waker -> unit;
+  on_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_suspend : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 let nop () = ()
@@ -68,30 +80,6 @@ let run_ev (x : ev) =
   if Obj.tag x = Obj.cont_tag then
     Effect.Deep.continue (Obj.obj x : (unit, unit) Effect.Deep.continuation) ()
   else (Obj.obj x : unit -> unit) ()
-
-let create () =
-  let t =
-    {
-      now = 0;
-      seq = 0;
-      (* Pre-sized with the engine's own dummy thunk so the first far-future
-         event of a run does not pay the backing-array allocation mid-flight;
-         the arrays are recycled across runs of a [reset] engine. *)
-      heap = Heap.create ~dummy:nop_ev ();
-      wheel = Wheel.create ~dummy:nop_ev;
-      fq_seq = Array.make 64 0;
-      fq_thunk = Array.make 64 nop_ev;
-      fq_head = 0;
-      fq_len = 0;
-      live = 0;
-      executed = 0;
-      names = Hashtbl.create 16;
-      next_task = 0;
-      self = None;
-    }
-  in
-  t.self <- Some t;
-  t
 
 (* Rewind an *idle* engine (no pending events, no live tasks) to t=0 so its
    FIFO rings, wheel slots and heap arrays are reused by the next run
@@ -281,15 +269,106 @@ let flush_charge () =
     Effect.perform (E_wait p)
   end
 
+let no_register (_ : waker) = ()
+
+let create () =
+  let rec t =
+    {
+      now = 0;
+      seq = 0;
+      (* Pre-sized with the engine's own dummy thunk so the first far-future
+         event of a run does not pay the backing-array allocation mid-flight;
+         the arrays are recycled across runs of a [reset] engine. *)
+      heap = Heap.create ~dummy:nop_ev ();
+      wheel = Wheel.create ~dummy:nop_ev;
+      fq_seq = Array.make 64 0;
+      fq_thunk = Array.make 64 nop_ev;
+      fq_head = 0;
+      fq_len = 0;
+      live = 0;
+      executed = 0;
+      slot_id = [||];
+      slot_name = [||];
+      free_slots = [||];
+      n_free = 0;
+      next_task = 0;
+      self = Some t;
+      wait_n = 0;
+      register = no_register;
+      on_wait = Some (fun k -> schedule t ~at:(t.now + max 0 t.wait_n) (ev_of_cont k));
+      on_suspend =
+        Some
+          (fun k ->
+            let register = t.register in
+            (* Drop the parked closure: the engine outlives the task and
+               must not keep its (young) register alive. *)
+            t.register <- no_register;
+            let fired = ref false in
+            let wake ?(delay = 0) () =
+              if not !fired then begin
+                fired := true;
+                (* An invoker with a banked charge (e.g. a futex wake loop
+                   that charged a per-waiter cost) must reach the true time
+                   *before* the wake is scheduled — not just so the event
+                   lands at the right time, but so it is sequenced after
+                   everything else that fires inside the banked window.
+                   Paying the bank here is safe even though wakers may run
+                   outside any task: a non-empty bank implies task context,
+                   because every yield point flushes first. *)
+                flush_charge ();
+                schedule t ~at:(t.now + max 0 delay) (ev_of_cont k)
+              end
+            in
+            register wake);
+    }
+  in
+  t
+
+(* Task slots: a free slot for a starting task (doubling the arrays when
+   none is left), and back to the stack when it ends. *)
+let grow_slots t =
+  let cap = Array.length t.slot_id in
+  let ncap = max 16 (2 * cap) in
+  let id = Array.make ncap (-1) and nm = Array.make ncap "" in
+  Array.blit t.slot_id 0 id 0 cap;
+  Array.blit t.slot_name 0 nm 0 cap;
+  (* Every slot was taken: the free stack holds just the new ones, lowest
+     on top. *)
+  t.free_slots <- Array.init ncap (fun i -> if i < ncap - cap then ncap - 1 - i else 0);
+  t.n_free <- ncap - cap;
+  t.slot_id <- id;
+  t.slot_name <- nm
+
+let take_slot t tid name =
+  if t.n_free = 0 then grow_slots t;
+  t.n_free <- t.n_free - 1;
+  let s = t.free_slots.(t.n_free) in
+  t.slot_id.(s) <- tid;
+  t.slot_name.(s) <- name;
+  s
+
+let free_slot t s =
+  t.live <- t.live - 1;
+  t.slot_id.(s) <- -1;
+  t.slot_name.(s) <- "";
+  t.free_slots.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1
+
 (* Run [f] as a task body under the scheduling-effect handler. The body is
    bracketed so any charge still banked when the task returns (or halts)
    is paid before the task dies — otherwise a fused run could end with a
-   smaller final clock than an unfused one. *)
+   smaller final clock than an unfused one.
+
+   [E_wait] and [E_suspend] park their payload in the engine and return
+   its prebuilt handler. That is safe because [effc]'s result is applied
+   at once, on this domain, before anything else can perform an effect
+   under this engine: the handler reads the payload back before any other
+   task runs. *)
 let rec exec t (name : string) f =
   t.live <- t.live + 1;
   let tid = t.next_task in
   t.next_task <- tid + 1;
-  Hashtbl.replace t.names tid name;
+  let slot = take_slot t tid name in
   let open Effect.Deep in
   match_with
     (fun () ->
@@ -299,14 +378,10 @@ let rec exec t (name : string) f =
         flush_charge ();
         raise Halted)
     ()
-    { retc =
-        (fun () ->
-          t.live <- t.live - 1;
-          Hashtbl.remove t.names tid);
+    { retc = (fun () -> free_slot t slot);
       exnc =
         (fun e ->
-          t.live <- t.live - 1;
-          Hashtbl.remove t.names tid;
+          free_slot t slot;
           (* Drop, don't pay, the bank on a crash: the next slice on this
              domain must not inherit a dead task's pending delay. *)
           (Domain.DLS.get domain_charge).pending <- 0;
@@ -316,37 +391,16 @@ let rec exec t (name : string) f =
             (* A crashing task aborts the whole simulation: surface it. *)
             raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | E_wait n ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                schedule t ~at:(t.now + max 0 n)
-                  (ev_of_cont (Obj.magic (k : (a, _) continuation))))
+            t.wait_n <- n;
+            t.on_wait
           | E_now -> Some (fun (k : (a, _) continuation) -> continue k t.now)
           | E_name -> Some (fun (k : (a, _) continuation) -> continue k name)
           | E_suspend register ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                let fired = ref false in
-                let wake ?(delay = 0) () =
-                  if not !fired then begin
-                    fired := true;
-                    (* An invoker with a banked charge (e.g. a futex wake
-                       loop that charged a per-waiter cost) must reach the
-                       true time *before* the wake is scheduled — not just
-                       so the event lands at the right time, but so it is
-                       sequenced after everything else that fires inside
-                       the banked window. Paying the bank here is safe
-                       even though wakers may run outside any task: a
-                       non-empty bank implies task context, because every
-                       yield point flushes first. *)
-                    flush_charge ();
-                    schedule t ~at:(t.now + max 0 delay)
-                      (ev_of_cont (Obj.magic (k : (a, _) continuation)))
-                  end
-                in
-                register wake)
+            t.register <- register;
+            t.on_suspend
           | E_spawn (nm, body) ->
             Some
               (fun (k : (a, _) continuation) ->
@@ -411,8 +465,11 @@ let skip_idle t ~until =
 let stalled t =
   (* Name the stuck tasks (in spawn order, capped) — "3 tasks suspended"
      alone sends the reader straight to a debugger. *)
-  let ids = Hashtbl.fold (fun id nm acc -> (id, nm) :: acc) t.names [] in
-  let names = List.sort compare ids |> List.map snd in
+  let ids = ref [] in
+  Array.iteri
+    (fun s id -> if id >= 0 then ids := (id, t.slot_name.(s)) :: !ids)
+    t.slot_id;
+  let names = List.sort compare !ids |> List.map snd in
   let cap = 8 in
   let shown = List.filteri (fun i _ -> i < cap) names in
   let extra = List.length names - List.length shown in

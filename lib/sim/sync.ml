@@ -53,9 +53,22 @@ module Mailbox = struct
   type entry = { mutable stale : bool; mutable waker : Engine.waker }
 
   let noop_waker : Engine.waker = fun ?delay:_ () -> ()
-  type 'a t = { items : 'a Queue.t; waiters : entry Queue.t }
 
-  let create () = { items = Queue.create (); waiters = Queue.create () }
+  (* [park] is the blocking receive's suspend callback, built once here
+     rather than per blocked [recv]. *)
+  type 'a t = {
+    items : 'a Queue.t;
+    waiters : entry Queue.t;
+    park : Engine.waker -> unit;
+  }
+
+  let create () =
+    let waiters = Queue.create () in
+    {
+      items = Queue.create ();
+      waiters;
+      park = (fun w -> Queue.add { stale = false; waker = w } waiters);
+    }
 
   let rec wake_one q =
     if not (Queue.is_empty q) then begin
@@ -78,7 +91,7 @@ module Mailbox = struct
   let rec recv t =
     Engine.flush_charge ();
     if Queue.is_empty t.items then begin
-      Engine.suspend (fun w -> Queue.add { stale = false; waker = w } t.waiters);
+      Engine.suspend t.park;
       recv t
     end
     else Queue.take t.items
@@ -126,17 +139,23 @@ module Mailbox = struct
 end
 
 module Semaphore = struct
-  type t = { mutable count : int; waiters : Engine.waker Queue.t }
+  (* [park]: the blocking acquire's suspend callback, built at [create]. *)
+  type t = {
+    mutable count : int;
+    waiters : Engine.waker Queue.t;
+    park : Engine.waker -> unit;
+  }
 
   let create n =
     if n < 0 then invalid_arg "Semaphore.create";
-    { count = n; waiters = Queue.create () }
+    let waiters = Queue.create () in
+    { count = n; waiters; park = (fun w -> Queue.add w waiters) }
 
   let rec acquire t =
     Engine.flush_charge ();
     if t.count > 0 then t.count <- t.count - 1
     else begin
-      Engine.suspend (fun w -> Queue.add w t.waiters);
+      Engine.suspend t.park;
       acquire t
     end
 

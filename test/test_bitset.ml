@@ -92,6 +92,49 @@ let qcheck_vs_reference =
       && Bitset.cardinal s = List.length expect
       && Bitset.is_empty s = (expect = []))
 
+(* [find_next] against a naive cyclic scan: the first member at or after
+   [start], wrapping once. Capacities and starts straddle the 32-bit word
+   edges the implementation works in. *)
+let naive_next mem n start =
+  let rec go k =
+    let i = (start + k) mod n in
+    if k = n then -1 else if mem i then i else go (k + 1)
+  in
+  go 0
+
+let gen_find_next =
+  QCheck2.Gen.(
+    let edge = oneofl [ 1; 2; 31; 32; 33; 63; 64; 65; 96; 127; 128; 129 ] in
+    let* n = frequency [ (1, edge); (2, int_range 1 200) ] in
+    let* members = list_size (int_range 0 8) (int_bound (n - 1)) in
+    let edges = List.filter (fun i -> i < n) [ 0; 31; 32; 63; 64; n - 1 ] in
+    let* start = frequency [ (3, int_bound (n - 1)); (1, oneofl edges) ] in
+    return (n, members, start))
+
+let qcheck_find_next =
+  qtest ~count:500 "find_next (cyclic) matches a linear scan" gen_find_next
+    (fun (n, members, start) ->
+      let s = Bitset.create ~n in
+      List.iter (Bitset.add s) members;
+      Bitset.find_next s start = naive_next (Bitset.mem s) n start)
+
+let test_find_next_directed () =
+  let s = Bitset.create ~n:100 in
+  check_int "empty" (-1) (Bitset.find_next s 0);
+  Bitset.add s 40;
+  check_int "at start" 40 (Bitset.find_next s 40);
+  check_int "after start" 40 (Bitset.find_next s 5);
+  check_int "wraps" 40 (Bitset.find_next s 41);
+  Bitset.add s 99;
+  check_int "last id" 99 (Bitset.find_next s 41);
+  check_int "start on last id" 99 (Bitset.find_next s 99);
+  Bitset.add s 3;
+  Bitset.remove s 99;
+  check_int "wraps to lowest" 3 (Bitset.find_next s 98);
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check_bool "start = capacity rejected" true
+    (raises (fun () -> Bitset.find_next s 100))
+
 let suite =
   ( "bitset",
     [
@@ -102,4 +145,6 @@ let suite =
       tc "idempotent ops" test_add_idempotent;
       tc "bounds checks" test_bounds;
       qcheck_vs_reference;
+      tc "find_next directed" test_find_next_directed;
+      qcheck_find_next;
     ] )

@@ -387,6 +387,70 @@ let test_skip_idle_directed () =
   check_int "idle: clock moves to until" 99 (Engine.now eng);
   check_int "event still pending" 100 (Engine.next_time eng)
 
+(* -- allocation budget of the scheduling operations --
+
+   Minor words per operation, averaged over 100k operations after a
+   warm-up that grows every ring and queue to size: deterministic for a
+   given build, so the budgets pin the engine's per-event diet. A wait is
+   the perform itself (effect block plus continuation) and nothing else. *)
+
+let alloc_ops = 100_000
+
+(* Words allocated per call of [op] by the task running it. [partner],
+   if any, runs alongside as a second task for [alloc_ops + warm-up]
+   rounds. *)
+let words_per_op ?partner op =
+  let warm = 1_000 in
+  let eng = Engine.create () in
+  let words = ref nan in
+  Option.iter
+    (fun p -> Engine.spawn eng ~name:"partner" (fun () -> p (warm + alloc_ops)))
+    partner;
+  Engine.spawn eng ~name:"measured" (fun () ->
+      for _ = 1 to warm do
+        op ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to alloc_ops do
+        op ()
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int alloc_ops);
+  Engine.run eng ~allow_stall:false ();
+  !words
+
+let test_allocation_budget () =
+  let check name budget words =
+    if words > budget then
+      Alcotest.failf "%s: %.2f minor words per operation (budget %.0f)" name words
+        budget
+  in
+  check "wait" 5.0 (words_per_op (fun () -> Engine.wait 1));
+  (* A semaphore round trip: two suspends, one per side. *)
+  let ping = Sync.Semaphore.create 0 and pong = Sync.Semaphore.create 0 in
+  check "semaphore round trip" 42.0
+    (words_per_op
+       ~partner:(fun n ->
+         for _ = 1 to n do
+           Sync.Semaphore.acquire ping;
+           Sync.Semaphore.release pong
+         done)
+       (fun () ->
+         Sync.Semaphore.release ping;
+         Sync.Semaphore.acquire pong));
+  let mb = Sync.Mailbox.create () in
+  check "blocking Mailbox.recv + wait" 32.0
+    (words_per_op
+       ~partner:(fun n ->
+         for i = 1 to n do
+           Engine.wait 1;
+           Sync.Mailbox.send mb i
+         done)
+       (fun () -> ignore (Sync.Mailbox.recv mb : int)));
+  check "spawn_ + wait" 62.0
+    (words_per_op (fun () ->
+         Engine.spawn_ ignore;
+         Engine.wait 1))
+
 let suite =
   ( "engine",
     [
@@ -413,5 +477,6 @@ let suite =
       tc "fusion off is eager" test_fusion_off_is_eager;
       tc "charge nonpositive noop" test_charge_nonpositive_is_noop;
       tc "skip_idle directed" test_skip_idle_directed;
+      tc "allocation budget" test_allocation_budget;
       prop_skip_idle_matches_run;
     ] )

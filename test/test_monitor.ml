@@ -117,6 +117,92 @@ let test_messages_handled_counted () =
       check_bool "peer handled our ping" true
         (Monitor.messages_handled (Os.monitor os ~core:2) > before))
 
+(* -- dispatch order --
+
+   While core 5's monitor sits in a long Wake handler, senders on both
+   sides of a 2-shard cut queue wakes to it, so many incoming channels
+   are pending at once. The loop must then serve them as a poll would:
+   the first channel with a message, in sender order, at or after the
+   one after the channel it served last, wrapping once. *)
+
+let dispatch_target = 5
+let dispatch_busy = 7  (* sender of the long first message *)
+(* (sender core, wakes it sends) *)
+let dispatch_senders = [ (1, 2); (3, 1); (6, 3); (9, 2); (12, 3); (15, 1) ]
+let domid_of ~core i = (core * 100) + i
+
+(* The order the cyclic first-non-empty rule gives: [queues] are the
+   pending wakes per sender core, served from scan position [start]. *)
+let cyclic_rule ~ncores ~start queues =
+  let n = ncores - 1 in
+  let core_at j = if j < dispatch_target then j else j + 1 in
+  let q =
+    Array.init n (fun j ->
+        Option.value (List.assoc_opt (core_at j) queues) ~default:[])
+  in
+  let rec go idx acc =
+    match List.find_opt (fun k -> q.((idx + k) mod n) <> []) (List.init n Fun.id) with
+    | None -> List.rev acc
+    | Some k ->
+      let j = (idx + k) mod n in
+      let d = List.hd q.(j) in
+      q.(j) <- List.tl q.(j);
+      go ((j + 1) mod n) (d :: acc)
+  in
+  go start []
+
+let handled_order ?shards () =
+  let plat = Platform.amd_4x4 in
+  let os = Os.boot ?shards ~measure_latencies:Os.No_measure plat in
+  Os.run os (fun () ->
+      let target = Os.monitor os ~core:dispatch_target in
+      let log = ref [] in
+      let busy = domid_of ~core:dispatch_busy 0 in
+      Os.call os ~core:dispatch_target (fun () ->
+          Monitor.register_wake target busy (fun () ->
+              log := busy :: !log;
+              Engine.wait 2_000_000);
+          List.iter
+            (fun (c, k) ->
+              for i = 1 to k do
+                let d = domid_of ~core:c i in
+                Monitor.register_wake target d (fun () -> log := d :: !log)
+              done)
+            dispatch_senders);
+      Os.call os ~core:dispatch_busy (fun () ->
+          Monitor.wake_remote
+            (Os.monitor os ~core:dispatch_busy)
+            ~core:dispatch_target busy);
+      Engine.wait 100_000;
+      List.iter
+        (fun (c, k) ->
+          Os.call os ~core:c (fun () ->
+              for i = 1 to k do
+                Monitor.wake_remote (Os.monitor os ~core:c) ~core:dispatch_target
+                  (domid_of ~core:c i)
+              done))
+        dispatch_senders;
+      Engine.wait 4_000_000;
+      Os.call os ~core:dispatch_target (fun () -> List.rev !log))
+
+let test_dispatch_order () =
+  let queues =
+    List.map
+      (fun (c, k) -> (c, List.init k (fun i -> domid_of ~core:c (i + 1))))
+      dispatch_senders
+  in
+  (* The busy message came from scan position [dispatch_busy - 1], so the
+     scan resumes at [dispatch_busy]. *)
+  let expected =
+    domid_of ~core:dispatch_busy 0
+    :: cyclic_rule
+         ~ncores:(Platform.n_cores Platform.amd_4x4)
+         ~start:dispatch_busy queues
+  in
+  let show l = String.concat " " (List.map string_of_int l) in
+  check_string "unsharded" (show expected) (show (handled_order ()));
+  check_string "2 shards" (show expected) (show (handled_order ~shards:2 ()))
+
 let suite =
   ( "monitor",
     [
@@ -130,4 +216,5 @@ let suite =
       tc "cap transfer" test_cap_transfer;
       tc "wake" test_wake;
       tc "messages handled" test_messages_handled_counted;
+      tc "dispatch order" test_dispatch_order;
     ] )
