@@ -19,7 +19,7 @@ open Mk
 let test_engine =
   (* One engine recycled across iterations ([Engine.reset] rewinds the
      clock of a drained engine): the measured cost is spawn+wait+run, not
-     the allocation of a fresh heap/wheel/ring per iteration. *)
+     the allocation of a fresh heap and ring per iteration. *)
   let eng = Engine.create () in
   Test.make ~name:"engine.spawn+run (table1)"
     (Staged.stage (fun () ->

@@ -9,11 +9,9 @@
    (yield, E_wait 0, same-cycle wakes, spawns) dominate most workloads, and
    they never need heap ordering — they run before the clock next advances,
    in seq order, and seq is monotonic. They go to a ring-buffer FIFO
-   instead of the heap. Near-future events (delay < Wheel.window: cache
-   hits, software path costs, line transfers — nearly everything else) go
-   to a timing wheel; only far-future events reach the heap. The run loop
-   merges the FIFO, wheel and heap fronts by (time, seq), so the schedule
-   is bit-for-bit identical to the all-heap engine while the common cases
+   instead of the heap; every later event goes to the heap. The run loop
+   merges the FIFO and heap fronts by (time, seq), so the schedule is
+   bit-for-bit identical to the all-heap engine while same-time events
    cost O(1) with no sift. *)
 
 type waker = ?delay:int -> unit -> unit
@@ -41,7 +39,6 @@ type t = {
   mutable now : int;
   mutable seq : int;
   heap : ev Heap.t;
-  wheel : ev Wheel.t;
   (* FIFO of events due at the current time: parallel seq/event rings. *)
   mutable fq_seq : int array;
   mutable fq_thunk : ev array;
@@ -82,16 +79,13 @@ let run_ev (x : ev) =
   else (Obj.obj x : unit -> unit) ()
 
 (* Rewind an *idle* engine (no pending events, no live tasks) to t=0 so its
-   FIFO rings, wheel slots and heap arrays are reused by the next run
-   instead of reallocated — the bechamel engine micro-bench measures
-   spawn+run, not allocator traffic for a fresh engine. [executed] keeps
-   accumulating: it counts the engine's lifetime, not a run. *)
+   FIFO rings and heap arrays are reused by the next run instead of
+   reallocated — the bechamel engine micro-bench measures spawn+run, not
+   allocator traffic for a fresh engine. [executed] keeps accumulating:
+   it counts the engine's lifetime, not a run. *)
 let reset t =
-  if
-    t.live > 0 || t.fq_len > 0
-    || not (Heap.is_empty t.heap)
-    || not (Wheel.is_empty t.wheel)
-  then invalid_arg "Engine.reset: engine busy (live tasks or pending events)";
+  if t.live > 0 || t.fq_len > 0 || not (Heap.is_empty t.heap) then
+    invalid_arg "Engine.reset: engine busy (live tasks or pending events)";
   t.now <- 0;
   t.seq <- 0
 
@@ -99,23 +93,15 @@ let now t = t.now
 let events_executed t = t.executed
 let live_tasks t = t.live
 
-(* Earliest pending event across the three fronts (FIFO entries are due at
+(* Earliest pending event across the two fronts (FIFO entries are due at
    the current time); [max_int] = idle engine. This is what a windowed
    executor (Pdes) uses to pick the next lookahead horizon without popping
    anything, and it returns an unboxed int because Pdes asks every shard
    once per window. *)
 let next_time t =
-  let nt = if t.fq_len > 0 then t.now else max_int in
-  let nt =
-    if Wheel.is_empty t.wheel then nt
-    else
-      let wt = Wheel.min_time t.wheel in
-      if wt < nt then wt else nt
-  in
-  if Heap.is_empty t.heap then nt
-  else
-    let ht = Heap.min_time t.heap in
-    if ht < nt then ht else nt
+  if t.fq_len > 0 then t.now
+  else if Heap.is_empty t.heap then max_int
+  else Heap.min_time t.heap
 
 (* Events executed by every engine on this domain: lets the bench harness
    attribute events/sec to a bench without threading engine handles out,
@@ -225,36 +211,10 @@ let fifo_spill t =
     Heap.push t.heap ~time:t.now ~seq thunk
   done
 
-(* Move every wheel entry into the heap (preserving (time, seq)). Cold
-   path: only used when [run ~until] stops the clock early, so the wheel's
-   window can be re-anchored at an arbitrary new [now]. *)
-let wheel_spill t =
-  while not (Wheel.is_empty t.wheel) do
-    let time = Wheel.min_time t.wheel in
-    let seq = Wheel.min_seq t.wheel in
-    let thunk = Wheel.pop_exn t.wheel in
-    Heap.push t.heap ~time ~seq thunk
-  done
-
-(* Minimum timed-event population before future events are routed to the
-   wheel. Below it the heap wins: with a handful of pending events the
-   whole heap is two hot cache lines and its sifts are trivial, while the
-   wheel scatters them across a multi-KB slot array (measured pending
-   averages: UDP-echo-style benches ~2.6, broadcast tree ~8.6, the
-   message-passing scaling bench ~35). Routing by load cannot change
-   results: the run loop merges the wheel and heap fronts by (time, seq),
-   so which structure holds an event is invisible to the schedule. *)
-let wheel_threshold = 24
-
 let schedule t ~at thunk =
   let at = if at < t.now then t.now else at in
   t.seq <- t.seq + 1;
   if at = t.now then fifo_push t t.seq thunk
-  else if
-    at - t.now < Wheel.window
-    && Wheel.length t.wheel + Heap.length t.heap >= wheel_threshold
-    && Wheel.push t.wheel ~now:t.now ~time:at ~seq:t.seq thunk
-  then ()
   else Heap.push t.heap ~time:at ~seq:t.seq thunk
 
 (* Drain the pending-charge bank as one wait. Must run inside a task (it
@@ -276,11 +236,10 @@ let create () =
     {
       now = 0;
       seq = 0;
-      (* Pre-sized with the engine's own dummy thunk so the first far-future
+      (* Pre-sized with the engine's own dummy thunk so the first timed
          event of a run does not pay the backing-array allocation mid-flight;
          the arrays are recycled across runs of a [reset] engine. *)
-      heap = Heap.create ~dummy:nop_ev ();
-      wheel = Wheel.create ~dummy:nop_ev;
+      heap = Heap.create ~dummy:nop_ev;
       fq_seq = Array.make 64 0;
       fq_thunk = Array.make 64 nop_ev;
       fq_head = 0;
@@ -427,30 +386,16 @@ let spawn t ?(name = "task") f =
    by the fault injector to arm timed fault events. *)
 let schedule_at t ~at thunk = schedule t ~at (ev_of_thunk thunk)
 
-(* Event sources for the run loop's three-way front merge. *)
-let src_fifo = 0
-
-let src_wheel = 1
-let src_heap = 2
-
 (* Stop the clock at [lim] with every pending event due after it — the one
    way both [run ~until] and [skip_idle] leave an engine. *)
 let stop_at t lim =
-  if lim >= t.now then
-    (* Forward stop (the common case; a PDES window barrier does this once
-       per shard and window). The FIFO is necessarily empty — its entries
-       are due at [t.now <= lim] — and the wheel can stay put: every
-       pending wheel time lies in (lim, lim + window), so pushes after the
-       clock moves to [lim] cannot collide with an occupied slot (and
-       Wheel.push refuses and falls back to the heap if one ever did). *)
-    t.now <- lim
-  else begin
-    (* Rewinding stop ([until] before the current time): spill everything
-       into the heap so (time, seq) survives the re-anchoring. *)
-    fifo_spill t;
-    wheel_spill t;
-    t.now <- lim
-  end
+  (* A forward stop (the common case; a PDES window barrier does this once
+     per shard and window) finds the FIFO empty, since its entries are due
+     at [t.now <= lim]. A rewinding stop ([lim] before the current time)
+     spills the FIFO into the heap, so its entries keep their (time, seq)
+     once the clock moves back. *)
+  if lim < t.now then fifo_spill t;
+  t.now <- lim
 
 let skip_idle t ~until =
   let nt = next_time t in
@@ -484,44 +429,23 @@ let stalled t =
    so entering it allocates nothing. [lim = max_int] means no limit. *)
 let rec drain t lim allow_stall dom_counter =
   let have_f = t.fq_len > 0 in
-  let have_w = not (Wheel.is_empty t.wheel) in
   let have_h = not (Heap.is_empty t.heap) in
-  if not have_f && not have_w && not have_h then begin
+  if not have_f && not have_h then begin
     if t.live > 0 && not allow_stall then stalled t
   end
   else begin
-    (* Next event by (time, seq) across the three fronts. FIFO entries are
-       at t.now, so they beat any strictly-later wheel/heap entry; at
-       equal time, lower seq wins. *)
-    let src = ref src_fifo in
-    let ntime = ref max_int and nseq = ref max_int in
-    if have_f then begin
-      ntime := t.now;
-      nseq := fifo_front_seq t
-    end;
-    if have_w then begin
-      let wt = Wheel.min_time t.wheel in
-      if wt < !ntime || (wt = !ntime && Wheel.min_seq t.wheel < !nseq) then begin
-        src := src_wheel;
-        ntime := wt;
-        nseq := Wheel.min_seq t.wheel
-      end
-    end;
-    if have_h then begin
-      let ht = Heap.min_time t.heap in
-      if ht < !ntime || (ht = !ntime && Heap.min_seq t.heap < !nseq) then begin
-        src := src_heap;
-        ntime := ht
-      end
-    end;
-    let ntime = !ntime in
+    (* Next event by (time, seq) across the two fronts. No heap entry is
+       due before t.now, and FIFO entries are due at t.now, so they beat any
+       strictly-later heap entry; at equal time, lower seq wins. *)
+    let from_heap =
+      have_h
+      && ((not have_f)
+         || (Heap.min_time t.heap = t.now && Heap.min_seq t.heap < fifo_front_seq t))
+    in
+    let ntime = if from_heap then Heap.min_time t.heap else t.now in
     if ntime > lim then stop_at t lim
     else begin
-      let thunk =
-        if !src = src_fifo then fifo_pop t
-        else if !src = src_wheel then Wheel.pop_exn t.wheel
-        else Heap.pop_exn t.heap
-      in
+      let thunk = if from_heap then Heap.pop_exn t.heap else fifo_pop t in
       t.now <- ntime;
       t.executed <- t.executed + 1;
       incr dom_counter;

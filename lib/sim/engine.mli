@@ -10,7 +10,8 @@
     events at the same time fire in the order they were scheduled. *)
 
 type t
-(** A simulation engine instance: clock + pending-event heap. *)
+(** A simulation engine instance: clock + pending events (a FIFO of events
+    due now and a heap of later ones). *)
 
 exception Stalled of string
 (** Raised by {!run} when live tasks remain but no event is pending
@@ -21,8 +22,8 @@ exception Stalled of string
 val create : unit -> t
 
 val reset : t -> unit
-(** Rewind an idle engine to [t = 0], recycling its FIFO rings, wheel
-    slots and heap arrays for the next run instead of reallocating them.
+(** Rewind an idle engine to [t = 0], recycling its FIFO rings and heap
+    arrays for the next run instead of reallocating them.
     {!events_executed} keeps accumulating across resets.
     @raise Invalid_argument if tasks are live or events are pending. *)
 
@@ -30,9 +31,10 @@ val now : t -> int
 (** Current simulated time. *)
 
 val next_time : t -> int
-(** Time of the earliest pending event (FIFO/wheel/heap), without popping
-    it; [max_int] when the engine is idle. A windowed executor uses this to
-    compute the next conservative lookahead horizon. *)
+(** Time of the earliest pending event (the current time when the FIFO
+    holds one, else the heap's front), without popping it; [max_int] when
+    the engine is idle. A windowed executor uses this to compute the next
+    conservative lookahead horizon. *)
 
 val events_executed : t -> int
 (** Total number of events dispatched so far (debugging / perf metric). *)
@@ -79,10 +81,13 @@ val schedule_at : t -> at:int -> (unit -> unit) -> unit
     injection hook used by the fault subsystem to arm timed fault events. *)
 
 val run : t -> ?until:int -> ?allow_stall:bool -> unit -> unit
-(** Execute events until the heap is empty, or until the clock would pass
-    [until]. If tasks remain suspended when the heap drains, raises
-    {!Stalled} unless [allow_stall] is true (default: true, because
-    long-lived server tasks legitimately out-live a run). *)
+(** Execute events until none is pending, or until the clock would pass
+    [until]. A stop at [until] leaves the clock at [until] with every
+    pending event due after it, in its (time, seq) order; an [until]
+    before {!now} moves the clock back and spills the events due now from
+    the FIFO into the heap. If tasks remain suspended when no event is
+    pending, raises {!Stalled} unless [allow_stall] is true (default: true,
+    because long-lived server tasks legitimately out-live a run). *)
 
 val run_until : t -> int -> unit
 (** [run_until t u] is [run t ~until:u ()] without boxing [u]: the form a
@@ -91,10 +96,9 @@ val run_until : t -> int -> unit
 val skip_idle : t -> until:int -> bool
 (** The idle-window path. If no event is due at or before [until], leave
     [t] exactly as [run t ~until ()] would — the clock moves to [until]
-    when events are pending (spilling the FIFO and wheel into the heap if
-    [until] is before {!now}) and stays put when none are — and return
-    [true] without entering the run loop. Otherwise change nothing and
-    return [false]. *)
+    when events are pending (spilling the FIFO into the heap if [until] is
+    before {!now}) and stays put when none are — and return [true] without
+    entering the run loop. Otherwise change nothing and return [false]. *)
 
 val live_tasks : t -> int
 (** Number of spawned tasks that have not yet terminated. *)

@@ -17,27 +17,23 @@ type 'a t = {
   mutable size : int;
 }
 
-(* Kept for compatibility with [peek]/[pop] consumers (tests); the engine
-   itself uses the zero-allocation primitives below. *)
-type 'a entry = { time : int; seq : int; payload : 'a }
-
-(* With [~dummy] the backing arrays are pre-sized at creation (and the
-   payload array has a fill value), so the first push of a run never pays
-   the seed allocation; without it they are seeded lazily by [push]. *)
-let create ?dummy () =
-  match dummy with
-  | None -> { times = [||]; seqs = [||]; payloads = [||]; size = 0 }
-  | Some d ->
-    { times = Array.make 64 0; seqs = Array.make 64 0; payloads = Array.make 64 d; size = 0 }
+(* The backing arrays are pre-sized at creation, with [dummy] as the
+   payload fill value, so the first push of a run never pays an
+   allocation. *)
+let create ~dummy =
+  {
+    times = Array.make 64 0;
+    seqs = Array.make 64 0;
+    payloads = Array.make 64 dummy;
+    size = 0;
+  }
 
 let length h = h.size
 
 let is_empty h = h.size = 0
 
-(* Only called with non-empty backing arrays (push seeds the first ones). *)
 let grow h =
   let cap = Array.length h.times in
-  assert (cap > 0);
   let ntimes = Array.make (cap * 2) 0 in
   let nseqs = Array.make (cap * 2) 0 in
   let npayloads = Array.make (cap * 2) h.payloads.(0) in
@@ -49,14 +45,7 @@ let grow h =
   h.payloads <- npayloads
 
 let push h ~time ~seq payload =
-  if h.size = Array.length h.times then begin
-    if h.size = 0 then begin
-      h.times <- Array.make 64 0;
-      h.seqs <- Array.make 64 0;
-      h.payloads <- Array.make 64 payload
-    end
-    else grow h
-  end;
+  if h.size = Array.length h.times then grow h;
   (* Sift up, moving parent slots down; the new entry is written once at
      its final position. *)
   let i = ref h.size in
@@ -117,15 +106,3 @@ let pop_exn h =
     h.payloads.(!i) <- payload
   end;
   top
-
-let peek h =
-  if h.size = 0 then None
-  else Some { time = h.times.(0); seq = h.seqs.(0); payload = h.payloads.(0) }
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let time = h.times.(0) and seq = h.seqs.(0) in
-    let payload = pop_exn h in
-    Some { time; seq; payload }
-  end

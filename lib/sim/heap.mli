@@ -6,18 +6,13 @@
 
     The implementation is a struct-of-arrays binary heap (parallel
     [time]/[seq]/[payload] arrays): {!push} and {!pop_exn} allocate nothing,
-    which matters because the engine pushes one entry per scheduled event.
-    {!peek} and {!pop} are allocating conveniences for tests and
-    diagnostics. *)
+    which matters because the engine pushes one entry per scheduled event. *)
 
 type 'a t
 
-type 'a entry = { time : int; seq : int; payload : 'a }
-
-val create : ?dummy:'a -> unit -> 'a t
-(** [?dummy] pre-sizes the backing arrays at creation (it fills unused
-    payload slots and is never returned); omitted, the arrays are seeded
-    lazily by the first {!push}. *)
+val create : dummy:'a -> 'a t
+(** An empty heap with pre-sized backing arrays. [dummy] fills unused
+    payload slots and is never returned. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
@@ -34,6 +29,3 @@ val min_seq : 'a t -> int
 val pop_exn : 'a t -> 'a
 (** Remove the minimum entry and return its payload without allocating.
     Raises [Invalid_argument] when empty. *)
-
-val peek : 'a t -> 'a entry option
-val pop : 'a t -> 'a entry option

@@ -99,12 +99,10 @@ let test_run_until () =
   Engine.run eng ();
   check_int "rest" 10 !hits
 
-let test_run_until_spills_wheel () =
-  (* Stop the clock while near-future (wheel-resident) events are pending:
+let test_run_until_keeps_heap_events () =
+  (* Stop the clock while near-future (heap-resident) events are pending:
      they must survive the stop, and fire at their original times in their
-     original order when the run resumes. Enough waiting tasks are spawned
-     to clear the engine's population threshold, so the later schedules
-     really do land in the wheel rather than the heap. *)
+     original order when the run resumes. *)
   let n = 40 in
   let eng = Engine.create () in
   let log = ref [] in
@@ -117,7 +115,7 @@ let test_run_until_spills_wheel () =
   done;
   Engine.spawn eng (fun () ->
       Engine.wait 5000;
-      (* Beyond the wheel window: heap-resident throughout. *)
+      (* Far future: pending across the stop and after every other event. *)
       log := (0, Engine.now_ ()) :: !log);
   Engine.run eng ~until:4 ();
   check_int "stopped early" 4 (Engine.now eng);
@@ -313,9 +311,8 @@ let test_charge_nonpositive_is_noop () =
 (* -- the idle-window path: [skip_idle] against [run ~until] -- *)
 
 (* An engine whose clock stands at [t0], with one logged event pending at
-   [t0 + d] for each of [delays]: 0 lands in the FIFO, a delay below the
-   wheel window in the wheel (once enough events are pending), anything
-   longer in the heap. *)
+   [t0 + d] for each of [delays]: 0 lands in the FIFO, anything longer in
+   the heap. *)
 let pending_engine ~t0 ~delays log =
   let eng = Engine.create () in
   Engine.schedule_at eng ~at:t0 ignore;
@@ -329,7 +326,98 @@ let pending_engine ~t0 ~delays log =
 let gen_delay =
   QCheck2.Gen.(
     frequency
-      [ (1, return 0); (3, int_range 1 (Mk_sim.Wheel.window - 1)); (1, int_range 4096 100_000) ])
+      [ (1, return 0); (3, int_range 1 4095); (1, int_range 4096 100_000) ])
+
+(* -- event order against a reference scheduler --
+
+   Events scheduled with [schedule_at] must run in exactly the stable
+   (time, seq) order: by time, and in scheduling order within a time. An
+   event is a delay plus the delays of children it schedules when it runs.
+   Batch [a] is scheduled from outside with the clock at [t0], then the
+   engine optionally stops at [t0 + k] (forward) or [t0 - k] (rewinding,
+   with [a]'s delay-0 events still queued), then batch [b] is scheduled
+   from outside and the engine runs dry. A model holding (time, seq, id)
+   triples in an ordered set replays the same program; the two must log
+   the same ids at the same times. *)
+
+module Ev_set = Set.Make (struct
+  type t = int * int * int
+
+  let compare = compare
+end)
+
+type order_stop = No_stop | Forward of int | Rewind of int
+
+(* Event [i] of batch [batch] has id [(batch * 100 + i) * 100]; its child
+   [j] has that id plus [j + 1]. *)
+let batch_events batch evs =
+  List.mapi (fun i (d, kids) -> (((batch * 100) + i) * 100, d, kids)) evs
+
+let model_order ~t0 ~stop a b =
+  let now = ref t0 and seq = ref 0 and pending = ref Ev_set.empty in
+  let kids = Hashtbl.create 16 and log = ref [] in
+  let schedule (id, d, ks) =
+    incr seq;
+    Hashtbl.replace kids id ks;
+    pending := Ev_set.add (!now + d, !seq, id) !pending
+  in
+  let rec run lim =
+    match Ev_set.min_elt_opt !pending with
+    | None -> ()
+    | Some (tm, _, _) when tm > lim -> now := lim
+    | Some ((tm, _, id) as e) ->
+      pending := Ev_set.remove e !pending;
+      now := tm;
+      log := (id, tm) :: !log;
+      List.iteri (fun j d -> schedule (id + j + 1, d, [])) (Hashtbl.find kids id);
+      run lim
+  in
+  List.iter schedule a;
+  (match stop with
+   | No_stop -> ()
+   | Forward k -> run (t0 + k)
+   | Rewind k -> run (t0 - k));
+  List.iter schedule b;
+  run max_int;
+  (List.rev !log, !now)
+
+let engine_order ~t0 ~stop a b =
+  let eng = Engine.create () in
+  Engine.schedule_at eng ~at:t0 ignore;
+  Engine.run eng ();
+  let log = ref [] in
+  let rec schedule (id, d, ks) =
+    Engine.schedule_at eng ~at:(Engine.now eng + d) (fun () ->
+        log := (id, Engine.now eng) :: !log;
+        List.iteri (fun j d -> schedule (id + j + 1, d, [])) ks)
+  in
+  List.iter schedule a;
+  (match stop with
+   | No_stop -> ()
+   | Forward k -> Engine.run eng ~until:(t0 + k) ()
+   | Rewind k -> Engine.run eng ~until:(t0 - k) ());
+  List.iter schedule b;
+  Engine.run eng ();
+  (List.rev !log, Engine.now eng)
+
+let prop_event_order =
+  let gen_events =
+    QCheck2.Gen.(
+      list_size (int_range 0 40) (pair gen_delay (list_size (int_range 0 4) gen_delay)))
+  in
+  qtest ~count:300 "events run in stable (time, seq) order"
+    QCheck2.Gen.(
+      quad (int_range 5_000 20_000) gen_events
+        (frequency
+           [
+             (1, return No_stop);
+             (2, map (fun k -> Forward k) (int_range 0 20_000));
+             (1, map (fun k -> Rewind k) (int_range 1 4_999));
+           ])
+        gen_events)
+    (fun (t0, a, stop, b) ->
+      let a = batch_events 0 a and b = batch_events 1 b in
+      engine_order ~t0 ~stop a b = model_order ~t0 ~stop a b)
 
 (* Two engines built alike: one stopped by the run loop, the other by the
    idle path when it applies (else by [run_until]). They must agree on
@@ -462,7 +550,7 @@ let suite =
       tc "waker one-shot" test_waker_is_one_shot;
       tc "wake with delay" test_wake_with_delay;
       tc "run until" test_run_until;
-      tc "run until spills wheel" test_run_until_spills_wheel;
+      tc "run until keeps heap events" test_run_until_keeps_heap_events;
       tc "run until spills fifo batch" test_run_until_spills_fifo_batch;
       tc "stall detection" test_stall_detection;
       tc "stalled names" test_stalled_names;
@@ -479,4 +567,5 @@ let suite =
       tc "skip_idle directed" test_skip_idle_directed;
       tc "allocation budget" test_allocation_budget;
       prop_skip_idle_matches_run;
+      prop_event_order;
     ] )
