@@ -69,7 +69,7 @@ type entry = {
   executed : int;
   fused : int;
   barriers : int;  (* PDES window barriers; 0 = did not run sharded *)
-  shards : int;  (* PDES shard count (high-water); 0 = unsharded/unknown *)
+  shards : int;  (* PDES shard count (high-water); 0 = no Pdes ran/unknown *)
   cluster_machines : int;  (* largest cluster swept; 0 = not a cluster sweep *)
   wire_batches : int;  (* coalescable wire flush groups; 0 = no wire links *)
   wire_msgs : int;  (* frames inside those groups *)

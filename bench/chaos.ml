@@ -63,7 +63,7 @@ let run_seed seed =
   let os =
     Os.boot ~shards:n_shards ~faults:injs ~measure_latencies:Os.No_measure plat
   in
-  let sh = match Os.shard os with Some sh -> sh | None -> assert false in
+  let sh = Os.shards os in
   let ok = ref 0 and failed = ref 0 and failovers = ref 0 in
   let detect_worst = ref 0 and recover_worst = ref 0 in
   let respawns = ref 0 in

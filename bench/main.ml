@@ -48,11 +48,11 @@ type timing = {
   wall_s : float;
   executed : int;  (* scheduler events actually dispatched *)
   fused : int;  (* latency charges coalesced away by Engine.charge *)
-  barriers : int;  (* PDES window barriers (0 unless the bench sharded) *)
-  shards : int;  (* PDES shard count, high-water (0 unless the bench sharded) *)
+  barriers : int;  (* PDES window barriers (0 unless a Pdes ran) *)
+  shards : int;  (* PDES shard count, high-water (0 unless a Pdes ran) *)
   wire_batches : int;  (* coalescable wire flush groups (0: no wire links) *)
   wire_msgs : int;  (* frames inside those groups *)
-  pdes_events : int;  (* PDES parallelism profile (Pool.counter), 0 unsharded *)
+  pdes_events : int;  (* PDES parallelism profile (Pool.counter), 0 without Pdes *)
   pdes_critical : int;
   pdes_busy : int;
   pdes_slots : int;
@@ -117,11 +117,11 @@ let instrumented name f () =
 (* How this bench's work was executed, for the like-for-like comparison in
    compare.ml: a bench that ran PDES window barriers on a parallel domain
    team is "pdes" (its wall-clock depends on MK_PDES/--pdes; with one
-   domain the sharded loop runs inline and stays comparable to serial
-   baselines), else pooled runs are "pool" and single-domain runs
+   domain, or one shard, the windows run inline and stay comparable to
+   serial baselines), else pooled runs are "pool" and single-domain runs
    "serial". *)
 let mode ~jobs t =
-  if t.barriers > 0 && Pdes.configured_domains () > 1 then "pdes"
+  if t.barriers > 0 && t.shards > 1 && Pdes.configured_domains () > 1 then "pdes"
   else if jobs > 1 then "pool"
   else "serial"
 

@@ -41,12 +41,11 @@ let spawn_incarnation t ~home =
   ignore
     (Os.spawn_domain t.os ~name:(Printf.sprintf "%s#%d" t.name inc) ~cores:[ home ]
       : Dom.t);
-  let shard = Os.shard t.os in
   let binds =
     List.map
       (fun c ->
         let rb =
-          Flounder.Reliable.connect ?shard m
+          Flounder.Reliable.connect ~shard:(Os.shards t.os) m
             ~name:(Printf.sprintf "%s#%d.c%d" t.name inc c)
             ~client:c ~server:home ~base_timeout:t.base_timeout
             ~max_attempts:t.max_attempts ~req_lines:t.req_lines

@@ -13,14 +13,15 @@ type t = {
 
 let name t = t.rt_name
 
-(* Sharded team execution: workers are spawned on their own core's shard
-   (reached via [Os.call]), synchronize over a message barrier whose
-   channels are split at the wire, and report completion with one done
-   token each — no shared spin line, ivar, or counter ever crosses the
-   cut. The coordinator's body runs inside an [Os.call] from the invoking
-   task, which therefore blocks until the whole team is finished. *)
-let sharded_run_team os sh ~dom_name ~cores body =
-  let dom = Mk.Os.spawn_domain os ~name:dom_name ~cores in
+(* Team execution: workers are spawned on their own core's shard (reached
+   via [Os.call]), synchronize over a message barrier whose channels are
+   split at the wire when the team spans a cut, and report completion with
+   one done token each — no shared spin line, ivar, or counter ever
+   crosses the cut. The coordinator's body runs inside an [Os.call] from
+   the invoking task, which therefore blocks until the whole team is
+   finished. *)
+let run_team os sh ~cores body =
+  let dom = Mk.Os.spawn_domain os ~name:"omp" ~cores in
   let coordinator = List.hd cores in
   let parties = List.mapi (fun i c -> (i, c)) cores in
   let bar =
@@ -63,84 +64,18 @@ let sharded_run_team os sh ~dom_name ~cores body =
       List.iter (fun (_, l) -> Mk.Urpc.recv l.Mk.Shard.rx) dones)
 
 let barrelfish os =
-  let m = Mk.Os.machine os in
-  match Mk.Os.shard os with
-  | Some sh ->
-    {
-      rt_name = "Barrelfish";
-      rt_machine = m;
-      rt_machine_of = (fun core -> Mk.Os.machine_of_core os core);
-      (* Workload memory goes in the shared arena, mirrored into every
-         shard's coherence map; shared host state (work queues) is reached
-         through a coordinator-funnelled call. *)
-      rt_alloc = (fun n -> Mk.Shard.alloc_shared sh ~src_core:0 n);
-      rt_call = (fun ~src_core f -> Mk.Shard.call sh ~src_core ~core:0 f);
-      run_team = (fun ~cores body -> sharded_run_team os sh ~dom_name:"omp" ~cores body);
-    }
-  | None ->
-    {
-      rt_name = "Barrelfish";
-      rt_machine = m;
-      rt_machine_of = (fun _ -> m);
-      rt_alloc = (fun n -> Machine.alloc_lines m n);
-      rt_call = (fun ~src_core:_ f -> f ());
-      run_team =
-        (fun ~cores body ->
-          let dom =
-            Mk.Os.spawn_domain os ~name:"omp" ~cores
-          in
-          let bar = Mk.Threads.Barrier.create m ~parties:(List.length cores) in
-          let threads =
-            List.mapi
-              (fun rank core ->
-                let disp = Mk.Dom.dispatcher_on dom core in
-                Mk.Threads.spawn m ~disp (fun () ->
-                    body
-                      { rank; wcore = core;
-                        barrier = (fun () -> Mk.Threads.Barrier.await bar ~core) }))
-              cores
-          in
-          List.iter Mk.Threads.join threads);
-    }
-
-let barrelfish_msg os =
-  let m = Mk.Os.machine os in
-  match Mk.Os.shard os with
-  | Some sh ->
-    {
-      rt_name = "Barrelfish (msg barrier)";
-      rt_machine = m;
-      rt_machine_of = (fun core -> Mk.Os.machine_of_core os core);
-      rt_alloc = (fun n -> Mk.Shard.alloc_shared sh ~src_core:0 n);
-      rt_call = (fun ~src_core f -> Mk.Shard.call sh ~src_core ~core:0 f);
-      run_team =
-        (fun ~cores body -> sharded_run_team os sh ~dom_name:"omp-msg" ~cores body);
-    }
-  | None ->
-    {
-      rt_name = "Barrelfish (msg barrier)";
-      rt_machine = m;
-      rt_machine_of = (fun _ -> m);
-      rt_alloc = (fun n -> Machine.alloc_lines m n);
-      rt_call = (fun ~src_core:_ f -> f ());
-      run_team =
-        (fun ~cores body ->
-          let dom = Mk.Os.spawn_domain os ~name:"omp-msg" ~cores in
-          let coordinator = List.hd cores in
-          let parties = List.mapi (fun i c -> (i, c)) cores in
-          let bar = Mk.Threads.Msg_barrier.create m ~coordinator ~parties in
-          let threads =
-            List.mapi
-              (fun rank core ->
-                let disp = Mk.Dom.dispatcher_on dom core in
-                Mk.Threads.spawn m ~disp (fun () ->
-                    body
-                      { rank; wcore = core;
-                        barrier = (fun () -> Mk.Threads.Msg_barrier.await bar ~party:rank) }))
-              cores
-          in
-          List.iter Mk.Threads.join threads);
-    }
+  let sh = Mk.Os.shards os in
+  {
+    rt_name = "Barrelfish";
+    rt_machine = Mk.Os.machine os;
+    rt_machine_of = Mk.Os.machine_of_core os;
+    (* Workload memory goes in the shared arena, mirrored into every
+       shard's coherence map; shared host state (work queues) is reached
+       through a coordinator-funnelled call. *)
+    rt_alloc = (fun n -> Mk.Shard.alloc_shared sh ~src_core:0 n);
+    rt_call = (fun ~src_core f -> Mk.Shard.call sh ~src_core ~core:0 f);
+    run_team = (fun ~cores body -> run_team os sh ~cores body);
+  }
 
 let linux mono =
   let m = Mk_baseline.Monolithic.machine mono in

@@ -18,30 +18,26 @@ type t = {
   rt_machine : Mk_hw.Machine.t;
   rt_machine_of : int -> Mk_hw.Machine.t;
       (** The machine a given worker core's accesses charge — its shard's
-          under a sharded OS, {!rt_machine} otherwise. *)
+          under Barrelfish, {!rt_machine} otherwise. *)
   rt_alloc : int -> int;
       (** Allocate workload cache lines every worker may touch: the shared
-          arena ({!Mk.Shard.alloc_shared}) under a sharded OS, plain
+          arena ({!Mk.Shard.alloc_shared}) under Barrelfish, plain
           {!Mk_hw.Machine.alloc_lines} otherwise. Call before [run_team]. *)
   rt_call : 'a. src_core:int -> (unit -> 'a) -> 'a;
       (** Run a closure over shared host state (work queues) in the
-          coordinator's shard context; the identity unsharded. *)
+          coordinator's shard context; the identity under Linux. *)
   run_team : cores:int list -> (worker_ctx -> unit) -> unit;
       (** Start one worker per core, wait for all to finish. Task context
-          required. Under a sharded OS each worker runs on its own core's
-          shard and the team barrier is message-based over split URPC
-          links. *)
+          required. *)
 }
 
 val name : t -> string
 
 val barrelfish : Mk.Os.t -> t
-(** User-level threads in a shared-address-space domain; barriers are the
-    user-space shared-line implementation of {!Mk.Threads.Barrier}. *)
-
-val barrelfish_msg : Mk.Os.t -> t
-(** Variant using the message-based barrier ({!Mk.Threads.Msg_barrier}) —
-    the ablation for §4.8's "thread schedulers exchange messages". *)
+(** User-level threads in a shared-address-space domain. Each worker runs
+    on its own core's shard; the team barrier is the message-based
+    {!Mk.Threads.Msg_barrier} (§4.8's "thread schedulers exchange
+    messages"), its links split at the wire when the team spans a cut. *)
 
 val linux : Mk_baseline.Monolithic.t -> t
 (** Kernel threads created by clone; barriers via futex system calls. *)

@@ -40,7 +40,7 @@ let pick_new_home t =
 (* Announce through the mesh so every monitor stops heartbeating the
    dead core. Best-effort (fire-and-forget fan): recovery must not
    block on a protocol that can itself lose messages. Runs in a task on
-   the detector's shard (= the only shard, unsharded). *)
+   the detector's shard. *)
 let announce t ~by ~core ~at =
   Os.mark_dead t.os ~core;
   let mon = Os.monitor t.os ~core:by in
@@ -65,31 +65,22 @@ let recover t ~core =
     t.services;
   t.recovered_at.(core) <- Engine.now_ ()
 
+(* Detections race across shards; shard 0 is the dedup authority.
+   Funnelling the whole record through one shard keeps detected_* and the
+   service list single-writer; the announcement fan still runs from the
+   detector's own monitor, reached back via [Os.call]. *)
 let handle_death t ~by ~core ~at =
-  match Os.shard t.os with
-  | None ->
-    if t.detected_at.(core) < 0 then begin
-      t.detected_at.(core) <- at;
-      t.detected_by.(core) <- by;
-      t.deaths <- t.deaths + 1;
-      announce t ~by ~core ~at;
-      recover t ~core
-    end
-  | Some sh ->
-    (* Detections race across shards; shard 0 is the dedup authority.
-       Funnelling the whole record through one shard keeps detected_* and
-       the service list single-writer; the announcement fan still runs
-       from the detector's own monitor, reached back via [Os.call]. *)
-    Shard.post sh ~src_core:by ~core:0 (fun () ->
-        if t.detected_at.(core) < 0 then begin
-          t.detected_at.(core) <- at;
-          t.detected_by.(core) <- by;
-          t.deaths <- t.deaths + 1;
-          Os.mark_dead t.os ~core;
-          Engine.spawn (Shard.engine sh 0) ~name:"ft.recover" (fun () ->
-              Os.call t.os ~src_core:0 ~core:by (fun () -> announce t ~by ~core ~at);
-              recover t ~core)
-        end)
+  let sh = Os.shards t.os in
+  Shard.post sh ~src_core:by ~core:0 (fun () ->
+      if t.detected_at.(core) < 0 then begin
+        t.detected_at.(core) <- at;
+        t.detected_by.(core) <- by;
+        t.deaths <- t.deaths + 1;
+        Os.mark_dead t.os ~core;
+        Engine.spawn (Shard.engine sh 0) ~name:"ft.recover" (fun () ->
+            Os.call t.os ~src_core:0 ~core:by (fun () -> announce t ~by ~core ~at);
+            recover t ~core)
+      end)
 
 let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
   let n = Os.n_cores os in
@@ -110,15 +101,15 @@ let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
      shard's clock and push onto its event queue while it runs its own
      window on another domain: the start time would then depend on how far
      that domain had got, and the result on the domain count. [Os.post] is
-     a direct call unsharded, same-shard or from host context, and one
-     interconnect leg otherwise. *)
+     a direct call same-shard or from host context, and one interconnect
+     leg otherwise. *)
   for c = 0 to n - 1 do
     Os.post os ~core:c (fun () ->
         Monitor.start_ft (Os.monitor os ~core:c) ~interval:hb_interval ~threshold
           ~until ~on_death:(fun ~core ~at -> handle_death t ~by:c ~core ~at))
   done;
-  (* Wire the fault plan's core stops to the monitors they stop. Sharded:
-     every shard machine carries its own injector (armed with an
+  (* Wire the fault plan's core stops to the monitors they stop. Every
+     shard machine carries its own injector (armed with an
      [?only]-its-cores filter), so each stop event fires on the victim's
      own shard and kills a same-shard monitor. Each hook is registered
      from its shard's own context, like the detector loops above: the
@@ -127,14 +118,12 @@ let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
     Mk_fault.Injector.on_core_stop inj (fun core ->
         Monitor.kill (Os.monitor os ~core))
   in
-  (match Os.shard os with
-   | None -> wire (Os.machine os).Mk_hw.Machine.fault
-   | Some sh ->
-     for s = 0 to Shard.n_shards sh - 1 do
-       let inj = (Shard.machine sh s).Mk_hw.Machine.fault in
-       if inj != Mk_fault.Injector.none then
-         Os.post os ~core:(Shard.first_core sh s) (fun () -> wire inj)
-     done);
+  let sh = Os.shards os in
+  for s = 0 to Shard.n_shards sh - 1 do
+    let inj = (Shard.machine sh s).Mk_hw.Machine.fault in
+    if inj != Mk_fault.Injector.none then
+      Os.post os ~core:(Shard.first_core sh s) (fun () -> wire inj)
+  done;
   t
 
 let register_service t ~name ~home ~respawn =

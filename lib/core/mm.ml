@@ -11,8 +11,7 @@ type t = {
   mutable donor_ok : int -> int -> bool;
 }
 
-let init ?machine_of m drivers ~mem_per_core =
-  let machine_of = match machine_of with Some f -> f | None -> fun _ -> m in
+let init ~machine_of drivers ~mem_per_core =
   Array.map
     (fun driver ->
       let core = Cpu_driver.core driver in
@@ -28,12 +27,12 @@ let core t = t.core_id
 let pool_bytes t = t.pool
 let free_bytes t = t.pool - t.used
 
-let set_peers ?donor_ok ts ~monitors =
+let set_peers ~donor_ok ts ~monitors =
   Array.iter
     (fun t ->
       t.peers <- ts;
       t.monitors <- monitors;
-      match donor_ok with Some f -> t.donor_ok <- f | None -> ())
+      t.donor_ok <- donor_ok)
     ts
 
 let local_carve t ~bytes =

@@ -11,15 +11,13 @@
 type t
 
 val init :
-  ?machine_of:(int -> Mk_hw.Machine.t) ->
-  Mk_hw.Machine.t ->
+  machine_of:(int -> Mk_hw.Machine.t) ->
   Cpu_driver.t array ->
   mem_per_core:int ->
   t array
 (** Mint each core's root RAM capability, NUMA-local to its package, and
-    return the per-core allocators. [machine_of] (sharded boot) selects the
-    machine each core's pool is carved from — its own shard's — instead of
-    the single given machine. *)
+    return the per-core allocators. [machine_of] selects the machine each
+    core's pool is carved from — its own shard's. *)
 
 val core : t -> int
 val pool_bytes : t -> int
@@ -31,8 +29,9 @@ val alloc_ram : t -> bytes:int -> (Cap.t, Types.error) result
 val alloc_frame : t -> bytes:int -> (Cap.t, Types.error) result
 (** RAM retyped to a mappable frame. *)
 
-val set_peers : ?donor_ok:(int -> int -> bool) -> t array -> monitors:Monitor.t array -> unit
+val set_peers :
+  donor_ok:(int -> int -> bool) -> t array -> monitors:Monitor.t array -> unit
 (** Enable cross-core borrowing when a local pool is exhausted. [donor_ok
-    borrower donor] (default: always true) restricts which peers may
-    donate; a sharded {!Os} passes a same-shard predicate so borrowing
-    never reaches across a PDES cut mid-window. *)
+    borrower donor] restricts which peers may donate; {!Os} passes a
+    same-shard predicate so borrowing never reaches across a PDES cut
+    mid-window. *)

@@ -74,8 +74,8 @@ type t = {
      the channel record itself is only materialized on first use —
      [peers.(dst)] caches it. At 128 cores the mesh is 16k channels and a
      workload typically exercises a few dozen. The per-destination base
-     arrays are filled by [connect]'s per-edge path; a large unsharded
-     mesh skips them entirely and computes every base from [mesh_arena]
+     arrays are filled by [connect]'s per-edge path; a mesh without a cut
+     skips them entirely and computes every base from [mesh_arena]
      (closed-form src-major layout), so no O(n) base array per monitor —
      O(n^2) over the mesh — is ever allocated. *)
   peers : msg Urpc.t option array;  (* indexed by destination core *)
@@ -504,15 +504,11 @@ let run_loop t =
   in
   loop ()
 
-(* Unsharded meshes above this size reserve their buffers as one
-   closed-form arena instead of n*(n-1) individual reservations: same
-   src-major layout and home nodes (so the simulated machine is
-   identical), but O(1) allocator/pinning state and no per-monitor base
-   arrays — the structures that made a 1024-core boot quadratic. Every
-   paper/scaling platform sits at or below the threshold and keeps the
-   exact historical path. *)
-let mesh_arena_threshold = 128
-
+(* A mesh without a cut reserves its buffers as one closed-form arena
+   instead of n*(n-1) individual reservations: same src-major layout and
+   home nodes (so the simulated machine is identical), but O(1)
+   allocator/pinning state and no per-monitor base arrays — the
+   structures that made a 1024-core boot quadratic. *)
 let connect_arena monitors =
   let n = Array.length monitors in
   let m = monitors.(0).m in
@@ -533,14 +529,13 @@ let connect_arena monitors =
   in
   Array.iter (fun mon -> mon.mesh_arena <- base) monitors
 
-let connect ?shard monitors =
+let connect ~shard monitors =
   let n = Array.length monitors in
-  Array.iter (fun m -> m.shard <- shard) monitors;
-  if shard = None && n > mesh_arena_threshold then connect_arena monitors
+  Array.iter (fun m -> m.shard <- Some shard) monitors;
+  if Shard.n_shards shard = 1 then connect_arena monitors
   else begin
-  (* The full mesh is n*(n-1) channels — host-side cost matters at 128
-     cores, so only the buffer reservations (which fix the simulated
-     memory layout, in src-major order) happen here; channel records are
+  (* A split mesh reserves edge by edge, in src-major order: an edge
+     across the cut needs a ring on each side. Channel records are
      materialized on first use by [chan_to]. *)
   Array.iter
     (fun mon ->
@@ -557,8 +552,7 @@ let connect ?shard monitors =
     let plat = msrc.m.Machine.plat in
     for dst = 0 to n - 1 do
       if src <> dst then begin
-        match shard with
-        | Some sh when Shard.shard_of_core sh src <> Shard.shard_of_core sh dst ->
+        if Shard.shard_of_core shard src <> Shard.shard_of_core shard dst then begin
           (* Edge across the PDES cut: two halves, each homed on its own
              side so neither ring triggers remote coherence. *)
           let mdst = monitors.(dst) in
@@ -576,7 +570,8 @@ let connect ?shard monitors =
           mdst.rx_slot_base.(src) <- slot_base;
           mdst.rx_send_base.(src) <- send_base;
           mdst.rx_recv_base.(src) <- recv_base
-        | _ ->
+        end
+        else begin
           (* Buffers NUMA-local to the receiver: the monitor mesh is what
              the NUMA-aware protocols of §5.1 run over. *)
           let slot_base, send_base, recv_base =
@@ -586,6 +581,7 @@ let connect ?shard monitors =
           msrc.peer_slot_base.(dst) <- slot_base;
           msrc.peer_send_base.(dst) <- send_base;
           msrc.peer_recv_base.(dst) <- recv_base
+        end
       end
     done
   done

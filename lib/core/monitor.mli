@@ -45,16 +45,16 @@ val core : t -> int
 val driver : t -> Cpu_driver.t
 val machine : t -> Mk_hw.Machine.t
 
-val connect : ?shard:Shard.t -> t array -> unit
+val connect : shard:Shard.t -> t array -> unit
 (** Build the full mesh of monitor URPC channels (buffers NUMA-local to
     each receiver) and start every monitor's dispatch loop. Call once at
-    boot with all monitors. With [shard] (a sharded boot), a mesh edge
-    whose endpoints live on different shards is split at the wire: the
-    sender half's ring is homed on the sender's package in the sender's
-    shard machine, the receiver half on the receiver's side, and each
-    message crosses as a timestamped Pdes message carrying one
-    interconnect leg — the monitors' dispatch loops never read another
-    shard's state. *)
+    boot with all monitors. A mesh without a cut (one shard) reserves its
+    buffers as one closed-form arena. In a split mesh, an edge whose
+    endpoints live on different shards is split at the wire: the sender
+    half's ring is homed on the sender's package in the sender's shard
+    machine, the receiver half on the receiver's side, and each message
+    crosses as a timestamped Pdes message carrying one interconnect leg —
+    the monitors' dispatch loops never read another shard's state. *)
 
 val chan_to : t -> int -> msg Urpc.t
 (** The outgoing channel to a peer monitor (for channel-setup services). *)

@@ -14,7 +14,8 @@ type t = {
 
 let local_call_cost = 400  (* same-core LRPC-ish path into the server *)
 
-let create ?shard m ~home_core =
+let create ~shard ~home_core =
+  let m = Shard.machine_of_core shard home_core in
   let n = Machine.n_cores m in
   let table = Hashtbl.create 32 in
   let handler = function
@@ -23,19 +24,18 @@ let create ?shard m ~home_core =
       Ack
     | Lookup name -> Found (Hashtbl.find_opt table name)
   in
-  (* Sharded boot: the server loops (and hence every [table] mutation) run
-     on the home core's shard; remote cores reach it over the split URPC
-     wire, so no client ever touches the home shard's state directly. *)
+  (* The server loops (and hence every [table] mutation) run on the home
+     core's shard; remote cores reach it over the split URPC wire, so no
+     client ever touches the home shard's state directly. *)
   let bindings =
     Array.init n (fun c ->
         let b =
-          Flounder.connect ?shard m ~name:(Printf.sprintf "ns.core%d" c) ~client:c
+          Flounder.connect ~shard m ~name:(Printf.sprintf "ns.core%d" c) ~client:c
             ~server:home_core ()
         in
         Flounder.export b handler;
         b)
   in
-  let m = match shard with None -> m | Some sh -> Shard.machine_of_core sh home_core in
   (* The home core's own binding exists but same-core requests shortcut it
      below; keep the array uniform anyway. *)
   { m; home = home_core; table; bindings }

@@ -10,11 +10,11 @@ type t
 
 type service_ref = { srv_name : string; srv_core : int; srv_tag : int }
 
-val create : ?shard:Shard.t -> Mk_hw.Machine.t -> home_core:int -> t
+val create : shard:Shard.t -> home_core:int -> t
 (** Start the name-server process on [home_core] and pre-establish the
-    per-core client channels. With [shard] the server loops run on the home
-    core's shard and remote clients reach it over the split URPC wire
-    ({!Flounder.connect}'s [?shard]); the given machine is ignored. *)
+    per-core client channels. The server loops run on the home core's
+    shard; clients on other shards reach it over the split URPC wire
+    ({!Flounder.connect}'s [?shard]). *)
 
 val home_core : t -> int
 

@@ -10,8 +10,8 @@ type mon_resp = (unit, Types.error) result
 type measure = No_measure | Representative | Exhaustive
 
 type t = {
-  m : Machine.t;  (* the machine; shard 0's under a sharded boot *)
-  sh : Shard.t option;
+  m : Machine.t;  (* shard 0's machine *)
+  sh : Shard.t;
   drivers : Cpu_driver.t array;
   monitors : Monitor.t array;
   the_skb : Skb.t;
@@ -22,15 +22,15 @@ type t = {
   doms : (int, Dom.t) Hashtbl.t;
   (* Cores believed alive. A core leaves this set when the failure manager
      (Ft) marks it dead; routing plans are built over live members only.
-     One view per shard (a single one unsharded): each shard only reads and
-     writes its own, kept in sync by the mesh-wide death announcements
-     (every monitor applying the [dead:<core>] replica fires the
-     [on_replica] hook on its own shard). *)
+     One view per shard: each shard only reads and writes its own, kept in
+     sync by the mesh-wide death announcements (every monitor applying the
+     [dead:<core>] replica fires the [on_replica] hook on its own shard). *)
   alive : bool array array;
 }
 
 let machine t = t.m
-let shard t = t.sh
+let shards t = t.sh
+let shard t = Some t.sh
 let platform t = t.m.Machine.plat
 let skb t = t.the_skb
 let name_service t = t.ns
@@ -40,27 +40,20 @@ let monitor t ~core = t.monitors.(core)
 let mm t ~core = t.mms.(core)
 let domains t = Hashtbl.fold (fun _ d acc -> d :: acc) t.doms []
 
-let machine_of_core t core =
-  match t.sh with None -> t.m | Some sh -> Shard.machine_of_core sh core
+let machine_of_core t core = Shard.machine_of_core t.sh core
 
-(* Run [f] in [core]'s shard context (direct call unsharded, same-shard, or
-   in host context). [src_core] attributes the interconnect legs of a
-   cross-shard transfer. *)
-let call t ?(src_core = 0) ~core f =
-  match t.sh with None -> f () | Some sh -> Shard.call sh ~src_core ~core f
-
-let post t ?(src_core = 0) ~core fn =
-  match t.sh with None -> fn () | Some sh -> Shard.post sh ~src_core ~core fn
+(* Run [f] in [core]'s shard context (direct call same-shard or in host
+   context). [src_core] attributes the interconnect legs of a cross-shard
+   transfer. *)
+let call t ?(src_core = 0) ~core f = Shard.call t.sh ~src_core ~core f
+let post t ?(src_core = 0) ~core fn = Shard.post t.sh ~src_core ~core fn
 
 (* The liveness view of the shard whose window is executing; shard 0's
-   (= the only one unsharded) from host context. *)
+   from host context. *)
 let view t =
-  match t.sh with
+  match Pdes.current (Shard.pdes t.sh) with
   | None -> t.alive.(0)
-  | Some sh -> (
-    match Pdes.current (Shard.pdes sh) with
-    | None -> t.alive.(0)
-    | Some s -> t.alive.(s))
+  | Some s -> t.alive.(s)
 
 let alive t ~core = (view t).(core)
 let mark_dead t ~core = (view t).(core) <- false
@@ -100,13 +93,8 @@ let default_plan t ~root ~members = plan t Routing.Numa_multicast ~root ~members
    answer thread->core mapping queries. *)
 
 let iter_machines t f =
-  let seen = ref [] in
-  for core = 0 to n_cores t - 1 do
-    let m = machine_of_core t core in
-    if not (List.memq m !seen) then begin
-      seen := m :: !seen;
-      f m
-    end
+  for s = 0 to Shard.n_shards t.sh - 1 do
+    f (Shard.machine t.sh s)
   done
 
 let start_comm_profile t =
@@ -126,15 +114,10 @@ let comm_placement t ~threads =
 
 let run t ?(name = "main") f =
   let result = ref None in
-  (match t.sh with
-   | None ->
-     Engine.spawn t.m.Machine.eng ~name (fun () -> result := Some (f ()));
-     Machine.run t.m
-   | Some sh ->
-     (* The main task lives on shard 0; work reaches the other shards
-        through the cross-shard hooks ([call]/[post], URPC, IPIs). *)
-     Engine.spawn (Shard.engine sh 0) ~name (fun () -> result := Some (f ()));
-     Shard.exec sh);
+  (* The main task lives on shard 0; work reaches the other shards through
+     the cross-shard hooks ([call]/[post], URPC, IPIs). *)
+  Engine.spawn (Shard.engine t.sh 0) ~name (fun () -> result := Some (f ()));
+  Shard.exec t.sh;
   match !result with
   | Some r -> r
   | None -> failwith "Os.run: main task did not complete (deadlock?)"
@@ -225,71 +208,15 @@ let assert_latency_facts the_skb plat measure rtt_of =
     done
   done
 
-let boot_unsharded ?eng ?fault ~measure ~mem_per_core plat =
-  let m = Machine.create ?eng ?fault plat in
-  let n = Machine.n_cores m in
-  let drivers = Array.init n (fun core -> Cpu_driver.boot m ~core) in
-  let monitors = Array.map (fun d -> Monitor.create m d) drivers in
-  Monitor.connect monitors;
-  let mms = Mm.init m drivers ~mem_per_core in
-  Mm.set_peers mms ~monitors;
-  let the_skb = Skb.create () in
-  Skb.populate_platform the_skb plat;
-  let ns = Name_service.create m ~home_core:0 in
-  let t =
-    {
-      m;
-      sh = None;
-      drivers;
-      monitors;
-      the_skb;
-      mms;
-      ns;
-      endpoints = [||];
-      next_domid = 1;
-      doms = Hashtbl.create 8;
-      alive = [| Array.make n true |];
-    }
-  in
-  t.endpoints <- Array.init n (fun core -> monitor_endpoint t core);
-  (* Online measurement (§4.9): round-trip monitor pairs and record the
-     one-way latency as an SKB fact. *)
-  (match measure with
-   | No_measure -> ()
-   | Exhaustive ->
-     Engine.spawn m.Machine.eng ~name:"boot.measure" (fun () ->
-         for src = 0 to n - 1 do
-           for dst = 0 to n - 1 do
-             if src <> dst then begin
-               (* First ping warms the channel (cold misses on the ring and
-                  bookkeeping lines); the second is the steady-state figure. *)
-               let (_ : int) = Monitor.ping monitors.(src) dst in
-               let rtt = Monitor.ping monitors.(src) dst in
-               Skb.assert_urpc_latency the_skb ~src ~dst ~cycles:(rtt / 2)
-             end
-           done
-         done)
-   | Representative ->
-     Engine.spawn m.Machine.eng ~name:"boot.measure" (fun () ->
-         let rtt = Hashtbl.create 64 in
-         List.iter
-           (fun (src, dst) ->
-             let (_ : int) = Monitor.ping monitors.(src) dst in
-             let r = Monitor.ping monitors.(src) dst in
-             Hashtbl.replace rtt (probe_key plat measure ~src ~dst) r)
-           (probe_pairs plat measure);
-         assert_latency_facts the_skb plat measure (Hashtbl.find rtt)));
-  Machine.run m;
-  t
-
 let dead_key_core key =
   match String.index_opt key ':' with
   | Some i when String.sub key 0 i = "dead" ->
     int_of_string_opt (String.sub key (i + 1) (String.length key - i - 1))
   | _ -> None
 
-let boot_sharded ?faults ~n_shards ~measure ~mem_per_core plat =
-  let sh = Shard.create ?faults ~n_shards plat in
+let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative)
+    ?(mem_per_core = 64 * 1024 * 1024) plat =
+  let sh = Shard.create ?eng ?faults ~n_shards:shards plat in
   let n = Platform.n_cores plat in
   let machine_of = Shard.machine_of_core sh in
   (* Placement: each core's cpu driver, monitor, memory pool and LRPC
@@ -298,16 +225,16 @@ let boot_sharded ?faults ~n_shards ~measure ~mem_per_core plat =
   let drivers = Array.init n (fun core -> Cpu_driver.boot (machine_of core) ~core) in
   let monitors = Array.init n (fun c -> Monitor.create (machine_of c) drivers.(c)) in
   Monitor.connect ~shard:sh monitors;
-  let mms = Mm.init ~machine_of (Shard.machine sh 0) drivers ~mem_per_core in
+  let mms = Mm.init ~machine_of drivers ~mem_per_core in
   let same_shard a b = Shard.shard_of_core sh a = Shard.shard_of_core sh b in
   Mm.set_peers ~donor_ok:same_shard mms ~monitors;
   let the_skb = Skb.create () in
   Skb.populate_platform the_skb plat;
-  let ns = Name_service.create ~shard:sh (Shard.machine sh 0) ~home_core:0 in
+  let ns = Name_service.create ~shard:sh ~home_core:0 in
   let t =
     {
       m = Shard.machine sh 0;
-      sh = Some sh;
+      sh;
       drivers;
       monitors;
       the_skb;
@@ -337,24 +264,21 @@ let boot_sharded ?faults ~n_shards ~measure ~mem_per_core plat =
      homed with shard 0 — is only written from host context. *)
   let pairs = probe_pairs plat measure in
   let res = Array.make (List.length pairs) 0 in
-  let by_shard = Array.make (Shard.n_shards sh) [] in
-  List.iteri
-    (fun i (src, dst) ->
-      let s = Shard.shard_of_core sh src in
-      by_shard.(s) <- (i, src, dst) :: by_shard.(s))
-    pairs;
-  Array.iteri
-    (fun s lst ->
-      match List.rev lst with
-      | [] -> ()
-      | lst ->
-        Engine.spawn (Shard.engine sh s) ~name:"boot.measure" (fun () ->
-            List.iter
-              (fun (i, src, dst) ->
+  let on_shard s (src, _) = Shard.shard_of_core sh src = s in
+  for s = 0 to Shard.n_shards sh - 1 do
+    if List.exists (on_shard s) pairs then
+      Engine.spawn (Shard.engine sh s) ~name:"boot.measure" (fun () ->
+          List.iteri
+            (fun i ((src, dst) as pair) ->
+              if on_shard s pair then begin
+                (* The first ping warms the channel (cold misses on the ring
+                   and bookkeeping lines); the second is the steady-state
+                   figure. *)
                 let (_ : int) = Monitor.ping monitors.(src) dst in
-                res.(i) <- Monitor.ping monitors.(src) dst)
-              lst))
-    by_shard;
+                res.(i) <- Monitor.ping monitors.(src) dst
+              end)
+            pairs)
+  done;
   Shard.exec sh;
   if measure <> No_measure then begin
     let rtt = Hashtbl.create 64 in
@@ -365,20 +289,6 @@ let boot_sharded ?faults ~n_shards ~measure ~mem_per_core plat =
     assert_latency_facts the_skb plat measure (Hashtbl.find rtt)
   end;
   t
-
-let boot ?eng ?fault ?shards ?faults ?(measure_latencies = Representative)
-    ?(mem_per_core = 64 * 1024 * 1024) plat =
-  match shards with
-  | None ->
-    (match faults with
-     | Some _ -> invalid_arg "Os.boot: ?faults requires ?shards"
-     | None -> ());
-    boot_unsharded ?eng ?fault ~measure:measure_latencies ~mem_per_core plat
-  | Some n_shards ->
-    (match (eng, fault) with
-     | None, None -> ()
-     | _ -> invalid_arg "Os.boot: ?eng/?fault do not apply to a sharded boot");
-    boot_sharded ?faults ~n_shards ~measure:measure_latencies ~mem_per_core plat
 
 let spawn_domain ?pt_mode t ~name ~cores =
   (match cores with [] -> invalid_arg "Os.spawn_domain: empty core list" | _ -> ());
@@ -399,10 +309,9 @@ let spawn_domain ?pt_mode t ~name ~cores =
            | Ok [ c ] -> c
            | Ok _ | Error _ -> Types.fail Types.Err_no_memory))
   in
-  let machine_of =
-    match t.sh with None -> None | Some sh -> Some (Shard.machine_of_core sh)
+  let vspace =
+    Vspace.create ?mode:pt_mode ~machine_of:(machine_of_core t) ~domid ~cores pt_root
   in
-  let vspace = Vspace.create ?mode:pt_mode ?machine_of t.m ~domid ~cores ~pt_root in
   let disps =
     List.map
       (fun core ->

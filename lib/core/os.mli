@@ -7,12 +7,13 @@
     online measurement of inter-monitor URPC latencies that feeds the
     SKB's multicast-tree computation (§4.9, §5.1).
 
-    With [shards], the OS boots over a {!Shard.t}: each core's CPU driver,
-    monitor, memory pool and LRPC endpoint are placed on its core's shard
-    machine, the name service and SKB are homed on shard 0 (reached over
-    the split URPC wire), and {!run} drives the whole OS through windowed
-    conservative PDES ({!Mk_sim.Pdes}) instead of a single engine — with
-    byte-identical output at every domain count.
+    Every OS boots over a {!Shard.t}, one shard by default: each core's
+    CPU driver, monitor, memory pool and LRPC endpoint are placed on its
+    core's shard machine, the name service and SKB are homed on shard 0
+    (reached over the split URPC wire), and {!run} drives the whole OS
+    through windowed conservative PDES ({!Mk_sim.Pdes}) — with
+    byte-identical output at every domain count. One shard has no cut: no
+    cross-shard hooks, an arena monitor mesh, and one window per {!run}.
 
     Functions that execute OS operations ({!spawn_domain}, {!unmap}, ...)
     must run inside a simulation task; use {!run} to enter one. *)
@@ -30,39 +31,41 @@ type measure = No_measure | Representative | Exhaustive
 
 val boot :
   ?eng:Mk_sim.Engine.t ->
-  ?fault:Mk_fault.Injector.t ->
   ?shards:int ->
   ?faults:Mk_fault.Injector.t array ->
   ?measure_latencies:measure ->
   ?mem_per_core:int ->
   Mk_hw.Platform.t ->
   t
-(** Construct the machine and the OS and run the engine until boot
-    completes. [mem_per_core] defaults to 64 MiB of simulated RAM.
-    [fault] attaches a fault injector to the machine; arm it after boot
-    (see {!Mk_fault.Injector.arm}) so boot itself is fault-free.
+(** Construct the machines and the OS and run until boot completes.
+    [mem_per_core] defaults to 64 MiB of simulated RAM.
 
-    [shards] boots the OS sharded over that many contiguous package ranges
-    ({!Shard.create}); [faults] then installs one injector per shard
-    machine (and [eng]/[fault] are rejected). The sharded structure is
+    [shards] (default 1) shards the OS over that many contiguous package
+    ranges ({!Shard.create}). [faults] installs one injector per shard
+    machine; arm them after boot (see {!Mk_fault.Injector.arm}) so boot
+    itself is fault-free. [eng] builds the one shard over an engine
+    another executor owns (a cluster machine). The sharded structure is
     independent of how many OCaml domains later execute it — [MK_PDES] /
-    [--pdes] pick placement only, so a sharded run's output is
-    byte-identical at every domain count. *)
+    [--pdes] pick placement only, so output is byte-identical at every
+    domain count. Raises [Invalid_argument] when [eng] is given with more
+    than one shard, or [faults] has the wrong length. *)
 
 val machine : t -> Mk_hw.Machine.t
-(** The machine; under a sharded boot, shard 0's. *)
+(** Shard 0's machine. *)
+
+val shards : t -> Shard.t
+(** The shard structure the OS runs over. *)
 
 val shard : t -> Shard.t option
-(** The shard structure of a sharded boot ([None] unsharded). *)
+(** [Some (shards t)]. *)
 
 val machine_of_core : t -> int -> Mk_hw.Machine.t
-(** The machine a core's tasks run on: its shard's when sharded, {!machine}
-    otherwise. *)
+(** The machine a core's tasks run on: its shard's. *)
 
 val call : t -> ?src_core:int -> core:int -> (unit -> 'a) -> 'a
 (** Run [f] in [core]'s shard context and return its result ({!Shard.call};
-    the identity unsharded, same-shard, or in host context). [src_core]
-    (default 0) attributes the interconnect legs of a cross-shard hop. *)
+    the identity same-shard or in host context). [src_core] (default 0)
+    attributes the interconnect legs of a cross-shard hop. *)
 
 val post : t -> ?src_core:int -> core:int -> (unit -> unit) -> unit
 (** Fire-and-forget variant of {!call} ({!Shard.post}). *)
@@ -80,18 +83,17 @@ val alive : t -> core:int -> bool
 val mark_dead : t -> core:int -> unit
 (** Record that a core has failed. From then on every routing plan built by
     {!plan}/{!default_plan} silently routes around it. Called by the
-    failure manager ([Ft]) on detection. Under a sharded boot each shard
-    holds its own liveness view — these read/write the calling context's
-    shard's view (shard 0's from host context), and the mesh-wide death
-    announcement brings the other shards' views up to date. *)
+    failure manager ([Ft]) on detection. Each shard holds its own liveness
+    view — these read/write the calling context's shard's view (shard 0's
+    from host context), and the mesh-wide death announcement brings the
+    other shards' views up to date. *)
 
 val live_cores : t -> int list
 
 val run : t -> ?name:string -> (unit -> 'a) -> 'a
-(** Spawn [f] as a simulation task, drive the engine until it finishes and
-    all derived work quiesces, and return its result. Sharded: [f] runs on
-    shard 0 and the run executes through {!Mk_sim.Pdes} window execution
-    ({!Shard.exec}). *)
+(** Spawn [f] as a simulation task on shard 0, drive the shards until it
+    finishes and all derived work quiesces ({!Shard.exec}), and return its
+    result. *)
 
 val latency : t -> src:int -> dst:int -> int
 (** Measured URPC latency between two cores' monitors (SKB fact), falling
@@ -134,9 +136,9 @@ val spawn_domain :
 (** Create a domain spanning [cores]: a dispatcher on each (announced to
     the remote OS nodes through the monitors), a shared vspace whose root
     page table is allocated from the local memory server, and a capability
-    space. Task context required. Sharded: the allocation, each
-    dispatcher installation, and the announce fan each run on their core's
-    shard; call from one coordinating task. *)
+    space. Task context required. The allocation, each dispatcher
+    installation, and the announce fan each run on their core's shard;
+    call from one coordinating task. *)
 
 val alloc_map_frame :
   t -> Dom.t -> core:int -> vaddr:int -> bytes:int -> (Cap.t, Types.error) result

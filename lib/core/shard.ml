@@ -96,10 +96,12 @@ let install_ipi t i =
           Ipi.deliver t.machines.(ds).Machine.ipi ~eng:(Pdes.engine t.pdes ds) ~src ~dst
             ~vector))
 
-let create ?faults ~n_shards:k plat =
+let create ?eng ?faults ~n_shards:k plat =
   let npkg = plat.Platform.n_packages in
   if k <= 0 then invalid_arg "Shard.create: n_shards must be positive";
   if k > npkg then invalid_arg "Shard.create: more shards than packages";
+  if Option.is_some eng && k <> 1 then
+    invalid_arg "Shard.create: ?eng requires one shard";
   (match faults with
   | Some fs when Array.length fs <> k ->
     invalid_arg "Shard.create: faults must have one injector per shard"
@@ -111,8 +113,12 @@ let create ?faults ~n_shards:k plat =
         Array.init npkg (fun b ->
             plat.Platform.cc_base + (plat.Platform.hop_one_way * Topology.hops topo a b)))
   in
-  let la =
-    if k = 1 then plat.Platform.cc_base
+  let pdes =
+    if k = 1 then
+      (* No cut: nothing ever crosses, so the lookahead is unbounded and
+         each [exec] runs as a single window. *)
+      Pdes.of_engines ~lookahead:max_int
+        [| (match eng with Some e -> e | None -> Engine.create ()) |]
     else begin
       let m = Topology.min_cross_latency topo ~part in
       let best = ref max_int in
@@ -120,10 +126,10 @@ let create ?faults ~n_shards:k plat =
         (fun a row ->
           Array.iteri (fun b h -> if a <> b && h < !best then best := h) row)
         m;
-      plat.Platform.cc_base + (plat.Platform.hop_one_way * !best)
+      Pdes.create ~n_shards:k
+        ~lookahead:(plat.Platform.cc_base + (plat.Platform.hop_one_way * !best))
     end
   in
-  let pdes = Pdes.create ~n_shards:k ~lookahead:la in
   let machines =
     Array.init k (fun i ->
         let fault = Option.map (fun fs -> fs.(i)) faults in
@@ -146,10 +152,13 @@ let create ?faults ~n_shards:k plat =
       shared_brk = shared_arena_base;
     }
   in
-  for i = 0 to k - 1 do
-    install_coherence t i;
-    install_ipi t i
-  done;
+  (* One shard has no remote homes or cores: the machines keep their
+     hook-free local paths. *)
+  if k > 1 then
+    for i = 0 to k - 1 do
+      install_coherence t i;
+      install_ipi t i
+    done;
   t
 
 (* -- cross-shard control transfer --
@@ -157,8 +166,8 @@ let create ?faults ~n_shards:k plat =
    The OS layer's cross-core control paths (spawn a dispatcher, announce a
    replica, respawn a service, ...) must execute on the target core's
    shard. In host context (setup, before/after [exec]) every shard is
-   quiescent, so running the closure directly is safe and free — exactly
-   what the unsharded boot does. Inside a window the closure travels as a
+   quiescent, so running the closure directly is safe and free, as it is
+   within one shard. Inside a window the closure travels as a
    timestamped Pdes message carrying one interconnect leg, like any other
    cross-shard interaction. *)
 

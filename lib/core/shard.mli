@@ -25,19 +25,31 @@ type 'a link = {
 (** A URPC channel across (or within) the cut; [tx == rx] when sender and
     receiver share a shard. *)
 
-val create : ?faults:Mk_fault.Injector.t array -> n_shards:int -> Mk_hw.Platform.t -> t
+val create :
+  ?eng:Mk_sim.Engine.t ->
+  ?faults:Mk_fault.Injector.t array ->
+  n_shards:int ->
+  Mk_hw.Platform.t ->
+  t
 (** Shard [plat] into [n_shards] contiguous package ranges. [faults]
     installs one injector per shard machine (fault draws must happen on
     the shard that observes them, so a sharded chaos run carries one
-    deterministic stream per shard). Raises [Invalid_argument] when
-    [n_shards] is non-positive, exceeds the package count, or [faults]
+    deterministic stream per shard). [eng] builds the single shard over
+    an existing engine ({!Mk_sim.Pdes.of_engines}).
+
+    One shard has no cut: its lookahead is unbounded, so each {!exec}
+    runs as one window, and no remote coherence or IPI hook is
+    installed, so its machine keeps the local paths. Raises
+    [Invalid_argument] when [n_shards] is non-positive, exceeds the
+    package count, [eng] is given with more than one shard, or [faults]
     has the wrong length. *)
 
 val n_shards : t -> int
 
 val pdes : t -> Mk_sim.Pdes.t
 val lookahead : t -> int
-(** The executor's window bound: the minimum one-way cross-shard leg. *)
+(** The executor's window bound: the minimum one-way cross-shard leg
+    ([max_int] for one shard). *)
 
 val machine : t -> int -> Mk_hw.Machine.t
 (** The shard's machine (full platform; only its own cores are active). *)

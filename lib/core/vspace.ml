@@ -11,8 +11,7 @@ type pt_mode =
 type entry = { frame : Cap.t; mutable w : bool }
 
 type t = {
-  m : Machine.t;
-  machine_of : int -> Machine.t;  (* per-core machine (sharded boot) *)
+  machine_of : int -> Machine.t;  (* a core's machine: its shard's *)
   dom : Types.domid;
   vcores : int list;
   mode : pt_mode;
@@ -22,12 +21,11 @@ type t = {
   filled_by : (int, int list ref) Hashtbl.t;
 }
 
-let create ?(mode = Shared_table) ?machine_of m ~domid ~cores ~pt_root =
+let create ?(mode = Shared_table) ~machine_of ~domid ~cores pt_root =
   (match pt_root.Cap.otype with
    | Cap.Page_table 4 -> ()
    | _ -> Types.fail (Types.Err_cap_type "vspace root must be a level-4 page table"));
-  let machine_of = match machine_of with Some f -> f | None -> fun _ -> m in
-  { m; machine_of; dom = domid; vcores = cores; mode; pages = Hashtbl.create 256;
+  { machine_of; dom = domid; vcores = cores; mode; pages = Hashtbl.create 256;
     filled_by = Hashtbl.create 64 }
 
 let domid t = t.dom

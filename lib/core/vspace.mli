@@ -24,18 +24,19 @@ type pt_mode =
           costlier map, and — when fills are tracked — shootdowns touch
           only cores that may actually cache the translation.
 
-          Under a sharded (PDES) boot this mode is unsupported for domains
-          spanning shards: the lazy fill-tracking table is host state
-          mutated at first touch from whichever core faults, which would
-          race across a window cut. Sharded runs use {!Shared_table}. *)
+          Unsupported for domains spanning shards of a multi-shard boot:
+          the lazy fill-tracking table is host state mutated at first
+          touch from whichever core faults, which would race across a
+          window cut. It needs a single shard (the default boot). *)
 
 val create :
   ?mode:pt_mode ->
-  ?machine_of:(int -> Mk_hw.Machine.t) ->
-  Mk_hw.Machine.t -> domid:Types.domid -> cores:int list -> pt_root:Cap.t -> t
-(** [pt_root] must be a level-4 page-table capability. [mode] defaults to
-    {!Shared_table}. [machine_of] (sharded boot) selects the machine whose
-    TLBs/compute a given core's accesses charge — its own shard's. *)
+  machine_of:(int -> Mk_hw.Machine.t) ->
+  domid:Types.domid -> cores:int list -> Cap.t -> t
+(** [create ~machine_of ~domid ~cores pt_root]: [pt_root] must be a
+    level-4 page-table capability. [mode] defaults to {!Shared_table}.
+    [machine_of] selects the machine whose TLBs/compute a given core's
+    accesses charge — its own shard's. *)
 
 val mode : t -> pt_mode
 

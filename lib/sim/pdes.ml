@@ -67,6 +67,7 @@ type shard = {
   buf : Buffer.t;  (* captured output, replayed in shard order *)
   sink : Buffer.t option;  (* [Some buf], built once *)
   mutable key : (t * int) option;  (* [Some (owner, index)], built once *)
+  index : int option;  (* [Some index], built once: [current] allocates nothing *)
   outbox : packet list array;  (* per destination shard, newest first *)
   mutable send_seq : int;
   mutable flush : (unit -> unit) list;  (* registration order *)
@@ -84,25 +85,29 @@ and t = {
   mutable busy : int;  (* shard-windows that executed at least one event *)
 }
 
-let create ~n_shards ~lookahead =
-  if n_shards <= 0 then invalid_arg "Pdes.create: n_shards must be positive";
-  if lookahead <= 0 then invalid_arg "Pdes.create: lookahead must be positive";
+let of_engines ~lookahead engines =
+  if Array.length engines = 0 then invalid_arg "Pdes.of_engines: no engines";
+  if lookahead <= 0 then invalid_arg "Pdes.of_engines: lookahead must be positive";
+  let n_shards = Array.length engines in
   let t =
     {
       shards =
-        Array.init n_shards (fun _ ->
+        Array.mapi
+          (fun i eng ->
             let buf = Buffer.create 256 in
             {
-              eng = Engine.create ();
+              eng;
               buf;
               sink = Some buf;
               key = None;
+              index = Some i;
               outbox = Array.make n_shards [];
               send_seq = 0;
               flush = [];
               err = None;
               seen = 0;
-            });
+            })
+          engines;
       lookahead;
       horizon = 0;
       barriers = 0;
@@ -113,6 +118,11 @@ let create ~n_shards ~lookahead =
   in
   Array.iteri (fun i s -> s.key <- Some (t, i)) t.shards;
   t
+
+let create ~n_shards ~lookahead =
+  if n_shards <= 0 then invalid_arg "Pdes.create: n_shards must be positive";
+  if lookahead <= 0 then invalid_arg "Pdes.create: lookahead must be positive";
+  of_engines ~lookahead (Array.init n_shards (fun _ -> Engine.create ()))
 
 let n_shards t = Array.length t.shards
 let lookahead t = t.lookahead
@@ -139,7 +149,9 @@ let cur_key : (t * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> No
    code (e.g. {!Mk.Shard}) decide whether it is on a shard engine and, if
    so, which one, without threading the index everywhere. *)
 let current t =
-  match Domain.DLS.get cur_key with Some (t', i) when t' == t -> Some i | _ -> None
+  match Domain.DLS.get cur_key with
+  | Some (t', i) when t' == t -> t.shards.(i).index
+  | _ -> None
 
 let send t ~dst ~src_core ~at fn =
   if dst < 0 || dst >= Array.length t.shards then invalid_arg "Pdes.send: bad dst shard";
@@ -358,7 +370,9 @@ let rec windows t run_window =
   exchange t;
   let tmin = global_min t in
   if tmin < max_int then begin
-    t.horizon <- tmin + t.lookahead;
+    (* Saturating: an unbounded lookahead (one shard, no cut) makes the
+       whole run one window. *)
+    t.horizon <- (if tmin > max_int - t.lookahead then max_int else tmin + t.lookahead);
     run_window (t.horizon - 1);
     t.barriers <- t.barriers + 1;
     account t;
@@ -390,7 +404,9 @@ let finish t (p0 : profile) =
   Pool.note Pdes_critical (p.critical - p0.critical);
   Pool.note Pdes_busy (p.busy - p0.busy);
   Pool.note Pdes_slots (windows * Array.length t.shards);
-  Pool.note_shards (Array.length t.shards);
+  (* One shard has no cut: it stays out of the shard mark, so a run on a
+     default OS compares like-for-like with one that ran no Pdes. *)
+  if Array.length t.shards > 1 then Pool.note_shards (Array.length t.shards);
   Array.iter
     (fun s ->
       Pool.emit (Buffer.contents s.buf);

@@ -5,9 +5,10 @@
     messages carrying at least [lookahead] cycles of latency. Execution
     alternates exchange barriers (deliver pending messages in a canonical
     order) and windows (run every shard independently up to
-    [horizon = tmin + lookahead], where [tmin] is the earliest pending
-    event anywhere): nothing sent during a window can take effect inside
-    it, so the shards need no synchronization within a window.
+    [horizon = tmin + lookahead], saturating at [max_int], where [tmin]
+    is the earliest pending event anywhere): nothing sent during a window
+    can take effect inside it, so the shards need no synchronization
+    within a window.
 
     The same loop body runs the shards inline ([domains = 1], the serial
     referee) or on a dedicated team of worker domains; shard state is
@@ -25,6 +26,14 @@ val create : n_shards:int -> lookahead:int -> t
 (** A sharded simulation: [n_shards] fresh engines, all at time 0, and a
     guaranteed minimum cross-shard message latency of [lookahead > 0]
     cycles. Raises [Invalid_argument] on a non-positive argument. *)
+
+val of_engines : lookahead:int -> Engine.t array -> t
+(** A sharded simulation over existing engines, shard [i] on
+    [engines.(i)] — e.g. one shard over an engine another executor owns.
+    [lookahead = max_int] declares that no message ever crosses between
+    shards: the horizon saturates, so each {!exec} runs as one window.
+    Raises [Invalid_argument] on an empty array or a non-positive
+    [lookahead]. *)
 
 val n_shards : t -> int
 val lookahead : t -> int

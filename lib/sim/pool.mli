@@ -116,8 +116,9 @@ val total_barriers : unit -> int
 (** [total Barriers]. *)
 
 val note_shards : int -> unit
-(** Record that a PDES run over [n] shards executed on this domain. Unlike
-    the additive counters this is a high-water mark ([max]), so repeated
+(** Record that a PDES run over [n > 1] shards executed on this domain
+    ({!Pdes} leaves one-shard runs out: they have no cut). Unlike the
+    additive counters this is a high-water mark ([max]), so repeated
     sharded runs report the structure size, not a sum. *)
 
 val total_shards : unit -> int

@@ -128,7 +128,9 @@ let test_end_to_end_recovery () =
     { Plan.empty with Plan.core_stops = [ { Plan.victim = 3; stop_at } ] }
   in
   let inj = Injector.create ~plan ~seed:1 () in
-  let os = Mk.Os.boot ~fault:inj ~measure_latencies:Mk.Os.No_measure Platform.amd_2x2 in
+  let os =
+    Mk.Os.boot ~faults:[| inj |] ~measure_latencies:Mk.Os.No_measure Platform.amd_2x2
+  in
   let m = Mk.Os.machine os in
   Mk.Os.run os (fun () ->
       let t0 = Engine.now_ () in

@@ -150,6 +150,71 @@ let test_representative_vs_exhaustive () =
         (Os.latency os_rep ~src ~dst))
     [ (0, 1); (0, 3); (0, 4); (0, 255); (128, 4); (255, 0) ]
 
+(* -- one shard --------------------------------------------------------
+
+   The default boot is a one-shard OS: no cut, so the lookahead is
+   unbounded and a whole [Os.run] is one window. *)
+
+let test_one_shard_one_window () =
+  let os = Os.boot ~measure_latencies:Os.No_measure Platform.amd_4x4 in
+  let sh = Os.shards os in
+  check_int "one shard" 1 (Shard.n_shards sh);
+  let b0 = Shard.barriers sh in
+  Os.run os (fun () ->
+      let dom = Os.spawn_domain os ~name:"one.window" ~cores:[ 0; 5; 10; 15 ] in
+      match Os.alloc_map_frame os dom ~core:0 ~vaddr:0x4000_0000 ~bytes:4096 with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "map failed");
+  check_int "one Os.run, one window" (b0 + 1) (Shard.barriers sh)
+
+let test_boot_input_checks () =
+  let raises name f =
+    match f () with
+    | (_ : Os.t) -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let plat = Platform.amd_4x4 in
+  let inj () = Mk_fault.Injector.create ~plan:Mk_fault.Plan.empty ~seed:1 () in
+  raises "~eng with two shards" (fun () ->
+      Os.boot ~eng:(Engine.create ()) ~shards:2 ~measure_latencies:Os.No_measure plat);
+  raises "two injectors, one shard" (fun () ->
+      Os.boot ~faults:[| inj (); inj () |] ~measure_latencies:Os.No_measure plat);
+  raises "one injector, two shards" (fun () ->
+      Os.boot ~shards:2 ~faults:[| inj () |] ~measure_latencies:Os.No_measure plat)
+
+(* Minor words per [Os.protect] (an mprotect and its undo alternate, each
+   a full LRPC + shootdown round trip over all 32 cores): deterministic
+   for a given build. The budget is what the former unsharded boot
+   allocated, measured before it was deleted: a one-shard OS must cost no
+   more. Installing the cross-shard coherence and IPI hooks on one shard
+   costs ~740 words more per call. *)
+let protect_budget = 11_620.0
+
+let test_protect_allocation_budget () =
+  let os = Os.boot Platform.amd_8x4 in
+  let cores = List.init (Os.n_cores os) Fun.id in
+  let vaddr = 0x200000 and bytes = Types.page_size in
+  let words =
+    Os.run os (fun () ->
+        let dom = Os.spawn_domain os ~name:"budget" ~cores in
+        ignore (Os.alloc_map_frame os dom ~core:0 ~vaddr ~bytes);
+        let round () =
+          ignore (Os.protect os dom ~core:0 ~vaddr ~bytes ~writable:false);
+          ignore (Os.protect os dom ~core:0 ~vaddr ~bytes ~writable:true)
+        in
+        for _ = 1 to 50 do
+          round ()
+        done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 500 do
+          round ()
+        done;
+        (Gc.minor_words () -. w0) /. 1000.0)
+  in
+  if words > protect_budget then
+    Alcotest.failf "Os.protect: %.1f minor words per call (budget %.0f)" words
+      protect_budget
+
 let suite =
   ( "os-pdes",
     [
@@ -159,4 +224,7 @@ let suite =
       tc "chaos seed identical at any domain count" test_chaos_seed;
       prop_any_cut;
       tc "representative vs exhaustive boot" test_representative_vs_exhaustive;
+      tc "one-shard run is one window" test_one_shard_one_window;
+      tc "boot input checks" test_boot_input_checks;
+      tc "Os.protect allocation budget" test_protect_allocation_budget;
     ] )

@@ -37,6 +37,27 @@ let test_single_shard_degenerate () =
   check_string "same log" rl sl;
   check_int "same events" re se
 
+let test_unbounded_lookahead () =
+  (* One shard with no cut declares [max_int]: the horizon saturates
+     instead of overflowing, and the whole run is one window, here over
+     events near [max_int / 2] on an engine the executor borrows. *)
+  let eng = Engine.create () in
+  let p = Pdes.of_engines ~lookahead:max_int [| eng |] in
+  let base = max_int / 2 in
+  let seen = ref [] in
+  List.iter
+    (fun d ->
+      Engine.schedule_at eng ~at:(base + d) (fun () -> seen := Engine.now eng :: !seen))
+    [ 0; 7; 1_000_000 ];
+  Pdes.exec ~domains:1 p;
+  check_bool "every event ran, in order" true
+    (List.rev !seen = [ base; base + 7; base + 1_000_000 ]);
+  check_int "one window" 1 (Pdes.barriers p);
+  Pdes.spawn p ~shard:0 (fun () -> Engine.wait 5);
+  Pdes.exec ~domains:1 p;
+  check_int "a second exec is a second window" 2 (Pdes.barriers p);
+  check_int "clock at the last event" (base + 1_000_005) (Engine.now eng)
+
 let test_message_at_horizon () =
   (* A message stamped exactly at the horizon is legal and runs in a later
      window, at exactly its timestamp. *)
@@ -330,6 +351,7 @@ let suite =
   ( "pdes",
     [
       tc "single shard degenerate" test_single_shard_degenerate;
+      tc "unbounded lookahead saturates" test_unbounded_lookahead;
       tc "message at horizon" test_message_at_horizon;
       tc "lookahead violation rejected" test_lookahead_violation_rejected;
       tc "empty shard no stall" test_empty_shard_no_stall;
