@@ -82,7 +82,7 @@ type t = {
   mutable peer_slot_base : int array;  (* reserved ring base per destination *)
   mutable peer_send_base : int array;
   mutable peer_recv_base : int array;
-  (* Sharded boot ([connect ?shard]): a mesh edge that crosses the PDES
+  (* Split mesh (more than one shard): a mesh edge that crosses the PDES
      cut is split at the wire like any {!Shard.link_urpc} channel. The
      sender half lives in the sender's [peers]; these hold the receiver
      halves, indexed by *source* core, reserved at connect time and
@@ -94,7 +94,7 @@ type t = {
   (* Base address of the closed-form mesh buffer arena (-1 = per-edge
      reservations in the arrays above). *)
   mutable mesh_arena : int;
-  mutable shard : Shard.t option;
+  shard : Shard.t;
   mutable on_replica : (key:string -> value:int -> unit) option;
   mutable mesh : t array;  (* all monitors, indexed by core; set by [connect] *)
   inbox : Sync.Semaphore.t;
@@ -125,7 +125,7 @@ type t = {
   mutable ft : ft_state option;
 }
 
-let create m driver =
+let create ~shard m driver =
   {
     m;
     driver;
@@ -139,7 +139,7 @@ let create m driver =
     rx_send_base = [||];
     rx_recv_base = [||];
     mesh_arena = -1;
-    shard = None;
+    shard;
     on_replica = None;
     mesh = [||];
     inbox = Sync.Semaphore.create 0;
@@ -220,8 +220,8 @@ let chan_to t dst =
           ~send_base ~recv_base ()
       in
       let mdst = t.mesh.(dst) in
-      (match t.shard with
-      | Some sh when Shard.shard_of_core sh dst <> Shard.shard_of_core sh t.core_id ->
+      let sh = t.shard in
+      if Shard.shard_of_core sh dst <> Shard.shard_of_core sh t.core_id then begin
         (* Edge crosses the PDES cut: this is only the sender half. Each
            message leaves at its visibility time as a timestamped Pdes
            message; the receiver half materializes lazily on *its* shard,
@@ -251,7 +251,8 @@ let chan_to t dst =
                     rx
                 in
                 Urpc.deliver_remote rx payload))
-      | _ -> Urpc.set_notify ch (notify_arrival mdst ~src:t.core_id));
+      end
+      else Urpc.set_notify ch (notify_arrival mdst ~src:t.core_id);
       t.peers.(dst) <- Some ch;
       ch
     end
@@ -529,9 +530,9 @@ let connect_arena monitors =
   in
   Array.iter (fun mon -> mon.mesh_arena <- base) monitors
 
-let connect ~shard monitors =
+let connect monitors =
   let n = Array.length monitors in
-  Array.iter (fun m -> m.shard <- Some shard) monitors;
+  let shard = monitors.(0).shard in
   if Shard.n_shards shard = 1 then connect_arena monitors
   else begin
   (* A split mesh reserves edge by edge, in src-major order: an edge

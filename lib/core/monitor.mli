@@ -38,17 +38,17 @@ type msg
 
 type t
 
-val create : Mk_hw.Machine.t -> Cpu_driver.t -> t
-(** One monitor per CPU driver / core. *)
+val create : shard:Shard.t -> Mk_hw.Machine.t -> Cpu_driver.t -> t
+(** One monitor per CPU driver / core, on the OS's shard structure. *)
 
 val core : t -> int
 val driver : t -> Cpu_driver.t
 val machine : t -> Mk_hw.Machine.t
 
-val connect : shard:Shard.t -> t array -> unit
+val connect : t array -> unit
 (** Build the full mesh of monitor URPC channels (buffers NUMA-local to
     each receiver) and start every monitor's dispatch loop. Call once at
-    boot with all monitors. A mesh without a cut (one shard) reserves its
+    boot with all monitors, created over one shard structure. A mesh without a cut (one shard) reserves its
     buffers as one closed-form arena. In a split mesh, an edge whose
     endpoints live on different shards is split at the wire: the sender
     half's ring is homed on the sender's package in the sender's shard

@@ -223,8 +223,10 @@ let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative
      endpoint live on its own shard's machine; the NS and SKB are homed on
      shard 0 and reached over the split URPC wire / post-boot host reads. *)
   let drivers = Array.init n (fun core -> Cpu_driver.boot (machine_of core) ~core) in
-  let monitors = Array.init n (fun c -> Monitor.create (machine_of c) drivers.(c)) in
-  Monitor.connect ~shard:sh monitors;
+  let monitors =
+    Array.init n (fun c -> Monitor.create ~shard:sh (machine_of c) drivers.(c))
+  in
+  Monitor.connect monitors;
   let mms = Mm.init ~machine_of drivers ~mem_per_core in
   let same_shard a b = Shard.shard_of_core sh a = Shard.shard_of_core sh b in
   Mm.set_peers ~donor_ok:same_shard mms ~monitors;

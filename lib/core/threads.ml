@@ -92,18 +92,27 @@ module Barrier = struct
     parties : int;
     mutable arrived : int;
     mutable waiters : Engine.waker list;
+    park : Engine.waker -> unit;  (* the spinner's suspend callback *)
   }
 
   let create m ~parties =
     if parties <= 0 then invalid_arg "Threads.Barrier.create";
-    {
-      m;
-      counter_line = Machine.alloc_lines m 1;
-      sense_line = Machine.alloc_lines m 1;
-      parties;
-      arrived = 0;
-      waiters = [];
-    }
+    (* Sense line first, then the counter: line addresses are simulated
+       state, and this is the order the simulated results were fixed in. *)
+    let sense_line = Machine.alloc_lines m 1 in
+    let counter_line = Machine.alloc_lines m 1 in
+    let rec t =
+      {
+        m;
+        counter_line;
+        sense_line;
+        parties;
+        arrived = 0;
+        waiters = [];
+        park = (fun w -> t.waiters <- w :: t.waiters);
+      }
+    in
+    t
 
   let await t ~core =
     (* Atomic increment of the shared counter. Under contention a
@@ -126,7 +135,7 @@ module Barrier = struct
       List.iter (fun (w : Engine.waker) -> w ()) ws
     end
     else begin
-      Engine.suspend (fun w -> t.waiters <- w :: t.waiters);
+      Engine.suspend t.park;
       (* Woken by the sense flip: fetch the sense line (coherence miss). *)
       Coherence.load t.m.Machine.coh ~core t.sense_line
     end

@@ -1,6 +1,7 @@
-(* Blocking primitives built on Engine.suspend. Wakers are one-shot, so a
-   woken task never races with a second wake-up. All queues are FIFO, which
-   keeps the whole simulation deterministic.
+(* Blocking primitives built on Engine.suspend. Each primitive builds its
+   suspend callback once, at [create], and drops a waker from its queue
+   before calling it, as the waker contract asks. All queues are FIFO,
+   which keeps the whole simulation deterministic.
 
    Every mutating operation is an *interaction point* for latency-charge
    fusion: it flushes the caller's banked charge first, so queue contents,
@@ -10,49 +11,56 @@
 let wake (w : Engine.waker) = w ()
 
 module Ivar = struct
-  type 'a state = Empty of Engine.waker Queue.t | Full of 'a
-  type 'a t = { mutable state : 'a state }
+  type 'a state = Empty | Full of 'a
+  type 'a t = {
+    mutable state : 'a state;
+    waiters : Engine.waker Queue.t;
+    park : Engine.waker -> unit;
+  }
 
-  let create () = { state = Empty (Queue.create ()) }
+  let create () =
+    let waiters = Queue.create () in
+    { state = Empty; waiters; park = (fun w -> Queue.add w waiters) }
+
+  let fill_waiters t v =
+    t.state <- Full v;
+    Queue.iter wake t.waiters;
+    Queue.clear t.waiters
 
   let fill t v =
     Engine.flush_charge ();
     match t.state with
     | Full _ -> invalid_arg "Ivar.fill: already filled"
-    | Empty waiters ->
-      t.state <- Full v;
-      Queue.iter wake waiters
+    | Empty -> fill_waiters t v
 
   let try_fill t v =
     Engine.flush_charge ();
     match t.state with
     | Full _ -> false
-    | Empty waiters ->
-      t.state <- Full v;
-      Queue.iter wake waiters;
+    | Empty ->
+      fill_waiters t v;
       true
 
-  let is_filled t = match t.state with Full _ -> true | Empty _ -> false
-  let peek t = match t.state with Full v -> Some v | Empty _ -> None
+  let is_filled t = match t.state with Full _ -> true | Empty -> false
+  let peek t = match t.state with Full v -> Some v | Empty -> None
 
   let read t =
     Engine.flush_charge ();
     match t.state with
     | Full v -> v
-    | Empty waiters ->
-      Engine.suspend (fun w -> Queue.add w waiters);
+    | Empty ->
+      Engine.suspend t.park;
       (match t.state with
        | Full v -> v
-       | Empty _ -> assert false)
+       | Empty -> assert false)
 end
 
 module Mailbox = struct
   (* Waiters are boxed so a timed-out waiter can be marked stale in place:
-     [send] skips stale entries, and the timeout watchdog's wake never
-     races a real wake because wakers are one-shot. *)
+     [send] skips stale entries, and whichever of [send] and the timeout
+     watchdog marks the entry stale first is the only one to call its
+     waker. *)
   type entry = { mutable stale : bool; mutable waker : Engine.waker }
-
-  let noop_waker : Engine.waker = fun ?delay:_ () -> ()
 
   (* [park] is the blocking receive's suspend callback, built once here
      rather than per blocked [recv]. *)
@@ -97,8 +105,9 @@ module Mailbox = struct
     else Queue.take t.items
 
   (* Timed receive. A watchdog task marks the entry stale at the deadline
-     and fires its waker; whichever of send/watchdog runs first wins the
-     one-shot waker, and the loser's wake is a no-op. A message arriving in
+     and fires its waker; whichever of send/watchdog runs first marks it
+     stale and wakes, and the loser leaves the waker alone, so it cannot
+     resume a later suspension of the same task. A message arriving in
      the same cycle as the timeout is still returned (the post-suspend
      [take_opt] re-checks the queue). *)
   let recv_timeout t ~timeout =
@@ -115,7 +124,7 @@ module Mailbox = struct
              inside the suspend callback); the entry only becomes visible
              to [send] once suspend registers it, and the watchdog cannot
              fire before then because [left] > 0. *)
-          let entry = { stale = false; waker = noop_waker } in
+          let entry = { stale = false; waker = Engine.no_waker } in
           Engine.spawn_ ~name:"mbox.timeout" (fun () ->
               Engine.wait left;
               if not entry.stale then begin
@@ -184,16 +193,18 @@ module Mutex = struct
 end
 
 module Condition = struct
-  type t = { waiters : Engine.waker Queue.t }
+  type t = { waiters : Engine.waker Queue.t; park : Engine.waker -> unit }
 
-  let create () = { waiters = Queue.create () }
+  let create () =
+    let waiters = Queue.create () in
+    { waiters; park = (fun w -> Queue.add w waiters) }
 
   let wait t mutex =
     (* Atomic in simulation terms: no other task runs between unlock and
        suspend because tasks only switch at scheduling points. *)
     Engine.flush_charge ();
     Mutex.unlock mutex;
-    Engine.suspend (fun w -> Queue.add w t.waiters);
+    Engine.suspend t.park;
     Mutex.lock mutex
 
   let signal t =
@@ -208,11 +219,19 @@ module Condition = struct
 end
 
 module Barrier = struct
-  type t = { parties : int; mutable arrived : int; mutable waiters : Engine.waker list }
+  type t = {
+    parties : int;
+    mutable arrived : int;
+    mutable waiters : Engine.waker list;
+    park : Engine.waker -> unit;
+  }
 
   let create parties =
     if parties <= 0 then invalid_arg "Barrier.create";
-    { parties; arrived = 0; waiters = [] }
+    let rec t =
+      { parties; arrived = 0; waiters = []; park = (fun w -> t.waiters <- w :: t.waiters) }
+    in
+    t
 
   let await t =
     Engine.flush_charge ();
@@ -223,5 +242,5 @@ module Barrier = struct
       t.waiters <- [];
       List.iter wake ws
     end
-    else Engine.suspend (fun w -> t.waiters <- w :: t.waiters)
+    else Engine.suspend t.park
 end
