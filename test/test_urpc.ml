@@ -129,6 +129,34 @@ let test_broadcast () =
          | _ -> false
          | exception Invalid_argument _ -> true))
 
+(* More messages in flight than the broadcast queue's initial capacity,
+   sent in bursts while the wire sequencer sleeps or is parked: every
+   receiver sees all of them, in send order. *)
+let test_broadcast_in_order () =
+  run_machine (fun m ->
+      let bc = Urpc.Broadcast.create m ~sender:0 ~receivers:[ 1; 2 ] () in
+      let n = 100 in
+      let got = Array.make 3 [] in
+      let done_ = Sync.Semaphore.create 0 in
+      List.iter
+        (fun c ->
+          Engine.spawn_ (fun () ->
+              for _ = 1 to n do
+                got.(c) <- Urpc.Broadcast.recv bc ~core:c :: got.(c)
+              done;
+              Sync.Semaphore.release done_))
+        [ 1; 2 ];
+      for i = 1 to n do
+        Urpc.Broadcast.send bc i;
+        if i mod 40 = 0 then Engine.wait 100_000
+      done;
+      for _ = 1 to 2 do
+        Sync.Semaphore.acquire done_
+      done;
+      let expect = List.init n (fun i -> n - i) in
+      check_bool "core 1 in order" true (got.(1) = expect);
+      check_bool "core 2 in order" true (got.(2) = expect))
+
 let suite =
   ( "urpc",
     [
@@ -141,4 +169,5 @@ let suite =
       tc "multiline cost" test_multiline_message_costs_more;
       tc "recv_blocking wakeup" test_recv_blocking_wakeup_charge;
       tc "broadcast" test_broadcast;
+      tc "broadcast in order" test_broadcast_in_order;
     ] )
