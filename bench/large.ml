@@ -7,12 +7,13 @@
 
    The 64-core point always runs so CI's byte-diff referees cover these
    code paths; the 256/512/1024 points ride behind `--large` (the nightly
-   workflow). The sweep's OS boots skip latency probing ([Os.No_measure])
-   — asserting n*(n-1) SKB facts is exactly the quadratic structure this
-   sweep exists to keep out. `--large` also times full [Representative]
-   boots at 256 and 512 cores: their simulated side (SKB facts, boot end
-   time) is printed with the tables, their host time in the harness's
-   performance section ({!host_boots}). *)
+   workflow). The sweep's OS boots measure latencies ([Os.Representative]):
+   the SKB keeps one fact per latency class, O(packages²) rather than
+   n·(n−1), so NUMA-multicast plans come from measured latencies at every
+   size. `--large` also times full [Representative] boots at 256, 512 and
+   1024 cores, first and one at a time: their simulated side (SKB facts,
+   boot end time) is printed with the tables, their host time and peak
+   major heap in the harness's performance section ({!host_boots}). *)
 
 open Mk_sim
 open Mk_hw
@@ -27,10 +28,11 @@ let twopc_rounds = 4
 let vaddr = 0x600000
 
 let sizes () = if !large then [ 64; 256; 512; 1024 ] else [ 64 ]
-let boot_sizes () = if !large then [ 256; 512 ] else []
+let boot_sizes () = if !large then [ 256; 512; 1024 ] else []
 
-(* Host seconds per timed boot, "<family>/<cores>", for the perf section. *)
-let boot_times : (string * float) list ref = ref []
+(* Host seconds and peak major heap (MB) per timed boot, "<family>/<cores>",
+   for the perf section. *)
+let boot_times : (string * float * float) list ref = ref []
 let host_boots () = !boot_times
 
 (* cores -> platform, per family. Packages of 4 cores throughout. *)
@@ -69,7 +71,7 @@ let shoot plat proto ~ncores =
 (* fig7-style: full OS unmap (monitor LRPC + NUMA-aware multicast + acks)
    over every core. The boot is where a quadratic structure would bite. *)
 let unmap plat ~ncores =
-  let os = Os.boot ~measure_latencies:Os.No_measure plat in
+  let os = Os.boot ~measure_latencies:Os.Representative plat in
   Os.run os (fun () ->
       let cores = List.init ncores Fun.id in
       let dom = Os.spawn_domain os ~name:"large" ~cores in
@@ -90,7 +92,7 @@ let unmap plat ~ncores =
 
 (* fig8-style: two-phase commit agreement over every core. *)
 let twopc plat ~ncores =
-  let os = Os.boot ~measure_latencies:Os.No_measure plat in
+  let os = Os.boot ~measure_latencies:Os.Representative plat in
   Os.run os (fun () ->
       let mon = Os.monitor os ~core:0 in
       let plan = Os.default_plan os ~root:0 ~members:(List.init ncores Fun.id) in
@@ -103,34 +105,37 @@ let twopc plat ~ncores =
       Stats.mean s)
 
 (* A full boot with Representative latency probing: SKB fact count and
-   simulated end of boot, plus the host time it took. *)
+   simulated end of boot, plus its host time and the process's major-heap
+   high-water mark after it. The boots run before the sweep, serially and
+   in increasing size, so each mark is that boot's own peak when this is
+   the run's first bench (as in the nightly sweep). *)
 let boot plat =
   let t0 = Unix.gettimeofday () in
   let os = Os.boot ~measure_latencies:Os.Representative plat in
   let host_s = Unix.gettimeofday () -. t0 in
-  (Skb.size (Os.skb os), Engine.now (Os.machine os).Machine.eng, host_s)
+  let peak_mb =
+    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
+  in
+  (Skb.size (Os.skb os), Engine.now (Os.machine os).Machine.eng, host_s, peak_mb)
 
 let run_boots () =
   let sizes = boot_sizes () in
   if sizes <> [] then begin
     Common.sub "mesh: Representative boot";
     Common.printf "%6s %12s %14s\n" "cores" "skb facts" "boot end(cyc)";
-    let cells =
-      List.map
-        (fun ncores () ->
-          boot (Platform.synthetic_mesh ~packages:(ncores / 4) ~cores_per_package:4))
-        sizes
-    in
-    let rows = Pool.run cells in
-    List.iter2
-      (fun ncores (facts, end_at, host_s) ->
+    List.iter
+      (fun ncores ->
+        let facts, end_at, host_s, peak_mb =
+          boot (Platform.synthetic_mesh ~packages:(ncores / 4) ~cores_per_package:4)
+        in
         Common.printf "%6d %12d %14d\n%!" ncores facts end_at;
-        boot_times := !boot_times @ [ (Printf.sprintf "mesh/%d" ncores, host_s) ])
-      sizes rows
+        boot_times := !boot_times @ [ (Printf.sprintf "mesh/%d" ncores, host_s, peak_mb) ])
+      sizes
   end
 
 let run () =
   Common.hr "Large machines: shootdown / unmap / 2PC at 64-1024 cores";
+  run_boots ();
   List.iter
     (fun (fname, plat_of) ->
       Common.sub fname;
@@ -160,5 +165,4 @@ let run () =
             v.((5 * i) + 3)
             v.((5 * i) + 4))
         (sizes ()))
-    families;
-  run_boots ()
+    families

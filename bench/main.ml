@@ -159,7 +159,8 @@ let report ~jobs ~timings ~harness_wall =
   (* Host side of the --large Representative boots (their simulated side
      is in the large bench's own output). *)
   List.iter
-    (fun (what, s) -> Printf.printf "large boot %-10s %9.3f s host\n" what s)
+    (fun (what, s, mb) ->
+      Printf.printf "large boot %-10s %9.3f s host %8.1f MB peak heap\n" what s mb)
     (Large.host_boots ());
   (* Merge into the existing file rather than overwriting, so a partial
      run (e.g. `-j 2 micro table1`) refreshes only the benches that ran

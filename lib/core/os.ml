@@ -15,6 +15,7 @@ type t = {
   drivers : Cpu_driver.t array;
   monitors : Monitor.t array;
   the_skb : Skb.t;
+  measure : measure;  (* picks the latency classes of the SKB's facts *)
   mms : Mm.t array;
   ns : Name_service.t;
   mutable endpoints : (mon_req, mon_resp) Lrpc.endpoint array;
@@ -63,10 +64,26 @@ let live_cores t =
   Array.to_list (Array.init (Array.length v) Fun.id)
   |> List.filter (fun c -> v.(c))
 
+(* A latency class: a set of ordered core pairs with one steady-state round
+   trip, keyed by one int. The platforms are homogeneous (identical
+   packages, uniform share groups), so under [Representative] a pair's class
+   is its ordered package pair — and, inside a package, whether the cores
+   share a cache ([-1]) or not ([-2]). Under [Exhaustive] every ordered core
+   pair is its own class. The SKB holds one [urpc_latency] fact per class, so
+   a probed boot stores O(packages²) facts, not n·(n−1). *)
+let latency_class plat measure ~src ~dst =
+  match measure with
+  | Exhaustive -> (src * Platform.n_cores plat) + dst
+  | No_measure | Representative ->
+    let ps = Platform.package_of plat src and pd = Platform.package_of plat dst in
+    if ps <> pd then (ps * plat.Platform.n_packages) + pd
+    else if Platform.shares_cache plat src dst then -1
+    else -2
+
 let latency t ~src ~dst =
   if src = dst then 0
   else
-    match Skb.urpc_latency t.the_skb ~src ~dst with
+    match Skb.urpc_latency t.the_skb ~cls:(latency_class (platform t) t.measure ~src ~dst) with
     | Some l -> l
     | None -> Platform.hops_between (platform t) src dst
 
@@ -138,22 +155,8 @@ let monitor_endpoint t core =
 
 (* -- Boot-time online measurement (§4.9) -- *)
 
-(* Representative probing: the platforms are homogeneous (identical
-   packages, uniform share groups), so a pair's steady-state round trip is
-   determined by its ordered package pair — and, inside a package, by
-   whether the cores share a cache. Probing one representative pair per
-   class and deriving the full n·(n−1) fact set gives the same fact shape
-   without the quadratic ping storm (~2M round trips at 1024 cores). *)
-let probe_class plat ~src ~dst =
-  let ps = Platform.package_of plat src and pd = Platform.package_of plat dst in
-  if ps = pd then (-1, -1, Platform.shares_cache plat src dst)
-  else (ps, pd, false)
-
-let probe_key plat measure ~src ~dst =
-  match measure with
-  | Exhaustive -> (src, dst, false)
-  | _ -> probe_class plat ~src ~dst
-
+(* The pairs boot probes: every ordered pair, or one per latency class
+   (without the quadratic ping storm — ~2M round trips at 1024 cores). *)
 let probe_pairs plat measure =
   let n = Platform.n_cores plat in
   match measure with
@@ -196,18 +199,6 @@ let probe_pairs plat measure =
     in
     intra @ inter
 
-(* Derive and assert the full ordered-pair fact set from the probed
-   round trips (same loop order as the exhaustive path). *)
-let assert_latency_facts the_skb plat measure rtt_of =
-  let n = Platform.n_cores plat in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src <> dst then
-        let rtt = rtt_of (probe_key plat measure ~src ~dst) in
-        Skb.assert_urpc_latency the_skb ~src ~dst ~cycles:(rtt / 2)
-    done
-  done
-
 let dead_key_core key =
   match String.index_opt key ':' with
   | Some i when String.sub key 0 i = "dead" ->
@@ -240,6 +231,7 @@ let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative
       drivers;
       monitors;
       the_skb;
+      measure;
       mms;
       ns;
       endpoints = [||];
@@ -261,9 +253,9 @@ let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative
           | None -> ()))
     monitors;
   (* Measurement: one probe task per shard pings that shard's share of the
-     pairs (in canonical order) into a host-side table; the facts are
-     derived and asserted after the boot windows quiesce, so the SKB —
-     homed with shard 0 — is only written from host context. *)
+     pairs (in canonical order) into [res]; the facts are asserted after
+     the boot windows quiesce, so the SKB — homed with shard 0 — is only
+     written from host context. *)
   let pairs = probe_pairs plat measure in
   let res = Array.make (List.length pairs) 0 in
   let on_shard s (src, _) = Shard.shard_of_core sh src = s in
@@ -282,14 +274,14 @@ let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative
             pairs)
   done;
   Shard.exec sh;
-  if measure <> No_measure then begin
-    let rtt = Hashtbl.create 64 in
-    List.iteri
-      (fun i (src, dst) ->
-        Hashtbl.replace rtt (probe_key plat measure ~src ~dst) res.(i))
-      pairs;
-    assert_latency_facts the_skb plat measure (Hashtbl.find rtt)
-  end;
+  (* One fact per probed pair, under its class; a class probed in both
+     directions keeps the later probe. *)
+  List.iteri
+    (fun i (src, dst) ->
+      Skb.assert_urpc_latency the_skb
+        ~cls:(latency_class plat measure ~src ~dst)
+        ~cycles:(res.(i) / 2))
+    pairs;
   t
 
 let spawn_domain ?pt_mode t ~name ~cores =

@@ -20,13 +20,14 @@
 
 type t
 
-(** Boot-time URPC latency probing policy. [Representative] (the default)
-    probes one core pair per latency class — ordered package pair, plus
-    the intra-package shared/unshared-cache pairs — and derives the full
-    n·(n−1) fact set from topology, avoiding the quadratic ping storm
-    ([Exhaustive] is ~2M round trips at 1024 cores). Fact shape and loop
-    order match [Exhaustive]; the platforms' package homogeneity makes the
-    derived values exact. *)
+(** Boot-time URPC latency probing policy. The SKB holds one
+    [urpc_latency] fact per latency class, and {!latency} answers a core
+    pair through its class. [Representative] (the default) probes one core
+    pair per class — ordered package pair, plus the intra-package
+    shared/unshared-cache classes — so a 160-core, 40-package boot asserts
+    1,561 facts, not 25,440; the platforms' package homogeneity makes every
+    answer equal to [Exhaustive]'s. [Exhaustive] probes every ordered pair,
+    each its own class: n·(n−1) facts and ~2M round trips at 1024 cores. *)
 type measure = No_measure | Representative | Exhaustive
 
 val boot :
@@ -96,8 +97,9 @@ val run : t -> ?name:string -> (unit -> 'a) -> 'a
     result. *)
 
 val latency : t -> src:int -> dst:int -> int
-(** Measured URPC latency between two cores' monitors (SKB fact), falling
-    back to interconnect hop count if not measured. *)
+(** Measured URPC latency between two cores' monitors (the SKB fact of
+    the pair's latency class), falling back to interconnect hop count if
+    not measured. *)
 
 val plan : t -> Routing.proto -> root:int -> members:int list -> Routing.plan
 (** Build a routing plan; NUMA-aware plans use the SKB latencies. *)

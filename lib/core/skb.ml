@@ -13,11 +13,12 @@ type subst = (string * term) list
    prolog-style ground-prefix index. Every fact is filed under its first
    argument and under its first two arguments; a pattern walks the chain of
    the longest ground prefix it has (two arguments, then one), else scans.
-   Hot relations are probed that way: [core_package(Int c, _)] on one
-   argument, [urpc_latency(Int src, Int dst, _)] on two. Boot retracts and
-   asserts all n·(n−1) latency facts and NUMA multicast planning looks one up
-   per remote package, so each of those must cost O(1), not a walk over the
-   source core's n−1 facts.
+   Hot relations are probed that way: [core_package(Int c, _)] and
+   [urpc_latency(Int cls, _)] on one argument, [comm_edge(Int src, Int dst,
+   _)] on two. Boot retracts and asserts one latency fact per probed pair
+   (n·(n−1) of them under exhaustive probing) and NUMA multicast planning
+   looks one up per remote package, so each of those must cost O(1), not a
+   walk over the relation.
 
    Index keys are lossy ints ([arg_key], [pair_key]): every candidate is
    still unified, so a collision costs a visit, never a wrong answer.
@@ -285,12 +286,12 @@ let populate_platform t plat =
     (fun (a, b) -> assert_fact t (fact "ht_link" [ Int a; Int b ]))
     (Topology.links plat.Platform.topo)
 
-let assert_urpc_latency t ~src ~dst ~cycles =
-  retract t (fact "urpc_latency" [ Int src; Int dst; Var "_" ]);
-  assert_fact t (fact "urpc_latency" [ Int src; Int dst; Int cycles ])
+let assert_urpc_latency t ~cls ~cycles =
+  retract t (fact "urpc_latency" [ Int cls; Var "_" ]);
+  assert_fact t (fact "urpc_latency" [ Int cls; Int cycles ])
 
-let urpc_latency t ~src ~dst =
-  match query_one t (fact "urpc_latency" [ Int src; Int dst; Var "L" ]) with
+let urpc_latency t ~cls =
+  match query_one t (fact "urpc_latency" [ Int cls; Var "L" ]) with
   | Some s -> (try Some (lookup_int s "L") with Not_found -> None)
   | None -> None
 

@@ -21,9 +21,8 @@
     arguments. A [query], [query_one], [holds] or [retract] whose pattern
     grounds one or both of those visits only the facts filed under the
     longest such prefix, in assertion order; any other pattern scans its
-    functor's facts. So looking up, retracting or re-asserting one of the
-    n·(n−1) [urpc_latency] facts is O(1), not a scan of the source core's
-    row. *)
+    functor's facts. So looking up, retracting or re-asserting a
+    [urpc_latency] fact is O(1), not a scan of the relation. *)
 
 type term =
   | Int of int
@@ -71,12 +70,14 @@ val populate_platform : t -> Mk_hw.Platform.t -> unit
     [share_group(core, grp)], [ht_link(a, b)], [num_cores(n)],
     [package_first_core(pkg, core)]. *)
 
-val assert_urpc_latency : t -> src:int -> dst:int -> cycles:int -> unit
-(** Online-measurement fact [urpc_latency(src, dst, cycles)], replacing any
-    earlier measurement of the pair. O(1). *)
+val assert_urpc_latency : t -> cls:int -> cycles:int -> unit
+(** Online-measurement fact [urpc_latency(cls, cycles)]: the one-way
+    latency of every core pair in latency class [cls] (the class key is
+    the caller's; {!Os} keys a probed boot's classes by package pair),
+    replacing any earlier measurement of the class. O(1). *)
 
-val urpc_latency : t -> src:int -> dst:int -> int option
-(** The measured one-way latency of the pair, if any. O(1). *)
+val urpc_latency : t -> cls:int -> int option
+(** The measured one-way latency of the class, if any. O(1). *)
 
 val assert_comm_edge : t -> src:int -> dst:int -> weight:int -> unit
 (** Online-measurement fact [comm_edge(src, dst, weight)]: a profiling

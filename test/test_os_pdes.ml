@@ -127,10 +127,22 @@ let prop_any_cut =
 
 (* -- boot-time latency measurement ------------------------------------ *)
 
+(* How many ordered pairs' [Os.latency] differs between two boots. *)
+let latency_mismatches a b =
+  let n = Os.n_cores a and bad = ref 0 in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if Os.latency a ~src ~dst <> Os.latency b ~src ~dst then incr bad
+    done
+  done;
+  !bad
+
+let latency_facts os =
+  List.length (Skb.query (Os.skb os) (Skb.fact "urpc_latency" [ Skb.Var "_"; Skb.Var "_" ]))
+
 (* 256-core synthetic boot: [Representative] probes one pair per latency
-   class and derives the rest from topology, so it must cost a small
-   fraction of [Exhaustive]'s n*(n-1) ping storm — and both must agree on
-   every derived fact. *)
+   class, so it must cost a small fraction of [Exhaustive]'s n*(n-1) ping
+   storm — and both must answer every ordered pair alike. *)
 let test_representative_vs_exhaustive () =
   let plat = Platform.synthetic_mesh ~packages:64 ~cores_per_package:4 in
   let events measure =
@@ -141,14 +153,43 @@ let test_representative_vs_exhaustive () =
   let ev_rep, os_rep = events Os.Representative in
   let ev_exh, os_exh = events Os.Exhaustive in
   check_bool "representative boot is far cheaper" true (ev_rep * 4 < ev_exh);
-  (* Spot-check fact agreement across the latency classes. *)
+  check_int "no pair differs" 0 (latency_mismatches os_exh os_rep)
+
+(* The paper's platforms: both probing modes answer every ordered pair
+   alike, and NUMA-multicast plans from every package's first core are
+   equal. *)
+let test_representative_agrees_on_paper_platforms () =
   List.iter
-    (fun (src, dst) ->
-      check_int
-        (Printf.sprintf "latency %d->%d agrees" src dst)
-        (Os.latency os_exh ~src ~dst)
-        (Os.latency os_rep ~src ~dst))
-    [ (0, 1); (0, 3); (0, 4); (0, 255); (128, 4); (255, 0) ]
+    (fun (name, plat) ->
+      let rep = Os.boot ~measure_latencies:Os.Representative plat in
+      let exh = Os.boot ~measure_latencies:Os.Exhaustive plat in
+      check_int (name ^ ": no pair differs") 0 (latency_mismatches exh rep);
+      let members = List.init (Platform.n_cores plat) Fun.id in
+      for p = 0 to plat.Platform.n_packages - 1 do
+        let root = p * plat.Platform.cores_per_package in
+        check_bool
+          (Printf.sprintf "%s: plan from %d agrees" name root)
+          true
+          (Os.plan rep Routing.Numa_multicast ~root ~members
+          = Os.plan exh Routing.Numa_multicast ~root ~members)
+      done)
+    [
+      ("amd_2x2", Platform.amd_2x2);
+      ("amd_4x4", Platform.amd_4x4);
+      ("amd_8x4", Platform.amd_8x4);
+      ("intel_2x4", Platform.intel_2x4);
+    ]
+
+(* One [urpc_latency] fact per latency class: p·(p−1) package pairs plus
+   the one intra-package class on a 40-package mesh whose packages share a
+   cache; every ordered pair under [Exhaustive]. *)
+let test_latency_fact_count () =
+  let mesh = Platform.synthetic_mesh ~packages:40 ~cores_per_package:4 in
+  check_int "160-core mesh" 1561 (latency_facts (Os.boot mesh));
+  check_int "amd_8x4 exhaustive" 992
+    (latency_facts (Os.boot ~measure_latencies:Os.Exhaustive Platform.amd_8x4));
+  check_int "unmeasured" 0
+    (latency_facts (Os.boot ~measure_latencies:Os.No_measure Platform.amd_8x4))
 
 (* -- one shard --------------------------------------------------------
 
@@ -223,6 +264,9 @@ let suite =
       tc "chaos seed identical at any domain count" test_chaos_seed;
       prop_any_cut;
       tc "representative vs exhaustive boot" test_representative_vs_exhaustive;
+      tc "representative agrees on paper platforms"
+        test_representative_agrees_on_paper_platforms;
+      tc "latency fact count" test_latency_fact_count;
       tc "one-shard run is one window" test_one_shard_one_window;
       tc "boot input checks" test_boot_input_checks;
       tc "Os.protect allocation budget" test_protect_allocation_budget;

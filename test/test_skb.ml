@@ -64,14 +64,14 @@ let test_platform_facts () =
 
 let test_latency_facts () =
   let skb = Skb.create () in
-  Skb.assert_urpc_latency skb ~src:0 ~dst:1 ~cycles:500;
-  check_bool "read back" true (Skb.urpc_latency skb ~src:0 ~dst:1 = Some 500);
-  check_bool "missing pair" true (Skb.urpc_latency skb ~src:1 ~dst:0 = None);
+  Skb.assert_urpc_latency skb ~cls:0 ~cycles:500;
+  check_bool "read back" true (Skb.urpc_latency skb ~cls:0 = Some 500);
+  check_bool "missing class" true (Skb.urpc_latency skb ~cls:1 = None);
   (* Re-measurement replaces, not duplicates. *)
-  Skb.assert_urpc_latency skb ~src:0 ~dst:1 ~cycles:480;
-  check_bool "updated" true (Skb.urpc_latency skb ~src:0 ~dst:1 = Some 480);
+  Skb.assert_urpc_latency skb ~cls:0 ~cycles:480;
+  check_bool "updated" true (Skb.urpc_latency skb ~cls:0 = Some 480);
   check_int "single fact" 1
-    (List.length (Skb.query skb (Skb.fact "urpc_latency" [ Skb.Int 0; Skb.Int 1; Skb.Var "L" ])))
+    (List.length (Skb.query skb (Skb.fact "urpc_latency" [ Skb.Int 0; Skb.Var "L" ])))
 
 let test_comm_edges () =
   let skb = Skb.create () in
@@ -110,15 +110,15 @@ let test_anonymous_variable () =
   check_int "retracted both" 0 (Skb.size skb)
 
 let test_latency_churn () =
-  (* Re-measuring one pair many times compacts the bucket rather than
+  (* Re-measuring one class many times compacts the bucket rather than
      growing it, and keeps every other fact and the assertion order. *)
   let skb = Skb.create () in
-  Skb.assert_urpc_latency skb ~src:0 ~dst:1 ~cycles:10;
-  Skb.assert_urpc_latency skb ~src:1 ~dst:0 ~cycles:20;
-  Skb.assert_urpc_latency skb ~src:0 ~dst:2 ~cycles:30;
+  Skb.assert_urpc_latency skb ~cls:0 ~cycles:10;
+  Skb.assert_urpc_latency skb ~cls:1 ~cycles:20;
+  Skb.assert_urpc_latency skb ~cls:2 ~cycles:30;
   let churn k =
     for c = 1 to k do
-      Skb.assert_urpc_latency skb ~src:0 ~dst:1 ~cycles:c
+      Skb.assert_urpc_latency skb ~cls:0 ~cycles:c
     done
   in
   let words () = Obj.reachable_words (Obj.repr skb) in
@@ -127,32 +127,36 @@ let test_latency_churn () =
   churn 10_000;
   check_bool "memory bounded" true (words () < 2 * w);
   check_int "three facts" 3 (Skb.size skb);
-  check_bool "latest" true (Skb.urpc_latency skb ~src:0 ~dst:1 = Some 10_000);
+  check_bool "latest" true (Skb.urpc_latency skb ~cls:0 = Some 10_000);
   check_bool "others kept" true
-    (Skb.urpc_latency skb ~src:1 ~dst:0 = Some 20
-    && Skb.urpc_latency skb ~src:0 ~dst:2 = Some 30);
-  let row =
-    Skb.query skb (Skb.fact "urpc_latency" [ Skb.Int 0; Skb.Var "D"; Skb.Var "_" ])
-    |> List.map (fun s -> Skb.lookup_int s "D")
+    (Skb.urpc_latency skb ~cls:1 = Some 20 && Skb.urpc_latency skb ~cls:2 = Some 30);
+  let classes =
+    Skb.query skb (Skb.fact "urpc_latency" [ Skb.Var "C"; Skb.Var "_" ])
+    |> List.map (fun s -> Skb.lookup_int s "C")
   in
-  check_bool "source row in assertion order" true (row = [ 2; 1 ]);
-  (* A retract on the first argument alone drops the pair too. *)
-  Skb.retract skb (Skb.fact "urpc_latency" [ Skb.Int 0; Skb.Var "D"; Skb.Var "L" ]);
-  check_bool "pair gone" true (Skb.urpc_latency skb ~src:0 ~dst:1 = None);
-  check_int "one left" 1 (Skb.size skb)
+  check_bool "classes in assertion order" true (classes = [ 1; 2; 0 ]);
+  (* A retract on the class alone drops its fact. *)
+  Skb.retract skb (Skb.fact "urpc_latency" [ Skb.Int 0; Skb.Var "L" ]);
+  check_bool "class gone" true (Skb.urpc_latency skb ~cls:0 = None);
+  check_int "two left" 2 (Skb.size skb)
 
 let test_colliding_keys () =
   (* Index keys are lossy: -1 and max_int share one, as do pairs past 2^31.
      Unification still tells the facts apart. *)
   let skb = Skb.create () in
-  Skb.assert_urpc_latency skb ~src:(-1) ~dst:3 ~cycles:7;
-  Skb.assert_urpc_latency skb ~src:max_int ~dst:3 ~cycles:8;
-  Skb.assert_urpc_latency skb ~src:2 ~dst:(1 lsl 40) ~cycles:9;
-  Skb.assert_urpc_latency skb ~src:2 ~dst:(1 lsl 40) ~cycles:10;
-  check_bool "negative src" true (Skb.urpc_latency skb ~src:(-1) ~dst:3 = Some 7);
-  check_bool "max_int src" true (Skb.urpc_latency skb ~src:max_int ~dst:3 = Some 8);
-  check_bool "huge dst" true (Skb.urpc_latency skb ~src:2 ~dst:(1 lsl 40) = Some 10);
-  check_int "replaced" 3 (Skb.size skb)
+  Skb.assert_urpc_latency skb ~cls:(-1) ~cycles:7;
+  Skb.assert_urpc_latency skb ~cls:max_int ~cycles:8;
+  Skb.assert_urpc_latency skb ~cls:(1 lsl 40) ~cycles:9;
+  Skb.assert_urpc_latency skb ~cls:(1 lsl 40) ~cycles:10;
+  check_bool "negative class" true (Skb.urpc_latency skb ~cls:(-1) = Some 7);
+  check_bool "max_int class" true (Skb.urpc_latency skb ~cls:max_int = Some 8);
+  check_bool "huge class" true (Skb.urpc_latency skb ~cls:(1 lsl 40) = Some 10);
+  check_int "replaced" 3 (Skb.size skb);
+  Skb.assert_comm_edge skb ~src:2 ~dst:(1 lsl 40) ~weight:9;
+  Skb.assert_comm_edge skb ~src:3 ~dst:((1 lsl 40) lor (1 lsl 31)) ~weight:11;
+  Skb.assert_comm_edge skb ~src:2 ~dst:(1 lsl 40) ~weight:10;
+  check_bool "huge pairs" true
+    (Skb.comm_edges skb = [ (2, 1 lsl 40, 10); (3, (1 lsl 40) lor (1 lsl 31), 11) ])
 
 (* A reference model of the SKB: the facts as a list in assertion order,
    answered by its own unifier. Random assert/retract/query programs over a
