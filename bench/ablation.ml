@@ -75,7 +75,7 @@ let barrier_round impl ~ncores =
           fun ~rank:_ ~core -> Threads.Barrier.await b ~core
         | `Msg ->
           let parties = List.mapi (fun i c -> (i, c)) cores in
-          let b = Threads.Msg_barrier.create m ~coordinator:0 ~parties in
+          let b = Threads.Msg_barrier.create (Os.shards os) ~coordinator:0 ~parties in
           fun ~rank ~core:_ -> Threads.Msg_barrier.await b ~party:rank
       in
       let rounds = 20 in

@@ -121,14 +121,15 @@ let web () =
 
 let web_sql () =
   Common.sub "Web + SQL database (2x2-core AMD, SELECTs via URPC)";
-  let m = Machine.create Platform.amd_2x2 in
+  let sh = Shard.create ~n_shards:1 Platform.amd_2x2 in
+  let m = Shard.machine sh 0 in
   (* Database on the remaining core 1; populated in simulation context. *)
   let db = Sqldb.create m ~core:1 in
   Engine.spawn m.Machine.eng ~name:"db.populate" (fun () ->
       Sqldb.Tpcw.populate db ~items:10_000);
   Machine.run m;
   let binding =
-    Flounder.connect m ~name:"websql" ~client:3 ~server:1 ~req_lines:2 ~resp_lines:2 ()
+    Flounder.connect sh ~name:"websql" ~client:3 ~server:1 ~req_lines:2 ~resp_lines:2 ()
   in
   Sqldb.serve db binding;
   let rng = Prng.create ~seed:42 in

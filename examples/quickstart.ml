@@ -21,7 +21,9 @@ let () =
 
   Os.run os (fun () ->
       (* A typed RPC service on core 3, called from core 0 over URPC. *)
-      let binding = Flounder.connect (Os.machine os) ~name:"greeter" ~client:0 ~server:3 () in
+      let binding =
+        Flounder.connect (Os.shards os) ~name:"greeter" ~client:0 ~server:3 ()
+      in
       Flounder.export binding (fun name -> "hello, " ^ name ^ "!");
       Printf.printf "\nRPC to core 3 says: %S\n" (Flounder.rpc binding "core 0");
 

@@ -14,7 +14,8 @@ open Mk_net
 open Mk_apps
 
 let () =
-  let m = Machine.create Platform.amd_2x2 in
+  let sh = Shard.create ~n_shards:1 Platform.amd_2x2 in
+  let m = Shard.machine sh 0 in
 
   (* Database domain on core 1. *)
   let db = Sqldb.create m ~core:1 in
@@ -32,7 +33,7 @@ let () =
   Netif.set_rx nif_drv (fun p -> Netif.transmit (Nic.netif nic) p);
   let web_stack = Stack.create m ~core:3 ~checksum_offload:true nif_web in
 
-  let dbch = Flounder.connect m ~name:"web2db" ~client:3 ~server:1 () in
+  let dbch = Flounder.connect sh ~name:"web2db" ~client:3 ~server:1 () in
   Sqldb.serve db dbch;
 
   Http.start_server web_stack ~port:80 (fun ~meth ~path ->

@@ -45,7 +45,7 @@ let spawn_incarnation t ~home =
     List.map
       (fun c ->
         let rb =
-          Flounder.Reliable.connect ~shard:(Os.shards t.os) m
+          Flounder.Reliable.connect (Os.shards t.os)
             ~name:(Printf.sprintf "%s#%d.c%d" t.name inc c)
             ~client:c ~server:home ~base_timeout:t.base_timeout
             ~max_attempts:t.max_attempts ~req_lines:t.req_lines

@@ -24,9 +24,7 @@ let run_team os sh ~cores body =
   let dom = Mk.Os.spawn_domain os ~name:"omp" ~cores in
   let coordinator = List.hd cores in
   let parties = List.mapi (fun i c -> (i, c)) cores in
-  let bar =
-    Mk.Threads.Msg_barrier.create ~shard:sh (Mk.Os.machine os) ~coordinator ~parties
-  in
+  let bar = Mk.Threads.Msg_barrier.create sh ~coordinator ~parties in
   let dones =
     List.filter_map
       (fun (p, c) ->

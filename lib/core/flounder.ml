@@ -1,94 +1,67 @@
 open Mk_sim
 open Mk_hw
 
-(* A binding is four channel halves: the client sends requests on
-   [req_tx] and awaits responses on [resp_rx]; the server loop receives on
-   [req_rx] and responds on [resp_tx]. Unsharded (and within one shard)
-   the halves coincide ([req_tx == req_rx]); across a PDES cut each
-   direction is a {!Shard.link_urpc} pair split at the wire, and the
-   server loop runs on the server core's shard machine [sm]. *)
+(* A binding is two {!Shard.link_urpc} channels: the client sends requests
+   on [req.tx] and awaits responses on [resp.rx]; the server loop receives
+   on [req.rx] and responds on [resp.tx]. Within one shard the halves
+   coincide; across a PDES cut each direction is split at the wire, and
+   the server loop runs on the server core's shard machine [sm]. *)
 type ('req, 'resp) binding = {
-  m : Machine.t;  (* client side *)
-  sm : Machine.t;  (* server side; == m unless the binding crosses shards *)
-  req_tx : ('req * bool) Urpc.t;  (* bool: expects a response *)
-  req_rx : ('req * bool) Urpc.t;
-  resp_tx : 'resp Urpc.t;
-  resp_rx : 'resp Urpc.t;
+  sm : Machine.t;
+  req : ('req * bool) Shard.link;  (* bool: expects a response *)
+  resp : 'resp Shard.link;
   req_lines : int;
   resp_lines : int;
   lock : Sync.Mutex.t;  (* one outstanding RPC per binding *)
 }
 
-let connect ?shard m ~name ~client ~server ?(req_lines = 1) ?(resp_lines = 1) () =
-  let lock = Sync.Mutex.create () in
-  match shard with
-  | None ->
-    let req = Urpc.create m ~sender:client ~receiver:server ~name:(name ^ ".req") () in
-    let resp = Urpc.create m ~sender:server ~receiver:client ~name:(name ^ ".resp") () in
-    {
-      m;
-      sm = m;
-      req_tx = req;
-      req_rx = req;
-      resp_tx = resp;
-      resp_rx = resp;
-      req_lines;
-      resp_lines;
-      lock;
-    }
-  | Some sh ->
-    (* [m] is ignored: each half is built on its owning shard's machine
-       (mid-run, {!Shard.link_urpc} routes the construction there). *)
-    let req = Shard.link_urpc sh ~sender:client ~receiver:server ~name:(name ^ ".req") () in
-    let resp =
-      Shard.link_urpc sh ~sender:server ~receiver:client ~name:(name ^ ".resp") ()
-    in
-    {
-      m = Shard.machine_of_core sh client;
-      sm = Shard.machine_of_core sh server;
-      req_tx = req.Shard.tx;
-      req_rx = req.Shard.rx;
-      resp_tx = resp.Shard.tx;
-      resp_rx = resp.Shard.rx;
-      req_lines;
-      resp_lines;
-      lock;
-    }
+let connect sh ~name ~client ~server ?(req_lines = 1) ?(resp_lines = 1) () =
+  (* Request channel first: reservation order fixes buffer addresses. *)
+  let req = Shard.link_urpc sh ~sender:client ~receiver:server ~name:(name ^ ".req") () in
+  let resp = Shard.link_urpc sh ~sender:server ~receiver:client ~name:(name ^ ".resp") () in
+  {
+    sm = Shard.machine_of_core sh server;
+    req;
+    resp;
+    req_lines;
+    resp_lines;
+    lock = Sync.Mutex.create ();
+  }
 
 let export b handler =
   let rec loop () =
-    let req, wants_resp = Urpc.recv b.req_rx in
+    let req, wants_resp = Urpc.recv b.req.Shard.rx in
     let resp = handler req in
-    if wants_resp then Urpc.send b.resp_tx ~lines:b.resp_lines resp;
+    if wants_resp then Urpc.send b.resp.Shard.tx ~lines:b.resp_lines resp;
     loop ()
   in
-  Engine.spawn b.sm.Machine.eng ~name:(Urpc.name b.req_rx ^ ".server") loop
+  Engine.spawn b.sm.Machine.eng ~name:(Urpc.name b.req.Shard.rx ^ ".server") loop
 
 let rpc b req =
   Sync.Mutex.with_lock b.lock (fun () ->
-      Urpc.send b.req_tx ~lines:b.req_lines (req, true);
-      Urpc.recv b.resp_rx)
+      Urpc.send b.req.Shard.tx ~lines:b.req_lines (req, true);
+      Urpc.recv b.resp.Shard.rx)
 
 let rpc_fill b fill =
   (* [fill] runs under the binding lock, so a caller may mutate and return
      a per-binding scratch request: the server consumes it before the
      response is sent, and no second RPC can refill it earlier. *)
   Sync.Mutex.with_lock b.lock (fun () ->
-      Urpc.send b.req_tx ~lines:b.req_lines (fill (), true);
-      Urpc.recv b.resp_rx)
+      Urpc.send b.req.Shard.tx ~lines:b.req_lines (fill (), true);
+      Urpc.recv b.resp.Shard.rx)
 
 let rpc_async b req =
   Sync.Mutex.lock b.lock;
-  Urpc.send b.req_tx ~lines:b.req_lines (req, true);
+  Urpc.send b.req.Shard.tx ~lines:b.req_lines (req, true);
   fun () ->
-    let resp = Urpc.recv b.resp_rx in
+    let resp = Urpc.recv b.resp.Shard.rx in
     Sync.Mutex.unlock b.lock;
     resp
 
-let oneway b req = Urpc.send b.req_tx ~lines:b.req_lines (req, false)
+let oneway b req = Urpc.send b.req.Shard.tx ~lines:b.req_lines (req, false)
 
-let client_core b = Urpc.sender b.req_tx
-let server_core b = Urpc.receiver b.req_tx
+let client_core b = Urpc.sender b.req.Shard.tx
+let server_core b = Urpc.receiver b.req.Shard.tx
 
 (* At-most-once RPC over lossy channels: requests carry an id, the client
    retransmits with exponentially backed-off timeouts, and the server keeps
@@ -106,10 +79,10 @@ module Reliable = struct
     mutable gave_up : int;
   }
 
-  let connect ?shard m ~name ~client ~server ?(base_timeout = 30_000)
-      ?(max_attempts = 6) ?req_lines ?resp_lines () =
+  let connect sh ~name ~client ~server ?(base_timeout = 30_000) ?(max_attempts = 6)
+      ?req_lines ?resp_lines () =
     {
-      rb = connect ?shard m ~name ~client ~server ?req_lines ?resp_lines ();
+      rb = connect sh ~name ~client ~server ?req_lines ?resp_lines ();
       next_id = 1;
       base_timeout;
       max_attempts;
@@ -120,7 +93,7 @@ module Reliable = struct
   let export t ?(should_halt = fun () -> false) handler =
     let seen = Hashtbl.create 32 in
     let rec loop () =
-      let (id, req), wants_resp = Urpc.recv t.rb.req_rx in
+      let (id, req), wants_resp = Urpc.recv t.rb.req.Shard.rx in
       (* A stopped core processes nothing more: consume-and-die models the
          request reaching a dead endpoint. *)
       if should_halt () then Engine.halt ();
@@ -132,17 +105,19 @@ module Reliable = struct
           Hashtbl.replace seen id r;
           r
       in
-      if wants_resp then Urpc.send t.rb.resp_tx ~lines:t.rb.resp_lines (id, resp);
+      if wants_resp then Urpc.send t.rb.resp.Shard.tx ~lines:t.rb.resp_lines (id, resp);
       loop ()
     in
-    Engine.spawn t.rb.sm.Machine.eng ~name:(Urpc.name t.rb.req_rx ^ ".rserver") loop
+    Engine.spawn t.rb.sm.Machine.eng
+      ~name:(Urpc.name t.rb.req.Shard.rx ^ ".rserver")
+      loop
 
   let call t req =
     Sync.Mutex.with_lock t.rb.lock (fun () ->
         let id = t.next_id in
         t.next_id <- id + 1;
         let rec attempt n timeout =
-          Urpc.send t.rb.req_tx ~lines:t.rb.req_lines ((id, req), true);
+          Urpc.send t.rb.req.Shard.tx ~lines:t.rb.req_lines ((id, req), true);
           let deadline = Engine.now_ () + timeout in
           (* Drain responses until ours arrives or the deadline passes;
              responses to earlier (timed-out) attempts are discarded. *)
@@ -150,7 +125,7 @@ module Reliable = struct
             let left = deadline - Engine.now_ () in
             if left <= 0 then None
             else
-              match Urpc.recv_timeout t.rb.resp_rx ~timeout:left with
+              match Urpc.recv_timeout t.rb.resp.Shard.rx ~timeout:left with
               | None -> None
               | Some (rid, resp) -> if rid = id then Some resp else await ()
           in

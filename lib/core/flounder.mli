@@ -10,8 +10,7 @@
 type ('req, 'resp) binding
 
 val connect :
-  ?shard:Shard.t ->
-  Mk_hw.Machine.t ->
+  Shard.t ->
   name:string ->
   client:int ->
   server:int ->
@@ -19,12 +18,13 @@ val connect :
   ?resp_lines:int ->
   unit ->
   ('req, 'resp) binding
-(** Create a client-side binding (a channel pair). [req_lines]/[resp_lines]
-    are the marshalled sizes in cache lines (default 1). With [shard] the
-    channels are built through {!Shard.link_urpc} — each half's ring on
-    its owning shard, split at the wire when client and server live on
-    different shards — and {!export}'s server loop runs on the server
-    core's shard machine; the given machine is ignored. *)
+(** Create a client-side binding: two channels built through
+    {!Shard.link_urpc}, each half's ring on its owning shard and split at
+    the wire when client and server live on different shards.
+    [req_lines]/[resp_lines] are the marshalled sizes in cache lines
+    (default 1). {!export}'s server loop runs on the server core's shard
+    machine. A caller without a sharded OS passes a one-shard
+    {!Shard.t}. *)
 
 val export : ('req, 'resp) binding -> ('req -> 'resp) -> unit
 (** Start the server loop: for each request, run the handler in the server
@@ -67,8 +67,7 @@ module Reliable : sig
   type ('req, 'resp) t
 
   val connect :
-    ?shard:Shard.t ->
-    Mk_hw.Machine.t ->
+    Shard.t ->
     name:string ->
     client:int ->
     server:int ->
@@ -79,7 +78,8 @@ module Reliable : sig
     unit ->
     ('req, 'resp) t
   (** [base_timeout] (default 30k cycles) is the first attempt's response
-      timeout; each retry doubles it. [shard] as in the plain {!connect}. *)
+      timeout; each retry doubles it. The channels are built as in the
+      plain {!connect}. *)
 
   val export : ('req, 'resp) t -> ?should_halt:(unit -> bool) -> ('req -> 'resp) -> unit
   (** Start the server loop. [should_halt] is polled per request: when it

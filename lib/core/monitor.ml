@@ -70,30 +70,22 @@ type t = {
   driver : Cpu_driver.t;
   core_id : int;
   (* The monitor mesh is built lazily: [connect] reserves every channel's
-     buffer addresses (simulated state, so layout is deterministic), but
-     the channel record itself is only materialized on first use —
+     buffer block (simulated state, so layout is deterministic), but the
+     channel record itself is only materialized on first use —
      [peers.(dst)] caches it. At 128 cores the mesh is 16k channels and a
-     workload typically exercises a few dozen. The per-destination base
-     arrays are filled by [connect]'s per-edge path; a mesh without a cut
-     skips them entirely and computes every base from [mesh_arena]
-     (closed-form src-major layout), so no O(n) base array per monitor —
-     O(n^2) over the mesh — is ever allocated. *)
+     workload typically exercises a few dozen. Every base is computed from
+     the shard's closed-form [arena], so no per-edge base array is ever
+     allocated. *)
   peers : msg Urpc.t option array;  (* indexed by destination core *)
-  mutable peer_slot_base : int array;  (* reserved ring base per destination *)
-  mutable peer_send_base : int array;
-  mutable peer_recv_base : int array;
   (* Split mesh (more than one shard): a mesh edge that crosses the PDES
      cut is split at the wire like any {!Shard.link_urpc} channel. The
      sender half lives in the sender's [peers]; these hold the receiver
-     halves, indexed by *source* core, reserved at connect time and
-     materialized by the first arriving message. *)
-  mutable rx_peers : msg Urpc.t option array;
-  mutable rx_slot_base : int array;
-  mutable rx_send_base : int array;
-  mutable rx_recv_base : int array;
-  (* Base address of the closed-form mesh buffer arena (-1 = per-edge
-     reservations in the arrays above). *)
-  mutable mesh_arena : int;
+     halves, indexed by *source* core, materialized by the first arriving
+     message. Empty for one shard. *)
+  rx_peers : msg Urpc.t option array;
+  (* Base address of the mesh arena on this core's shard machine; set by
+     [connect]. *)
+  mutable arena : int;
   shard : Shard.t;
   mutable on_replica : (key:string -> value:int -> unit) option;
   mutable mesh : t array;  (* all monitors, indexed by core; set by [connect] *)
@@ -131,14 +123,9 @@ let create ~shard m driver =
     driver;
     core_id = Cpu_driver.core driver;
     peers = Array.make (Machine.n_cores m) None;
-    peer_slot_base = [||];
-    peer_send_base = [||];
-    peer_recv_base = [||];
-    rx_peers = [||];
-    rx_slot_base = [||];
-    rx_send_base = [||];
-    rx_recv_base = [||];
-    mesh_arena = -1;
+    rx_peers =
+      (if Shard.n_shards shard > 1 then Array.make (Machine.n_cores m) None else [||]);
+    arena = 0;
     shard;
     on_replica = None;
     mesh = [||];
@@ -165,12 +152,14 @@ let core t = t.core_id
 let driver t = t.driver
 let machine t = t.m
 
+(* Transaction ids interleave the cores: unique for any number of
+   transactions, and the origin is the id modulo the core count. *)
 let fresh_xid t =
-  let x = (t.core_id * 1_000_000) + t.next_seq in
+  let x = (t.next_seq * Array.length t.peers) + t.core_id in
   t.next_seq <- t.next_seq + 1;
   x
 
-let origin_of_xid xid = xid / 1_000_000
+let origin_of_xid t xid = xid mod Array.length t.peers
 
 (* Position of [src]'s channel in [receiver]'s scan order. *)
 let scan_pos ~receiver src = if src < receiver then src else src - 1
@@ -181,81 +170,95 @@ let notify_arrival mdst ~src () =
   Bitset.add mdst.ready (scan_pos ~receiver:mdst.core_id src);
   Sync.Semaphore.release mdst.inbox
 
-(* A mesh edge's reserved buffers are 21 contiguous lines: a 16-slot ring
-   and the 2-line send / 3-line recv control blocks ([Urpc.preallocate]'s
-   defaults), in that order. The closed-form arena lays edges out in
-   src-major order, exactly like the per-edge reservation loop would. *)
-let mesh_edge_lines = 21
+(* The mesh arena of a shard holding cores [lo, hi): one {!Urpc} block
+   for every edge with an endpoint there, in src-major order — sources
+   below [lo] (k edges each, into the shard), the shard's own cores (n-1
+   edges each), then sources from [hi] (k edges each). Shards are
+   contiguous core ranges and the machine a bump allocator, so this is
+   the layout an edge-by-edge reservation loop would produce. *)
+let shard_cores sh ~n s =
+  let hi = if s + 1 < Shard.n_shards sh then Shard.first_core sh (s + 1) else n in
+  (Shard.first_core sh s, hi)
 
-(* Reserved buffer bases for the mesh edge [t.core_id] -> [dst];
-   (-1, -1, -1) when no reservation exists. *)
-let peer_bases t dst =
-  if dst = t.core_id then (-1, -1, -1)
-  else if t.mesh_arena >= 0 then begin
-    let n = Array.length t.peers in
-    let cl = t.m.Machine.plat.Platform.cacheline in
-    let d = if dst > t.core_id then dst - 1 else dst in
-    let b = t.mesh_arena + (((t.core_id * (n - 1)) + d) * mesh_edge_lines * cl) in
-    (b, b + (16 * cl), b + (18 * cl))
-  end
-  else if Array.length t.peer_slot_base = 0 then (-1, -1, -1)
-  else (t.peer_slot_base.(dst), t.peer_send_base.(dst), t.peer_recv_base.(dst))
+let arena_edges ~n ~lo ~hi =
+  let k = hi - lo in
+  k * ((2 * n) - k - 1)
+
+let edge_index ~n ~lo ~hi src dst =
+  let k = hi - lo in
+  if src < lo then (src * k) + dst - lo
+  else if src < hi then
+    (lo * k) + ((src - lo) * (n - 1)) + if dst > src then dst - 1 else dst
+  else (lo * k) + (k * (n - 1)) + ((src - hi) * k) + dst - lo
+
+(* Home node of line [off] of the arena: the ring on whichever endpoint
+   lives on this shard (the receiver when both do), the send block on the
+   sender, the receive block on the receiver. Allocation-free: the
+   coherence model calls it on lookups. *)
+let arena_home plat ~n ~lo ~hi off =
+  let e = off / Urpc.block_lines in
+  let k = hi - lo in
+  let a = lo * k in
+  let b = a + (k * (n - 1)) in
+  let src =
+    if e < a then e / k
+    else if e < b then lo + ((e - a) / (n - 1))
+    else hi + ((e - b) / k)
+  in
+  let dst =
+    if e < a then lo + (e mod k)
+    else if e < b then begin
+      let d = (e - a) mod (n - 1) in
+      if d >= src then d + 1 else d
+    end
+    else lo + ((e - b) mod k)
+  in
+  Urpc.block_home
+    ~ring:(Platform.package_of plat (if dst >= lo && dst < hi then dst else src))
+    ~sender:(Platform.package_of plat src) ~receiver:(Platform.package_of plat dst)
+    (off mod Urpc.block_lines)
+
+(* Block base of the mesh edge [src -> dst] in [t]'s shard arena. *)
+let edge_base t src dst =
+  let n = Array.length t.mesh in
+  let lo, hi = shard_cores t.shard ~n (Shard.shard_of_core t.shard t.core_id) in
+  let cl = t.m.Machine.plat.Platform.cacheline in
+  t.arena + (edge_index ~n ~lo ~hi src dst * Urpc.block_lines * cl)
 
 let chan_to t dst =
   match if dst >= 0 && dst < Array.length t.peers then t.peers.(dst) else None with
   | Some ch -> ch
   | None ->
-    let slot_base, send_base, recv_base =
-      if dst < 0 || dst >= Array.length t.peers then (-1, -1, -1) else peer_bases t dst
+    if dst < 0 || dst >= Array.length t.mesh || dst = t.core_id then
+      invalid_arg (Printf.sprintf "Monitor %d: no channel to %d" t.core_id dst);
+    (* First use of this mesh edge: build the channel over the block
+       reserved at connect time. Host-side construction only — buffer
+       addresses (the simulated state) were fixed by [connect]. *)
+    let src = t.core_id in
+    let name = "mon" ^ string_of_int src ^ "->" ^ string_of_int dst in
+    let ch =
+      Urpc.create_prealloc t.m ~sender:src ~receiver:dst ~name
+        ~base:(edge_base t src dst) ()
     in
-    if slot_base < 0 then
-      invalid_arg (Printf.sprintf "Monitor %d: no channel to %d" t.core_id dst)
-    else begin
-      (* First use of this mesh edge: build the channel over the buffers
-         reserved at connect time. Host-side construction only — buffer
-         addresses (the simulated state) were fixed by [connect]. *)
-      let name = "mon" ^ string_of_int t.core_id ^ "->" ^ string_of_int dst in
-      let ch =
-        Urpc.create_prealloc t.m ~sender:t.core_id ~receiver:dst ~name ~slot_base
-          ~send_base ~recv_base ()
-      in
-      let mdst = t.mesh.(dst) in
-      let sh = t.shard in
-      if Shard.shard_of_core sh dst <> Shard.shard_of_core sh t.core_id then begin
-        (* Edge crosses the PDES cut: this is only the sender half. Each
-           message leaves at its visibility time as a timestamped Pdes
-           message; the receiver half materializes lazily on *its* shard,
-           inside the delivery thunk, over the buffers [connect]
-           reserved. *)
-        let plat = t.m.Machine.plat in
-        let spkg = Platform.package_of plat t.core_id in
-        let dpkg = Platform.package_of plat dst in
-        let leg = Shard.leg_latency sh spkg dpkg in
-        let rs = Shard.shard_of_core sh dst in
-        let src = t.core_id in
-        Urpc.set_remote_delivery ch (fun ~visible_at payload ->
-            Pdes.send (Shard.pdes sh) ~dst:rs ~src_core:src ~at:(visible_at + leg)
-              (fun () ->
-                let rx =
-                  match mdst.rx_peers.(src) with
-                  | Some rx -> rx
-                  | None ->
-                    let rx =
-                      Urpc.create_prealloc mdst.m ~sender:src ~receiver:dst ~name
-                        ~slot_base:mdst.rx_slot_base.(src)
-                        ~send_base:mdst.rx_send_base.(src)
-                        ~recv_base:mdst.rx_recv_base.(src) ()
-                    in
-                    Urpc.set_notify rx (notify_arrival mdst ~src);
-                    mdst.rx_peers.(src) <- Some rx;
-                    rx
-                in
-                Urpc.deliver_remote rx payload))
-      end
-      else Urpc.set_notify ch (notify_arrival mdst ~src:t.core_id);
-      t.peers.(dst) <- Some ch;
-      ch
-    end
+    let mdst = t.mesh.(dst) in
+    if Shard.shard_of_core t.shard dst <> Shard.shard_of_core t.shard src then
+      (* Edge crosses the PDES cut: this is only the sender half. The
+         receiver half materializes on *its* shard, on the first arrival,
+         over its own arena's block. *)
+      Shard.split_at_wire t.shard ch (fun () ->
+          match mdst.rx_peers.(src) with
+          | Some rx -> rx
+          | None ->
+            let rx =
+              Urpc.create_prealloc mdst.m ~sender:src ~receiver:dst ~name
+                ~base:(edge_base mdst src dst) ()
+            in
+            Urpc.set_notify rx (notify_arrival mdst ~src);
+            mdst.rx_peers.(src) <- Some rx;
+            rx)
+    else Urpc.set_notify ch (notify_arrival mdst ~src);
+    t.peers.(dst) <- Some ch;
+    ch
 
 let send_to t dst msg = Urpc.send (chan_to t dst) msg
 
@@ -323,11 +326,11 @@ let apply_decision t ~xid ~commit op =
      | _ -> ());
     (* The origin performs the real retype itself after the commit round;
        replicas just advance their view of the consumed extent. *)
-    if commit && origin_of_xid xid <> t.core_id then
+    if commit && origin_of_xid t xid <> t.core_id then
       ignore (Cap.Db.advance_frontier db cap ~bytes : (unit, Types.error) result)
   | Ag_revoke { cap } ->
     Hashtbl.remove t.revoking (extent_key cap);
-    if commit && origin_of_xid xid <> t.core_id then
+    if commit && origin_of_xid t xid <> t.core_id then
       ignore (Cap.Db.revoke_replica db cap : int)
 
 (* ------------------------------------------------------------------ *)
@@ -505,88 +508,24 @@ let run_loop t =
   in
   loop ()
 
-(* A mesh without a cut reserves its buffers as one closed-form arena
-   instead of n*(n-1) individual reservations: same src-major layout and
-   home nodes (so the simulated machine is identical), but O(1)
-   allocator/pinning state and no per-monitor base arrays — the
-   structures that made a 1024-core boot quadratic. *)
-let connect_arena monitors =
-  let n = Array.length monitors in
-  let m = monitors.(0).m in
-  let plat = m.Machine.plat in
-  let pkg c = Platform.package_of plat c in
-  let base =
-    Machine.alloc_region m
-      ~lines:(n * (n - 1) * mesh_edge_lines)
-      ~node_of:(fun off ->
-        (* Buffers NUMA-local to the receiver, control blocks split
-           sender/receiver — the same nodes [Urpc.preallocate] pins on
-           the per-edge path below. *)
-        let edge = off / mesh_edge_lines and o = off mod mesh_edge_lines in
-        let src = edge / (n - 1) in
-        let d = edge mod (n - 1) in
-        let dst = if d >= src then d + 1 else d in
-        if o >= 16 && o < 18 then pkg src else pkg dst)
-  in
-  Array.iter (fun mon -> mon.mesh_arena <- base) monitors
-
+(* Each shard machine reserves its arena as one region: O(1) allocator and
+   pinning state and no per-monitor base arrays — the structures that made
+   a 1024-core boot quadratic. *)
 let connect monitors =
   let n = Array.length monitors in
-  let shard = monitors.(0).shard in
-  if Shard.n_shards shard = 1 then connect_arena monitors
-  else begin
-  (* A split mesh reserves edge by edge, in src-major order: an edge
-     across the cut needs a ring on each side. Channel records are
-     materialized on first use by [chan_to]. *)
-  Array.iter
-    (fun mon ->
-      mon.peer_slot_base <- Array.make n (-1);
-      mon.peer_send_base <- Array.make n (-1);
-      mon.peer_recv_base <- Array.make n (-1);
-      mon.rx_peers <- Array.make n None;
-      mon.rx_slot_base <- Array.make n (-1);
-      mon.rx_send_base <- Array.make n (-1);
-      mon.rx_recv_base <- Array.make n (-1))
-    monitors;
-  for src = 0 to n - 1 do
-    let msrc = monitors.(src) in
-    let plat = msrc.m.Machine.plat in
-    for dst = 0 to n - 1 do
-      if src <> dst then begin
-        if Shard.shard_of_core shard src <> Shard.shard_of_core shard dst then begin
-          (* Edge across the PDES cut: two halves, each homed on its own
-             side so neither ring triggers remote coherence. *)
-          let mdst = monitors.(dst) in
-          let slot_base, send_base, recv_base =
-            Urpc.preallocate msrc.m ~sender:src ~receiver:dst
-              ~node:(Platform.package_of plat src) ()
-          in
-          msrc.peer_slot_base.(dst) <- slot_base;
-          msrc.peer_send_base.(dst) <- send_base;
-          msrc.peer_recv_base.(dst) <- recv_base;
-          let slot_base, send_base, recv_base =
-            Urpc.preallocate mdst.m ~sender:src ~receiver:dst
-              ~node:(Platform.package_of plat dst) ()
-          in
-          mdst.rx_slot_base.(src) <- slot_base;
-          mdst.rx_send_base.(src) <- send_base;
-          mdst.rx_recv_base.(src) <- recv_base
-        end
-        else begin
-          (* Buffers NUMA-local to the receiver: the monitor mesh is what
-             the NUMA-aware protocols of §5.1 run over. *)
-          let slot_base, send_base, recv_base =
-            Urpc.preallocate msrc.m ~sender:src ~receiver:dst
-              ~node:(Platform.package_of plat dst) ()
-          in
-          msrc.peer_slot_base.(dst) <- slot_base;
-          msrc.peer_send_base.(dst) <- send_base;
-          msrc.peer_recv_base.(dst) <- recv_base
-        end
-      end
+  let sh = monitors.(0).shard in
+  let plat = monitors.(0).m.Machine.plat in
+  for s = 0 to Shard.n_shards sh - 1 do
+    let lo, hi = shard_cores sh ~n s in
+    let base =
+      Machine.alloc_region (Shard.machine sh s)
+        ~lines:(arena_edges ~n ~lo ~hi * Urpc.block_lines)
+        ~node_of:(arena_home plat ~n ~lo ~hi)
+    in
+    for c = lo to hi - 1 do
+      monitors.(c).arena <- base
     done
-  done
-  end;
+  done;
   Array.iteri
     (fun i mon ->
       mon.mesh <- monitors;

@@ -46,15 +46,19 @@ val driver : t -> Cpu_driver.t
 val machine : t -> Mk_hw.Machine.t
 
 val connect : t array -> unit
-(** Build the full mesh of monitor URPC channels (buffers NUMA-local to
-    each receiver) and start every monitor's dispatch loop. Call once at
-    boot with all monitors, created over one shard structure. A mesh without a cut (one shard) reserves its
-    buffers as one closed-form arena. In a split mesh, an edge whose
-    endpoints live on different shards is split at the wire: the sender
-    half's ring is homed on the sender's package in the sender's shard
-    machine, the receiver half on the receiver's side, and each message
-    crosses as a timestamped Pdes message carrying one interconnect leg —
-    the monitors' dispatch loops never read another shard's state. *)
+(** Build the full mesh of monitor URPC channels and start every
+    monitor's dispatch loop. Call once at boot with all monitors, created
+    over one shard structure. Each shard machine reserves one closed-form
+    arena: a {!Urpc} channel block for every edge with an endpoint on that
+    shard, in src-major order. A ring is homed on the endpoint that lives
+    on the shard (the receiver when both do), the send control block on
+    the sender, the receive control block on the receiver. Channels are
+    built on first use. An edge whose endpoints live on different shards
+    is split at the wire ({!Shard.split_at_wire}): the sender half runs
+    over the sender shard's block, the receiver half over the receiver
+    shard's, and each message crosses as a timestamped Pdes message
+    carrying one interconnect leg — the monitors' dispatch loops never
+    read another shard's state. *)
 
 val chan_to : t -> int -> msg Urpc.t
 (** The outgoing channel to a peer monitor (for channel-setup services). *)

@@ -30,7 +30,7 @@ let create ~shard ~home_core =
   let bindings =
     Array.init n (fun c ->
         let b =
-          Flounder.connect ~shard m ~name:(Printf.sprintf "ns.core%d" c) ~client:c
+          Flounder.connect shard ~name:(Printf.sprintf "ns.core%d" c) ~client:c
             ~server:home_core ()
         in
         Flounder.export b handler;

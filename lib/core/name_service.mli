@@ -14,7 +14,7 @@ val create : shard:Shard.t -> home_core:int -> t
 (** Start the name-server process on [home_core] and pre-establish the
     per-core client channels. The server loops run on the home core's
     shard; clients on other shards reach it over the split URPC wire
-    ({!Flounder.connect}'s [?shard]). *)
+    ({!Flounder.connect}). *)
 
 val home_core : t -> int
 

@@ -46,7 +46,6 @@ let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
   if workers = [] then invalid_arg "Session.start: no workers";
   let workers = Array.of_list workers in
   let k = Array.length workers in
-  let m = Os.machine os in
   let ns = Os.name_service os in
   let tables = Array.init k (fun _ -> Inttbl.create ~initial_bits:6 ~dummy:0 ()) in
   let served = Array.make k 0 in
@@ -67,14 +66,15 @@ let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
           | Some r -> r.Name_service.srv_core
           | None -> workers.(i)
         in
-        Flounder.connect m
+        Flounder.connect (Os.shards os)
           ~name:(Printf.sprintf "%s.b%d" name i)
           ~client:front ~server ~req_lines ~resp_lines ())
   in
   Array.iteri
     (fun i b ->
+      let wm = Os.machine_of_core os workers.(i) in
       Flounder.export b (fun rq ->
-          Machine.compute m ~core:workers.(i) rq.rq_work;
+          Machine.compute wm ~core:workers.(i) rq.rq_work;
           let hits = Inttbl.find_or tables.(i) rq.rq_session 0 + 1 in
           Inttbl.set tables.(i) rq.rq_session hits;
           served.(i) <- served.(i) + 1;

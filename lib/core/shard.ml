@@ -249,6 +249,16 @@ let alloc_shared t ~src_core ?(node = 0) nlines =
    materializes in the receiver half's ring, where the receiver pays the
    normal fetch + dispatch path. Each half's buffer is homed on its own
    side of the cut, so neither ring ever triggers remote coherence. *)
+let split_at_wire t tx rx =
+  let sender = Urpc.sender tx and receiver = Urpc.receiver tx in
+  let rs = t.shard_of_core.(receiver) in
+  let leg =
+    t.leg.(Platform.package_of t.plat sender).(Platform.package_of t.plat receiver)
+  in
+  Urpc.set_remote_delivery tx (fun ~visible_at payload ->
+      Pdes.send t.pdes ~dst:rs ~src_core:sender ~at:(visible_at + leg) (fun () ->
+          Urpc.deliver_remote (rx ()) payload))
+
 let link_urpc (type a) t ~sender ~receiver ?slots ?name () : a link =
   let ss = t.shard_of_core.(sender) and rs = t.shard_of_core.(receiver) in
   (* Each half's ring must be allocated by its owning shard: in host
@@ -268,21 +278,15 @@ let link_urpc (type a) t ~sender ~receiver ?slots ?name () : a link =
     { tx = ch; rx = ch }
   end
   else begin
-    let spkg = Platform.package_of t.plat sender in
-    let rpkg = Platform.package_of t.plat receiver in
-    let leg = t.leg.(spkg).(rpkg) in
-    let rx : a Urpc.t =
-      on_shard rs (fun () ->
-          Urpc.create t.machines.(rs) ~sender ~receiver ?slots ~node:rpkg ?name ())
+    let half s core =
+      Urpc.create t.machines.(s) ~sender ~receiver ?slots
+        ~node:(Platform.package_of t.plat core) ?name ()
     in
-    let tx : a Urpc.t =
+    let rx = on_shard rs (fun () -> half rs receiver) in
+    let tx =
       on_shard ss (fun () ->
-          let tx =
-            Urpc.create t.machines.(ss) ~sender ~receiver ?slots ~node:spkg ?name ()
-          in
-          Urpc.set_remote_delivery tx (fun ~visible_at payload ->
-              Pdes.send t.pdes ~dst:rs ~src_core:sender ~at:(visible_at + leg)
-                (fun () -> Urpc.deliver_remote rx payload));
+          let tx = half ss sender in
+          split_at_wire t tx (fun () -> rx);
           tx)
     in
     { tx; rx }

@@ -90,6 +90,14 @@ val leg_latency : t -> int -> int -> int
 (** [leg_latency t a b]: one-way message leg between packages [a] and [b]
     under the coherence cost model. *)
 
+val split_at_wire : t -> 'a Urpc.t -> (unit -> 'a Urpc.t) -> unit
+(** [split_at_wire t tx rx] makes [tx] the sender half of a channel split
+    at the cut: each message leaves [tx]'s sender shard at its visibility
+    time, crosses as a Pdes message carrying one interconnect leg, and is
+    delivered into [rx ()], the receiver half on the receiver's shard.
+    [rx] runs there, at the arrival time, so a receiver half may be built
+    on first arrival. *)
+
 val link_urpc :
   t -> sender:int -> receiver:int -> ?slots:int -> ?name:string -> unit -> 'a link
 (** Build a URPC channel from [sender] to [receiver]. Same shard: one

@@ -142,60 +142,39 @@ module Barrier = struct
 end
 
 module Msg_barrier = struct
-  (* Each channel is kept as its (tx, rx) halves: identical unsharded, a
-     {!Shard.link_urpc} pair when the barrier spans a PDES cut — senders
-     only touch tx (their own shard's ring), receivers only rx. *)
+  (* Each channel is a {!Shard.link_urpc} pair, split at the wire when the
+     barrier spans a PDES cut: senders only touch tx (their own shard's
+     ring), receivers only rx. *)
   type t = {
-    parties : (int * int) list;
-    chans_up : (int * (unit Urpc.t * unit Urpc.t)) list;  (* party -> coordinator *)
-    chans_down : (int * (unit Urpc.t * unit Urpc.t)) list;  (* coordinator -> party *)
-    coordinator_core : int;
-    mutable coord_party : int option;  (* party index co-located with coord *)
-    mutable arrived_local : int;
+    chans_up : (int * unit Shard.link) list;  (* party -> coordinator *)
+    chans_down : (int * unit Shard.link) list;  (* coordinator -> party *)
+    coord_party : int option;  (* party index co-located with coord *)
   }
 
-  let create ?shard m ~coordinator ~parties =
-    let link ~sender ~receiver ~name =
-      match shard with
-      | None ->
-        let ch = Urpc.create m ~sender ~receiver ~name () in
-        (ch, ch)
-      | Some sh ->
-        let l = Shard.link_urpc sh ~sender ~receiver ~name () in
-        (l.Shard.tx, l.Shard.rx)
-    in
-    let chans_up =
+  let create sh ~coordinator ~parties =
+    let links ~up =
       List.filter_map
         (fun (p, c) ->
           if c = coordinator then None
+          else if up then
+            Some
+              ( p,
+                Shard.link_urpc sh ~sender:c ~receiver:coordinator
+                  ~name:(Printf.sprintf "bar_up%d" p) () )
           else
             Some
               ( p,
-                link ~sender:c ~receiver:coordinator
-                  ~name:(Printf.sprintf "bar_up%d" p) ))
+                Shard.link_urpc sh ~sender:coordinator ~receiver:c
+                  ~name:(Printf.sprintf "bar_down%d" p) () ))
         parties
     in
-    let chans_down =
-      List.filter_map
-        (fun (p, c) ->
-          if c = coordinator then None
-          else
-            Some
-              ( p,
-                link ~sender:coordinator ~receiver:c
-                  ~name:(Printf.sprintf "bar_down%d" p) ))
-        parties
-    in
-    let coord_party =
-      List.find_map (fun (p, c) -> if c = coordinator then Some p else None) parties
-    in
+    let chans_up = links ~up:true in
+    let chans_down = links ~up:false in
     {
-      parties;
       chans_up;
       chans_down;
-      coordinator_core = coordinator;
-      coord_party;
-      arrived_local = 0;
+      coord_party =
+        List.find_map (fun (p, c) -> if c = coordinator then Some p else None) parties;
     }
 
   (* The coordinator's own await collects everyone's signal and releases
@@ -203,11 +182,9 @@ module Msg_barrier = struct
   let await t ~party =
     match t.coord_party with
     | Some cp when cp = party ->
-      List.iter (fun (_, (_, rx)) -> Urpc.recv rx) t.chans_up;
-      List.iter (fun (_, (tx, _)) -> Urpc.send tx ()) t.chans_down
+      List.iter (fun (_, l) -> Urpc.recv l.Shard.rx) t.chans_up;
+      List.iter (fun (_, l) -> Urpc.send l.Shard.tx ()) t.chans_down
     | _ ->
-      let up_tx, _ = List.assoc party t.chans_up in
-      let _, down_rx = List.assoc party t.chans_down in
-      Urpc.send up_tx ();
-      Urpc.recv down_rx
+      Urpc.send (List.assoc party t.chans_up).Shard.tx ();
+      Urpc.recv (List.assoc party t.chans_down).Shard.rx
 end

@@ -68,11 +68,11 @@ end
 module Msg_barrier : sig
   type t
 
-  val create :
-    ?shard:Shard.t -> Mk_hw.Machine.t -> coordinator:int -> parties:(int * int) list -> t
-  (** [parties] is [(party_index, core)] for each participant. With [shard]
-      each channel is a {!Shard.link_urpc} pair split at the wire, so the
-      barrier works across a PDES cut (the machine is then ignored). *)
+  val create : Shard.t -> coordinator:int -> parties:(int * int) list -> t
+  (** [parties] is [(party_index, core)] for each participant. Each
+      channel is a {!Shard.link_urpc} pair, split at the wire when the
+      barrier spans a PDES cut; a caller without a sharded OS passes a
+      one-shard {!Shard.t}. *)
 
   val await : t -> party:int -> unit
 end

@@ -61,38 +61,27 @@ type 'a t = {
   mutable remote_delivery : (visible_at:int -> 'a -> unit) option;
 }
 
-(* Reserve the buffer memory of a channel without building it. Buffer
-   addresses feed the coherence model, so reservation order is part of the
-   simulated machine; splitting it from construction lets a caller lay out
-   many channels up front (fixing every address) and only pay for the
-   channel records that actually carry traffic — the monitor mesh reserves
-   n*(n-1) channels and typically uses a handful. *)
-let preallocate m ~sender ~receiver ?(slots = 16) ?node () =
-  if slots <= 0 then invalid_arg "Urpc.preallocate: slots must be positive";
-  let plat = m.Machine.plat in
-  let node =
-    match node with Some n -> n | None -> Platform.package_of plat sender
-  in
-  (* Each slot gets its own line; message payloads larger than one line
-     spill into lines allocated right after the ring (same home). The ring
-     and each control block are allocated as one contiguous region so a
-     channel pins three home ranges, not one per line. *)
-  let slot_base = Machine.alloc_lines m ~node slots in
-  let send_base =
-    Machine.alloc_lines m ~node:(Platform.package_of plat sender) 2
-  in
-  let recv_base =
-    Machine.alloc_lines m ~node:(Platform.package_of plat receiver) 3
-  in
-  (slot_base, send_base, recv_base)
+(* A channel's buffers are one block of contiguous lines: the slot ring
+   (one line per slot), then the 2-line send and the 3-line receive control
+   blocks. Buffer addresses feed the coherence model, so the layout is part
+   of the simulated machine. *)
+let default_slots = 16
+let send_lines = 2
+let recv_lines = 3
+let block_lines = default_slots + send_lines + recv_lines
 
-let create_prealloc (type a) m ~sender ~receiver ?(slots = 16) ?(prefetch = false)
-    ?(name = "urpc") ~slot_base ~send_base ~recv_base () : a t =
-  if slots <= 0 then invalid_arg "Urpc.create_prealloc: slots must be positive";
+let block_home ~ring ~sender ~receiver off =
+  if off < default_slots then ring
+  else if off < default_slots + send_lines then sender
+  else receiver
+
+let build (type a) m ~sender ~receiver ~slots ~prefetch ~name ~base : a t =
   let cl = m.Machine.plat.Platform.cacheline in
-  let slot_addrs = Array.init slots (fun i -> slot_base + (i * cl)) in
-  let send_ctrl = Array.init 2 (fun i -> send_base + (i * cl)) in
-  let recv_ctrl = Array.init 3 (fun i -> recv_base + (i * cl)) in
+  let slot_addrs = Array.init slots (fun i -> base + (i * cl)) in
+  let send_ctrl = Array.init send_lines (fun i -> base + ((slots + i) * cl)) in
+  let recv_ctrl =
+    Array.init recv_lines (fun i -> base + ((slots + send_lines + i) * cl))
+  in
   let rec t =
     {
       m;
@@ -121,12 +110,20 @@ let create_prealloc (type a) m ~sender ~receiver ?(slots = 16) ?(prefetch = fals
   in
   t
 
-let create m ~sender ~receiver ?slots ?node ?prefetch ?name () =
-  let slot_base, send_base, recv_base =
-    preallocate m ~sender ~receiver ?slots ?node ()
-  in
-  create_prealloc m ~sender ~receiver ?slots ?prefetch ?name ~slot_base ~send_base
-    ~recv_base ()
+let create_prealloc m ~sender ~receiver ?(name = "urpc") ~base () =
+  build m ~sender ~receiver ~slots:default_slots ~prefetch:false ~name ~base
+
+let create m ~sender ~receiver ?(slots = default_slots) ?node ?(prefetch = false)
+    ?(name = "urpc") () =
+  if slots <= 0 then invalid_arg "Urpc.create: slots must be positive";
+  let pkg = Platform.package_of m.Machine.plat in
+  let node = match node with Some n -> n | None -> pkg sender in
+  (* One pin per home: the bump allocator hands out the three ranges back
+     to back, so they form the channel's block. *)
+  let base = Machine.alloc_lines m ~node slots in
+  ignore (Machine.alloc_lines m ~node:(pkg sender) send_lines : int);
+  ignore (Machine.alloc_lines m ~node:(pkg receiver) recv_lines : int);
+  build m ~sender ~receiver ~slots ~prefetch ~name ~base
 
 let set_notify t f = t.notify <- Some f
 let set_remote_delivery t f = t.remote_delivery <- Some f

@@ -30,37 +30,31 @@ val create :
     prefetch instructions (better pipelined throughput, worse
     single-message latency). *)
 
-val preallocate :
-  Mk_hw.Machine.t ->
-  sender:int ->
-  receiver:int ->
-  ?slots:int ->
-  ?node:int ->
-  unit ->
-  int * int * int
-(** Reserve a channel's buffer memory — (slot ring, sender control,
-    receiver control) base addresses — without constructing the channel.
-    Buffer addresses are simulated-machine state (they fix cache-line
-    homes), so a caller that wants a deterministic layout for many
-    channels but will only use a few can reserve them all up front and
-    build lazily with {!create_prealloc}. [create] = [preallocate] +
-    [create_prealloc]. *)
+val block_lines : int
+(** Lines in the buffer block of a channel with the default 16-slot ring:
+    the ring (one line per slot), then a 2-line send and a 3-line receive
+    control block, contiguous. {!create} reserves such a block itself;
+    a caller that lays out many channels up front (the monitor mesh)
+    reserves blocks and builds each channel on first use with
+    {!create_prealloc}. *)
+
+val block_home : ring:int -> sender:int -> receiver:int -> int -> int
+(** [block_home ~ring ~sender ~receiver off] is the home node of line
+    [off] of a default block: [ring] for the ring, [sender] for the send
+    control block, [receiver] for the receive control block. *)
 
 val create_prealloc :
   Mk_hw.Machine.t ->
   sender:int ->
   receiver:int ->
-  ?slots:int ->
-  ?prefetch:bool ->
   ?name:string ->
-  slot_base:int ->
-  send_base:int ->
-  recv_base:int ->
+  base:int ->
   unit ->
   'a t
-(** Construct a channel over buffers reserved by {!preallocate} with the
-    same [slots]. Pure host-side construction: no simulated state is
-    touched, so when it runs does not affect results. *)
+(** Construct a default-size channel over the block at [base], reserved
+    by the caller with homes as {!block_home} gives. Pure host-side
+    construction: no simulated state is touched, so when it runs does not
+    affect results. *)
 
 val send : 'a t -> ?lines:int -> 'a -> unit
 (** Send a message occupying [lines] cache lines (default 1). Blocks only
@@ -101,7 +95,8 @@ val set_notify : _ t -> (unit -> unit) -> unit
     charged by the consumer, see {!Monitor}). *)
 
 val set_remote_delivery : 'a t -> (visible_at:int -> 'a -> unit) -> unit
-(** PDES cross-shard linkage, sender half: instead of entering the local
+(** PDES cross-shard linkage, sender half, installed by
+    [Shard.split_at_wire]: instead of entering the local
     receive mailbox, each message leaves the shard at its visibility time
     through the callback (which ships it as a timestamped {!Pdes} message
     ending in the receiver shard's {!deliver_remote}). The flow credit

@@ -71,11 +71,11 @@ let test_sql_index_equivalence () =
       check_int "new row visible" (List.length scan.Sqldb.rows + 1) (List.length again.Sqldb.rows))
 
 let test_sql_remote_service () =
-  run_machine (fun m ->
-      let db = Sqldb.create m ~core:1 in
+  run_shard (fun sh ->
+      let db = Sqldb.create (Mk.Shard.machine sh 0) ~core:1 in
       ignore (exec_ok db "CREATE TABLE t (a)");
       ignore (exec_ok db "INSERT INTO t VALUES (5)");
-      let b = Mk.Flounder.connect m ~name:"sql" ~client:3 ~server:1 () in
+      let b = Mk.Flounder.connect sh ~name:"sql" ~client:3 ~server:1 () in
       Sqldb.serve db b;
       match Mk.Flounder.rpc b "SELECT a FROM t" with
       | Ok r -> check_bool "remote rows" true (r.Sqldb.rows = [ [ Sqldb.Int 5 ] ])

@@ -90,6 +90,61 @@ let scaling_golden =
       {| cores   rounds   unmap(cyc)     events     windows  lookahead|};
       {|    64       10        11038      45504         389        265|} ]
 
+(* fig9's Barrelfish column boots a 4-shard amd_4x4: the one golden over a
+   sharded OS (split monitor mesh, split message barriers). *)
+let fig9_golden =
+  [ {|==== Figure 9: compute-bound workloads (4x4-core AMD; cycles x 10^8) ====|};
+      {|-- CG (conjugate gradient) --|};
+      {|cores     Barrelfish          Linux|};
+      {|    2          75.42          75.47|};
+      {|    4          40.63          40.68|};
+      {|    6          29.03          29.09|};
+      {|    8          23.24          23.30|};
+      {|   10          19.76          19.83|};
+      {|   12          17.45          17.52|};
+      {|   14          15.79          15.88|};
+      {|   16          14.56          14.65|};
+      {|-- FT (3D FFT) --|};
+      {|cores     Barrelfish          Linux|};
+      {|    2         244.80         244.80|};
+      {|    4         127.20         127.20|};
+      {|    6          88.00          88.00|};
+      {|    8          68.40          68.40|};
+      {|   10          56.64          56.64|};
+      {|   12          48.80          48.80|};
+      {|   14          43.20          43.20|};
+      {|   16          39.00          39.00|};
+      {|-- IS (integer sort) --|};
+      {|cores     Barrelfish          Linux|};
+      {|    2          14.03          14.03|};
+      {|    4           7.29           7.29|};
+      {|    6           5.05           5.05|};
+      {|    8           3.92           3.92|};
+      {|   10           3.25           3.25|};
+      {|   12           2.80           2.81|};
+      {|   14           2.48           2.49|};
+      {|   16           2.24           2.25|};
+      {|-- Barnes-Hut --|};
+      {|cores     Barrelfish          Linux|};
+      {|    2          24.84          24.84|};
+      {|    4          14.26          14.26|};
+      {|    6          10.73          10.73|};
+      {|    8           8.97           8.97|};
+      {|   10           7.91           7.91|};
+      {|   12           7.21           7.21|};
+      {|   14           6.70           6.70|};
+      {|   16           6.33           6.33|};
+      {|-- radiosity --|};
+      {|cores     Barrelfish          Linux|};
+      {|    2          85.00          85.00|};
+      {|    4          42.50          42.50|};
+      {|    6          28.39          28.39|};
+      {|    8          21.25          21.25|};
+      {|   10          17.02          17.02|};
+      {|   12          14.20          14.19|};
+      {|   14          12.20          12.20|};
+      {|   16          10.63          10.63|} ]
+
 let test_fig6 () = check_golden "fig6" fig6_golden (capture Mk_benches.Fig6.run)
 
 let test_table2 () =
@@ -99,6 +154,8 @@ let test_scaling () =
   check_golden "scaling" scaling_golden (capture Mk_benches.Scaling.run)
 
 let test_fig3 () = check_golden "fig3" fig3_golden (capture Mk_benches.Fig3.run)
+
+let test_fig9 () = check_golden "fig9" fig9_golden (capture Mk_benches.Fig9.run)
 
 let test_polling () =
   check_golden "polling" polling_golden (capture Mk_benches.Polling.run)
@@ -111,4 +168,5 @@ let suite =
       tc "scaling unchanged" test_scaling;
       tc "fig3 unchanged" test_fig3;
       tc "polling unchanged" test_polling;
+      tc "fig9 unchanged" test_fig9;
     ] )

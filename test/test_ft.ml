@@ -46,9 +46,10 @@ let test_reliable_gives_up_with_backoff () =
      call must fail after exactly max_attempts sends whose timeouts double
      each attempt (1+2+4+8 base units of waiting). *)
   let inj = Injector.create ~plan:(drop_all ~until:200_000) ~seed:3 () in
-  let m = Machine.create ~fault:inj Platform.amd_2x2 in
+  let sh = Mk.Shard.create ~faults:[| inj |] ~n_shards:1 Platform.amd_2x2 in
+  let m = Mk.Shard.machine sh 0 in
   let rel =
-    Mk.Flounder.Reliable.connect m ~name:"rt" ~client:0 ~server:2
+    Mk.Flounder.Reliable.connect sh ~name:"rt" ~client:0 ~server:2
       ~base_timeout:1_000 ~max_attempts:4 ()
   in
   Mk.Flounder.Reliable.export rel (fun x -> x);
@@ -71,9 +72,10 @@ let test_reliable_recovers_after_window () =
   (* Drops stop at 5k; the doubling retry schedule reaches past the window
      and the call completes, with the handler having run exactly once. *)
   let inj = Injector.create ~plan:(drop_all ~until:5_000) ~seed:5 () in
-  let m = Machine.create ~fault:inj Platform.amd_2x2 in
+  let sh = Mk.Shard.create ~faults:[| inj |] ~n_shards:1 Platform.amd_2x2 in
+  let m = Mk.Shard.machine sh 0 in
   let rel =
-    Mk.Flounder.Reliable.connect m ~name:"rw" ~client:0 ~server:2
+    Mk.Flounder.Reliable.connect sh ~name:"rw" ~client:0 ~server:2
       ~base_timeout:2_000 ~max_attempts:6 ()
   in
   let runs = ref 0 in
@@ -95,9 +97,10 @@ let test_reliable_dedups_duplicates () =
   (* Every message duplicated: responses replay from the seen-cache, the
      handler still runs exactly once per logical call. *)
   let inj = Injector.create ~plan:(dup_all ~until:1_000_000) ~seed:11 () in
-  let m = Machine.create ~fault:inj Platform.amd_2x2 in
+  let sh = Mk.Shard.create ~faults:[| inj |] ~n_shards:1 Platform.amd_2x2 in
+  let m = Mk.Shard.machine sh 0 in
   let rel =
-    Mk.Flounder.Reliable.connect m ~name:"dd" ~client:1 ~server:3
+    Mk.Flounder.Reliable.connect sh ~name:"dd" ~client:1 ~server:3
       ~base_timeout:5_000 ~max_attempts:3 ()
   in
   let runs = ref 0 in

@@ -85,8 +85,8 @@ let test_kernel_overhead_slows_stack () =
   check_bool "overhead charged" true (slow > fast + 10_000)
 
 let test_flounder_interleaved_clients () =
-  run_machine (fun m ->
-      let b = Mk.Flounder.connect m ~name:"inc" ~client:0 ~server:2 () in
+  run_shard (fun sh ->
+      let b = Mk.Flounder.connect sh ~name:"inc" ~client:0 ~server:2 () in
       Mk.Flounder.export b (fun x -> x + 1);
       let results = ref [] in
       let done_ = Sync.Semaphore.create 0 in

@@ -203,6 +203,122 @@ let test_dispatch_order () =
   check_string "unsharded" (show expected) (show (handled_order ()));
   check_string "2 shards" (show expected) (show (handled_order ~shards:2 ()))
 
+(* Transaction ids stay unique past a million per core: core 0's
+   millionth transaction must not take core 1's first id, or the two
+   agreements overwrite each other's state at their shared aggregator. *)
+let test_xid_past_a_million () =
+  run_os (fun os ->
+      let mon0 = Os.monitor os ~core:0 and mon1 = Os.monitor os ~core:1 in
+      let empty = { Routing.root = 0; branches = []; numa_aware = false } in
+      for _ = 1 to 1_000_000 do
+        Monitor.run_fan mon0 ~plan:empty ~op:Monitor.Op_noop
+      done;
+      let via_2 root =
+        {
+          Routing.root;
+          branches = [ { Routing.aggregator = 2; leaves = [ 3 ] } ];
+          numa_aware = false;
+        }
+      in
+      let a0 = Monitor.agree_async mon0 ~plan:(via_2 0) ~op:Monitor.Ag_noop in
+      let a1 = Monitor.agree_async mon1 ~plan:(via_2 1) ~op:Monitor.Ag_noop in
+      check_bool "core 0 commits" true (Sync.Ivar.read a0);
+      check_bool "core 1 commits" true (Sync.Ivar.read a1))
+
+(* The monitor mesh's layout against its reference model, an edge-by-edge
+   reservation loop: in src-major order, every shard machine holding an
+   endpoint of the edge reserves the next 21 lines — a 16-line ring homed
+   on the endpoint that lives on that shard (the receiver when both do),
+   a 2-line send block homed on the sender and a 3-line receive block
+   homed on the receiver. Checks every mesh line's home, each machine's
+   brk after the mesh, and (by pinging from [sources]) that each channel
+   half runs over the block the model assigns it. *)
+let check_mesh_layout name plat ~shards ~sources =
+  let sh = Shard.create ~n_shards:shards plat in
+  let n = Platform.n_cores plat in
+  let pkg = Platform.package_of plat in
+  let cl = plat.Platform.cacheline in
+  let machine_of = Shard.machine_of_core sh in
+  let monitors =
+    Array.init n (fun c ->
+        let m = machine_of c in
+        Monitor.create ~shard:sh m (Cpu_driver.boot m ~core:c))
+  in
+  let bump = Array.init shards (fun s -> (Shard.machine sh s).Machine.brk) in
+  Monitor.connect monitors;
+  (* ring.(s).(src * n + dst): the model's ring base of the edge on shard s *)
+  let ring = Array.init shards (fun _ -> Array.make (n * n) (-1)) in
+  let home s line = Coherence.home_of (Shard.machine sh s).Machine.coh ~line in
+  let bad = ref 0 in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if src <> dst then
+        for s = 0 to shards - 1 do
+          let on c = Shard.shard_of_core sh c = s in
+          if on src || on dst then begin
+            let base = bump.(s) / cl in
+            ring.(s).((src * n) + dst) <- bump.(s);
+            let expect off =
+              if off < 16 then pkg (if on dst then dst else src)
+              else if off < 18 then pkg src
+              else pkg dst
+            in
+            for off = 0 to 20 do
+              if home s (base + off) <> Some (expect off) then incr bad
+            done;
+            bump.(s) <- bump.(s) + (21 * cl)
+          end
+        done
+    done
+  done;
+  check_int (name ^ ": mesh line homes") 0 !bad;
+  for s = 0 to shards - 1 do
+    check_int
+      (Printf.sprintf "%s: shard %d brk" name s)
+      bump.(s) (Shard.machine sh s).Machine.brk
+  done;
+  List.iter
+    (fun src ->
+      Engine.spawn (Shard.engine sh (Shard.shard_of_core sh src)) (fun () ->
+          for dst = 0 to n - 1 do
+            if dst <> src then ignore (Monitor.ping monitors.(src) dst : int)
+          done))
+    sources;
+  Shard.exec sh;
+  (* A channel's sender writes its send block and its receiver its receive
+     block, so after the pings each block of an edge [a -> b] the model
+     places on shard s is owned by the endpoint that uses it there. *)
+  let owner s addr =
+    Coherence.line_state (Shard.machine sh s).Machine.coh ~line:(addr / cl)
+  in
+  List.iter
+    (fun src ->
+      for dst = 0 to n - 1 do
+        if dst <> src then
+          List.iter
+            (fun (a, b) ->
+              let sa = Shard.shard_of_core sh a and sb = Shard.shard_of_core sh b in
+              let block s = ring.(s).((a * n) + b) in
+              let what s = Printf.sprintf "%s: %d->%d on shard %d" name a b s in
+              check_bool (what sa ^ " send block") true
+                (owner sa (block sa + (16 * cl)) = Coherence.Modified a);
+              check_bool (what sb ^ " receive block") true
+                (owner sb (block sb + (18 * cl)) = Coherence.Modified b))
+            [ (src, dst); (dst, src) ]
+      done)
+    sources
+
+let test_mesh_layout () =
+  List.iter
+    (fun shards ->
+      check_mesh_layout
+        (Printf.sprintf "amd_8x4/%d" shards)
+        Platform.amd_8x4 ~shards ~sources:[ 0; 13; 31 ])
+    [ 1; 2; 4 ];
+  check_mesh_layout "mesh160/1"
+    (Platform.synthetic_mesh ~packages:40 ~cores_per_package:4)
+    ~shards:1 ~sources:[ 0; 159 ]
+
 let suite =
   ( "monitor",
     [
@@ -217,4 +333,6 @@ let suite =
       tc "wake" test_wake;
       tc "messages handled" test_messages_handled_counted;
       tc "dispatch order" test_dispatch_order;
+      tc "xid unique past a million" test_xid_past_a_million;
+      tc "mesh layout matches per-edge reference" test_mesh_layout;
     ] )

@@ -45,7 +45,7 @@ let test_msg_barrier () =
       let m = Os.machine os in
       let dom = Os.spawn_domain os ~name:"mb" ~cores:[ 0; 1; 2; 3 ] in
       let parties = List.mapi (fun i c -> (i, c)) [ 0; 1; 2; 3 ] in
-      let bar = Threads.Msg_barrier.create m ~coordinator:0 ~parties in
+      let bar = Threads.Msg_barrier.create (Os.shards os) ~coordinator:0 ~parties in
       let released = ref 0 in
       let ths =
         List.map
@@ -127,8 +127,8 @@ let test_name_service () =
       check_int "registered" 1 (Name_service.registered ns))
 
 let test_flounder_rpc () =
-  run_machine (fun m ->
-      let b = Flounder.connect m ~name:"doubler" ~client:0 ~server:2 () in
+  run_shard (fun sh ->
+      let b = Flounder.connect sh ~name:"doubler" ~client:0 ~server:2 () in
       Flounder.export b (fun x -> x * 2);
       check_int "rpc" 14 (Flounder.rpc b 7);
       let wait = Flounder.rpc_async b 10 in

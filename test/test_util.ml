@@ -15,15 +15,20 @@ let run_sim f =
   | Some r -> r
   | None -> Alcotest.fail "simulation task did not complete"
 
-(* Same, on a machine of the given platform. *)
-let run_machine ?(plat = Platform.amd_2x2) f =
-  let m = Machine.create plat in
+(* Same, over a one-shard structure of the given platform — what the
+   channel builders ({!Mk.Flounder}, {!Mk.Threads.Msg_barrier}) take. *)
+let run_shard ?(plat = Platform.amd_2x2) f =
+  let sh = Mk.Shard.create ~n_shards:1 plat in
+  let m = Mk.Shard.machine sh 0 in
   let result = ref None in
-  Engine.spawn m.Machine.eng ~name:"test" (fun () -> result := Some (f m));
+  Engine.spawn m.Machine.eng ~name:"test" (fun () -> result := Some (f sh));
   Machine.run m;
   match !result with
   | Some r -> r
   | None -> Alcotest.fail "simulation task did not complete"
+
+(* Same, on that shard's machine. *)
+let run_machine ?plat f = run_shard ?plat (fun sh -> f (Mk.Shard.machine sh 0))
 
 (* Run [f] against a booted OS. *)
 let run_os ?(plat = Platform.amd_2x2) ?(measure_latencies = Mk.Os.No_measure) f =
