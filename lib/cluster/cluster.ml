@@ -67,10 +67,6 @@ type backend = {
   b_queue : Serve.request Ring.t;  (* held at the LB for a free slot *)
 }
 
-(* Ring dummies: never routed, only fill dead slots. *)
-let no_request = { Serve.rq_id = -1; rq_session = 0 }
-let no_reply = Serve.rejected ~id:(-1) ~session:0
-
 type t = {
   cfg : config;
   pdes : Pdes.t;
@@ -171,7 +167,7 @@ let create cfg =
           b_serve = serve;
           b_down = down;
           b_up = up;
-          b_queue = Ring.create ~dummy:no_request ();
+          b_queue = Ring.create ();
         })
   in
   let c2lb = link ~src:(m + 1) ~dst:0 ~gbps:cfg.client_gbps ~latency:cfg.client_latency in
@@ -183,7 +179,7 @@ let create cfg =
       lb_os;
       lb = Lb.create cfg.policy ~backends:m;
       lb_box = Sync.Mailbox.create ();
-      pending_replies = Ring.create ~dummy:no_reply ();
+      pending_replies = Ring.create ();
       backends;
       client;
       c2lb;

@@ -68,7 +68,14 @@ let server_core b = Urpc.receiver b.req.Shard.tx
    a response cache so a retransmitted request replays the cached response
    instead of re-executing the handler. This is the fault-tolerant stub
    variant services use when a fault plan may drop/duplicate/delay URPC
-   messages or kill the server's core. *)
+   messages or kill the server's core.
+
+   The cache holds one response. A binding's channel is FIFO (a delay is
+   head-of-line, a duplicate follows its original) and the client holds
+   one id at a time, taken in rising order: once a request with a new id
+   arrives, no earlier id can be answered usefully, and none can arrive
+   after it. An older duplicate is dropped regardless, without running the
+   handler. *)
 module Reliable = struct
   type ('req, 'resp) t = {
     rb : (int * 'req, int * 'resp) binding;
@@ -77,6 +84,10 @@ module Reliable = struct
     max_attempts : int;
     mutable retries : int;
     mutable gave_up : int;
+    (* The latest request's id and response; ids start at 1, so 0 means
+       nothing is cached. *)
+    mutable cached_id : int;
+    mutable cached : 'resp option;
   }
 
   let connect sh ~name ~client ~server ?(base_timeout = 30_000) ?(max_attempts = 6)
@@ -88,24 +99,31 @@ module Reliable = struct
       max_attempts;
       retries = 0;
       gave_up = 0;
+      cached_id = 0;
+      cached = None;
     }
 
   let export t ?(should_halt = fun () -> false) handler =
-    let seen = Hashtbl.create 32 in
+    t.cached_id <- 0;
+    t.cached <- None;
     let rec loop () =
       let (id, req), wants_resp = Urpc.recv t.rb.req.Shard.rx in
       (* A stopped core processes nothing more: consume-and-die models the
          request reaching a dead endpoint. *)
       if should_halt () then Engine.halt ();
-      let resp =
-        match Hashtbl.find_opt seen id with
-        | Some r -> r  (* duplicate/retransmit: replay, don't re-execute *)
-        | None ->
-          let r = handler req in
-          Hashtbl.replace seen id r;
-          r
-      in
-      if wants_resp then Urpc.send t.rb.resp.Shard.tx ~lines:t.rb.resp_lines (id, resp);
+      if id >= t.cached_id then begin
+        let resp =
+          match t.cached with
+          | Some r when id = t.cached_id -> r  (* retransmit: replay *)
+          | _ ->
+            let r = handler req in
+            t.cached_id <- id;
+            t.cached <- Some r;
+            r
+        in
+        if wants_resp then
+          Urpc.send t.rb.resp.Shard.tx ~lines:t.rb.resp_lines (id, resp)
+      end;
       loop ()
     in
     Engine.spawn t.rb.sm.Machine.eng
@@ -144,6 +162,7 @@ module Reliable = struct
         attempt 1 t.base_timeout)
 
   let stats_retries t = t.retries
+  let stats_cached t = if t.cached_id = 0 then 0 else 1
   let stats_gave_up t = t.gave_up
   let client_core t = client_core t.rb
   let server_core t = server_core t.rb

@@ -84,12 +84,20 @@ module Reliable : sig
   val export : ('req, 'resp) t -> ?should_halt:(unit -> bool) -> ('req -> 'resp) -> unit
   (** Start the server loop. [should_halt] is polled per request: when it
       turns true the server consumes the request and halts without
-      replying — how a service incarnation on a stopped core dies. *)
+      replying — how a service incarnation on a stopped core dies. The
+      loop keeps the latest request's response, replays it to a
+      retransmit, and drops a duplicate of an older request without
+      running [handler]. *)
 
   val call : ('req, 'resp) t -> 'req -> ('resp, [ `Timeout ]) result
   (** Synchronous at-most-once call with retry/backoff. *)
 
   val stats_retries : (_, _) t -> int
+
+  val stats_cached : (_, _) t -> int
+  (** Responses the server's duplicate cache holds: at most one, the
+      latest request's. *)
+
   val stats_gave_up : (_, _) t -> int
   val client_core : (_, _) t -> int
   val server_core : (_, _) t -> int

@@ -43,7 +43,7 @@ type 'a t = {
   (* In-flight messages awaiting visibility, drained by one persistent
      per-channel sequencer task (spawned on first send). [visible_at] is
      monotonic per channel, so queue order is delivery order. *)
-  wire_q : 'a delivery Queue.t;
+  wire_q : 'a delivery Ring.t;
   (* Recycled delivery records, a stack of [n_free] (capped in practice by
      ring slots + 1). *)
   mutable free : 'a delivery array;
@@ -95,7 +95,7 @@ let build (type a) m ~sender ~receiver ~slots ~prefetch ~name ~base : a t =
       box = Sync.Mailbox.create ();
       prefetch;
       chan_name = name;
-      wire_q = Queue.create ();
+      wire_q = Ring.create ();
       free = [||];
       n_free = 0;
       wire_spawned = false;
@@ -184,12 +184,12 @@ let release_delivery t d =
   t.n_free <- t.n_free + 1
 
 let rec wire_loop t =
-  if Queue.is_empty t.wire_q then begin
+  if Ring.is_empty t.wire_q then begin
     Engine.suspend t.park;
     wire_loop t
   end
   else begin
-    let d = Queue.take t.wire_q in
+    let d = Ring.pop t.wire_q in
     Engine.wait_until d.visible_at;
     if d.kind = k_dropped then begin
       (* Injected loss: the slot is reclaimed (the sender's ring index
@@ -216,7 +216,7 @@ let rec wire_loop t =
   end
 
 let wire_post t d =
-  Queue.add d t.wire_q;
+  Ring.push t.wire_q d;
   if not t.wire_spawned then begin
     t.wire_spawned <- true;
     (* Name built here, not in [create]: a monitor mesh makes n*(n-1)
@@ -354,11 +354,11 @@ module Broadcast = struct
     order : 'a Sync.Mailbox.t array;
     by_core : 'a Sync.Mailbox.t option array;
     (* In-flight messages, as two parallel rings so a send allocates
-       nothing: visibility times, and payloads. The payload ring is built
-       on the first send, whose payload is its dummy (the one payload a
-       channel keeps alive), and the wire sequencer starts with it. *)
+       nothing: visibility times, and payloads. The wire sequencer is
+       spawned on the first send. *)
     q_vis : int Ring.t;
-    mutable q_payload : 'a Ring.t option;
+    q_payload : 'a Ring.t;
+    mutable wire_spawned : bool;
     mutable wire_waker : Engine.waker;
     park : Engine.waker -> unit;
     mutable last_visible : int;
@@ -387,8 +387,9 @@ module Broadcast = struct
         line_addr;
         order;
         by_core;
-        q_vis = Ring.create ~dummy:0 ();
-        q_payload = None;
+        q_vis = Ring.create ();
+        q_payload = Ring.create ();
+        wire_spawned = false;
         wire_waker = Engine.no_waker;
         park = (fun w -> t.wire_waker <- w);
         last_visible = 0;
@@ -399,18 +400,18 @@ module Broadcast = struct
   (* Same delivery-sequencer scheme as point-to-point channels: one
      persistent task fans each message out to every receiver mailbox at
      its visibility time, in order. *)
-  let rec wire_loop t payloads =
+  let rec wire_loop t =
     if Ring.is_empty t.q_vis then begin
       Engine.suspend t.park;
-      wire_loop t payloads
+      wire_loop t
     end
     else begin
-      let visible_at = Ring.pop t.q_vis and payload = Ring.pop payloads in
+      let visible_at = Ring.pop t.q_vis and payload = Ring.pop t.q_payload in
       Engine.wait_until visible_at;
       for i = 0 to Array.length t.order - 1 do
         Sync.Mailbox.send t.order.(i) payload
       done;
-      wire_loop t payloads
+      wire_loop t
     end
 
   let send t payload =
@@ -419,19 +420,18 @@ module Broadcast = struct
     let visible_at = max (Engine.now_ () + delay) t.last_visible in
     t.last_visible <- visible_at;
     Ring.push t.q_vis visible_at;
-    match t.q_payload with
-    | Some payloads ->
-      Ring.push payloads payload;
+    Ring.push t.q_payload payload;
+    if not t.wire_spawned then begin
+      t.wire_spawned <- true;
+      Engine.spawn_ ~name:"bcast.wire" (fun () -> wire_loop t)
+    end
+    else begin
       let w = t.wire_waker in
       if w != Engine.no_waker then begin
         t.wire_waker <- Engine.no_waker;
         w ()
       end
-    | None ->
-      let payloads = Ring.create ~dummy:payload () in
-      t.q_payload <- Some payloads;
-      Ring.push payloads payload;
-      Engine.spawn_ ~name:"bcast.wire" (fun () -> wire_loop t payloads)
+    end
 
   let recv t ~core =
     let box =

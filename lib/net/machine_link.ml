@@ -9,22 +9,27 @@
    window: nothing a machine sends can affect another machine sooner than
    the wire latency.
 
-   Wire batching: per-frame [Pdes.send] pays a record, a closure and a
-   share of the exchange sort for every frame, which dominates host cost
-   at cluster request rates. Instead, frames departing inside the same
-   PDES window are buffered per link and handed over at the next exchange
-   barrier as one [Pdes.send_run] carrying every frame's own arrival
-   timestamp; the barrier expands the run in canonical order, so the
-   simulation is byte-identical to unbatched sends (MK_NO_WIRE_BATCH=1,
-   refereed in CI). Buffered frames cannot be lost: the executor runs the
-   flush hook at the top of every exchange, including the final one. *)
+   Wire batching: sent the moment it departs, every frame needs a
+   [Pdes.send] closure of its own, a host allocation per frame at cluster
+   request rates. Instead, frames departing inside the same PDES window
+   are buffered per link and handed over at the next exchange barrier by
+   the link's flush hook, which runs with the sending shard as its
+   source: one [Pdes.send] per frame, each with its own arrival timestamp
+   and sequence number, so the destination sees exactly the messages it
+   would have seen unbatched (MK_NO_WIRE_BATCH=1, refereed in CI). The
+   hook moves each frame into the link's receive ring, and every frame's
+   thunk is the link's one prebuilt [deliver_next], which pops the ring's
+   oldest frame. That is sound because one link's frames have
+   non-decreasing arrival times and rising sequence numbers, so the
+   destination runs them in the order the hook pushed them. Buffered
+   frames cannot be lost: the executor runs the flush hook at the top of
+   every exchange, including the final one. *)
 
 open Mk_sim
 
 type 'a t = {
   pdes : Pdes.t;
   dst_shard : int;
-  src_shard : int;  (* outbox (and flush-hook) home for batched frames *)
   src_id : int;  (* canonical merge key: unique per sending endpoint *)
   wire : Resource.t;  (* tx serialization on the sender's engine *)
   cycles_per_byte : float;
@@ -35,12 +40,15 @@ type 'a t = {
   mutable tx_bytes : int;
   mutable tx_batches : int;  (* coalescable flush groups, both modes *)
   mutable frames_at_flush : int;  (* tx_frames at the last flush *)
-  (* Current window's frame buffer (batched mode only). [msg_buf] starts
-     empty and is seeded from the first payload — the type has no dummy. *)
-  mutable n_buf : int;
-  mutable at_buf : int array;
-  mutable bytes_buf : int array;
-  mutable msg_buf : 'a array;
+  (* Batched mode: the current window's frames, on the sending shard... *)
+  tx_at : int Ring.t;
+  tx_size : int Ring.t;
+  tx_msg : 'a Ring.t;
+  (* ...and the frames handed over but not yet delivered, on the
+     receiving shard. *)
+  rx_size : int Ring.t;
+  rx_msg : 'a Ring.t;
+  deliver_next : unit -> unit;
 }
 
 (* Referee switch: MK_NO_WIRE_BATCH=1 (or [set_batching_override
@@ -69,28 +77,21 @@ let flush t =
     Pool.note Wire_batches 1;
     Pool.note Wire_msgs frames
   end;
-  let n = t.n_buf in
-  if n > 0 then begin
-    t.n_buf <- 0;
-    let rx = t.rx in
-    let bytes_buf = t.bytes_buf and msg_buf = t.msg_buf in
-    (* [at_buf] is handed over live: the same exchange barrier that runs
-       this hook consumes the run, before the next window can refill it. *)
-    Pdes.send_run t.pdes ~dst:t.dst_shard ~src_shard:t.src_shard ~src_core:t.src_id ~n
-      ~ats:t.at_buf (fun i ->
-        let b = bytes_buf.(i) and m = msg_buf.(i) in
-        fun () -> rx ~bytes:b m)
-  end
+  Ring.transfer t.tx_size t.rx_size;
+  Ring.transfer t.tx_msg t.rx_msg;
+  while not (Ring.is_empty t.tx_at) do
+    let at = Ring.pop t.tx_at in
+    Pdes.send t.pdes ~dst:t.dst_shard ~src_core:t.src_id ~at t.deliver_next
+  done
 
 let create pdes ~dst_shard ~src_shard ~src_id ~ghz ?(gbps = 10.0) ~latency () =
   if latency < Pdes.lookahead pdes then
     invalid_arg "Machine_link.create: latency below the executor's lookahead";
   if gbps <= 0.0 then invalid_arg "Machine_link.create: gbps";
-  let t =
+  let rec t =
     {
       pdes;
       dst_shard;
-      src_shard;
       src_id;
       wire = Resource.create ~name:"wire" ();
       (* bytes -> cycles: 8 bits/byte at [gbps] Gbit/s is [8 / gbps] ns,
@@ -103,10 +104,15 @@ let create pdes ~dst_shard ~src_shard ~src_id ~ghz ?(gbps = 10.0) ~latency () =
       tx_bytes = 0;
       tx_batches = 0;
       frames_at_flush = 0;
-      n_buf = 0;
-      at_buf = [||];
-      bytes_buf = [||];
-      msg_buf = [||];
+      tx_at = Ring.create ();
+      tx_size = Ring.create ();
+      tx_msg = Ring.create ();
+      rx_size = Ring.create ();
+      rx_msg = Ring.create ();
+      deliver_next =
+        (fun () ->
+          let bytes = Ring.pop t.rx_size in
+          t.rx ~bytes (Ring.pop t.rx_msg));
     }
   in
   (* The hook runs in both modes so [tx_batches] (and the Pool wire
@@ -115,25 +121,6 @@ let create pdes ~dst_shard ~src_shard ~src_id ~ghz ?(gbps = 10.0) ~latency () =
   t
 
 let set_rx t f = t.rx <- f
-
-let push t ~at ~bytes msg =
-  let n = t.n_buf in
-  if n >= Array.length t.at_buf then begin
-    let cap = Stdlib.max 16 (2 * Array.length t.at_buf) in
-    let grow a = Array.append a (Array.make (cap - Array.length a) 0) in
-    t.at_buf <- grow t.at_buf;
-    t.bytes_buf <- grow t.bytes_buf;
-    (* Seed fresh value slots with [msg]: the payload type has no dummy,
-       and every slot at or past [n] is dead until overwritten. *)
-    let old = t.msg_buf in
-    let m = Array.make cap msg in
-    Array.blit old 0 m 0 (Array.length old);
-    t.msg_buf <- m
-  end;
-  t.at_buf.(n) <- at;
-  t.bytes_buf.(n) <- bytes;
-  t.msg_buf.(n) <- msg;
-  t.n_buf <- n + 1
 
 let send t ~bytes msg =
   (* Task context on the sending machine's engine. Flush any banked
@@ -148,7 +135,11 @@ let send t ~bytes msg =
   t.tx_frames <- t.tx_frames + 1;
   t.tx_bytes <- t.tx_bytes + bytes;
   let at = departed + t.latency in
-  if t.batching then push t ~at ~bytes msg
+  if t.batching then begin
+    Ring.push t.tx_at at;
+    Ring.push t.tx_size bytes;
+    Ring.push t.tx_msg msg
+  end
   else begin
     let rx = t.rx in
     Pdes.send t.pdes ~dst:t.dst_shard ~src_core:t.src_id ~at (fun () -> rx ~bytes msg)

@@ -9,12 +9,13 @@
     {!Mk_sim.Pdes.send} message, so cluster runs are byte-identical at any
     domain count.
 
-    Frames departing inside the same PDES window are coalesced into one
-    {!Mk_sim.Pdes.send_run} batch per link, handed over by a flush hook at
-    the exchange barrier; every frame keeps its own arrival timestamp and
-    the barrier expands the batch in canonical merge order, so batching
-    changes host cost only, never simulated output (refereed against
-    [MK_NO_WIRE_BATCH=1] in CI).
+    Frames departing inside the same PDES window are buffered per link
+    and handed over by a flush hook at the exchange barrier, one
+    {!Mk_sim.Pdes.send} per frame with its own arrival timestamp, each
+    carrying the link's one prebuilt delivery thunk, which pops the frame
+    from a per-link receive ring. Batching changes host cost only, never
+    simulated output (refereed against [MK_NO_WIRE_BATCH=1] in CI), and a
+    batched frame allocates nothing on the host.
 
     One [t] is one direction; build a pair for a full-duplex wire. *)
 
@@ -30,8 +31,8 @@ val create :
   latency:int ->
   unit ->
   'a t
-(** [src_shard] is the sending endpoint's shard — where buffered frames
-    live and where the flush hook is registered. [src_id] is the
+(** [src_shard] is the sending endpoint's shard — where the flush hook
+    is registered, and so the source of the frames it hands over. [src_id] is the
     canonical merge key for this endpoint's messages — give every link
     endpoint in a cluster a distinct id. [ghz] converts bytes to cycles
     at [gbps] (default 10.0) Gbit/s; [latency] is the one-way propagation

@@ -74,24 +74,30 @@ type t = {
   mutable slot_id : int array;
   mutable slot_name : string array;
   mutable slot_wake : wake_cell array;  (* [no_wake] until the first suspend *)
+  mutable slot_handler : (unit, unit) Effect.Deep.handler array;
+      (* [no_handler] until a task first starts in the slot *)
   mutable free_slots : int array;
   mutable n_free : int;
   mutable next_task : int;
   self : t option;  (* [Some t], built once: [run] publishes it *)
-  (* Slot of the task whose [E_suspend] is being handled: [effc] sets it
-     for the handler, which is built once per engine. *)
-  mutable susp_slot : int;
+  (* Slot of the task whose [E_suspend] or [E_name] is being handled:
+     [effc] sets it for the handler, which is built once per engine. *)
+  mutable eff_slot : int;
   (* The charge cell of the domain running this engine, set by [run]: the
      handlers read the parked payload through it. *)
   mutable cell : charge_cell;
   on_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
   on_suspend : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_name : ((string, unit) Effect.Deep.continuation -> unit) option;
 }
 
 let nop () = ()
 let nop_ev : ev = Obj.repr nop
 let no_waker : waker = fun ?delay:_ () -> ()
 let no_wake = { k = nop_ev; fn = no_waker }
+
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { retc = nop; exnc = raise; effc = (fun _ -> None) }
 let ev_of_thunk (f : unit -> unit) : ev = Obj.repr f
 
 let ev_of_cont (k : (unit, unit) Effect.Deep.continuation) : ev = Obj.repr k
@@ -318,11 +324,12 @@ let create () =
       slot_id = [||];
       slot_name = [||];
       slot_wake = [||];
+      slot_handler = [||];
       free_slots = [||];
       n_free = 0;
       next_task = 0;
       self = Some t;
-      susp_slot = 0;
+      eff_slot = 0;
       cell = Domain.DLS.get domain_charge;
       on_wait =
         Some (fun k -> schedule t ~at:(t.now + max 0 t.cell.wait_n) (ev_of_cont k));
@@ -334,9 +341,10 @@ let create () =
             (* Drop the parked closure: the cell outlives the task and
                must not keep its (young) register alive. *)
             c.register <- no_register;
-            let w = waker_of t t.susp_slot in
+            let w = waker_of t t.eff_slot in
             w.k <- ev_of_cont k;
             register w.fn);
+      on_name = Some (fun k -> Effect.Deep.continue k t.slot_name.(t.eff_slot));
     }
   in
   t
@@ -347,17 +355,19 @@ let grow_slots t =
   let cap = Array.length t.slot_id in
   let ncap = max 16 (2 * cap) in
   let id = Array.make ncap (-1) and nm = Array.make ncap "" in
-  let wk = Array.make ncap no_wake in
+  let wk = Array.make ncap no_wake and hd = Array.make ncap no_handler in
   Array.blit t.slot_id 0 id 0 cap;
   Array.blit t.slot_name 0 nm 0 cap;
   Array.blit t.slot_wake 0 wk 0 cap;
+  Array.blit t.slot_handler 0 hd 0 cap;
   (* Every slot was taken: the free stack holds just the new ones, lowest
      on top. *)
   t.free_slots <- Array.init ncap (fun i -> if i < ncap - cap then ncap - 1 - i else 0);
   t.n_free <- ncap - cap;
   t.slot_id <- id;
   t.slot_name <- nm;
-  t.slot_wake <- wk
+  t.slot_wake <- wk;
+  t.slot_handler <- hd
 
 let take_slot t tid name =
   if t.n_free = 0 then grow_slots t;
@@ -377,52 +387,68 @@ let free_slot t s =
   t.free_slots.(t.n_free) <- s;
   t.n_free <- t.n_free + 1
 
-(* Run [f] as a task body under the scheduling-effect handler. The body is
-   bracketed so any charge still banked when the task returns (or halts)
-   is paid before the task dies — otherwise a fused run could end with a
-   smaller final clock than an unfused one.
+(* A task body runs bracketed so any charge still banked when the task
+   returns (or halts) is paid before the task dies — otherwise a fused run
+   could end with a smaller final clock than an unfused one. *)
+let body f =
+  match f () with
+  | () -> flush_charge ()
+  | exception Halted ->
+    flush_charge ();
+    raise Halted
+
+(* The scheduling-effect handler of the task in slot [s]: built the first
+   time a task starts in [s] and reused by every later one, since nothing
+   in it depends on the task beyond its slot.
 
    [E_wait] and [E_suspend] find their payload parked in the domain's
-   charge cell and return the engine's prebuilt handler. That is safe
-   because [effc]'s result is applied at once, on this domain, before
-   anything else can perform an effect: the handler reads the payload back
-   before any other task runs. *)
+   charge cell, [E_suspend] and [E_name] find the slot in [eff_slot], and
+   all three return the engine's prebuilt handler. That is safe because
+   [effc]'s result is applied at once, on this domain, before anything
+   else can perform an effect: the handler reads the payload back before
+   any other task runs. *)
+let handler_of t s =
+  let h = t.slot_handler.(s) in
+  if h != no_handler then h
+  else begin
+    let open Effect.Deep in
+    let h =
+      { retc = (fun () -> free_slot t s);
+        exnc =
+          (fun e ->
+            free_slot t s;
+            (* Drop, don't pay, the bank on a crash: the next slice on this
+               domain must not inherit a dead task's pending delay. *)
+            (Domain.DLS.get domain_charge).pending <- 0;
+            match e with
+            | Halted -> ()
+            | e ->
+              (* A crashing task aborts the whole simulation: surface it. *)
+              raise e);
+        effc =
+          (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+            match eff with
+            | E_wait -> t.on_wait
+            | E_now -> Some (fun (k : (a, _) continuation) -> continue k t.now)
+            | E_name ->
+              t.eff_slot <- s;
+              t.on_name
+            | E_suspend ->
+              t.eff_slot <- s;
+              t.on_suspend
+            | _ -> None) }
+    in
+    t.slot_handler.(s) <- h;
+    h
+  end
+
+(* Run [f] as a task under its slot's handler. *)
 let exec t (name : string) f =
   t.live <- t.live + 1;
   let tid = t.next_task in
   t.next_task <- tid + 1;
   let slot = take_slot t tid name in
-  let open Effect.Deep in
-  match_with
-    (fun () ->
-      match f () with
-      | () -> flush_charge ()
-      | exception Halted ->
-        flush_charge ();
-        raise Halted)
-    ()
-    { retc = (fun () -> free_slot t slot);
-      exnc =
-        (fun e ->
-          free_slot t slot;
-          (* Drop, don't pay, the bank on a crash: the next slice on this
-             domain must not inherit a dead task's pending delay. *)
-          (Domain.DLS.get domain_charge).pending <- 0;
-          match e with
-          | Halted -> ()
-          | e ->
-            (* A crashing task aborts the whole simulation: surface it. *)
-            raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-          match eff with
-          | E_wait -> t.on_wait
-          | E_now -> Some (fun (k : (a, _) continuation) -> continue k t.now)
-          | E_name -> Some (fun (k : (a, _) continuation) -> continue k name)
-          | E_suspend ->
-            t.susp_slot <- slot;
-            t.on_suspend
-          | _ -> None) }
+  Effect.Deep.match_with body f (handler_of t slot)
 
 (* Start task [f] at the current virtual time: callable from inside a task
    (where a charge may be banked) as well as from setup code (where the

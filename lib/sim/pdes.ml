@@ -40,27 +40,30 @@
    counters back through {!Pool.absorb} and reports its windows and their
    parallelism profile through {!Pool.note}. *)
 
-type msg = {
-  at : int;  (* absolute delivery time *)
-  src_core : int;  (* simulated core that caused the send *)
-  mseq : int;  (* per-source-shard sequence number *)
-  fn : unit -> unit;  (* runs on the destination engine at [at] *)
+(* Messages queued from one shard to another during a window, in send
+   order: growable parallel arrays, so a send allocates nothing once the
+   arrays have grown to the traffic. *)
+type outbox = {
+  mutable n : int;
+  mutable o_at : int array;  (* absolute delivery time *)
+  mutable o_core : int array;  (* simulated core that caused the send *)
+  mutable o_seq : int array;  (* per-source-shard sequence number *)
+  mutable o_fn : (unit -> unit) array;  (* runs on the destination at [at] *)
 }
 
-(* A batch of frames from one sender stream, sharing one outbox entry:
-   frame [i] delivers at [r_at.(i)] (non-decreasing) with sequence number
-   [r_mseq0 + i]. The exchange barrier expands the run frame by frame in
-   the same canonical (at, src_core, mseq) order individual {!send}s would
-   have produced, so batching is invisible to the simulation. *)
-type run = {
-  r_src_core : int;
-  r_mseq0 : int;  (* frame [i] carries mseq [r_mseq0 + i] *)
-  r_n : int;
-  r_at : int array;  (* per-frame delivery times, non-decreasing *)
-  r_mk : int -> unit -> unit;  (* called once per frame at the barrier *)
+(* One destination's messages at the barrier: the keys of every source
+   outbox's entries side by side, [g_src] and [g_idx] locating each entry
+   in its outbox, [g_perm] the entries in canonical order and [g_tmp] the
+   merge sort's buffer. *)
+type gather = {
+  mutable g_at : int array;
+  mutable g_core : int array;
+  mutable g_seq : int array;
+  mutable g_src : int array;
+  mutable g_idx : int array;
+  mutable g_perm : int array;
+  mutable g_tmp : int array;
 }
-
-type packet = Msg of msg | Run of run
 
 type shard = {
   eng : Engine.t;
@@ -68,7 +71,7 @@ type shard = {
   sink : Buffer.t option;  (* [Some buf], built once *)
   mutable key : (t * int) option;  (* [Some (owner, index)], built once *)
   index : int option;  (* [Some index], built once: [current] allocates nothing *)
-  outbox : packet list array;  (* per destination shard, newest first *)
+  outbox : outbox array;  (* per destination shard *)
   mutable send_seq : int;
   mutable flush : (unit -> unit) list;  (* registration order *)
   mutable err : (exn * Printexc.raw_backtrace) option;
@@ -78,12 +81,38 @@ type shard = {
 and t = {
   shards : shard array;
   lookahead : int;
+  gather : gather;  (* the barrier's scratch, reused for every destination *)
   mutable horizon : int;  (* exclusive upper bound of the last window *)
   mutable barriers : int;  (* windows executed, across exec calls *)
   mutable events : int;  (* events executed inside windows *)
   mutable critical : int;  (* per window, the busiest shard's events; summed *)
   mutable busy : int;  (* shard-windows that executed at least one event *)
 }
+
+let nop () = ()
+
+let new_outbox () = { n = 0; o_at = [||]; o_core = [||]; o_seq = [||]; o_fn = [||] }
+
+let grow_outbox o =
+  let cap = max 16 (2 * Array.length o.o_at) in
+  let grow a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 o.n;
+    b
+  in
+  o.o_at <- grow o.o_at 0;
+  o.o_core <- grow o.o_core 0;
+  o.o_seq <- grow o.o_seq 0;
+  o.o_fn <- grow o.o_fn nop
+
+let push o ~at ~core ~seq fn =
+  if o.n = Array.length o.o_at then grow_outbox o;
+  let i = o.n in
+  o.o_at.(i) <- at;
+  o.o_core.(i) <- core;
+  o.o_seq.(i) <- seq;
+  o.o_fn.(i) <- fn;
+  o.n <- i + 1
 
 let of_engines ~lookahead engines =
   if Array.length engines = 0 then invalid_arg "Pdes.of_engines: no engines";
@@ -101,7 +130,7 @@ let of_engines ~lookahead engines =
               sink = Some buf;
               key = None;
               index = Some i;
-              outbox = Array.make n_shards [];
+              outbox = Array.init n_shards (fun _ -> new_outbox ());
               send_seq = 0;
               flush = [];
               err = None;
@@ -109,6 +138,16 @@ let of_engines ~lookahead engines =
             })
           engines;
       lookahead;
+      gather =
+        {
+          g_at = [||];
+          g_core = [||];
+          g_seq = [||];
+          g_src = [||];
+          g_idx = [||];
+          g_perm = [||];
+          g_tmp = [||];
+        };
       horizon = 0;
       barriers = 0;
       events = 0;
@@ -139,13 +178,14 @@ let engine t i =
 
 let spawn t ~shard ?name f = Engine.spawn (engine t shard) ?name f
 
-(* Which shard the current domain is executing a window for; [send] uses
-   it to pick the source outbox (and sequence counter) without threading
-   the shard index through every hardware-layer hook. *)
+(* Which shard the current domain is executing a window or running flush
+   hooks for; [send] uses it to pick the source outbox (and sequence
+   counter) without threading the shard index through every
+   hardware-layer hook. *)
 let cur_key : (t * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Which shard (of [t]) the calling domain is currently running a window
-   for; [None] outside window execution (host/setup context). Lets glue
+   or flush hooks for; [None] otherwise (host/setup context). Lets glue
    code (e.g. {!Mk.Shard}) decide whether it is on a shard engine and, if
    so, which one, without threading the index everywhere. *)
 let current t =
@@ -158,46 +198,21 @@ let send t ~dst ~src_core ~at fn =
   if at < t.horizon then
     invalid_arg
       (Printf.sprintf "Pdes.send: lookahead violation (at=%d < horizon=%d)" at t.horizon);
-  (* Outside a window (setup before the first exchange) any outbox works —
-     horizon is still 0 and the first exchange drains them all. *)
+  (* Outside a window and its flush hooks (setup before the first
+     exchange) any outbox works — horizon is still 0 and the first
+     exchange drains them all. *)
   let src =
     match Domain.DLS.get cur_key with Some (t', i) when t' == t -> i | _ -> 0
   in
   let s = t.shards.(src) in
-  s.outbox.(dst) <- Msg { at; src_core; mseq = s.send_seq; fn } :: s.outbox.(dst);
+  push s.outbox.(dst) ~at ~core:src_core ~seq:s.send_seq fn;
   s.send_seq <- s.send_seq + 1
 
-(* Queue a whole batch of frames from one sender stream as a single outbox
-   entry, consuming [n] consecutive per-source sequence numbers. The
-   source shard is explicit because the caller is typically a flush hook
-   running at the exchange barrier, outside any window (where [cur_key]
-   identifies no shard). [ats] is read until the next exchange completes —
-   callers that buffer frames per window (and flush from {!add_flush}
-   hooks) can hand over their live buffer without snapshotting, since the
-   same exchange that runs the hook also consumes the run. *)
-let send_run t ~dst ~src_shard ~src_core ~n ~ats mk =
-  if dst < 0 || dst >= Array.length t.shards then invalid_arg "Pdes.send_run: bad dst shard";
-  if src_shard < 0 || src_shard >= Array.length t.shards then
-    invalid_arg "Pdes.send_run: bad src shard";
-  if n < 1 || n > Array.length ats then invalid_arg "Pdes.send_run: bad frame count";
-  if ats.(0) < t.horizon then
-    invalid_arg
-      (Printf.sprintf "Pdes.send_run: lookahead violation (at=%d < horizon=%d)" ats.(0)
-         t.horizon);
-  for i = 1 to n - 1 do
-    if ats.(i) < ats.(i - 1) then
-      invalid_arg "Pdes.send_run: frame times must be non-decreasing"
-  done;
-  let s = t.shards.(src_shard) in
-  s.outbox.(dst) <-
-    Run { r_src_core = src_core; r_mseq0 = s.send_seq; r_n = n; r_at = ats; r_mk = mk }
-    :: s.outbox.(dst);
-  s.send_seq <- s.send_seq + n
-
 (* Register a hook that runs at the top of every exchange barrier (and so
-   before outboxes are collected), in shard order then registration order
-   — a deterministic point for senders that coalesce frames per window to
-   hand them over via {!send_run}. *)
+   before outboxes are collected), in shard order then registration order,
+   with its own shard as the sending shard — a deterministic point for
+   senders that coalesce frames per window to hand them over through
+   {!send}. *)
 let add_flush t ~shard f =
   if shard < 0 || shard >= Array.length t.shards then invalid_arg "Pdes.add_flush: bad shard";
   let s = t.shards.(shard) in
@@ -225,109 +240,116 @@ let run_shard t i ~until =
     Domain.DLS.set cur_key saved
   end
 
-let compare_msg a b =
-  let c = compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = compare a.src_core b.src_core in
-    if c <> 0 then c else compare a.mseq b.mseq
+(* Gathered entry [i] precedes entry [j] in the canonical (at, src_core,
+   mseq) order. *)
+let before g i j =
+  let ai = g.g_at.(i) and aj = g.g_at.(j) in
+  ai < aj
+  || ai = aj
+     &&
+     let ci = g.g_core.(i) and cj = g.g_core.(j) in
+     ci < cj || (ci = cj && g.g_seq.(i) < g.g_seq.(j))
 
-(* K-way merge of sorted singles and run cursors in (at, src_core, mseq)
-   order: each run is internally sorted (non-decreasing [r_at], strictly
-   increasing mseq), so advancing per-run cursors and always delivering
-   the globally smallest key reproduces exactly the order one flat sort of
-   the individual messages would have produced. *)
-let deliver_merged eng singles runs =
-  let k = Array.length runs in
-  let pos = Array.make k 0 in
-  let singles = ref singles in
-  let exhausted = ref false in
-  while not !exhausted do
-    let bi = ref (-1) in
-    for i = 0 to k - 1 do
-      let r = runs.(i) in
-      if pos.(i) < r.r_n then
-        if !bi < 0 then bi := i
-        else begin
-          let b = runs.(!bi) in
-          let ai = r.r_at.(pos.(i)) and ab = b.r_at.(pos.(!bi)) in
-          if
-            ai < ab
-            || (ai = ab
-               && (r.r_src_core < b.r_src_core
-                  || (r.r_src_core = b.r_src_core
-                     && r.r_mseq0 + pos.(i) < b.r_mseq0 + pos.(!bi))))
-          then bi := i
+(* Sort [perm.(lo .. hi-1)] by [before], through [tmp]: a top-down merge
+   sort that leaves an already sorted range (such as one link's frames)
+   after one comparison. *)
+let rec sort_perm g perm tmp lo hi =
+  if hi - lo >= 2 then begin
+    let mid = (lo + hi) / 2 in
+    sort_perm g perm tmp lo mid;
+    sort_perm g perm tmp mid hi;
+    if before g perm.(mid) perm.(mid - 1) then begin
+      Array.blit perm lo tmp lo (hi - lo);
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && not (before g tmp.(!j) tmp.(!i))) then begin
+          perm.(k) <- tmp.(!i);
+          incr i
         end
+        else begin
+          perm.(k) <- tmp.(!j);
+          incr j
+        end
+      done
+    end
+  end
+
+(* Gather the keys of the [n] messages for [dst], sort them and schedule
+   the messages on [dst]'s engine in that order. Thunks stay in their
+   outbox until scheduled, and each slot is cleared then, so no delivered
+   closure stays reachable. *)
+let deliver t dst n =
+  let ns = Array.length t.shards in
+  let g = t.gather in
+  if Array.length g.g_at < n then begin
+    let cap = max n (2 * Array.length g.g_at) in
+    g.g_at <- Array.make cap 0;
+    g.g_core <- Array.make cap 0;
+    g.g_seq <- Array.make cap 0;
+    g.g_src <- Array.make cap 0;
+    g.g_idx <- Array.make cap 0;
+    g.g_perm <- Array.make cap 0;
+    g.g_tmp <- Array.make cap 0
+  end;
+  let k = ref 0 in
+  for src = 0 to ns - 1 do
+    let o = t.shards.(src).outbox.(dst) in
+    for i = 0 to o.n - 1 do
+      let j = !k in
+      g.g_at.(j) <- o.o_at.(i);
+      g.g_core.(j) <- o.o_core.(i);
+      g.g_seq.(j) <- o.o_seq.(i);
+      g.g_src.(j) <- src;
+      g.g_idx.(j) <- i;
+      g.g_perm.(j) <- j;
+      k := j + 1
     done;
-    let take_run i =
-      let r = runs.(i) in
-      let p = pos.(i) in
-      Engine.schedule_at eng ~at:r.r_at.(p) (r.r_mk p);
-      pos.(i) <- p + 1
-    in
-    match (!singles, !bi) with
-    | [], -1 -> exhausted := true
-    | m :: rest, -1 ->
-      Engine.schedule_at eng ~at:m.at m.fn;
-      singles := rest
-    | [], i -> take_run i
-    | m :: rest, i ->
-      let r = runs.(i) in
-      let p = pos.(i) in
-      let ai = r.r_at.(p) in
-      if
-        m.at < ai
-        || (m.at = ai
-           && (m.src_core < r.r_src_core
-              || (m.src_core = r.r_src_core && m.mseq < r.r_mseq0 + p)))
-      then begin
-        Engine.schedule_at eng ~at:m.at m.fn;
-        singles := rest
-      end
-      else take_run i
+    o.n <- 0
+  done;
+  (* Gathered in source order, the entries are often sorted already: one
+     source shard, sending at rising times. *)
+  let j = ref 1 in
+  while !j < n && not (before g !j (!j - 1)) do
+    incr j
+  done;
+  if !j < n then sort_perm g g.g_perm g.g_tmp 0 n;
+  let eng = t.shards.(dst).eng in
+  for k = 0 to n - 1 do
+    let j = g.g_perm.(k) in
+    let o = t.shards.(g.g_src.(j)).outbox.(dst) and i = g.g_idx.(j) in
+    Engine.schedule_at eng ~at:o.o_at.(i) o.o_fn.(i);
+    o.o_fn.(i) <- nop
   done
 
-(* Collect every outbox entry for [dst] and schedule it on [dst]'s engine
-   in canonical order. *)
-let deliver t dst =
-  let singles = ref [] in
-  let runs = ref [] in
-  for src = 0 to Array.length t.shards - 1 do
-    match t.shards.(src).outbox.(dst) with
-    | [] -> ()
-    | l ->
-      List.iter
-        (function Msg m -> singles := m :: !singles | Run r -> runs := r :: !runs)
-        l;
-      t.shards.(src).outbox.(dst) <- []
-  done;
-  let eng = t.shards.(dst).eng in
-  let singles = List.sort compare_msg !singles in
-  match !runs with
-  | [] -> List.iter (fun m -> Engine.schedule_at eng ~at:m.at m.fn) singles
-  | rl -> deliver_merged eng singles (Array.of_list rl)
+(* Run shard [i]'s flush hooks with [i] as the sending shard. *)
+let run_flush t i =
+  match t.shards.(i).flush with
+  | [] -> ()
+  | hooks ->
+    let saved = Domain.DLS.get cur_key in
+    Domain.DLS.set cur_key t.shards.(i).key;
+    List.iter (fun f -> f ()) hooks;
+    Domain.DLS.set cur_key saved
 
 (* Deliver every pending cross-shard message. Flush hooks run first — in
    shard order, then registration order — so senders that coalesce frames
    per window hand them over before any outbox is collected. Per
-   destination, messages from all source outboxes are merged in
-   (at, src_core, mseq) order — a total order, since a core belongs to
-   exactly one shard and that shard's [mseq] is strictly increasing — so
-   the destination engine assigns its tie-breaking sequence numbers in an
-   order independent of shard scheduling, and independent of whether
-   frames traveled individually or as runs. *)
+   destination, messages from all source outboxes are sorted by
+   (at, src_core, mseq) — a total order, since a core belongs to exactly
+   one shard and that shard's [mseq] is strictly increasing — so the
+   destination engine assigns its tie-breaking sequence numbers in an
+   order independent of shard scheduling. *)
 let exchange t =
   let n = Array.length t.shards in
   for i = 0 to n - 1 do
-    match t.shards.(i).flush with [] -> () | hooks -> List.iter (fun f -> f ()) hooks
+    run_flush t i
   done;
   for dst = 0 to n - 1 do
-    let pending = ref false in
+    let pending = ref 0 in
     for src = 0 to n - 1 do
-      match t.shards.(src).outbox.(dst) with [] -> () | _ -> pending := true
+      pending := !pending + t.shards.(src).outbox.(dst).n
     done;
-    if !pending then deliver t dst
+    if !pending > 0 then deliver t dst !pending
   done
 
 (* Earliest pending event anywhere; [max_int] = every shard idle. *)

@@ -46,8 +46,9 @@ val spawn : t -> shard:int -> ?name:string -> (unit -> unit) -> unit
 (** [Engine.spawn] on the shard's engine. *)
 
 val current : t -> int option
-(** The shard of [t] whose window the calling domain is currently
-    executing, or [None] outside window execution (host/setup context).
+(** The shard of [t] whose window (or {!add_flush} hooks) the calling
+    domain is currently executing, or [None] outside them (host/setup
+    context).
     Glue code uses it to pick between direct construction (host context:
     every shard is quiescent) and cross-shard messaging. *)
 
@@ -61,49 +62,27 @@ val send : t -> dst:int -> src_core:int -> at:int -> (unit -> unit) -> unit
     task context: it may mutate state, call [Engine.spawn] /
     [Engine.schedule_at] and {!send}, but must not perform task effects.
 
+    Outboxes and the barrier's sort are flat arrays, reused from window to
+    window: once they have grown to the traffic, a send and its delivery
+    allocate nothing on the host, so a caller that passes a prebuilt
+    [fn] pays no allocation per message at all.
+
     Raises [Invalid_argument] if [at] precedes the current window horizon
     — a lookahead violation, meaning the caller used a cross-shard latency
     below the [lookahead] the executor was created with. Callable during
     setup (before {!exec}), where the horizon is still 0. *)
 
-val send_run :
-  t ->
-  dst:int ->
-  src_shard:int ->
-  src_core:int ->
-  n:int ->
-  ats:int array ->
-  (int -> unit -> unit) ->
-  unit
-(** [send_run t ~dst ~src_shard ~src_core ~n ~ats mk] queues a batch of
-    [n] frames from one sender stream as a single cross-shard message.
-    Frame [i] delivers on shard [dst] at [ats.(i)] and [mk i] — called
-    exactly once per frame, at the exchange barrier, in delivery order —
-    returns its thunk. The batch consumes [n] consecutive per-source
-    sequence numbers, and the barrier expands it frame by frame into the
-    canonical (at, src_core, mseq) merge, so a run is delivered exactly
-    as the same [n] individual {!send}s would have been — batching is
-    invisible to the simulation.
-
-    The source shard is explicit because the intended callers are
-    {!add_flush} hooks, which run at the barrier, outside any window.
-    [ats] must be non-decreasing and is read until the exchange that
-    collects the run completes — a flush hook may hand over a live
-    per-window buffer without snapshotting, because the same barrier that
-    runs the hook also consumes the run. [src_core] must not collide with
-    any other sender stream's merge key (same rule as {!send}).
-
-    Raises [Invalid_argument] on a bad shard, [n < 1], [n >
-    Array.length ats], decreasing [ats], or a lookahead violation on
-    [ats.(0)]. *)
-
 val add_flush : t -> shard:int -> (unit -> unit) -> unit
 (** Register a hook that runs at the top of every exchange barrier,
     before any outbox is collected — in shard order, then registration
-    order, always on the domain calling {!exec}. Senders that coalesce
-    frames per window use it to hand over their buffers via {!send_run};
-    since the first thing {!exec} does each round (including the final
-    one) is exchange, no buffered frame can be lost at termination. *)
+    order, always on the domain calling {!exec}. A hook runs with its
+    [shard] as the sending shard: a {!send} it makes goes to that shard's
+    outbox and takes the next of that shard's sequence numbers, exactly as
+    if the shard had sent it at the end of its window. Senders that
+    coalesce frames per window use it to hand them over one {!send} per
+    frame; since the first thing {!exec} does each round (including the
+    final one) is exchange, no buffered frame can be lost at
+    termination. *)
 
 val exec : ?domains:int -> t -> unit
 (** Run the sharded simulation to completion (no pending events or

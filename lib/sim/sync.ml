@@ -1,7 +1,8 @@
 (* Blocking primitives built on Engine.suspend. Each primitive builds its
    suspend callback once, at [create], and drops a waker from its queue
-   before calling it, as the waker contract asks. All queues are FIFO,
-   which keeps the whole simulation deterministic.
+   before calling it, as the waker contract asks. All queues are FIFO
+   {!Ring}s, which keeps the whole simulation deterministic and lets a
+   block/wake round trip allocate nothing but the task's continuation.
 
    Every mutating operation is an *interaction point* for latency-charge
    fusion: it flushes the caller's banked charge first, so queue contents,
@@ -10,22 +11,28 @@
 
 let wake (w : Engine.waker) = w ()
 
+(* Wake the first [n] wakers of [q], oldest first. Wakers only schedule,
+   so none of them can push onto [q] while this runs. *)
+let wake_n q n =
+  for _ = 1 to n do
+    wake (Ring.pop q)
+  done
+
 module Ivar = struct
   type 'a state = Empty | Full of 'a
   type 'a t = {
     mutable state : 'a state;
-    waiters : Engine.waker Queue.t;
+    waiters : Engine.waker Ring.t;
     park : Engine.waker -> unit;
   }
 
   let create () =
-    let waiters = Queue.create () in
-    { state = Empty; waiters; park = (fun w -> Queue.add w waiters) }
+    let waiters = Ring.create () in
+    { state = Empty; waiters; park = (fun w -> Ring.push waiters w) }
 
   let fill_waiters t v =
     t.state <- Full v;
-    Queue.iter wake t.waiters;
-    Queue.clear t.waiters
+    wake_n t.waiters (Ring.length t.waiters)
 
   let fill t v =
     Engine.flush_charge ();
@@ -56,53 +63,65 @@ module Ivar = struct
 end
 
 module Mailbox = struct
-  (* Waiters are boxed so a timed-out waiter can be marked stale in place:
-     [send] skips stale entries, and whichever of [send] and the timeout
-     watchdog marks the entry stale first is the only one to call its
-     waker. *)
+  (* A waiter is a waker queued next to its entry. A timed receive's entry
+     is its own, so it can be marked stale in place: [send] skips stale
+     entries, and whichever of [send] and the timeout watchdog marks the
+     entry stale first is the only one to call the waker. A blocking
+     receive cannot time out, so it queues the shared [live] entry, which
+     is never marked, and allocates nothing. *)
   type entry = { mutable stale : bool; mutable waker : Engine.waker }
+
+  let live = { stale = false; waker = Engine.no_waker }
 
   (* [park] is the blocking receive's suspend callback, built once here
      rather than per blocked [recv]. *)
   type 'a t = {
-    items : 'a Queue.t;
-    waiters : entry Queue.t;
+    items : 'a Ring.t;
+    wakers : Engine.waker Ring.t;
+    entries : entry Ring.t;  (* parallel to [wakers] *)
     park : Engine.waker -> unit;
   }
 
   let create () =
-    let waiters = Queue.create () in
+    let wakers = Ring.create () and entries = Ring.create () in
     {
-      items = Queue.create ();
-      waiters;
-      park = (fun w -> Queue.add { stale = false; waker = w } waiters);
+      items = Ring.create ();
+      wakers;
+      entries;
+      park =
+        (fun w ->
+          Ring.push wakers w;
+          Ring.push entries live);
     }
 
-  let rec wake_one q =
-    if not (Queue.is_empty q) then begin
-      let e = Queue.take q in
-      if e.stale then wake_one q
+  let rec wake_one t =
+    if not (Ring.is_empty t.wakers) then begin
+      let w = Ring.pop t.wakers and e = Ring.pop t.entries in
+      if e == live then wake w
+      else if e.stale then wake_one t
       else begin
         e.stale <- true;
-        wake e.waker
+        wake w
       end
     end
 
   let send t v =
     Engine.flush_charge ();
-    Queue.add v t.items;
-    wake_one t.waiters
+    Ring.push t.items v;
+    wake_one t
 
-  (* [is_empty]/[take] rather than [take_opt]: the mailbox hand-off is on
+  (* [is_empty]/[pop] rather than [take_opt]: the mailbox hand-off is on
      the URPC per-message path, and [take_opt] boxes every received value
      in an option. *)
   let rec recv t =
     Engine.flush_charge ();
-    if Queue.is_empty t.items then begin
+    if Ring.is_empty t.items then begin
       Engine.suspend t.park;
       recv t
     end
-    else Queue.take t.items
+    else Ring.pop t.items
+
+  let take_opt t = if Ring.is_empty t.items then None else Some (Ring.pop t.items)
 
   (* Timed receive. A watchdog task marks the entry stale at the deadline
      and fires its waker; whichever of send/watchdog runs first marks it
@@ -112,13 +131,13 @@ module Mailbox = struct
      [take_opt] re-checks the queue). *)
   let recv_timeout t ~timeout =
     Engine.flush_charge ();
-    match Queue.take_opt t.items with
+    match take_opt t with
     | Some v -> Some v
     | None ->
       let deadline = Engine.now_ () + max 0 timeout in
       let rec wait_for () =
         let left = deadline - Engine.now_ () in
-        if left <= 0 then Queue.take_opt t.items
+        if left <= 0 then take_opt t
         else begin
           (* Spawn the watchdog in task context (effects are unavailable
              inside the suspend callback); the entry only becomes visible
@@ -133,8 +152,9 @@ module Mailbox = struct
               end);
           Engine.suspend (fun w ->
               entry.waker <- w;
-              Queue.add entry t.waiters);
-          match Queue.take_opt t.items with
+              Ring.push t.wakers w;
+              Ring.push t.entries entry);
+          match take_opt t with
           | Some v -> Some v
           | None -> wait_for ()
         end
@@ -143,22 +163,22 @@ module Mailbox = struct
 
   let try_recv t =
     Engine.flush_charge ();
-    Queue.take_opt t.items
-  let length t = Queue.length t.items
+    take_opt t
+  let length t = Ring.length t.items
 end
 
 module Semaphore = struct
   (* [park]: the blocking acquire's suspend callback, built at [create]. *)
   type t = {
     mutable count : int;
-    waiters : Engine.waker Queue.t;
+    waiters : Engine.waker Ring.t;
     park : Engine.waker -> unit;
   }
 
   let create n =
     if n < 0 then invalid_arg "Semaphore.create";
-    let waiters = Queue.create () in
-    { count = n; waiters; park = (fun w -> Queue.add w waiters) }
+    let waiters = Ring.create () in
+    { count = n; waiters; park = (fun w -> Ring.push waiters w) }
 
   let rec acquire t =
     Engine.flush_charge ();
@@ -171,7 +191,7 @@ module Semaphore = struct
   let release t =
     Engine.flush_charge ();
     t.count <- t.count + 1;
-    if not (Queue.is_empty t.waiters) then wake (Queue.take t.waiters)
+    if not (Ring.is_empty t.waiters) then wake (Ring.pop t.waiters)
 
   let available t = t.count
 end
@@ -193,11 +213,11 @@ module Mutex = struct
 end
 
 module Condition = struct
-  type t = { waiters : Engine.waker Queue.t; park : Engine.waker -> unit }
+  type t = { waiters : Engine.waker Ring.t; park : Engine.waker -> unit }
 
   let create () =
-    let waiters = Queue.create () in
-    { waiters; park = (fun w -> Queue.add w waiters) }
+    let waiters = Ring.create () in
+    { waiters; park = (fun w -> Ring.push waiters w) }
 
   let wait t mutex =
     (* Atomic in simulation terms: no other task runs between unlock and
@@ -209,38 +229,32 @@ module Condition = struct
 
   let signal t =
     Engine.flush_charge ();
-    if not (Queue.is_empty t.waiters) then wake (Queue.take t.waiters)
+    if not (Ring.is_empty t.waiters) then wake (Ring.pop t.waiters)
 
   let broadcast t =
     Engine.flush_charge ();
-    let ws = Queue.create () in
-    Queue.transfer t.waiters ws;
-    Queue.iter wake ws
+    wake_n t.waiters (Ring.length t.waiters)
 end
 
 module Barrier = struct
   type t = {
     parties : int;
     mutable arrived : int;
-    mutable waiters : Engine.waker list;
+    waiters : Engine.waker Ring.t;
     park : Engine.waker -> unit;
   }
 
   let create parties =
     if parties <= 0 then invalid_arg "Barrier.create";
-    let rec t =
-      { parties; arrived = 0; waiters = []; park = (fun w -> t.waiters <- w :: t.waiters) }
-    in
-    t
+    let waiters = Ring.create () in
+    { parties; arrived = 0; waiters; park = (fun w -> Ring.push waiters w) }
 
   let await t =
     Engine.flush_charge ();
     t.arrived <- t.arrived + 1;
     if t.arrived = t.parties then begin
-      let ws = List.rev t.waiters in
       t.arrived <- 0;
-      t.waiters <- [];
-      List.iter wake ws
+      wake_n t.waiters (Ring.length t.waiters)
     end
     else Engine.suspend t.park
 end

@@ -566,7 +566,7 @@ let test_skip_idle_directed () =
 (* [Ring] is FIFO across growth and wrap-around, and keeps no popped
    payload alive. *)
 let test_ring () =
-  let r = Ring.create ~dummy:(ref 0) () in
+  let r = Ring.create () in
   let next_in = ref 0 and next_out = ref 0 in
   let weak = Weak.create 1 in
   for round = 1 to 6 do
@@ -585,13 +585,95 @@ let test_ring () =
   Gc.full_major ();
   check_bool "popped payload released" true (Weak.get weak 0 = None)
 
+(* [Ring] against [Stdlib.Queue]: random pushes, pops and transfers
+   between two fresh (unallocated) rings, long enough to grow them and
+   wrap them around, give the same pops and lengths as two queues. Payloads
+   are floats, boxed values, ints, and a mix of immediates and blocks
+   ([int option]), since the ring stores immediates without a write
+   barrier; and no popped payload stays reachable from a ring. *)
+type ring_op = Push | Pop of int | Transfer
+
+let ring_matches_queue (type a) (make : int -> a) ops =
+  let rs : a Ring.t array = [| Ring.create (); Ring.create () |] in
+  let qs = [| Queue.create (); Queue.create () |] in
+  let popped = Weak.create (List.length ops) in
+  let n_popped = ref 0 and n_pushed = ref 0 in
+  let agree i =
+    Ring.length rs.(i) = Queue.length qs.(i)
+    && Ring.is_empty rs.(i) = Queue.is_empty qs.(i)
+  in
+  let same =
+    List.for_all
+      (fun op ->
+        (match op with
+         | Push ->
+           let v = make !n_pushed in
+           incr n_pushed;
+           Ring.push rs.(0) v;
+           Queue.push v qs.(0);
+           true
+         | Transfer ->
+           Ring.transfer rs.(0) rs.(1);
+           Queue.transfer qs.(0) qs.(1);
+           true
+         | Pop i -> (
+           match Queue.take_opt qs.(i) with
+           | None -> (
+             match Ring.pop rs.(i) with
+             | _ -> false
+             | exception Invalid_argument _ -> true)
+           | Some v ->
+             let w = Ring.pop rs.(i) in
+             Weak.set popped !n_popped (Some (Obj.repr w));
+             incr n_popped;
+             w = v))
+        && agree 0 && agree 1)
+      ops
+  in
+  Queue.clear qs.(0);
+  Queue.clear qs.(1);
+  (same, rs, popped, !n_popped)
+
+let prop_ring_matches_queue =
+  let ops =
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (frequency
+           [
+             (6, return Push);
+             (3, return (Pop 0));
+             (1, return Transfer);
+             (3, return (Pop 1));
+           ]))
+  in
+  qtest "Ring = Stdlib.Queue (floats, boxed, ints, mixed), pops released" ~count:100 ops
+    (fun ops ->
+      let ok make =
+        let same, _, _, _ = ring_matches_queue make ops in
+        same
+      in
+      let float_ok = ok (fun i -> float_of_int i +. 0.5)
+      and int_ok = ok (fun i -> i)
+      and mixed_ok = ok (fun i -> if i mod 3 = 0 then None else Some i) in
+      let boxed_ok, rs, popped, n = ring_matches_queue (fun i -> ref i) ops in
+      Gc.full_major ();
+      let released = ref true in
+      for i = 0 to n - 1 do
+        if Weak.check popped i then released := false
+      done;
+      (* Keep the rings alive across the collection: their live slots must
+         not be what freed the popped payloads. *)
+      ignore (Sys.opaque_identity rs);
+      float_ok && int_ok && mixed_ok && boxed_ok && !released)
+
 (* -- allocation budget of the scheduling operations --
 
    Minor words per operation, averaged over 100k operations after a
    warm-up that grows every ring and queue to size: deterministic for a
    given build, so the budgets pin the engine's per-event diet. A wait or
    a suspend is its continuation and nothing else: the effects carry no
-   payload, and a task's waker is built once, on its first suspend. *)
+   payload, a task's waker is built once, on its first suspend, and
+   [Sync] queues its waker on a ring. *)
 
 let alloc_ops = 100_000
 
@@ -626,7 +708,7 @@ let test_allocation_budget () =
   check "wait" 2.0 (words_per_op (fun () -> Engine.wait 1));
   (* A semaphore round trip: two suspends, one per side. *)
   let ping = Sync.Semaphore.create 0 and pong = Sync.Semaphore.create 0 in
-  check "semaphore round trip" 10.0
+  check "semaphore round trip" 4.0
     (words_per_op
        ~partner:(fun n ->
          for _ = 1 to n do
@@ -637,7 +719,7 @@ let test_allocation_budget () =
          Sync.Semaphore.release ping;
          Sync.Semaphore.acquire pong));
   let mb = Sync.Mailbox.create () in
-  check "blocking Mailbox.recv + wait" 13.0
+  check "blocking Mailbox.recv + wait" 4.0
     (words_per_op
        ~partner:(fun n ->
          for i = 1 to n do
@@ -646,12 +728,13 @@ let test_allocation_budget () =
          done)
        (fun () -> ignore (Sync.Mailbox.recv mb : int)));
   (* A spawn schedules on the running engine; an unnamed one also reads
-     its parent's name, and builds the child's. *)
-  check "spawn_ + wait" 48.0
+     its parent's name, and builds the child's. The child runs under its
+     slot's reused handler. *)
+  check "spawn_ + wait" 18.0
     (words_per_op (fun () ->
          Engine.spawn_ ignore;
          Engine.wait 1));
-  check "spawn_ ~name + wait" 37.0
+  check "spawn_ ~name + wait" 13.0
     (words_per_op (fun () ->
          Engine.spawn_ ~name:"child" ignore;
          Engine.wait 1))
@@ -691,6 +774,7 @@ let suite =
       tc "charge nonpositive noop" test_charge_nonpositive_is_noop;
       tc "skip_idle directed" test_skip_idle_directed;
       tc "ring" test_ring;
+      prop_ring_matches_queue;
       tc "allocation budget" test_allocation_budget;
       prop_skip_idle_matches_run;
       prop_event_order;

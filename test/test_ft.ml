@@ -123,6 +123,59 @@ let test_reliable_dedups_duplicates () =
   check_bool "duplicates were injected" true
     ((Injector.stats inj).Injector.urpc_duplicated > 0)
 
+let test_reliable_cache_stays_bounded () =
+  (* A long run under duplicates and head-of-line delays long enough to
+     force retransmits: every call completes, the handler runs once per
+     call, and the server's response cache never holds more than the
+     latest response. *)
+  let plan =
+    {
+      Plan.empty with
+      Plan.msgs =
+        [
+          {
+            Plan.mf_from = 0;
+            mf_until = max_int;
+            drop_1_in = 0;
+            dup_1_in = 4;
+            delay_1_in = 4;
+            max_delay = 8_000;
+          };
+        ];
+    }
+  in
+  let inj = Injector.create ~plan ~seed:5 () in
+  let sh = Mk.Shard.create ~faults:[| inj |] ~n_shards:1 Platform.amd_2x2 in
+  let m = Mk.Shard.machine sh 0 in
+  let rel =
+    Mk.Flounder.Reliable.connect sh ~name:"bounded" ~client:0 ~server:3
+      ~base_timeout:5_000 ~max_attempts:8 ()
+  in
+  let calls = 10_000 in
+  let runs = ref 0 and oks = ref 0 and most_cached = ref 0 in
+  Mk.Flounder.Reliable.export rel (fun x ->
+      incr runs;
+      x * 2);
+  Engine.spawn m.Machine.eng ~name:"caller" (fun () ->
+      Injector.arm inj m.Machine.eng;
+      for i = 1 to calls do
+        (match Mk.Flounder.Reliable.call rel i with
+         | Ok r ->
+           check_int "response value" (2 * i) r;
+           incr oks
+         | Error `Timeout -> ());
+        most_cached := max !most_cached (Mk.Flounder.Reliable.stats_cached rel)
+      done);
+  Machine.run m;
+  let st = Injector.stats inj in
+  check_int "all calls completed" calls !oks;
+  check_int "handler once per call" calls !runs;
+  check_int "at most one cached response" 1 !most_cached;
+  check_bool "duplicates, delays and retransmits happened" true
+    (st.Injector.urpc_duplicated > 0
+    && st.Injector.urpc_delayed > 0
+    && Mk.Flounder.Reliable.stats_retries rel > 0)
+
 (* --- end-to-end: kill a core, watch the OS recover -------------------- *)
 
 let test_end_to_end_recovery () =
@@ -206,5 +259,6 @@ let suite =
       tc "reliable backoff schedule" test_reliable_gives_up_with_backoff;
       tc "reliable recovers after window" test_reliable_recovers_after_window;
       tc "reliable dedups duplicates" test_reliable_dedups_duplicates;
+      tc "reliable cache stays bounded" test_reliable_cache_stays_bounded;
       tc "end-to-end core death recovery" test_end_to_end_recovery;
     ] )

@@ -225,10 +225,10 @@ let test_boot_input_checks () =
 
 (* Minor words per [Os.protect] (an mprotect and its undo alternate, each
    a full LRPC + shootdown round trip over all 32 cores): deterministic
-   for a given build. The budget is the measured figure (8,218.5) rounded
-   up: one-shard boots install no cross-shard hooks, and blocking and
-   waking allocate nothing beyond the continuation. *)
-let protect_budget = 8_219.0
+   for a given build. The budget is the measured figure (7,690) exactly:
+   one-shard boots install no cross-shard hooks, blocking and waking
+   allocate nothing beyond the continuation, and waiters queue on rings. *)
+let protect_budget = 7_690.0
 
 let test_protect_allocation_budget () =
   let os = Os.boot Platform.amd_8x4 in

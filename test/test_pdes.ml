@@ -325,6 +325,36 @@ let test_idle_shards_cost_nothing () =
   if Float.abs (crowded -. alone) > 2.0 then
     Alcotest.failf "words per window: %.2f with 7 idle shards, %.2f alone" crowded alone
 
+(* Two shards bouncing one message back and forth with prebuilt thunks:
+   every hop is a window, a barrier and a delivery. Words are measured as
+   the difference between a long and a short run, so what [exec] itself
+   costs per call cancels out. *)
+let words_per_hop ~hops =
+  let p = Pdes.create ~n_shards:2 ~lookahead:10 in
+  let left = ref hops in
+  let thunks = Array.make 2 ignore in
+  let bounce d () =
+    if !left > 0 then begin
+      decr left;
+      let at = Engine.now (Pdes.engine p d) + 10 in
+      Pdes.send p ~dst:(1 - d) ~src_core:d ~at thunks.(1 - d)
+    end
+  in
+  thunks.(0) <- bounce 0;
+  thunks.(1) <- bounce 1;
+  Pdes.send p ~dst:1 ~src_core:0 ~at:10 thunks.(1);
+  let w0 = Gc.minor_words () in
+  Pdes.exec ~domains:1 p;
+  Gc.minor_words () -. w0
+
+let test_ping_pong_allocates_nothing () =
+  let short = 1_000 and long = 101_000 in
+  let ws = words_per_hop ~hops:short in
+  let wl = words_per_hop ~hops:long in
+  let per_hop = (wl -. ws) /. float_of_int (long - short) in
+  if per_hop > 0.0 then
+    Alcotest.failf "2-shard ping-pong: %.3f minor words per delivered message" per_hop
+
 let test_profile () =
   let p = ticking ~idle:3 ~windows:50 in
   Pdes.exec ~domains:1 p;
@@ -365,4 +395,5 @@ let suite =
       qcheck_referee;
       tc "idle shards cost nothing per window" test_idle_shards_cost_nothing;
       tc "parallelism profile" test_profile;
+      tc "ping-pong allocates nothing per message" test_ping_pong_allocates_nothing;
     ] )

@@ -2,8 +2,9 @@
 
    Batching referee in miniature: a random cluster cell must produce an
    identical result record with wire batching forced on and forced off,
-   and directed Pdes.send_run cases pin the canonical unpack order a
-   batch must preserve (the property CI's full-sweep referee byte-diffs).
+   and a differential property pins the canonical delivery order that
+   batched frames, sent from flush hooks, must share with window sends
+   (the property CI's full-sweep referee byte-diffs).
    The HTTP side pins the incremental CRLFCRLF scanner to a naive oracle
    over adversarially fragmented chunk streams, and the arithmetic
    response-length model to the real formatter. *)
@@ -13,74 +14,138 @@ open Mk_apps
 open Mk_cluster
 open Test_util
 
-(* -- Pdes.send_run: canonical unpack order (directed) ----------------- *)
+(* -- Pdes delivery order vs a reference model ------------------------- *)
 
-(* Run a 2-shard simulation whose only activity is the queued messages,
-   each appending its tag to [log] when it executes on shard 1. *)
-let delivery_order queue =
-  let t = Pdes.create ~n_shards:2 ~lookahead:5 in
-  let log = ref [] in
-  let note tag () = log := tag :: !log in
-  queue t note;
-  Pdes.exec ~domains:1 t;
-  List.rev !log
+(* One message of the property: sent by shard [src], from its window task
+   or from its flush hook, to shard [dst], to arrive [at] cycles past the
+   first window's horizon. *)
+type msg = { src : int; from_hook : bool; dst : int; core : int; at : int }
 
-let test_run_unpacks_in_index_order () =
-  (* One batch, non-decreasing stamps (two equal): frames deliver in
-     index order 0,1,2 — a run is its sends, in order. *)
-  let got =
-    delivery_order (fun t note ->
-        Pdes.send_run t ~dst:1 ~src_shard:0 ~src_core:0 ~n:3
-          ~ats:[| 10; 10; 25 |]
-          (fun i -> note i))
+(* Every message is sent in the first window (by one task per shard, at
+   time 0) or by the flush hooks of the exchange that ends it, so all of
+   them reach their destination at that one exchange. A destination must
+   then run them in [List.sort] order of (at, src_core, mseq), where
+   [mseq] numbers each source shard's sends: its window sends first, in
+   order, then its hook's. Cores are drawn per shard, as a core belongs to
+   one shard; few cores and few times make ties likely. Every hook must
+   also run as its own shard. *)
+let delivery_order_holds (n, msgs) =
+  let lookahead = 5 in
+  let msgs = List.mapi (fun tag m -> (tag, m)) msgs in
+  let p = Pdes.create ~n_shards:n ~lookahead in
+  let log = Array.make n [] in
+  let send (tag, m) =
+    Pdes.send p ~dst:m.dst ~src_core:m.core ~at:(lookahead + m.at) (fun () ->
+        log.(m.dst) <- (Engine.now (Pdes.engine p m.dst), tag) :: log.(m.dst))
   in
-  check_bool "index order" true (got = [ 0; 1; 2 ])
+  let by src hook =
+    List.filter (fun (_, m) -> m.src = src && m.from_hook = hook) msgs
+  in
+  let hooks_as_own_shard = ref true in
+  for s = 0 to n - 1 do
+    let armed = ref false in
+    Pdes.spawn p ~shard:s (fun () ->
+        List.iter send (by s false);
+        armed := true);
+    Pdes.add_flush p ~shard:s (fun () ->
+        if Pdes.current p <> Some s then hooks_as_own_shard := false;
+        if !armed then begin
+          armed := false;
+          List.iter send (by s true)
+        end)
+  done;
+  Pdes.exec ~domains:1 p;
+  let mseq = Hashtbl.create 64 in
+  for s = 0 to n - 1 do
+    List.iteri (fun i (tag, _) -> Hashtbl.replace mseq tag i) (by s false @ by s true)
+  done;
+  let in_order d =
+    let expected =
+      msgs
+      |> List.filter (fun (_, m) -> m.dst = d)
+      |> List.map (fun (tag, m) ->
+             ((lookahead + m.at, m.core, Hashtbl.find mseq tag), tag))
+      |> List.sort compare
+      |> List.map (fun ((at, _, _), tag) -> (at, tag))
+    in
+    List.rev log.(d) = expected
+  in
+  !hooks_as_own_shard && List.for_all in_order (List.init n Fun.id)
 
-let test_same_time_frames_keep_src_order () =
-  (* Two sender streams, all frames at the same instant: the merge key is
-     (at, src_core, mseq), so core 3's frames precede core 5's no matter
-     which sender queued first — and within a stream, queueing order. *)
-  let got =
-    delivery_order (fun t note ->
-        Pdes.send_run t ~dst:1 ~src_shard:0 ~src_core:5 ~n:2 ~ats:[| 20; 20 |]
-          (fun i -> note (50 + i));
-        Pdes.send_run t ~dst:1 ~src_shard:0 ~src_core:3 ~n:2 ~ats:[| 20; 20 |]
-          (fun i -> note (30 + i)))
+let qcheck_delivery_order =
+  let gen =
+    QCheck2.Gen.(
+      int_range 2 4 >>= fun n ->
+      let shard = int_bound (n - 1) in
+      let msg =
+        map
+          (fun (src, from_hook, dst, c, at) ->
+            { src; from_hook; dst; core = (src * 3) + c; at })
+          (tup5 shard bool shard (int_bound 2) (int_bound 6))
+      in
+      pair (return n) (list_size (int_bound 60) msg))
   in
-  check_bool "src_core order at equal time" true (got = [ 30; 31; 50; 51 ])
+  let print (n, msgs) =
+    Printf.sprintf "%d shards: %s" n
+      (String.concat "; "
+         (List.map
+            (fun m ->
+              Printf.sprintf "%d%s->%d core %d at +%d" m.src
+                (if m.from_hook then "(hook)" else "")
+                m.dst m.core m.at)
+            msgs))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print
+       ~name:"Pdes.send from windows and hooks runs in (at, src_core, mseq) order" gen
+       delivery_order_holds)
 
-let test_run_merges_with_singles_by_time () =
-  (* A batch from core 2 straddles a single send from core 1: delivery
-     interleaves by timestamp, not by hand-over unit. *)
-  let got =
-    delivery_order (fun t note ->
-        Pdes.send_run t ~dst:1 ~src_shard:0 ~src_core:2 ~n:2 ~ats:[| 10; 30 |]
-          (fun i -> note (20 + i));
-        Pdes.send t ~dst:1 ~src_core:1 ~at:20 (note 11))
-  in
-  check_bool "time-ordered merge" true (got = [ 20; 11; 21 ])
+(* -- a batched frame allocates nothing ------------------------------- *)
 
-let test_run_equals_singles () =
-  (* The defining property: a run delivers exactly as the same frames
-     sent individually, against a competing stream either way. *)
-  let competing note t =
-    Pdes.send t ~dst:1 ~src_core:9 ~at:12 (note 90);
-    Pdes.send t ~dst:1 ~src_core:9 ~at:30 (note 91)
+(* Minor words per frame over one link, from a sender that posts bursts of
+   [burst] frames with one wait between bursts; measured as the difference
+   between a long and a short run, so set-up and growth cancel out. *)
+let words_per_frame ~batching =
+  let run bursts =
+    Mk_net.Machine_link.set_batching_override (Some batching);
+    Fun.protect
+      ~finally:(fun () -> Mk_net.Machine_link.set_batching_override None)
+      (fun () ->
+        let burst = 8 in
+        let p = Pdes.create ~n_shards:2 ~lookahead:1_000 in
+        let link =
+          Mk_net.Machine_link.create p ~dst_shard:1 ~src_shard:0 ~src_id:0 ~ghz:2.0
+            ~latency:1_000 ()
+        in
+        let got = ref 0 in
+        Mk_net.Machine_link.set_rx link (fun ~bytes:_ (_ : string) -> incr got);
+        Pdes.spawn p ~shard:0 (fun () ->
+            for _ = 1 to bursts do
+              for _ = 1 to burst do
+                Mk_net.Machine_link.send link ~bytes:64 "frame"
+              done;
+              Engine.wait 1_000
+            done);
+        let w0 = Gc.minor_words () in
+        Pdes.exec ~domains:1 p;
+        let w = Gc.minor_words () -. w0 in
+        check_int "every frame delivered" (burst * bursts) !got;
+        (w, burst * bursts))
   in
-  let as_run =
-    delivery_order (fun t note ->
-        competing note t;
-        Pdes.send_run t ~dst:1 ~src_shard:0 ~src_core:4 ~n:3 ~ats:[| 12; 12; 40 |]
-          (fun i -> note i))
-  in
-  let as_singles =
-    delivery_order (fun t note ->
-        competing note t;
-        Pdes.send t ~dst:1 ~src_core:4 ~at:12 (note 0);
-        Pdes.send t ~dst:1 ~src_core:4 ~at:12 (note 1);
-        Pdes.send t ~dst:1 ~src_core:4 ~at:40 (note 2))
-  in
-  check_bool "run = its singles" true (as_run = as_singles)
+  let ws, fs = run 100 and wl, fl = run 10_100 in
+  (wl -. ws) /. float_of_int (fl - fs)
+
+let test_batched_frame_allocation () =
+  (* What remains per batched frame is the sender's wait (2 words, its
+     continuation) shared by its burst of 8; the referee mode's per-frame
+     closure costs 6 more. *)
+  let batched = words_per_frame ~batching:true in
+  if batched > 0.25 then
+    Alcotest.failf "batched frame: %.3f minor words (budget 0.25)" batched;
+  let unbatched = words_per_frame ~batching:false in
+  if unbatched < batched +. 4.0 then
+    Alcotest.failf "unbatched frame: %.3f minor words, batched %.3f: no closure saved"
+      unbatched batched
 
 (* -- batching referee: random cluster cells --------------------------- *)
 
@@ -203,10 +268,8 @@ let qcheck_digits =
 let suite =
   ( "wire-batch",
     [
-      tc "send_run unpacks in index order" test_run_unpacks_in_index_order;
-      tc "same-time frames keep src order" test_same_time_frames_keep_src_order;
-      tc "run merges with singles by time" test_run_merges_with_singles_by_time;
-      tc "run = the same frames as singles" test_run_equals_singles;
+      qcheck_delivery_order;
+      tc "batched frame allocates no closure" test_batched_frame_allocation;
       qcheck_batch_referee;
       qcheck_scan_fragmented;
       tc "scanner straddles chunk boundaries" test_scan_straddles_boundaries;
