@@ -12,8 +12,9 @@
    n·(n−1), so NUMA-multicast plans come from measured latencies at every
    size. `--large` also times full [Representative] boots at 256, 512 and
    1024 cores, first and one at a time: their simulated side (SKB facts,
-   boot end time) is printed with the tables, their host time and peak
-   major heap in the harness's performance section ({!host_boots}). *)
+   boot end time) is printed with the tables, their host time, heap and
+   coherence line-table size in the harness's performance section
+   ({!host_boots}). *)
 
 open Mk_sim
 open Mk_hw
@@ -30,9 +31,23 @@ let vaddr = 0x600000
 let sizes () = if !large then [ 64; 256; 512; 1024 ] else [ 64 ]
 let boot_sizes () = if !large then [ 256; 512; 1024 ] else []
 
-(* Host seconds and peak major heap (MB) per timed boot, "<family>/<cores>",
-   for the perf section. *)
-let boot_times : (string * float * float) list ref = ref []
+(* Host side of each timed boot, "<family>/<cores>", for the perf
+   section: host seconds, the major-heap peak, the live heap of the booted
+   OS (the words reachable from it: what a full major collection keeps)
+   and the coherence line tables summed over the shard machines. Nothing
+   here runs a collection or a heap census: either would change how the
+   next, larger boot grows the heap and so its peak ([Gc.stat] raised the
+   1024-core peak by 70 MB). *)
+type host_boot = {
+  what : string;
+  host_s : float;
+  peak_mb : float;
+  live_mb : float;
+  lines : int;
+  table_words : int;
+}
+
+let boot_times : host_boot list ref = ref []
 let host_boots () = !boot_times
 
 (* cores -> platform, per family. Packages of 4 cores throughout. *)
@@ -105,18 +120,28 @@ let twopc plat ~ncores =
       Stats.mean s)
 
 (* A full boot with Representative latency probing: SKB fact count and
-   simulated end of boot, plus its host time and the process's major-heap
-   high-water mark after it. The boots run before the sweep, serially and
-   in increasing size, so each mark is that boot's own peak when this is
-   the run's first bench (as in the nightly sweep). *)
-let boot plat =
+   simulated end of boot, plus its host side (see [host_boot]). The boots
+   run before the sweep, serially and in increasing size, so each peak is
+   that boot's own when this is the run's first bench (as in the nightly
+   sweep). *)
+let boot what plat =
   let t0 = Unix.gettimeofday () in
   let os = Os.boot ~measure_latencies:Os.Representative plat in
   let host_s = Unix.gettimeofday () -. t0 in
-  let peak_mb =
-    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
-  in
-  (Skb.size (Os.skb os), Engine.now (Os.machine os).Machine.eng, host_s, peak_mb)
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1e6 in
+  let peak_mb = mb (Gc.quick_stat ()).Gc.top_heap_words in
+  let sh = Os.shards os in
+  let lines = ref 0 and table_words = ref 0 in
+  for s = 0 to Shard.n_shards sh - 1 do
+    let st = Coherence.table_stats (Shard.machine sh s).Machine.coh in
+    lines := !lines + st.Coherence.touched_lines;
+    table_words := !table_words + st.Coherence.table_words
+  done;
+  let live_mb = mb (Obj.reachable_words (Obj.repr os)) in
+  boot_times :=
+    !boot_times
+    @ [ { what; host_s; peak_mb; live_mb; lines = !lines; table_words = !table_words } ];
+  (Skb.size (Os.skb os), Engine.now (Os.machine os).Machine.eng)
 
 let run_boots () =
   let sizes = boot_sizes () in
@@ -125,11 +150,11 @@ let run_boots () =
     Common.printf "%6s %12s %14s\n" "cores" "skb facts" "boot end(cyc)";
     List.iter
       (fun ncores ->
-        let facts, end_at, host_s, peak_mb =
-          boot (Platform.synthetic_mesh ~packages:(ncores / 4) ~cores_per_package:4)
+        let facts, end_at =
+          boot (Printf.sprintf "mesh/%d" ncores)
+            (Platform.synthetic_mesh ~packages:(ncores / 4) ~cores_per_package:4)
         in
-        Common.printf "%6d %12d %14d\n%!" ncores facts end_at;
-        boot_times := !boot_times @ [ (Printf.sprintf "mesh/%d" ncores, host_s, peak_mb) ])
+        Common.printf "%6d %12d %14d\n%!" ncores facts end_at)
       sizes
   end
 

@@ -159,8 +159,12 @@ let report ~jobs ~timings ~harness_wall =
   (* Host side of the --large Representative boots (their simulated side
      is in the large bench's own output). *)
   List.iter
-    (fun (what, s, mb) ->
-      Printf.printf "large boot %-10s %9.3f s host %8.1f MB peak heap\n" what s mb)
+    (fun (b : Large.host_boot) ->
+      Printf.printf
+        "large boot %-10s %9.3f s host %8.1f MB peak heap %8.1f MB live %9d lines %6.2f \
+         words/line\n"
+        b.what b.host_s b.peak_mb b.live_mb b.lines
+        (float_of_int b.table_words /. float_of_int (max 1 b.lines)))
     (Large.host_boots ());
   (* Merge into the existing file rather than overwriting, so a partial
      run (e.g. `-j 2 micro table1`) refreshes only the benches that ran

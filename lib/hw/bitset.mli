@@ -1,10 +1,11 @@
 (** Fixed-capacity mutable bitset over small integers (core ids).
 
     Int-array backed, 32 bits per word: O(1) add/remove/mem with no
-    allocation, sized at creation for the machine's core count (≥128 cores
-    is 4 words). Used by {!Coherence} for cache-line sharer sets, where the
-    previous [int list] representation made hot-path lookups O(sharers)
-    with a cons per insert. *)
+    allocation, sized at creation for the machine's core count (128 cores
+    is 4 words). Used for each monitor's ready set of incoming channels,
+    and by {!Coherence} for the sharer sets of lines with three or more
+    sharers, which spill from the line's packed state word into a pooled
+    bitset. *)
 
 type t
 

@@ -2,57 +2,84 @@ open Mk_sim
 
 type line_state = Invalid | Shared of int list | Modified of int
 
-(* Internal line state is a small-int tag plus a reusable sharer bitset:
-   no list allocation or O(sharers) scan on the access path, and state
-   transitions recycle the same bitset. The public {!line_state} view
-   converts on demand (tests only). *)
-let tag_invalid = 0
+(* -- the line table --
 
+   Each touched line owns a dense slot, handed out in first-touch order by
+   [index] (line -> slot) and never freed, so a slot index held across a
+   scheduling point stays valid. A slot is one word in each of two
+   parallel arrays: [busy] holds the end of the line's last owner-sourced
+   transfer (the storm slot of [realize_txn_at]); [state] packs the rest:
+
+     bits  0-1   tag: invalid | shared | modified | remote
+     bit   2     the sharers are spilled to a pooled [Bitset]
+     bits  3-17  home package
+     bits 18-32  MOESI owner: the last writer keeps sourcing data to
+                 readers until the line is written again
+     bits 33-47  a: the exclusive owner when modified, else the lower
+                 inline sharer
+     bits 48-62  b: the higher inline sharer
+     bits 33-62  when spilled: the sharer set's index in [pool]
+
+   Ids are 15-bit fields and [nil] (all ones) is "none". It sorts after
+   every core, so a one-sharer set is (a, nil) and inline sharers are
+   always ascending. Nearly every line has zero to two sharers; a third
+   spills the set to a pooled [Bitset] (so a spilled set has at least
+   three members), and it returns inline when the line leaves the shared
+   state or an eviction brings it back to two. A remote slot marks a line
+   pinned to a package another shard owns: blocking accesses route it,
+   everything else refuses it (see [get_line]). *)
+let field_bits = 15
+let nil = (1 lsl field_bits) - 1
+let home_shift = 3
+let owner_shift = 18
+let a_shift = 33
+let b_shift = 48
+let tag_mask = 3
+let spilled_bit = 4
+let tag_invalid = 0
 let tag_shared = 1
 let tag_modified = 2
+let tag_remote = 3
 
-type line = {
-  mutable tag : int;
-  (* Exclusive owner core when [tag = tag_modified]. *)
-  mutable excl : int;
-  (* Sharer set when [tag = tag_shared]. *)
-  sharers : Bitset.t;
-  mutable home : int;
-  (* MOESI owner (-1 = none): the last writer keeps sourcing data to
-     readers until the line is written again. *)
-  mutable owner : int;
-  (* End of the last owner-sourced transfer of this line: successive reads
-     of one dirty line are serviced one at a time (a single line has a
-     single set of MSHR/response buffers at its owner), which is Figure 6's
-     Broadcast storm. Distinct lines pipeline. *)
-  mutable line_busy_until : int;
-}
+let tag_of w = w land tag_mask
+let is_spilled w = w land spilled_bit <> 0
+let home_of_word w = (w lsr home_shift) land nil
 
-(* Placeholder for the line table's empty value slots; never returned. *)
-let dummy_line =
-  {
-    tag = tag_invalid;
-    excl = -1;
-    sharers = Bitset.create ~n:1;
-    home = 0;
-    owner = -1;
-    line_busy_until = 0;
-  }
+let owner_of w =
+  let o = (w lsr owner_shift) land nil in
+  if o = nil then -1 else o
 
-(* Cross-shard routing for a PDES-sharded run: lines pinned to a package
-   another shard owns are serviced by that shard's directory, reached via
-   timestamped messages rather than a direct call (see {!Pdes}). Both
-   callbacks run outside task context and must not perform task effects. *)
-type remote_route = {
-  rr_is_remote : int -> bool;  (* package -> owned by another shard? *)
-  rr_route :
-    core:int -> line:int -> home:int -> write:bool -> wake:Engine.waker -> unit;
-}
+let with_owner w o = w land lnot (nil lsl owner_shift) lor ((o land nil) lsl owner_shift)
+let a_of w = (w lsr a_shift) land nil
+let b_of w = w lsr b_shift
+let pool_of w = w lsr a_shift
+
+(* [w]'s home and owner, with tag, spill bit and sharer fields cleared. *)
+let meta w = w land ((1 lsl a_shift) - 1) land lnot (tag_mask lor spilled_bit)
+
+let with_sharers w ~tag a b = meta w lor tag lor (a lsl a_shift) lor (b lsl b_shift)
+let invalid_word w = with_sharers w ~tag:tag_invalid nil nil
+let modified_word w core = with_sharers w ~tag:tag_modified core nil
+
+let shared_word w x y =
+  if x < y then with_sharers w ~tag:tag_shared x y else with_sharers w ~tag:tag_shared y x
+
+let spilled_word w i = meta w lor tag_shared lor spilled_bit lor (i lsl a_shift)
 
 type t = {
   plat : Platform.t;
   counters : Perfcounter.t;
-  lines : line Inttbl.t;
+  (* The line table (see the layout comment at the top). *)
+  index : int Inttbl.t;  (* line -> slot *)
+  mutable state : int array;  (* slot -> packed state word *)
+  mutable busy : int array;  (* slot -> end of the last owner-sourced transfer *)
+  mutable n_slots : int;
+  (* Spilled sharer sets, reused through an int free-stack so spilling
+     and returning inline allocate nothing once the pool has grown. *)
+  mutable pool : Bitset.t array;
+  mutable n_pool : int;
+  mutable free : int array;
+  mutable n_free : int;
   (* Optional finite capacity per core (in lines): evictions write dirty
      victims back to their home and drop clean ones. None = infinite. *)
   lrus : Lru.t option array;
@@ -96,15 +123,24 @@ type t = {
   (* Fault injector consulted for link degradation; [Injector.none] (and
      one armed-flag read per transaction) on the zero-fault path. *)
   mutable inj : Mk_fault.Injector.t;
-  (* PDES cross-shard routing; [None] (one field read per blocking access)
-     outside sharded runs. *)
-  mutable remote : remote_route option;
+  (* PDES cross-shard routing (see {!set_remote_home}). [is_remote] maps
+     a package to "owned by another shard" and is consulted once per line,
+     at its first touch. A blocking access to a remote line parks its
+     request in the [rq_*] fields for [register], which hands it and the
+     task's waker to the route; [register] is built once, so parking
+     allocates no callback. *)
+  mutable is_remote : int -> bool;
+  mutable register : Engine.waker -> unit;
+  mutable rq_core : int;
+  mutable rq_line : int;
+  mutable rq_home : int;
+  mutable rq_write : bool;
   (* -- access-outcome scratch (see the comment above [prepare_load]) -- *)
   mutable o_kind : int;  (* 0 = hit, 1 = local, 2 = fabric transaction *)
   mutable o_lat : int;
   mutable o_home : int;
   mutable o_src_port : int;  (* sourcing core's cache port; -1 = none *)
-  mutable o_line : line;  (* per-line storm slot; [dummy_line] = none *)
+  mutable o_line : int;  (* per-line storm slot; -1 = none *)
 }
 
 (* Dword accounting per the HT convention the paper uses for Table 4:
@@ -122,8 +158,12 @@ let port_occupancy = 70
    counters are cached per communicating pair. *)
 let dense_pkg_max = 64
 
+(* Slots a fresh table holds before its first growth. *)
+let initial_slots = 64
+
 let create ?cache_lines_per_core plat counters =
   let n = Platform.n_cores plat in
+  if n >= nil then invalid_arg "Coherence.create: too many cores for the packed line table";
   let npkg = plat.Platform.n_packages in
   let topo = plat.Platform.topo in
   let pkg = Array.init n (fun c -> Platform.package_of plat c) in
@@ -166,7 +206,14 @@ let create ?cache_lines_per_core plat counters =
   {
     plat;
     counters;
-    lines = Inttbl.create ~dummy:dummy_line ();
+    index = Inttbl.create ~dummy:(-1) ();
+    state = Array.make initial_slots 0;
+    busy = Array.make initial_slots 0;
+    n_slots = 0;
+    pool = [||];
+    n_pool = 0;
+    free = [||];
+    n_free = 0;
     lrus =
       (match cache_lines_per_core with
        | None -> Array.make n None
@@ -189,18 +236,25 @@ let create ?cache_lines_per_core plat counters =
     path_cache = Inttbl.create ~initial_bits:8 ~dummy:[||] ();
     probe_refs;
     inj = Mk_fault.Injector.none;
-    remote = None;
+    is_remote = (fun _ -> false);
+    register = ignore;
+    rq_core = 0;
+    rq_line = 0;
+    rq_home = 0;
+    rq_write = false;
     o_kind = 0;
     o_lat = 0;
     o_home = 0;
     o_src_port = -1;
-    o_line = dummy_line;
+    o_line = -1;
   }
 
 let set_fault t inj = t.inj <- inj
 
 let set_remote_home t ~is_remote ~route =
-  t.remote <- Some { rr_is_remote = is_remote; rr_route = route }
+  t.is_remote <- is_remote;
+  t.register <-
+    (fun wake -> route ~core:t.rq_core ~line:t.rq_line ~home:t.rq_home ~write:t.rq_write ~wake)
 
 (* Extra transfer latency from an injected degraded/partitioned link
    between two packages; 0 unless a fault plan is armed. *)
@@ -264,50 +318,74 @@ let set_home t ~line ~node = set_home_range t ~first_line:line ~last_line:line ~
 let set_home_region t ~first_line ~last_line ~node_of =
   t.regions <- (first_line, last_line, node_of) :: t.regions
 
+(* The node a line is pinned to, or -1: binary search over the explicit
+   ranges, then the computed regions. Runs once per line, at its first
+   touch. *)
+let rec range_search t line lo hi =
+  if lo > hi then -1
+  else begin
+    let mid = (lo + hi) / 2 in
+    if line < t.range_first.(mid) then range_search t line lo (mid - 1)
+    else if line > t.range_last.(mid) then range_search t line (mid + 1) hi
+    else t.range_node.(mid)
+  end
+
+let rec region_scan line = function
+  | [] -> -1
+  | (f, l, fn) :: rest -> if line >= f && line <= l then fn line else region_scan line rest
+
 let pinned_home_of t line =
-  let rec search lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      if line < t.range_first.(mid) then search lo (mid - 1)
-      else if line > t.range_last.(mid) then search (mid + 1) hi
-      else Some t.range_node.(mid)
-    end
-  in
-  match search 0 (t.n_ranges - 1) with
-  | Some _ as r -> r
-  | None ->
-    let rec scan = function
-      | [] -> None
-      | (f, l, fn) :: rest -> if line >= f && line <= l then Some (fn line) else scan rest
-    in
-    scan t.regions
+  let n = range_search t line 0 (t.n_ranges - 1) in
+  if n >= 0 then n else region_scan line t.regions
 
 let home_of t ~line =
-  match Inttbl.find_opt t.lines line with
-  | Some l -> Some l.home
-  | None -> pinned_home_of t line
+  let s = Inttbl.find_or t.index line (-1) in
+  if s >= 0 then Some (home_of_word t.state.(s))
+  else
+    let n = pinned_home_of t line in
+    if n >= 0 then Some n else None
 
+(* First touch: the line's home is its pinned node, else the toucher's
+   package; a line pinned to another shard's package gets a remote slot. *)
+let new_slot t ~core line =
+  let pinned = pinned_home_of t line in
+  let home = if pinned >= 0 then pinned else t.pkg.(core) in
+  let tag = if pinned >= 0 && t.is_remote pinned then tag_remote else tag_invalid in
+  let s = t.n_slots in
+  if s = Array.length t.state then begin
+    let grow a =
+      let bigger = Array.make (2 * s) 0 in
+      Array.blit a 0 bigger 0 s;
+      bigger
+    in
+    t.state <- grow t.state;
+    t.busy <- grow t.busy
+  end;
+  t.state.(s) <- with_sharers (with_owner (home lsl home_shift) (-1)) ~tag nil nil;
+  t.n_slots <- s + 1;
+  Inttbl.set t.index line s;
+  s
+
+(* The line's slot, created on first touch: the single table probe of
+   every access. *)
+let slot t ~core line =
+  let s = Inttbl.find_or t.index line (-1) in
+  if s >= 0 then s else new_slot t ~core line
+
+(* The slot of a line this shard's directory services. Posted, async and
+   banked accesses (and remote service) rest on same-engine visibility
+   arguments that do not survive a shard boundary, so a line pinned to
+   another shard's package is refused here — whether this access created
+   its slot or a blocking access did before. *)
 let get_line t ~core line =
-  let l = Inttbl.find_or t.lines line dummy_line in
-  if l != dummy_line then l
-  else begin
-    let home =
-      match pinned_home_of t line with Some n -> n | None -> t.pkg.(core)
-    in
-    let l =
-      {
-        tag = tag_invalid;
-        excl = -1;
-        sharers = Bitset.create ~n:t.n_cores;
-        home;
-        owner = -1;
-        line_busy_until = 0;
-      }
-    in
-    Inttbl.set t.lines line l;
-    l
-  end
+  let s = slot t ~core line in
+  if tag_of t.state.(s) = tag_remote then
+    invalid_arg
+      (Printf.sprintf
+         "Coherence: line %d is homed on another shard; only blocking load/store may \
+          reach it"
+         line);
+  s
 
 (* Cross-share-group transfer latency between two cores. Every caller has
    already established the cores are in different share groups, so the
@@ -367,23 +445,96 @@ let charge_probe_broadcast t =
 
 let is_local_group t a b = t.sgrp.(a) = t.sgrp.(b)
 
+(* -- sharer sets -- *)
+
+(* A cleared pooled set, from the free-stack when it has one. *)
+let take_spill t =
+  if t.n_free > 0 then begin
+    t.n_free <- t.n_free - 1;
+    let i = t.free.(t.n_free) in
+    Bitset.clear t.pool.(i);
+    i
+  end
+  else begin
+    (* The free-stack is empty: every pooled set is in use. *)
+    let i = t.n_pool in
+    let bs = Bitset.create ~n:t.n_cores in
+    if i = Array.length t.pool then begin
+      let pool = Array.make (max 8 (2 * i)) bs in
+      Array.blit t.pool 0 pool 0 i;
+      t.pool <- pool;
+      t.free <- Array.make (Array.length pool) 0
+    end;
+    t.pool.(i) <- bs;
+    t.n_pool <- i + 1;
+    i
+  end
+
+(* Return a word's pooled set, if it has one, to the free-stack. *)
+let release t w =
+  if is_spilled w then begin
+    t.free.(t.n_free) <- pool_of w;
+    t.n_free <- t.n_free + 1
+  end
+
+let is_sharer t w core =
+  if is_spilled w then Bitset.mem t.pool.(pool_of w) core
+  else a_of w = core || b_of w = core
+
+(* Add a core that is not yet a sharer of the shared line in slot [s]. *)
+let add_sharer t s w core =
+  if is_spilled w then Bitset.add t.pool.(pool_of w) core
+  else if b_of w = nil then t.state.(s) <- shared_word w (a_of w) core
+  else begin
+    let i = take_spill t in
+    let bs = t.pool.(i) in
+    Bitset.add bs (a_of w);
+    Bitset.add bs (b_of w);
+    Bitset.add bs core;
+    t.state.(s) <- spilled_word w i
+  end
+
+(* The member of [bs] after [c] in ascending order, or -1. *)
+let next_member bs c =
+  if c + 1 >= Bitset.capacity bs then -1
+  else
+    let j = Bitset.find_next bs (c + 1) in
+    if j > c then j else -1
+
+(* [w] without [core] as a sharer: invalid once empty, inline again once
+   a spilled set is down to two. *)
+let remove_sharer t w core =
+  if is_spilled w then begin
+    let bs = t.pool.(pool_of w) in
+    Bitset.remove bs core;
+    if Bitset.cardinal bs > 2 then w
+    else begin
+      let x = Bitset.find_next bs 0 in
+      release t w;
+      shared_word w x (next_member bs x)
+    end
+  end
+  else if a_of w = core then
+    if b_of w = nil then invalid_word w else with_sharers w ~tag:tag_shared (b_of w) nil
+  else if b_of w = core then with_sharers w ~tag:tag_shared (a_of w) nil
+  else w
+
 (* Capacity: a core dropping a line (eviction or remote invalidation). *)
 let forget t ~core lid =
   match t.lrus.(core) with Some lru -> Lru.remove lru lid | None -> ()
 
 let evict t ~core victim_lid =
-  let v = Inttbl.find_or t.lines victim_lid dummy_line in
-  if v != dummy_line then begin
-    if v.tag = tag_modified && v.excl = core then begin
+  let s = Inttbl.find_or t.index victim_lid (-1) in
+  if s >= 0 then begin
+    let w = t.state.(s) in
+    if tag_of w = tag_modified && a_of w = core then begin
       (* Dirty eviction: write the line back to its home. *)
-      charge_path t t.pkg.(core) v.home data_dwords;
-      v.tag <- tag_invalid;
-      v.owner <- -1
+      charge_path t t.pkg.(core) (home_of_word w) data_dwords;
+      t.state.(s) <- with_owner (invalid_word w) (-1)
     end
-    else if v.tag = tag_shared then begin
-      Bitset.remove v.sharers core;
-      if Bitset.is_empty v.sharers then v.tag <- tag_invalid;
-      if v.owner = core then v.owner <- -1
+    else if tag_of w = tag_shared then begin
+      let w = remove_sharer t w core in
+      t.state.(s) <- (if owner_of w = core then with_owner w (-1) else w)
     end
   end
 
@@ -410,7 +561,7 @@ let note_presence t ~core lid =
    to locals before flushing. Kinds: *)
 let k_hit = 0
 let k_local = 1  (* within a share group: no fabric involvement *)
-let k_txn = 2  (* fabric transaction; [o_line] set = per-line storm slot *)
+let k_txn = 2  (* fabric transaction; [o_line] >= 0 = per-line storm slot *)
 
 let set_hit t = t.o_kind <- k_hit
 
@@ -445,45 +596,42 @@ let access_flush t =
     || Mk_fault.Injector.armed t.inj
   then Engine.flush_charge ()
 
-let prepare_load t ~core addr =
+let prepare_load t ~core lid s =
   let p = t.plat in
-  let lid = line_of_addr t addr in
-  let l = get_line t ~core lid in
   Perfcounter.count_load t.counters ~core;
   Perfcounter.touch_line t.counters ~core ~line:lid;
   note_presence t ~core lid;
-  if l.tag = tag_modified then begin
-    let o = l.excl in
+  let w = t.state.(s) in
+  let home = home_of_word w in
+  if tag_of w = tag_modified then begin
+    let o = a_of w in
     if o = core then set_hit t
     else begin
       Perfcounter.count_miss t.counters ~core;
       Perfcounter.count_c2c t.counters ~core;
-      l.tag <- tag_shared;
-      Bitset.clear l.sharers;
-      Bitset.add l.sharers core;
-      Bitset.add l.sharers o;
+      t.state.(s) <- shared_word w core o;
       if is_local_group t core o then set_local t p.Platform.shared_cache_fetch
       else begin
         let lat = xfer_of t o core + link_extra t t.pkg.(o) t.pkg.(core) in
-        charge_path t t.pkg.(core) l.home cmd_dwords;
+        charge_path t t.pkg.(core) home cmd_dwords;
         charge_path t t.pkg.(o) t.pkg.(core) data_dwords;
-        set_txn t ~home:l.home ~lat ~src_port:o ~ln:l
+        set_txn t ~home ~lat ~src_port:o ~ln:s
       end
     end
   end
-  else if l.tag = tag_shared then begin
-    if Bitset.mem l.sharers core then set_hit t
+  else if tag_of w = tag_shared then begin
+    if is_sharer t w core then set_hit t
     else begin
       Perfcounter.count_miss t.counters ~core;
-      Bitset.add l.sharers core;
-      let o = l.owner in
+      add_sharer t s w core;
+      let o = owner_of w in
       if o >= 0 && o <> core && not (is_local_group t core o) then begin
         (* Owned line: the last writer's cache sources the data. *)
         Perfcounter.count_c2c t.counters ~core;
         let lat = xfer_of t o core + link_extra t t.pkg.(o) t.pkg.(core) in
-        charge_path t t.pkg.(core) l.home cmd_dwords;
+        charge_path t t.pkg.(core) home cmd_dwords;
         charge_path t t.pkg.(o) t.pkg.(core) data_dwords;
-        set_txn t ~home:l.home ~lat ~src_port:o ~ln:l
+        set_txn t ~home ~lat ~src_port:o ~ln:s
       end
       else if o >= 0 && o <> core then begin
         Perfcounter.count_c2c t.counters ~core;
@@ -491,92 +639,101 @@ let prepare_load t ~core addr =
       end
       else begin
         Perfcounter.count_dram t.counters ~core;
-        let lat = dram_of t t.pkg.(core) l.home + link_extra t t.pkg.(core) l.home in
-        charge_path t t.pkg.(core) l.home (cmd_dwords + data_dwords);
-        set_txn t ~home:l.home ~lat ~src_port:(-1) ~ln:dummy_line
+        let lat = dram_of t t.pkg.(core) home + link_extra t t.pkg.(core) home in
+        charge_path t t.pkg.(core) home (cmd_dwords + data_dwords);
+        set_txn t ~home ~lat ~src_port:(-1) ~ln:(-1)
       end
     end
   end
   else begin
     Perfcounter.count_miss t.counters ~core;
     Perfcounter.count_dram t.counters ~core;
-    l.tag <- tag_shared;
-    Bitset.clear l.sharers;
-    Bitset.add l.sharers core;
-    let lat = dram_of t t.pkg.(core) l.home + link_extra t t.pkg.(core) l.home in
-    charge_path t t.pkg.(core) l.home (cmd_dwords + data_dwords);
-    set_txn t ~home:l.home ~lat ~src_port:(-1) ~ln:dummy_line
+    t.state.(s) <- with_sharers w ~tag:tag_shared core nil;
+    let lat = dram_of t t.pkg.(core) home + link_extra t t.pkg.(core) home in
+    charge_path t t.pkg.(core) home (cmd_dwords + data_dwords);
+    set_txn t ~home ~lat ~src_port:(-1) ~ln:(-1)
   end
 
-let prepare_store t ~core addr =
+(* One sharer [c] of a line [core] is about to own: drop its copy and
+   return the farthest invalidation latency seen so far. *)
+let invalidate t ~core lid c far =
+  if c = core then far
+  else begin
+    forget t ~core:c lid;
+    if is_local_group t core c then far else max far (xfer_of t c core)
+  end
+
+let rec invalidate_spilled t ~core lid bs c far =
+  if c < 0 then far
+  else invalidate_spilled t ~core lid bs (next_member bs c) (invalidate t ~core lid c far)
+
+let prepare_store t ~core lid s =
   let p = t.plat in
-  let lid = line_of_addr t addr in
-  let l = get_line t ~core lid in
   Perfcounter.count_store t.counters ~core;
   Perfcounter.touch_line t.counters ~core ~line:lid;
   note_presence t ~core lid;
-  l.owner <- core;
-  if l.tag = tag_modified then begin
-    let o = l.excl in
+  let w = with_owner t.state.(s) core in
+  t.state.(s) <- w;
+  let home = home_of_word w in
+  if tag_of w = tag_modified then begin
+    let o = a_of w in
     if o = core then set_hit t
     else begin
       Perfcounter.count_miss t.counters ~core;
       Perfcounter.count_c2c t.counters ~core;
       forget t ~core:o lid;
-      l.excl <- core;
+      t.state.(s) <- modified_word w core;
       if is_local_group t core o then set_local t p.Platform.shared_cache_fetch
       else begin
         let lat = xfer_of t o core + link_extra t t.pkg.(o) t.pkg.(core) in
-        charge_path t t.pkg.(core) l.home cmd_dwords;
+        charge_path t t.pkg.(core) home cmd_dwords;
         charge_path t t.pkg.(o) t.pkg.(core) data_dwords;
         (* Migratory write: ownership moves between different cores, so
            successive transfers pipeline (no per-line storm slot). *)
-        set_txn t ~home:l.home ~lat ~src_port:o ~ln:dummy_line
+        set_txn t ~home ~lat ~src_port:o ~ln:(-1)
       end
     end
   end
-  else if l.tag = tag_shared then begin
-    if Bitset.mem l.sharers core && Bitset.cardinal l.sharers = 1 then begin
+  else if tag_of w = tag_shared then begin
+    if (not (is_spilled w)) && a_of w = core && b_of w = nil then begin
       (* Silent E->M upgrade. *)
-      l.tag <- tag_modified;
-      l.excl <- core;
+      t.state.(s) <- modified_word w core;
       set_hit t
     end
     else begin
       Perfcounter.count_miss t.counters ~core;
       Perfcounter.count_inval t.counters ~core;
-      (* Single pass over the sharers: drop each remote copy and track the
-         farthest one (invalidation latency is bounded by it). *)
-      let far = ref 0 in
-      Bitset.iter
-        (fun c ->
-          if c <> core then begin
-            forget t ~core:c lid;
-            if not (is_local_group t core c) then begin
-              let lat = xfer_of t c core in
-              if lat > !far then far := lat
-            end
-          end)
-        l.sharers;
-      l.tag <- tag_modified;
-      l.excl <- core;
-      if !far = 0 then set_local t p.Platform.shared_cache_fetch
+      (* Single pass over the sharers, in ascending order: drop each
+         remote copy and track the farthest one (invalidation latency is
+         bounded by it). *)
+      let far =
+        if is_spilled w then begin
+          let bs = t.pool.(pool_of w) in
+          invalidate_spilled t ~core lid bs (Bitset.find_next bs 0) 0
+        end
+        else begin
+          let far = invalidate t ~core lid (a_of w) 0 in
+          if b_of w = nil then far else invalidate t ~core lid (b_of w) far
+        end
+      in
+      release t w;
+      t.state.(s) <- modified_word w core;
+      if far = 0 then set_local t p.Platform.shared_cache_fetch
       else begin
         (* Invalidation probes broadcast across the fabric; latency bounded
            by the farthest sharer. *)
         charge_probe_broadcast t;
-        set_txn t ~home:l.home ~lat:!far ~src_port:(-1) ~ln:dummy_line
+        set_txn t ~home ~lat:far ~src_port:(-1) ~ln:(-1)
       end
     end
   end
   else begin
     Perfcounter.count_miss t.counters ~core;
     Perfcounter.count_dram t.counters ~core;
-    l.tag <- tag_modified;
-    l.excl <- core;
-    let lat = dram_of t t.pkg.(core) l.home + link_extra t t.pkg.(core) l.home in
-    charge_path t t.pkg.(core) l.home (cmd_dwords + data_dwords);
-    set_txn t ~home:l.home ~lat ~src_port:(-1) ~ln:dummy_line
+    t.state.(s) <- modified_word w core;
+    let lat = dram_of t t.pkg.(core) home + link_extra t t.pkg.(core) home in
+    charge_path t t.pkg.(core) home (cmd_dwords + data_dwords);
+    set_txn t ~home ~lat ~src_port:(-1) ~ln:(-1)
   end
 
 (* Realize an outcome without blocking: reserve the serialized resources
@@ -593,13 +750,13 @@ let realize_txn_at t ~now ~home ~lat ~src_port ~ln =
     if src_port >= 0 then Resource.reserve_at t.ports.(src_port) ~now port_occupancy
     else dir_done
   in
-  if ln != dummy_line then begin
+  if ln >= 0 then begin
     (* Owner-sourced transfer: readers of one dirty line are serviced
        one at a time; each service slot spans directory lookup, port
        turnaround and the transfer itself. An uncontended access still
        completes in [lat]. *)
-    let slot_start = max now ln.line_busy_until in
-    ln.line_busy_until <- slot_start + occ + port_occupancy + lat;
+    let slot_start = max now t.busy.(ln) in
+    t.busy.(ln) <- slot_start + occ + port_occupancy + lat;
     let data_at = slot_start + lat in
     max (max lat (max dir_done port_done - now)) (data_at - now)
   end
@@ -629,8 +786,8 @@ let realize_posted t =
    context, so it must not flush or wait — there is no bank to flush and
    the returned latency travels back inside the reply message timestamp. *)
 let remote_service t ~now ~core ~line ~write =
-  let addr = line * t.plat.Platform.cacheline in
-  if write then prepare_store t ~core addr else prepare_load t ~core addr;
+  let s = get_line t ~core line in
+  if write then prepare_store t ~core line s else prepare_load t ~core line s;
   if t.o_kind = k_hit then t.plat.Platform.l1_hit
   else if t.o_kind = k_local then t.o_lat
   else
@@ -648,52 +805,40 @@ let realize_blocking t =
   else if t.o_kind = k_local then Engine.wait t.o_lat
   else Engine.wait (realize_posted t)
 
-(* A blocking access whose line is pinned to a package another shard owns:
-   park the task and hand (line, home, waker) to the route callback, which
-   ships the request across the shard boundary and eventually invokes the
-   waker at the reply's arrival time. Only [load]/[store] support remote
-   homes — the posted/async/banked variants rely on same-shard visibility
-   arguments that do not survive a shard boundary, and the shard layer
-   keeps their lines (URPC rings, private heaps) home-local by
-   construction. *)
-let remote_blocking rr ~core ~line ~home ~write =
-  Engine.flush_charge ();
-  Engine.suspend (fun wake -> rr.rr_route ~core ~line ~home ~write ~wake)
+(* A blocking access. A line pinned to a package another shard owns parks
+   the task and hands (line, home, waker) to the route, which ships the
+   request across the shard boundary and invokes the waker at the reply's
+   arrival time. The caller has flushed its bank, so nothing runs between
+   filling the request fields and [register] reading them. *)
+let blocking t ~core addr ~write =
+  let lid = line_of_addr t addr in
+  let s = slot t ~core lid in
+  let w = t.state.(s) in
+  if tag_of w = tag_remote then begin
+    t.rq_core <- core;
+    t.rq_line <- lid;
+    t.rq_home <- home_of_word w;
+    t.rq_write <- write;
+    Engine.suspend t.register
+  end
+  else begin
+    if write then prepare_store t ~core lid s else prepare_load t ~core lid s;
+    realize_blocking t
+  end
 
 let load t ~core addr =
   Engine.flush_charge ();
-  (match t.remote with
-  | Some rr -> (
-    let lid = line_of_addr t addr in
-    match pinned_home_of t lid with
-    | Some home when rr.rr_is_remote home ->
-      remote_blocking rr ~core ~line:lid ~home ~write:false
-    | _ ->
-      prepare_load t ~core addr;
-      realize_blocking t)
-  | None ->
-    prepare_load t ~core addr;
-    realize_blocking t)
-
-let load_async t ~core addr =
-  access_flush t;
-  prepare_load t ~core addr;
-  realize_posted t
+  blocking t ~core addr ~write:false
 
 let store t ~core addr =
   Engine.flush_charge ();
-  (match t.remote with
-  | Some rr -> (
-    let lid = line_of_addr t addr in
-    match pinned_home_of t lid with
-    | Some home when rr.rr_is_remote home ->
-      remote_blocking rr ~core ~line:lid ~home ~write:true
-    | _ ->
-      prepare_store t ~core addr;
-      realize_blocking t)
-  | None ->
-    prepare_store t ~core addr;
-    realize_blocking t)
+  blocking t ~core addr ~write:true
+
+let load_async t ~core addr =
+  access_flush t;
+  let lid = line_of_addr t addr in
+  prepare_load t ~core lid (get_line t ~core lid);
+  realize_posted t
 
 (* Blocking store to a line the call site guarantees is effectively
    core-private (URPC ring/channel-state words: one sender task, readers
@@ -704,14 +849,16 @@ let store t ~core addr =
    the shared directory queues and waits. *)
 let store_local t ~core addr =
   access_flush t;
-  prepare_store t ~core addr;
+  let lid = line_of_addr t addr in
+  prepare_store t ~core lid (get_line t ~core lid);
   if t.o_kind = k_hit then Engine.charge t.plat.Platform.l1_hit
   else if t.o_kind = k_local then Engine.charge t.o_lat
   else Engine.wait (realize_posted t)
 
 let store_posted t ~core addr =
   access_flush t;
-  prepare_store t ~core addr;
+  let lid = line_of_addr t addr in
+  prepare_store t ~core lid (get_line t ~core lid);
   let delay = realize_posted t in
   (* The posted-store pipeline drain is a fixed local cost. *)
   Engine.charge store_post_cost;
@@ -728,9 +875,24 @@ let touch_range t ~core ~addr ~bytes ~write =
   end
 
 let line_state t ~line =
-  match Inttbl.find_opt t.lines line with
-  | None -> Invalid
-  | Some l ->
-    if l.tag = tag_modified then Modified l.excl
-    else if l.tag = tag_shared then Shared (Bitset.to_list l.sharers)
+  let s = Inttbl.find_or t.index line (-1) in
+  if s < 0 then Invalid
+  else begin
+    let w = t.state.(s) in
+    if tag_of w = tag_modified then Modified (a_of w)
+    else if tag_of w = tag_shared then
+      if is_spilled w then Shared (Bitset.to_list t.pool.(pool_of w))
+      else if b_of w = nil then Shared [ a_of w ]
+      else Shared [ a_of w; b_of w ]
     else Invalid
+  end
+
+type table_stats = { touched_lines : int; table_words : int }
+
+let table_stats t =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  {
+    touched_lines = t.n_slots;
+    table_words =
+      words t.index + words t.state + words t.busy + words t.pool + words t.free;
+  }

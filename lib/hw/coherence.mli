@@ -12,6 +12,14 @@
     latency classes come from the hop distances; Figure 6's broadcast
     behaviour comes from N cores fetching the same dirty line serially.
 
+    The directory is a flat line table: each touched line gets a dense
+    slot on first touch (one {!Inttbl} probe per access finds it) holding
+    a packed state word (tag, exclusive owner, MOESI owner, home and up
+    to two sharers inline) and the line's storm-slot time. A third sharer
+    spills the set to a pooled {!Bitset}; sharers are always visited in
+    ascending core order. Core ids must fit 15 bits: {!create} rejects a
+    machine of 32767 cores or more.
+
     Caches default to infinite capacity (misses are cold and coherence
     misses); pass [cache_lines_per_core] to model finite caches with LRU
     replacement — dirty victims write back to their home node, clean ones
@@ -58,16 +66,22 @@ val set_remote_home :
   is_remote:(int -> bool) ->
   route:(core:int -> line:int -> home:int -> write:bool -> wake:Mk_sim.Engine.waker -> unit) ->
   unit
-(** PDES cross-shard routing: when a blocking {!load}/{!store} touches a
-    line whose *pinned* home package satisfies [is_remote], the access is
-    not serviced here — the task parks and [route] receives the request
-    plus the task's waker; the shard layer ships it to the owning shard
-    (see {!Shard}) and invokes the waker when the reply arrives. [route]
-    runs outside task context and must not perform task effects. The
-    posted/async/banked access variants do not support remote homes: their
-    soundness arguments (single writer, visibility gated within one
-    engine) do not cross a shard boundary, so callers must keep such lines
-    home-local — the shard layer's allocators do. *)
+(** PDES cross-shard routing: a line whose *pinned* home package satisfies
+    [is_remote] is serviced by another shard's directory. Call it before
+    the first access, and pin a line before its first touch: both are
+    read once per line, when the line enters the table. A blocking
+    {!load}/{!store} to a remote line parks the task and [route] receives
+    the request plus the task's waker; the shard layer ships it to the
+    owning shard (see {!Shard}) and invokes the waker when the reply
+    arrives. [route] runs outside task context and must not perform task
+    effects.
+
+    The posted/async/banked access variants ({!store_local},
+    {!store_posted}, {!load_async}) and {!remote_service} raise
+    [Invalid_argument] on a remote line: their soundness arguments (single
+    writer, visibility gated within one engine) do not cross a shard
+    boundary, so callers must keep such lines home-local — the shard
+    layer's allocators do. *)
 
 val remote_service : t -> now:int -> core:int -> line:int -> write:bool -> int
 (** Service a remote core's blocking access at this (home) shard's
@@ -113,7 +127,17 @@ val touch_range : t -> core:int -> addr:int -> bytes:int -> write:bool -> unit
     payloads, page zeroing). Blocking. *)
 
 val line_state : t -> line:int -> line_state
-(** For tests and assertions. *)
+(** For tests and assertions. [Shared] lists its cores in ascending order.
+    A remote line is [Invalid] here: its state lives on the home shard. *)
+
+type table_stats = {
+  touched_lines : int;  (** lines that own a slot *)
+  table_words : int;  (** heap words reachable from the line table *)
+}
+
+val table_stats : t -> table_stats
+(** The line table's footprint. Walks the table: for reports, not hot
+    paths. *)
 
 val store_post_cost : int
 (** Cycles a posted store occupies the issuing core (write-buffer insert). *)

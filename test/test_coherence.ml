@@ -182,6 +182,165 @@ let test_touch_range () =
       let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
       check_int "16 lines written" 16 d.Perfcounter.stores.(0))
 
+(* -- the flat line table against the reference directory --
+
+   [Coherence_ref] is the record-per-line directory with an n-bit sharer
+   [Bitset] that the flat table replaced. Random access streams run
+   through both, on random small platforms (three over 64 packages, where
+   latencies and link paths are computed per access), with random pins
+   and finite LRU caches of 1-4 lines; every access's latency, every
+   line's state after it (sharer order included), the final clock, the
+   counters and the link dwords must agree. *)
+
+type model = {
+  load : core:int -> int -> unit;
+  store : core:int -> int -> unit;
+  store_local : core:int -> int -> unit;
+  store_posted : core:int -> int -> int;
+  load_async : core:int -> int -> int;
+  state : line:int -> Coherence.line_state;
+  pin : first_line:int -> last_line:int -> node:int -> unit;
+}
+
+let flat ?cache_lines_per_core plat counters =
+  let c = Coherence.create ?cache_lines_per_core plat counters in
+  {
+    load = Coherence.load c;
+    store = Coherence.store c;
+    store_local = Coherence.store_local c;
+    store_posted = Coherence.store_posted c;
+    load_async = Coherence.load_async c;
+    state = Coherence.line_state c;
+    pin = Coherence.set_home_range c;
+  }
+
+let reference ?cache_lines_per_core plat counters =
+  let c = Coherence_ref.create ?cache_lines_per_core plat counters in
+  {
+    load = Coherence_ref.load c;
+    store = Coherence_ref.store c;
+    store_local = Coherence_ref.store_local c;
+    store_posted = Coherence_ref.store_posted c;
+    load_async = Coherence_ref.load_async c;
+    state = Coherence_ref.line_state c;
+    pin = Coherence_ref.set_home_range c;
+  }
+
+let diff_lines = 6
+let first_line = 16
+
+(* Two tasks share the stream by its [task] bit, so directory, port and
+   storm-slot queueing interleave. Each access is traced with its return
+   value, its latency and every line's state after it. *)
+let run_stream make ~plat ~cap ~pins ~ops =
+  let counters = Perfcounter.create plat in
+  let m = make ?cache_lines_per_core:cap plat counters in
+  let n = Platform.n_cores plat and npkg = plat.Platform.n_packages in
+  List.iter (fun (li, node) -> m.pin ~first_line:(first_line + li) ~last_line:(first_line + li) ~node:(node mod npkg)) pins;
+  let eng = Engine.create () in
+  let traces = Array.make 2 [] in
+  for task = 0 to 1 do
+    Engine.spawn eng (fun () ->
+        List.iter
+          (fun (tk, kind, core, li) ->
+            if tk = task then begin
+              let core = core mod n in
+              let addr = (first_line + li) * plat.Platform.cacheline in
+              let t0 = Engine.now_ () in
+              let ret =
+                match kind with
+                | 0 -> m.load ~core addr; 0
+                | 1 -> m.store ~core addr; 0
+                | 2 -> m.store_local ~core addr; 0
+                | 3 -> m.store_posted ~core addr
+                | 4 -> m.load_async ~core addr
+                | _ -> Engine.wait (core land 255); 0
+              in
+              let states = List.init diff_lines (fun i -> m.state ~line:(first_line + i)) in
+              traces.(task) <- (ret, Engine.now_ () - t0, states) :: traces.(task)
+            end)
+          ops)
+  done;
+  Engine.run eng ();
+  (traces, Engine.now eng, Perfcounter.snapshot counters)
+
+let gen_platform =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl Platform.all;
+        map2 (fun p c -> Platform.synthetic_mesh ~packages:p ~cores_per_package:c) (int_range 2 9) (int_range 1 4);
+        map2 (fun p c -> Platform.synthetic_tree ~packages:p ~cores_per_package:c) (int_range 2 9) (int_range 1 4);
+        map2 (fun b c -> Platform.synthetic_bands ~bands:b ~packages_per_band:2 ~cores_per_package:c) (int_range 1 4) (int_range 1 3);
+        map (fun p -> Platform.synthetic_mesh ~packages:p ~cores_per_package:1) (int_range 65 70);
+      ])
+
+let qcheck_flat_table_matches_reference =
+  qtest "flat line table = reference directory" ~count:150
+    QCheck2.Gen.(
+      tup4 gen_platform
+        (opt (int_range 1 4))
+        (list_size (int_bound 4) (pair (int_bound (diff_lines - 1)) (int_bound 1000)))
+        (list_size (int_range 20 200)
+           (tup4 (int_bound 1) (int_bound 6) (int_bound 1000) (int_bound (diff_lines - 1)))))
+    (fun (plat, cap, pins, ops) ->
+      let pins = List.sort_uniq (fun (a, _) (b, _) -> compare a b) pins in
+      run_stream flat ~plat ~cap ~pins ~ops = run_stream reference ~plat ~cap ~pins ~ops)
+
+(* Directed: a third sharer spills the set, a store returns it inline,
+   and an eviction from a spilled set brings it back to two. *)
+let test_spill_and_return () =
+  let m = Machine.create ~cache_lines_per_core:1 Platform.amd_8x4 in
+  let coh = m.Machine.coh in
+  let a = Machine.alloc_lines m 1 and b = Machine.alloc_lines m 1 in
+  let state x = Coherence.line_state coh ~line:(Coherence.line_of_addr coh x) in
+  Engine.spawn m.Machine.eng (fun () ->
+      List.iter (fun c -> Coherence.load coh ~core:c a) [ 9; 2; 30; 5 ];
+      check_bool "spilled, ascending" true (state a = Coherence.Shared [ 2; 5; 9; 30 ]);
+      Coherence.store coh ~core:9 a;
+      check_bool "inline again" true (state a = Coherence.Modified 9);
+      List.iter (fun c -> Coherence.load coh ~core:c a) [ 2; 30 ];
+      check_bool "spilled again" true (state a = Coherence.Shared [ 2; 9; 30 ]);
+      (* A one-line cache: touching [b] evicts [a] from core 30. *)
+      Coherence.load coh ~core:30 b;
+      check_bool "evicted down to two" true (state a = Coherence.Shared [ 2; 9 ]);
+      Coherence.load coh ~core:2 b;
+      Coherence.load coh ~core:9 b;
+      check_bool "evicted to empty" true (state a = Coherence.Invalid));
+  Machine.run m
+
+(* Spilling to a pooled set and returning inline allocate nothing once
+   the pool has grown. A round is a store and then k readers, each on its
+   own package: the store returns a spilled set inline, the third reader
+   spills it again. Every reader does the same work (a blocking c2c fetch
+   and its counters), so if spilling is free the words per round grow by
+   the same step from k = 1 to 5, across the inline-to-spilled boundary. *)
+let test_spill_allocates_nothing () =
+  let words k =
+    let m = Machine.create Platform.amd_8x4 in
+    let coh = m.Machine.coh in
+    let a = Machine.alloc_lines m 1 in
+    let readers = List.filteri (fun i _ -> i < k) [ 8; 12; 16; 20; 24 ] in
+    let w = ref nan in
+    Engine.spawn m.Machine.eng (fun () ->
+        let round () =
+          Coherence.store coh ~core:4 a;
+          List.iter (fun c -> Coherence.load coh ~core:c a) readers
+        in
+        for _ = 1 to 100 do round () done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 10_000 do round () done;
+        w := (Gc.minor_words () -. w0) /. 10_000.);
+    Machine.run m;
+    !w
+  in
+  let w = Array.init 5 (fun i -> words (i + 1)) in
+  for k = 2 to 4 do
+    if w.(k) -. w.(k - 1) <> w.(1) -. w.(0) then
+      Alcotest.failf "words per round with 1..5 readers: %s"
+        (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.2f") w)))
+  done
+
 let suite =
   ( "coherence",
     [
@@ -197,4 +356,7 @@ let suite =
       tc "local traffic free" test_local_traffic_free;
       tc "read storm serializes" test_read_storm_serializes;
       tc "touch range" test_touch_range;
+      qcheck_flat_table_matches_reference;
+      tc "spill and return inline" test_spill_and_return;
+      tc "spill allocates nothing" test_spill_allocates_nothing;
     ] )

@@ -223,12 +223,61 @@ let test_boot_input_checks () =
   raises "one injector, two shards" (fun () ->
       Os.boot ~shards:2 ~faults:[| inj () |] ~measure_latencies:Os.No_measure plat)
 
+(* Minor words per blocking access from shard 0 to a line pinned on
+   package [node], on amd_8x4 cut into [n_shards] shards. Cores 0 and 1
+   (package 0, shard 0) take turns storing and loading, so each access
+   moves the line or hits. *)
+let words_per_access ~n_shards ~node =
+  let sh = Shard.create ~n_shards Platform.amd_8x4 in
+  let coh = (Shard.machine sh 0).Machine.coh in
+  let addr = Shard.alloc_shared sh ~src_core:0 ~node 1 in
+  let words = ref nan in
+  Pdes.spawn (Shard.pdes sh) ~shard:0 ~name:"budget" (fun () ->
+      let round () =
+        Coherence.store coh ~core:0 addr;
+        Coherence.load coh ~core:1 addr;
+        Coherence.store coh ~core:1 addr;
+        Coherence.load coh ~core:0 addr
+      in
+      for _ = 1 to 50 do
+        round ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 500 do
+        round ()
+      done;
+      words := (Gc.minor_words () -. w0) /. 2000.0);
+  Shard.exec ~domains:1 sh;
+  !words
+
+(* A blocking access is one table probe on every machine: a locally
+   pinned line costs the same words on two shards as on one, within the
+   pinned budget. A line homed
+   on the other shard adds exactly the two Pdes thunks of the route: the
+   request (13 words: ten captured values) and the reply (4). Its service
+   on the home shard allocates what a local access does, and parking
+   builds no callback. *)
+let access_budget = 17.0
+let route_thunks = 17.0
+
+let test_access_allocation_budget () =
+  let one = words_per_access ~n_shards:1 ~node:0 in
+  let local = words_per_access ~n_shards:2 ~node:0 in
+  let remote = words_per_access ~n_shards:2 ~node:7 in
+  if one > access_budget then
+    Alcotest.failf "blocking access: %.2f minor words (budget %.0f)" one access_budget;
+  if local <> one then
+    Alcotest.failf "local line: %.2f minor words on two shards, %.2f on one" local one;
+  if remote <> local +. route_thunks then
+    Alcotest.failf "remote line: %.2f minor words, local %.2f + %.0f route thunks" remote
+      local route_thunks
+
 (* Minor words per [Os.protect] (an mprotect and its undo alternate, each
    a full LRPC + shootdown round trip over all 32 cores): deterministic
-   for a given build. The budget is the measured figure (7,690) exactly:
+   for a given build. The budget is the measured figure (7,132) exactly:
    one-shard boots install no cross-shard hooks, blocking and waking
    allocate nothing beyond the continuation, and waiters queue on rings. *)
-let protect_budget = 7_690.0
+let protect_budget = 7_132.0
 
 let test_protect_allocation_budget () =
   let os = Os.boot Platform.amd_8x4 in
@@ -270,4 +319,5 @@ let suite =
       tc "one-shard run is one window" test_one_shard_one_window;
       tc "boot input checks" test_boot_input_checks;
       tc "Os.protect allocation budget" test_protect_allocation_budget;
+      tc "blocking access allocation budget" test_access_allocation_budget;
     ] )

@@ -195,6 +195,34 @@ let test_remote_coherence_roundtrip () =
   | Coherence.Modified c -> check_int "home sees the writer" 0 c
   | _ -> Alcotest.fail "home shard line not in Modified state")
 
+(* Only blocking accesses cross the cut: a posted store to a line pinned
+   on the other shard raises, whether it is the line's first touch here or
+   a blocking access already gave the line a (remote) slot. *)
+let test_remote_line_refuses_posted () =
+  let plat = Platform.amd_8x4 in
+  let sh = Mk.Shard.create ~n_shards:2 plat in
+  let m1 = Mk.Shard.machine sh 1 in
+  let coh0 = (Mk.Shard.machine sh 0).Machine.coh in
+  let remote_line () =
+    let addr = Machine.alloc_lines m1 ~node:7 1 in
+    Coherence.set_home coh0 ~line:(Coherence.line_of_addr coh0 addr) ~node:7;
+    addr
+  in
+  let fresh = remote_line () and touched = remote_line () in
+  let raises addr =
+    match Coherence.store_posted coh0 ~core:0 addr with
+    | (_ : int) -> false
+    | exception Invalid_argument _ -> true
+  in
+  let on_first_touch = ref false and after_blocking = ref false in
+  Pdes.spawn (Mk.Shard.pdes sh) ~shard:0 ~name:"req" (fun () ->
+      on_first_touch := raises fresh;
+      Coherence.load coh0 ~core:0 touched;
+      after_blocking := raises touched);
+  Mk.Shard.exec ~domains:1 sh;
+  check_bool "posted store raises on first touch" true !on_first_touch;
+  check_bool "posted store raises after a blocking load" true !after_blocking
+
 (* Cross-shard IPI: handler runs on the owning shard, after at least the
    lookahead, and the trap serializes on the target core. *)
 let test_remote_ipi () =
@@ -389,6 +417,7 @@ let suite =
       tc "shard error propagates" test_shard_error_propagates;
       tc "referee across domain counts" test_referee_domain_counts;
       tc "remote coherence roundtrip" test_remote_coherence_roundtrip;
+      tc "remote line refuses posted access" test_remote_line_refuses_posted;
       tc "remote ipi" test_remote_ipi;
       tc "cross-shard urpc" test_cross_shard_urpc;
       tc "hw referee across domain counts" test_hw_referee_domain_counts;
