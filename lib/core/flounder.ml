@@ -10,12 +10,12 @@ type ('req, 'resp) binding = {
   sm : Machine.t;
   req : ('req * bool) Shard.link;  (* bool: expects a response *)
   resp : 'resp Shard.link;
-  req_lines : int;
-  resp_lines : int;
+  req_lines : int option;  (* as given to [connect]: a send boxes no [Some] *)
+  resp_lines : int option;
   lock : Sync.Mutex.t;  (* one outstanding RPC per binding *)
 }
 
-let connect sh ~name ~client ~server ?(req_lines = 1) ?(resp_lines = 1) () =
+let connect sh ~name ~client ~server ?req_lines ?resp_lines () =
   (* Request channel first: reservation order fixes buffer addresses. *)
   let req = Shard.link_urpc sh ~sender:client ~receiver:server ~name:(name ^ ".req") () in
   let resp = Shard.link_urpc sh ~sender:server ~receiver:client ~name:(name ^ ".resp") () in
@@ -32,33 +32,37 @@ let export b handler =
   let rec loop () =
     let req, wants_resp = Urpc.recv b.req.Shard.rx in
     let resp = handler req in
-    if wants_resp then Urpc.send b.resp.Shard.tx ~lines:b.resp_lines resp;
+    if wants_resp then Urpc.send b.resp.Shard.tx ?lines:b.resp_lines resp;
     loop ()
   in
   Engine.spawn b.sm.Machine.eng ~name:(Urpc.name b.req.Shard.rx ^ ".server") loop
 
-let rpc b req =
-  Sync.Mutex.with_lock b.lock (fun () ->
-      Urpc.send b.req.Shard.tx ~lines:b.req_lines (req, true);
-      Urpc.recv b.resp.Shard.rx)
+(* Every call takes the binding lock with [lock] and gives it back with
+   [release], also on an exception, without building a closure. *)
+type 'req request = 'req * bool
 
-let rpc_fill b fill =
-  (* [fill] runs under the binding lock, so a caller may mutate and return
-     a per-binding scratch request: the server consumes it before the
-     response is sent, and no second RPC can refill it earlier. *)
-  Sync.Mutex.with_lock b.lock (fun () ->
-      Urpc.send b.req.Shard.tx ~lines:b.req_lines (fill (), true);
-      Urpc.recv b.resp.Shard.rx)
+let request req : _ request = (req, true)
+let lock b = Sync.Mutex.lock b.lock
+let release b = Sync.Mutex.unlock b.lock
+
+let exchange b (msg : _ request) =
+  match Urpc.send b.req.Shard.tx ?lines:b.req_lines msg; Urpc.recv b.resp.Shard.rx with
+  | resp -> release b; resp
+  | exception e -> release b; raise e
+
+let rpc b req =
+  lock b;
+  exchange b (request req)
 
 let rpc_async b req =
-  Sync.Mutex.lock b.lock;
-  Urpc.send b.req.Shard.tx ~lines:b.req_lines (req, true);
+  lock b;
+  Urpc.send b.req.Shard.tx ?lines:b.req_lines (request req);
   fun () ->
     let resp = Urpc.recv b.resp.Shard.rx in
-    Sync.Mutex.unlock b.lock;
+    release b;
     resp
 
-let oneway b req = Urpc.send b.req.Shard.tx ~lines:b.req_lines (req, false)
+let oneway b req = Urpc.send b.req.Shard.tx ?lines:b.req_lines (req, false)
 
 let client_core b = Urpc.sender b.req.Shard.tx
 let server_core b = Urpc.receiver b.req.Shard.tx
@@ -122,7 +126,7 @@ module Reliable = struct
             r
         in
         if wants_resp then
-          Urpc.send t.rb.resp.Shard.tx ~lines:t.rb.resp_lines (id, resp)
+          Urpc.send t.rb.resp.Shard.tx ?lines:t.rb.resp_lines (id, resp)
       end;
       loop ()
     in
@@ -131,35 +135,31 @@ module Reliable = struct
       loop
 
   let call t req =
-    Sync.Mutex.with_lock t.rb.lock (fun () ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        let rec attempt n timeout =
-          Urpc.send t.rb.req.Shard.tx ~lines:t.rb.req_lines ((id, req), true);
-          let deadline = Engine.now_ () + timeout in
-          (* Drain responses until ours arrives or the deadline passes;
-             responses to earlier (timed-out) attempts are discarded. *)
-          let rec await () =
-            let left = deadline - Engine.now_ () in
-            if left <= 0 then None
-            else
-              match Urpc.recv_timeout t.rb.resp.Shard.rx ~timeout:left with
-              | None -> None
-              | Some (rid, resp) -> if rid = id then Some resp else await ()
-          in
-          match await () with
-          | Some resp -> Ok resp
-          | None ->
-            if n >= t.max_attempts then begin
-              t.gave_up <- t.gave_up + 1;
-              Error `Timeout
-            end
-            else begin
-              t.retries <- t.retries + 1;
-              attempt (n + 1) (timeout * 2)
-            end
-        in
-        attempt 1 t.base_timeout)
+    lock t.rb;
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    let rec attempt n timeout =
+      Urpc.send t.rb.req.Shard.tx ?lines:t.rb.req_lines (request (id, req));
+      await n timeout (Engine.now_ () + timeout)
+    (* Drain responses until ours arrives or the deadline passes; responses
+       to earlier (timed-out) attempts are discarded. *)
+    and await n timeout deadline =
+      let left = deadline - Engine.now_ () in
+      match
+        if left <= 0 then None else Urpc.recv_timeout t.rb.resp.Shard.rx ~timeout:left
+      with
+      | Some (rid, resp) when rid = id -> Ok resp
+      | Some _ -> await n timeout deadline
+      | None when n >= t.max_attempts ->
+        t.gave_up <- t.gave_up + 1;
+        Error `Timeout
+      | None ->
+        t.retries <- t.retries + 1;
+        attempt (n + 1) (timeout * 2)
+    in
+    match attempt 1 t.base_timeout with
+    | r -> release t.rb; r
+    | exception e -> release t.rb; raise e
 
   let stats_retries t = t.retries
   let stats_cached t = if t.cached_id = 0 then 0 else 1

@@ -5,7 +5,14 @@
     over a pair of URPC channels, with message sizes declared per interface
     so the transport charges the right number of cache lines. All message
     transports hide behind this interface, keeping services
-    transport-independent. *)
+    transport-independent.
+
+    A binding admits one outstanding call. Every call path takes the
+    binding's lock with {!lock} and releases it on return or exception
+    through plain calls, never a [with_lock] closure; {!exchange} is the
+    locked round trip. A hot caller ({!Session.call}) sends a prebuilt
+    {!request} around a scratch record it refills under the lock, so its
+    call allocates only the continuations of its waits. *)
 
 type ('req, 'resp) binding
 
@@ -22,24 +29,39 @@ val connect :
     {!Shard.link_urpc}, each half's ring on its owning shard and split at
     the wire when client and server live on different shards.
     [req_lines]/[resp_lines] are the marshalled sizes in cache lines
-    (default 1). {!export}'s server loop runs on the server core's shard
-    machine. A caller without a sharded OS passes a one-shard
-    {!Shard.t}. *)
+    (default 1), kept as given so that a send boxes nothing. {!export}'s
+    server loop runs on the server core's shard machine. A caller
+    without a sharded OS passes a one-shard {!Shard.t}. *)
 
 val export : ('req, 'resp) binding -> ('req -> 'resp) -> unit
 (** Start the server loop: for each request, run the handler in the server
     core's context and send the response. Call once per binding. *)
 
 val rpc : ('req, 'resp) binding -> 'req -> 'resp
-(** Synchronous call. Concurrent callers on the same binding serialize. *)
+(** Synchronous call: {!lock}, then {!exchange} of a fresh request.
+    Concurrent callers on the same binding serialize. *)
 
-val rpc_fill : ('req, 'resp) binding -> (unit -> 'req) -> 'resp
-(** Like {!rpc}, but the request is produced by [fill] after the binding
-    lock is taken. A caller that owns the binding may mutate and return a
-    single scratch request record: the binding admits one outstanding RPC,
-    and the server reads the request before the response is sent, so the
-    scratch cannot be refilled while still in use. For per-call
-    allocation-free hot paths. *)
+type 'req request
+(** A request message that expects a response. A caller that owns a
+    binding builds one around a scratch request record once and sends it
+    on every call. *)
+
+val request : 'req -> 'req request
+
+val lock : (_, _) binding -> unit
+(** Take the binding's lock (one outstanding RPC per binding), blocking
+    while another call holds it. Follow with {!exchange}. Between the two
+    the caller may refill the scratch record inside its prebuilt
+    {!request}: the server reads the request before it responds, and no
+    other call can refill the record while the lock is held. *)
+
+val exchange : ('req, 'resp) binding -> 'req request -> 'resp
+(** Under the lock taken by {!lock}: send the request, await the
+    response and release the lock, also when the send or the receive
+    raises. Builds no closure and boxes nothing, so a call that sends a
+    prebuilt {!request} allocates only the continuations of its waits.
+    {!rpc}, {!rpc_async} and {!Reliable.call} take and release the lock
+    the same way. *)
 
 val rpc_async : ('req, 'resp) binding -> 'req -> (unit -> 'resp)
 (** Split-phase call: send now, return a function that blocks for the

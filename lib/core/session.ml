@@ -6,7 +6,13 @@
    reaches the owner over a typed Flounder/URPC binding. Workers advertise
    themselves through the name service, and the front discovers them by
    lookup, so bring-up pays the same messaging costs as any other
-   service. *)
+   service.
+
+   A call is on the serving hot path and builds nothing on the host: it
+   takes the binding lock ({!Flounder.lock}), refills that binding's
+   scratch request and sends the request message prebuilt around it
+   ({!Flounder.exchange}), so it allocates only the continuations of its
+   waits. *)
 
 open Mk_hw
 
@@ -23,8 +29,10 @@ type t = {
   tables : int Inttbl.t array;
   bindings : (req, resp) Flounder.binding array;
   (* One scratch request per binding, refilled under the binding lock by
-     {!call} ({!Flounder.rpc_fill}) instead of allocating per call. *)
+     {!call} instead of allocating per call, and the request message
+     around it, built once and sent on every call. *)
   scratch : req array;
+  msgs : req Flounder.request array;
   served : int array;
   mutable calls : int;
   req_lines : int;
@@ -81,16 +89,30 @@ let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
           { rs_hits = hits; rs_core = workers.(i) }))
     bindings;
   let scratch = Array.init k (fun _ -> { rq_session = 0; rq_work = 0 }) in
-  { os; front; workers; tables; bindings; scratch; served; calls = 0; req_lines; resp_lines }
+  let msgs = Array.map Flounder.request scratch in
+  {
+    os;
+    front;
+    workers;
+    tables;
+    bindings;
+    scratch;
+    msgs;
+    served;
+    calls = 0;
+    req_lines;
+    resp_lines;
+  }
 
 let call t ~session ~work =
   let i = worker_slot t ~session in
+  let b = t.bindings.(i) in
   t.calls <- t.calls + 1;
-  Flounder.rpc_fill t.bindings.(i) (fun () ->
-      let s = t.scratch.(i) in
-      s.rq_session <- session;
-      s.rq_work <- work;
-      s)
+  Flounder.lock b;
+  let s = t.scratch.(i) in
+  s.rq_session <- session;
+  s.rq_work <- work;
+  Flounder.exchange b t.msgs.(i)
 
 let front t = t.front
 let workers t = Array.to_list t.workers

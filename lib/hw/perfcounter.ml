@@ -35,12 +35,12 @@ let create plat =
   }
 
 let bump arr ~core = arr.(core) <- arr.(core) + 1
-let count_load (t : t) = bump t.loads
-let count_store (t : t) = bump t.stores
-let count_miss (t : t) = bump t.dcache_miss
-let count_c2c (t : t) = bump t.c2c_fetch
-let count_dram (t : t) = bump t.dram_fetch
-let count_inval (t : t) = bump t.invalidations
+let count_load (t : t) ~core = bump t.loads ~core
+let count_store (t : t) ~core = bump t.stores ~core
+let count_miss (t : t) ~core = bump t.dcache_miss ~core
+let count_c2c (t : t) ~core = bump t.c2c_fetch ~core
+let count_dram (t : t) ~core = bump t.dram_fetch ~core
+let count_inval (t : t) ~core = bump t.invalidations ~core
 
 let link_counter (t : t) link =
   match Hashtbl.find_opt t.link_dwords link with

@@ -19,7 +19,12 @@ type snap = {
 
 val create : Platform.t -> t
 
-(* Incremented by the coherence model: *)
+(* Incremented by the coherence model, once per simulated access. Each
+   [count_*] takes [~core] in its own definition
+   ([let count_load t ~core = ...]), not as a partial application
+   ([let count_load t = bump t.loads]): an arity-1 definition makes every
+   [count_* t ~core] call build a closure first, so a counter bump would
+   allocate instead of being one array store. *)
 
 val count_load : t -> core:int -> unit
 val count_store : t -> core:int -> unit

@@ -312,20 +312,22 @@ let test_spill_and_return () =
 (* Spilling to a pooled set and returning inline allocate nothing once
    the pool has grown. A round is a store and then k readers, each on its
    own package: the store returns a spilled set inline, the third reader
-   spills it again. Every reader does the same work (a blocking c2c fetch
-   and its counters), so if spilling is free the words per round grow by
-   the same step from k = 1 to 5, across the inline-to-spilled boundary. *)
+   spills it again. Each of the k + 1 accesses is one blocking wait, and
+   its continuation (2 words) is all a round allocates, from k = 1 to 5,
+   across the inline-to-spilled boundary. *)
 let test_spill_allocates_nothing () =
   let words k =
     let m = Machine.create Platform.amd_8x4 in
     let coh = m.Machine.coh in
     let a = Machine.alloc_lines m 1 in
-    let readers = List.filteri (fun i _ -> i < k) [ 8; 12; 16; 20; 24 ] in
+    let readers = Array.sub [| 8; 12; 16; 20; 24 |] 0 k in
     let w = ref nan in
     Engine.spawn m.Machine.eng (fun () ->
         let round () =
           Coherence.store coh ~core:4 a;
-          List.iter (fun c -> Coherence.load coh ~core:c a) readers
+          for j = 0 to k - 1 do
+            Coherence.load coh ~core:readers.(j) a
+          done
         in
         for _ = 1 to 100 do round () done;
         let w0 = Gc.minor_words () in
@@ -335,11 +337,83 @@ let test_spill_allocates_nothing () =
     !w
   in
   let w = Array.init 5 (fun i -> words (i + 1)) in
-  for k = 2 to 4 do
-    if w.(k) -. w.(k - 1) <> w.(1) -. w.(0) then
-      Alcotest.failf "words per round with 1..5 readers: %s"
-        (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.2f") w)))
-  done
+  Array.iteri
+    (fun i wk ->
+      if wk <> float_of_int (2 * (i + 2)) then
+        Alcotest.failf "words per round with 1..5 readers: %s (want 4 6 8 10 12)"
+          (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.2f") w))))
+    w
+
+(* Words allocated by simulated accesses that do not wait, on a fresh
+   amd_8x4 machine: 10,100 rounds, the first 100 a warm-up. A round calls
+   each of [ops] in turn with the round number; the bank is flushed
+   before each call, outside the count, so a counted call never pays a
+   banked charge's wait. [setup] runs first, uncounted. Returns the words
+   of the counted calls and the machine's counters. *)
+let access_words ?(setup = fun _ -> ()) ops =
+  let m = Machine.create Platform.amd_8x4 in
+  let words = ref (-1) in
+  Engine.spawn m.Machine.eng (fun () ->
+      setup m;
+      let total = ref 0 in
+      for i = 1 to 10_100 do
+        Array.iter
+          (fun op ->
+            Engine.flush_charge ();
+            let w0 = Gc.minor_words () in
+            op m i;
+            if i > 100 then total := !total + int_of_float (Gc.minor_words () -. w0))
+          ops
+      done;
+      words := !total);
+  Machine.run m;
+  (!words, Perfcounter.snapshot m.Machine.counters)
+
+(* A [store_local] hit banks its latency and bumps its counters. A
+   [store_posted] that invalidates a sharer and the [load_async] miss it
+   causes (sourced from core 8's cache), and a [load_async] miss on a line
+   only core 8 has read (fetched from memory), reserve the directory and
+   port and bump their counters. None of them waits, and none allocates:
+   every counter is bumped in a counted call, so a [count_*] that builds
+   a closure fails here. *)
+let test_access_allocates_nothing () =
+  let line m = Machine.alloc_lines m 1 in
+  let a = ref 0 in
+  let hit, hs =
+    access_words
+      ~setup:(fun m -> a := line m)
+      [| (fun m _ -> Coherence.store_local m.Machine.coh ~core:0 !a) |]
+  in
+  let c2c, cs =
+    access_words
+      ~setup:(fun m -> a := line m)
+      [|
+        (fun m _ -> ignore (Coherence.store_posted m.Machine.coh ~core:8 !a : int));
+        (fun m _ -> ignore (Coherence.load_async m.Machine.coh ~core:0 !a : int));
+      |]
+  in
+  (* One line per round, each first read by core 8. *)
+  let lines = Array.make 10_101 0 in
+  let dram, ds =
+    access_words
+      ~setup:(fun m ->
+        Array.iteri
+          (fun i _ ->
+            lines.(i) <- line m;
+            Coherence.load m.Machine.coh ~core:8 lines.(i))
+          lines)
+      [| (fun m i -> ignore (Coherence.load_async m.Machine.coh ~core:0 lines.(i) : int)) |]
+  in
+  let open Perfcounter in
+  check_int "store_local: only the first call misses" 1 hs.dcache_miss.(0);
+  check_int "load_async after store_posted: every call from a cache" 10_100 cs.c2c_fetch.(0);
+  check_int "store_posted: every call after the cold first invalidates" 10_099
+    cs.invalidations.(8);
+  check_int "load_async of a line core 8 read: every call from memory" 10_100
+    ds.dram_fetch.(0);
+  check_int "store_local hit: minor words over 10k calls" 0 hit;
+  check_int "store_posted + load_async miss: minor words over 10k rounds" 0 c2c;
+  check_int "load_async miss from memory: minor words over 10k calls" 0 dram
 
 let suite =
   ( "coherence",
@@ -359,4 +433,6 @@ let suite =
       qcheck_flat_table_matches_reference;
       tc "spill and return inline" test_spill_and_return;
       tc "spill allocates nothing" test_spill_allocates_nothing;
+      tc "store_local hit, store_posted, load_async miss allocate nothing"
+        test_access_allocates_nothing;
     ] )

@@ -130,6 +130,33 @@ let test_footprint () =
   Perfcounter.reset_footprint pc;
   check_int "reset" 0 (Perfcounter.footprint_lines pc ~core:0)
 
+(* A counter bump is one array store. Each [count_*] is called the way
+   the coherence model calls it, fully applied; a [count_*] defined with
+   arity 1 ([let count_load t = bump t.loads]) builds a closure per call
+   and fails here. *)
+let test_counters_allocate_nothing () =
+  let pc = Perfcounter.create Platform.amd_8x4 in
+  let n = 10_000 in
+  let words name bump =
+    for core = 0 to 31 do
+      bump core
+    done;
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      bump (i land 31)
+    done;
+    let w = Gc.minor_words () -. w0 in
+    if w > 0.0 then Alcotest.failf "%s: %.0f minor words over %d calls" name w n
+  in
+  words "count_load" (fun core -> Perfcounter.count_load pc ~core);
+  words "count_store" (fun core -> Perfcounter.count_store pc ~core);
+  words "count_miss" (fun core -> Perfcounter.count_miss pc ~core);
+  words "count_c2c" (fun core -> Perfcounter.count_c2c pc ~core);
+  words "count_dram" (fun core -> Perfcounter.count_dram pc ~core);
+  words "count_inval" (fun core -> Perfcounter.count_inval pc ~core);
+  let s = Perfcounter.snapshot pc in
+  check_int "every bump counted" ((n + 32) / 32) s.Perfcounter.invalidations.(0)
+
 let suite =
   ( "hw-misc",
     [
@@ -144,4 +171,5 @@ let suite =
       tc "compute parallel across cores" test_compute_different_cores_parallel;
       tc "perfcounter snapshot/diff" test_snapshot_diff;
       tc "perfcounter footprint" test_footprint;
+      tc "perfcounter bumps allocate nothing" test_counters_allocate_nothing;
     ] )

@@ -250,14 +250,14 @@ let words_per_access ~n_shards ~node =
   Shard.exec ~domains:1 sh;
   !words
 
-(* A blocking access is one table probe on every machine: a locally
-   pinned line costs the same words on two shards as on one, within the
-   pinned budget. A line homed
-   on the other shard adds exactly the two Pdes thunks of the route: the
-   request (13 words: ten captured values) and the reply (4). Its service
-   on the home shard allocates what a local access does, and parking
-   builds no callback. *)
-let access_budget = 17.0
+(* A blocking access allocates its wait's continuation (2 words) and
+   nothing else: the table probe, the counter bumps and the directory
+   update are closure-free. A locally pinned line costs the same words on
+   two shards as on one. A line homed on the other shard adds exactly the
+   two Pdes thunks of the route: the request (13 words: ten captured
+   values) and the reply (4). Its service on the home shard allocates
+   nothing, and parking builds no callback. *)
+let access_budget = 2.0
 let route_thunks = 17.0
 
 let test_access_allocation_budget () =
@@ -274,10 +274,11 @@ let test_access_allocation_budget () =
 
 (* Minor words per [Os.protect] (an mprotect and its undo alternate, each
    a full LRPC + shootdown round trip over all 32 cores): deterministic
-   for a given build. The budget is the measured figure (7,132) exactly:
+   for a given build. The budget is the measured figure (3,722) exactly:
    one-shard boots install no cross-shard hooks, blocking and waking
-   allocate nothing beyond the continuation, and waiters queue on rings. *)
-let protect_budget = 7_132.0
+   allocate nothing beyond the continuation, waiters queue on rings, and
+   a simulated memory access and a counter bump build no closure. *)
+let protect_budget = 3_722.0
 
 let test_protect_allocation_budget () =
   let os = Os.boot Platform.amd_8x4 in
@@ -304,6 +305,38 @@ let test_protect_allocation_budget () =
     Alcotest.failf "Os.protect: %.1f minor words per call (budget %.0f)" words
       protect_budget
 
+(* Minor words and engine events per [Session.call] from the front core 0
+   to a worker on another package of amd_4x4, averaged over 500 calls on
+   sessions already in the worker's table, after a warm-up. *)
+let session_call_cost () =
+  let os = Os.boot ~measure_latencies:Os.No_measure Platform.amd_4x4 in
+  Os.run os (fun () ->
+      let s = Session.start os ~name:"budget" ~front:0 ~workers:[ 5 ] in
+      let call i = ignore (Session.call s ~session:(i mod 50) ~work:100 : Session.resp) in
+      for i = 1 to 50 do
+        call i
+      done;
+      let e0 = Engine.domain_events_executed () in
+      let w0 = Gc.minor_words () in
+      for i = 1 to 500 do
+        call i
+      done;
+      let words = (Gc.minor_words () -. w0) /. 500.0 in
+      (words, float_of_int (Engine.domain_events_executed () - e0) /. 500.0))
+
+(* A session call takes the binding lock, fills the binding's scratch
+   request and sends its prebuilt message without building a closure or
+   a tuple. Every event of the round trip (15: client, worker and both
+   wire sequencers) resumes one continuation of 2 words, and the only
+   other allocation is the worker's 3-word response record. *)
+let test_session_call_allocation () =
+  let words, events = session_call_cost () in
+  if words <> (2.0 *. events) +. 3.0 then
+    Alcotest.failf
+      "Session.call: %.2f minor words per call; %.2f events allocate %.2f, plus 3 for \
+       the response"
+      words events (2.0 *. events)
+
 let suite =
   ( "os-pdes",
     [
@@ -320,4 +353,5 @@ let suite =
       tc "boot input checks" test_boot_input_checks;
       tc "Os.protect allocation budget" test_protect_allocation_budget;
       tc "blocking access allocation budget" test_access_allocation_budget;
+      tc "Session.call allocates only its waits" test_session_call_allocation;
     ] )
