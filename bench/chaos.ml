@@ -116,7 +116,7 @@ let run_seed seed =
         [ 0; 1 ];
       Sync.Mailbox.recv done_box;
       Sync.Mailbox.recv done_box;
-      let bound = Ft.detection_bound ft in
+      let bound = Ft.detection_bound in
       List.iter
         (fun v ->
           let stop =

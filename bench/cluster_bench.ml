@@ -74,11 +74,6 @@ let cells () =
     @ [ million_cell ~machines:4 ]
     @ (if !large then [ million_cell ~machines:8 ] else [])
 
-(* The headline scale of this run, recorded per BENCH_sim.json entry so
-   compare.ml only diffs like against like. *)
-let reported_machines () =
-  List.fold_left (fun a c -> max a c.c_machines) 0 (cells ())
-
 let run_cell c =
   let cl =
     Cluster.create (Cluster.default_config ~policy:c.c_policy ~machines:c.c_machines ())

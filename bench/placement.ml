@@ -16,7 +16,7 @@
      multicast tree spans half the packages.
 
    Both variants print cycles for both phases, so the placement win is a
-   number in the transcript (and both land in BENCH_sim.json). *)
+   number in the transcript. *)
 
 open Mk_sim
 open Mk_hw

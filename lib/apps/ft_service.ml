@@ -107,9 +107,10 @@ let client t ~core =
   | Some rb -> { cs = t; c_core = core; c_inc = t.incarnation; c_rb = rb; c_failovers = 0 }
   | None -> invalid_arg "Ft_service.client: core not in client_cores"
 
-(* Poll the name service (from the client's core) until a newer incarnation
-   than [inc] is registered. Each miss backs off one client timeout. *)
-let refresh cl ~tries =
+(* Poll the name service (from the client's core), at most 40 times,
+   until a newer incarnation than [inc] is registered. Each miss backs off
+   one client timeout. *)
+let refresh cl =
   let ns = Os.name_service cl.cs.os in
   let rec go tries =
     if tries <= 0 then None
@@ -120,23 +121,23 @@ let refresh cl ~tries =
         Engine.wait cl.cs.base_timeout;
         go (tries - 1)
   in
-  go tries
+  go 40
 
-let rec call ?(refresh_tries = 40) cl req =
+let rec call cl req =
   match Flounder.Reliable.call cl.c_rb req with
   | Ok resp -> Ok resp
   | Error `Timeout -> (
     (* Either the server's core died (a new incarnation will register
        shortly) or a message-fault window outlasted our retries (the old
        binding is still good once the window passes). *)
-    match refresh cl ~tries:refresh_tries with
+    match refresh cl with
     | Some inc -> (
       match binding_for cl.cs ~inc ~core:cl.c_core with
       | Some rb ->
         cl.c_inc <- inc;
         cl.c_rb <- rb;
         cl.c_failovers <- cl.c_failovers + 1;
-        call ~refresh_tries cl req
+        call cl req
       | None -> Error `Unavailable)
     | None -> Error `Unavailable)
 

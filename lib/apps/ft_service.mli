@@ -34,13 +34,9 @@ type ('req, 'resp) client
 val client : ('req, 'resp) t -> core:int -> ('req, 'resp) client
 (** A per-core client handle bound to the current incarnation. *)
 
-val call :
-  ?refresh_tries:int ->
-  ('req, 'resp) client ->
-  'req ->
-  ('resp, [ `Unavailable ]) result
+val call : ('req, 'resp) client -> 'req -> ('resp, [ `Unavailable ]) result
 (** At-most-once call with transparent failover: on timeout, poll the name
-    service (up to [refresh_tries] polls, one client timeout apart) for a
+    service (up to 40 polls, one client timeout apart) for a
     newer incarnation and retry on its binding. [Error `Unavailable] means
     no newer incarnation registered within the polling window. *)
 

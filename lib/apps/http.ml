@@ -234,8 +234,7 @@ let fetch stack ~server_ip ~port ~path =
   Tcp_lite.close conn;
   r
 
-let run_load ?(retry_failed = false) stacks ~server_ip ~port ~path
-    ~clients_per_stack ~duration =
+let run_load stacks ~server_ip ~port ~path ~clients_per_stack ~duration =
   let completed = ref 0 in
   let deadline = Engine.now_ () + duration in
   let done_box = Sync.Mailbox.create () in
@@ -249,11 +248,7 @@ let run_load ?(retry_failed = false) stacks ~server_ip ~port ~path
               else begin
                 (match fetch stack ~server_ip ~port ~path with
                  | Some (200, _) -> incr completed
-                 | Some _ | None ->
-                   (* Under a fault plan a request can be lost mid-flight;
-                      the closed-loop client retries it rather than
-                      counting it as offered-and-gone. *)
-                   if retry_failed then Engine.wait 10_000);
+                 | Some _ | None -> ());
                 loop ()
               end
             in

@@ -74,12 +74,10 @@ val fetch :
     close. Returns (status, body). Task context required. *)
 
 (** Closed-loop load generation: [clients] concurrent fetch loops per
-    client stack for [duration] cycles; returns completed requests.
-    [retry_failed] makes each client back off briefly and re-issue a
-    failed request (graceful degradation under a fault plan) instead of
-    immediately moving on. *)
+    client stack for [duration] cycles; returns completed requests. A
+    client whose request fails (no response, or a status other than 200)
+    moves straight on to its next request. *)
 val run_load :
-  ?retry_failed:bool ->
   Mk_net.Stack.t list ->
   server_ip:int ->
   port:int ->

@@ -16,10 +16,13 @@ type service = {
   s_respawn : int -> unit;  (* bring the service up on a new core *)
 }
 
+(* Heartbeat/evaluation period (cycles) and phi threshold of every
+   monitor's detector. *)
+let hb_interval = 20_000
+let threshold = 4.0
+
 type t = {
   os : Os.t;
-  hb_interval : int;
-  threshold : float;
   mutable services : service list;
   detected_at : int array;  (* absolute time of first detection; -1 = none *)
   detected_by : int array;
@@ -82,13 +85,11 @@ let handle_death t ~by ~core ~at =
             recover t ~core)
       end)
 
-let attach ?(hb_interval = 20_000) ?(threshold = 4.0) ~until os =
+let attach ~until os =
   let n = Os.n_cores os in
   let t =
     {
       os;
-      hb_interval;
-      threshold;
       services = [];
       detected_at = Array.make n (-1);
       detected_by = Array.make n (-1);
@@ -138,11 +139,9 @@ let detected_at t ~core = if t.detected_at.(core) < 0 then None else Some t.dete
 let detected_by t ~core = if t.detected_by.(core) < 0 then None else Some t.detected_by.(core)
 let recovered_at t ~core = if t.recovered_at.(core) < 0 then None else Some t.recovered_at.(core)
 let deaths t = t.deaths
-let hb_interval t = t.hb_interval
 
 (* The detector crosses its threshold after ~threshold*ln10 mean intervals
    of silence and is evaluated once per interval; one extra interval of
    slack covers heartbeats in flight when the core stopped. *)
-let detection_bound t =
-  int_of_float (ceil (t.threshold *. 2.302585093)) * t.hb_interval
-  + (2 * t.hb_interval)
+let detection_bound =
+  (int_of_float (ceil (threshold *. 2.302585093)) * hb_interval) + (2 * hb_interval)

@@ -9,12 +9,11 @@
 
 type t
 
-val attach : ?hb_interval:int -> ?threshold:float -> until:int -> Os.t -> t
-(** Start failure detection on every monitor. [hb_interval] (default 20k
-    cycles) is the heartbeat/evaluation period; [threshold] (default 4.0)
-    the phi threshold; [until] the absolute simulated time at which the
-    detection tasks stop (so a run can drain). Call after [Os.boot],
-    before arming the injector. *)
+val attach : until:int -> Os.t -> t
+(** Start failure detection on every monitor: a heartbeat and detector
+    evaluation every 20k cycles, with a phi threshold of 4.0. [until] is
+    the absolute simulated time at which the detection tasks stop (so a
+    run can drain). Call after [Os.boot], before arming the injector. *)
 
 val register_service : t -> name:string -> home:int -> respawn:(int -> unit) -> unit
 (** Make a named service failover-managed: if [home] dies, [respawn] is
@@ -32,8 +31,7 @@ val recovered_at : t -> core:int -> int option
 (** Time the death was announced and dependent services respawned. *)
 
 val deaths : t -> int
-val hb_interval : t -> int
 
-val detection_bound : t -> int
+val detection_bound : int
 (** Worst-case cycles from a core stop to detection implied by the
-    configured interval and threshold (what the chaos suite asserts). *)
+    heartbeat interval and threshold (what the chaos suite asserts). *)

@@ -73,9 +73,7 @@ let flush t =
   let frames = t.tx_frames - t.frames_at_flush in
   if frames > 0 then begin
     t.tx_batches <- t.tx_batches + 1;
-    t.frames_at_flush <- t.tx_frames;
-    Pool.note Wire_batches 1;
-    Pool.note Wire_msgs frames
+    t.frames_at_flush <- t.tx_frames
   end;
   Ring.transfer t.tx_size t.rx_size;
   Ring.transfer t.tx_msg t.rx_msg;
@@ -115,8 +113,8 @@ let create pdes ~dst_shard ~src_shard ~src_id ~ghz ?(gbps = 10.0) ~latency () =
           t.rx ~bytes (Ring.pop t.rx_msg));
     }
   in
-  (* The hook runs in both modes so [tx_batches] (and the Pool wire
-     counters) never depend on the referee switch. *)
+  (* The hook runs in both modes so [tx_batches] never depends on the
+     referee switch. *)
   Pdes.add_flush pdes ~shard:src_shard (fun () -> flush t);
   t
 

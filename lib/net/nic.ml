@@ -3,12 +3,12 @@ open Mk_hw
 
 (* Per-frame driver/device interaction costs. *)
 let descriptor_cost = 120  (* ring descriptor read/write *)
+let ring_slots = 256  (* receive ring depth *)
 
 type t = {
   m : Machine.t;
   driver_core : int;
   cycles_per_byte : float;
-  ring_slots : int;
   rx_ring : Pbuf.t Sync.Mailbox.t;
   rx_wire : Resource.t;
   tx_wire : Resource.t;
@@ -34,7 +34,7 @@ let transmit t p =
       Engine.wait_until done_at;
       t.on_wire p)
 
-let create m ~driver_core ?(gbps = 1.0) ?(ring_slots = 256) () =
+let create m ~driver_core ?(gbps = 1.0) () =
   let plat = m.Machine.plat in
   (* cycles/byte = (cycles/s) / (bytes/s) *)
   let cycles_per_byte = plat.Platform.ghz *. 1e9 /. (gbps *. 125_000_000.0) in
@@ -43,7 +43,6 @@ let create m ~driver_core ?(gbps = 1.0) ?(ring_slots = 256) () =
       m;
       driver_core;
       cycles_per_byte;
-      ring_slots;
       rx_ring = Sync.Mailbox.create ();
       rx_wire = Resource.create ~name:"nic.rx_wire" ();
       tx_wire = Resource.create ~name:"nic.tx_wire" ();
@@ -78,7 +77,7 @@ let inject t p =
   (* Fault point: injected wire loss — the frame never reaches the ring. *)
   if Mk_fault.Injector.armed t.m.Machine.fault && Mk_fault.Injector.nic_drop t.m.Machine.fault
   then t.lost <- t.lost + 1
-  else if Sync.Mailbox.length t.rx_ring >= t.ring_slots then t.dropped <- t.dropped + 1
+  else if Sync.Mailbox.length t.rx_ring >= ring_slots then t.dropped <- t.dropped + 1
   else begin
     (* Wire serialization, then DMA into a ring buffer (writes the frame's
        lines into memory, invalidating any cached copies). *)

@@ -9,8 +9,9 @@
 
 type t
 
-val create :
-  Mk_hw.Machine.t -> driver_core:int -> ?gbps:float -> ?ring_slots:int -> unit -> t
+val create : Mk_hw.Machine.t -> driver_core:int -> ?gbps:float -> unit -> t
+(** A NIC driven from [driver_core], its wire at [gbps] (default 1) in each
+    direction, with a 256-slot receive ring. *)
 
 val netif : t -> Netif.t
 (** The interface a stack binds to; its [send] is the NIC's transmit. *)

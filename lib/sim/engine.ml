@@ -21,7 +21,6 @@ type waker = ?delay:int -> unit -> unit
    per-domain charge cell and the handler reads it back (see [exec]). *)
 type _ Effect.t +=
   | E_wait : unit Effect.t
-  | E_now : int Effect.t
   | E_suspend : unit Effect.t
   | E_name : string Effect.t
 
@@ -142,12 +141,11 @@ let domain_executed : int ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref 0)
 
 (* The engine whose [run] loop is currently draining events on this
-   domain (saved/restored across nested runs). [now_] reads the clock
-   through it instead of performing [E_now]: an effect costs two stack
-   switches plus a continuation and a handler-closure allocation per
-   perform, which the serving bench pays ~28M times — a pure
-   representation change, since the value returned is the same field the
-   [E_now] handler read. [spawn_] schedules on it for the same reason. *)
+   domain (saved/restored across nested runs). Every task handler is
+   installed by that loop, so inside a task this is always [Some]. [now_]
+   reads the clock through it rather than performing an effect (two stack
+   switches plus a continuation per call, which the serving bench would
+   pay ~28M times), and [spawn_] schedules on it. *)
 let domain_running : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -429,7 +427,6 @@ let handler_of t s =
           (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
             match eff with
             | E_wait -> t.on_wait
-            | E_now -> Some (fun (k : (a, _) continuation) -> continue k t.now)
             | E_name ->
               t.eff_slot <- s;
               t.on_name
@@ -562,12 +559,9 @@ let run_until t until = run_to t until true
    flush (a yield) would tear. *)
 
 let now_ () =
-  (* Fast path: read the running engine's clock off the domain. The
-     [E_now] effect remains as the fallback (and for any caller outside a
-     run loop that still has a task handler on its stack). *)
   match !(Domain.DLS.get domain_running) with
   | Some t -> t.now + (Domain.DLS.get domain_charge).pending
-  | None -> Effect.perform E_now + (Domain.DLS.get domain_charge).pending
+  | None -> invalid_arg "Engine.now_: no running engine"
 
 let wait n =
   let c = flushed_cell () in

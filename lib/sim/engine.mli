@@ -105,8 +105,10 @@ val live_tasks : t -> int
 
 (** {1 Task-level operations}
 
-    These must be called from inside a task (they perform effects handled by
-    {!run}); calling them elsewhere raises [Effect.Unhandled]. The effects
+    These must be called from inside a task. {!now_} and {!spawn_} read the
+    engine whose {!run} loop is draining on this domain, and raise
+    [Invalid_argument] when there is none; the others perform effects
+    handled by {!run}, and raise [Effect.Unhandled] elsewhere. The effects
     behind {!wait} and {!suspend} carry no payload (the delay or register
     callback waits in a per-domain cell for the handler), so either one
     allocates only the continuation the OCaml runtime captures. *)

@@ -426,9 +426,6 @@ let finish t (p0 : profile) =
   Pool.note Pdes_critical (p.critical - p0.critical);
   Pool.note Pdes_busy (p.busy - p0.busy);
   Pool.note Pdes_slots (windows * Array.length t.shards);
-  (* One shard has no cut: it stays out of the shard mark, so a run on a
-     default OS compares like-for-like with one that ran no Pdes. *)
-  if Array.length t.shards > 1 then Pool.note_shards (Array.length t.shards);
   Array.iter
     (fun s ->
       Pool.emit (Buffer.contents s.buf);
@@ -485,7 +482,6 @@ type worker_total = {
   mutable w_executed : int;
   mutable w_fused : int;
   mutable w_minor : float;
-  mutable w_promoted : float;
   mutable w_major : int;
 }
 
@@ -499,7 +495,7 @@ let exec_team t ~domains:d =
   let fusion = Engine.fusion_enabled () in
   let totals =
     Array.init (d - 1) (fun _ ->
-        { w_executed = 0; w_fused = 0; w_minor = 0.0; w_promoted = 0.0; w_major = 0 })
+        { w_executed = 0; w_fused = 0; w_minor = 0.0; w_major = 0 })
   in
   let worker w () =
     Engine.set_fusion fusion;
@@ -528,7 +524,6 @@ let exec_team t ~domains:d =
     tot.w_executed <- Engine.domain_events_executed () - ev0;
     tot.w_fused <- Engine.domain_events_fused () - fu0;
     tot.w_minor <- g1.Gc.minor_words -. g0.Gc.minor_words;
-    tot.w_promoted <- g1.Gc.promoted_words -. g0.Gc.promoted_words;
     tot.w_major <- g1.Gc.major_collections - g0.Gc.major_collections
   in
   let p0 = start t in
@@ -541,7 +536,7 @@ let exec_team t ~domains:d =
     Array.iter
       (fun w ->
         Pool.absorb ~executed:w.w_executed ~fused:w.w_fused ~minor:w.w_minor
-          ~promoted:w.w_promoted ~major:w.w_major ())
+          ~major:w.w_major)
       totals
   in
   let all_done () = Atomic.get done_n >= d - 1 in

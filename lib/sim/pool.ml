@@ -46,31 +46,25 @@ let redirect_to buf f =
    so the per-job capture below needs no dependency on them. *)
 type counter =
   | Barriers  (* PDES window barriers *)
-  | Wire_batches  (* coalesced wire handoffs (Machine_link) *)
-  | Wire_msgs  (* frames inside those handoffs *)
   | Pdes_events  (* events shards executed inside PDES windows *)
   | Pdes_critical  (* per window, the busiest shard's events; summed *)
   | Pdes_busy  (* shard-windows that executed at least one event *)
   | Pdes_slots  (* shard-windows, busy or idle *)
 
-let n_counters = 7
+let n_counters = 5
 
 let index = function
   | Barriers -> 0
-  | Wire_batches -> 1
-  | Wire_msgs -> 2
-  | Pdes_events -> 3
-  | Pdes_critical -> 4
-  | Pdes_busy -> 5
-  | Pdes_slots -> 6
+  | Pdes_events -> 1
+  | Pdes_critical -> 2
+  | Pdes_busy -> 3
+  | Pdes_slots -> 4
 
 type foreign = {
   mutable f_executed : int;
   mutable f_fused : int;
   mutable f_minor : float;
-  mutable f_promoted : float;
   mutable f_major : int;
-  mutable f_shards : int;  (* high-water PDES shard count (max, not sum) *)
   f_counts : int array;  (* [counter]s, by [index] *)
 }
 
@@ -80,9 +74,7 @@ let foreign_key : foreign Domain.DLS.key =
         f_executed = 0;
         f_fused = 0;
         f_minor = 0.0;
-        f_promoted = 0.0;
         f_major = 0;
-        f_shards = 0;
         f_counts = Array.make n_counters 0;
       })
 
@@ -90,45 +82,22 @@ let foreign_key : foreign Domain.DLS.key =
    pool's own merge uses it for jobs that ran elsewhere; Pdes uses it for
    the worker-domain halves of a sharded window run, so an enclosing
    measurement reads the same totals wherever the shards executed. *)
-let absorb ?(executed = 0) ?(fused = 0) ?(minor = 0.0) ?(promoted = 0.0) ?(major = 0) () =
+let absorb ~executed ~fused ~minor ~major =
   let fo = Domain.DLS.get foreign_key in
   fo.f_executed <- fo.f_executed + executed;
   fo.f_fused <- fo.f_fused + fused;
   fo.f_minor <- fo.f_minor +. minor;
-  fo.f_promoted <- fo.f_promoted +. promoted;
   fo.f_major <- fo.f_major + major
 
 (* Counters are per domain, plus whatever pool runs absorbed from jobs
-   that ran elsewhere. Pdes reports its windows and Machine_link its wire
-   handoffs here, on the domain that calls [Pdes.exec]. *)
+   that ran elsewhere. Pdes reports its windows here, on the domain that
+   calls [Pdes.exec]. *)
 let note c n =
   let counts = (Domain.DLS.get foreign_key).f_counts in
   counts.(index c) <- counts.(index c) + n
 
 let total c = (Domain.DLS.get foreign_key).f_counts.(index c)
 let total_barriers () = total Barriers
-
-(* PDES shard count is a high-water mark, not a sum: two sharded runs on 4
-   shards still ran "over 4 shards". Pdes reports its structure here. *)
-let note_shards n =
-  let fo = Domain.DLS.get foreign_key in
-  fo.f_shards <- max fo.f_shards n
-
-let total_shards () = (Domain.DLS.get foreign_key).f_shards
-
-(* Scope the shard high-water mark: run [f] with the counter zeroed,
-   return what it reached during [f] (including what nested pool runs
-   absorbed from other domains), and fold it back into the enclosing
-   scope's maximum. The bench harness uses this for per-bench [shards]. *)
-let with_shards f =
-  let fo = Domain.DLS.get foreign_key in
-  let saved = fo.f_shards in
-  fo.f_shards <- 0;
-  Fun.protect
-    ~finally:(fun () -> fo.f_shards <- max saved fo.f_shards)
-    (fun () ->
-      let v = f () in
-      (v, (Domain.DLS.get foreign_key).f_shards))
 
 let total_executed () =
   Engine.domain_events_executed () + (Domain.DLS.get foreign_key).f_executed
@@ -137,9 +106,6 @@ let total_fused () = Engine.domain_events_fused () + (Domain.DLS.get foreign_key
 
 let total_minor_words () =
   (Gc.quick_stat ()).Gc.minor_words +. (Domain.DLS.get foreign_key).f_minor
-
-let total_promoted_words () =
-  (Gc.quick_stat ()).Gc.promoted_words +. (Domain.DLS.get foreign_key).f_promoted
 
 let total_major_collections () =
   (Gc.quick_stat ()).Gc.major_collections + (Domain.DLS.get foreign_key).f_major
@@ -268,9 +234,7 @@ type 'a cell = {
   mutable d_executed : int;
   mutable d_fused : int;
   mutable d_minor : float;
-  mutable d_promoted : float;
   mutable d_major : int;
-  mutable d_shards : int;
   d_counts : int array;
 }
 
@@ -281,23 +245,17 @@ type 'a cell = {
 let exec_cell cell f () =
   cell.dom <- (Domain.self () :> int);
   let ev0 = total_executed () and fu0 = total_fused () in
-  let mi0 = total_minor_words () and pr0 = total_promoted_words () in
-  let ma0 = total_major_collections () in
+  let mi0 = total_minor_words () and ma0 = total_major_collections () in
   let fo = Domain.DLS.get foreign_key in
   let counts0 = Array.copy fo.f_counts in
-  let sh0 = fo.f_shards in
-  fo.f_shards <- 0;
   (match redirect_to cell.buf f with
   | v -> cell.outcome <- Some (Ok v)
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     cell.outcome <- Some (Error (e, bt)));
-  cell.d_shards <- fo.f_shards;
-  fo.f_shards <- max sh0 fo.f_shards;
   cell.d_executed <- total_executed () - ev0;
   cell.d_fused <- total_fused () - fu0;
   cell.d_minor <- total_minor_words () -. mi0;
-  cell.d_promoted <- total_promoted_words () -. pr0;
   cell.d_major <- total_major_collections () - ma0;
   Array.iteri (fun i c0 -> cell.d_counts.(i) <- fo.f_counts.(i) - c0) counts0
 
@@ -315,9 +273,7 @@ let run ?pool fs =
             d_executed = 0;
             d_fused = 0;
             d_minor = 0.0;
-            d_promoted = 0.0;
             d_major = 0;
-            d_shards = 0;
             d_counts = Array.make n_counters 0;
           })
         fs
@@ -342,9 +298,7 @@ let run ?pool fs =
           fo.f_executed <- fo.f_executed + c.d_executed;
           fo.f_fused <- fo.f_fused + c.d_fused;
           fo.f_minor <- fo.f_minor +. c.d_minor;
-          fo.f_promoted <- fo.f_promoted +. c.d_promoted;
           fo.f_major <- fo.f_major + c.d_major;
-          fo.f_shards <- max fo.f_shards c.d_shards;
           Array.iteri (fun i d -> fo.f_counts.(i) <- fo.f_counts.(i) + d) c.d_counts
         end)
       cells;

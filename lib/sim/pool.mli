@@ -79,11 +79,9 @@ val swap_sink : Buffer.t option -> Buffer.t option
 val total_executed : unit -> int
 val total_fused : unit -> int
 val total_minor_words : unit -> float
-val total_promoted_words : unit -> float
 val total_major_collections : unit -> int
 
-val absorb :
-  ?executed:int -> ?fused:int -> ?minor:float -> ?promoted:float -> ?major:int -> unit -> unit
+val absorb : executed:int -> fused:int -> minor:float -> major:int -> unit
 (** Fold counters produced on {e other} domains into this domain's foreign
     cell. The pool's ordered merge uses it internally; {!Pdes.exec} uses it
     for the worker-domain halves of a sharded window run, so an enclosing
@@ -91,8 +89,6 @@ val absorb :
 
 type counter =
   | Barriers  (** PDES window barriers *)
-  | Wire_batches  (** coalescable wire handoff groups ([Machine_link]) *)
-  | Wire_msgs  (** frames inside those groups *)
   | Pdes_events  (** events shards executed inside PDES windows *)
   | Pdes_critical  (** per window, the busiest shard's events, summed *)
   | Pdes_busy  (** shard-windows that executed at least one event *)
@@ -101,9 +97,7 @@ type counter =
     current domain. [Pdes_events / Pdes_critical] bounds the speedup any
     domain count can get from the windows (each window costs at least its
     busiest shard), and [Pdes_busy / Pdes_slots] is the share of
-    shard-windows that had work. The wire counts are identical whether
-    batching is enabled or not: they describe the coalescable traffic, not
-    the transport. *)
+    shard-windows that had work. *)
 
 val note : counter -> int -> unit
 (** Add [n] to a counter of the current domain. *)
@@ -115,19 +109,3 @@ val total : counter -> int
 val total_barriers : unit -> int
 (** [total Barriers]. *)
 
-val note_shards : int -> unit
-(** Record that a PDES run over [n > 1] shards executed on this domain
-    ({!Pdes} leaves one-shard runs out: they have no cut). Unlike the
-    additive counters this is a high-water mark ([max]), so repeated
-    sharded runs report the structure size, not a sum. *)
-
-val total_shards : unit -> int
-(** The shard high-water mark for the current scope (see {!with_shards});
-    0 when nothing sharded. *)
-
-val with_shards : (unit -> 'a) -> 'a * int
-(** [with_shards f] runs [f] with the shard mark zeroed and returns the
-    mark [f] reached (including marks absorbed from nested pool runs on
-    other domains), folding it back into the enclosing scope's maximum.
-    The bench harness wraps each bench in it for the per-entry [shards]
-    field. *)

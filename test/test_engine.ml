@@ -15,6 +15,18 @@ let test_negative_wait_is_zero () =
   let t = run_sim (fun () -> Engine.wait (-5); Engine.now_ ()) in
   check_int "clamped" 0 t
 
+(* Outside a run loop there is no clock to read: [now_] refuses, before
+   any run and after one has drained. *)
+let test_now_outside_run () =
+  let outside () =
+    match Engine.now_ () with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument _ -> ()
+  in
+  outside ();
+  check_int "inside a run" 7 (run_sim (fun () -> Engine.wait 7; Engine.now_ ()));
+  outside ()
+
 let test_spawn_ordering () =
   (* Tasks spawned at the same time run in spawn order. *)
   let eng = Engine.create () in
@@ -744,6 +756,7 @@ let suite =
     [
       tc "wait advances time" test_wait_advances_time;
       tc "negative wait" test_negative_wait_is_zero;
+      tc "now_ outside a run" test_now_outside_run;
       tc "spawn ordering" test_spawn_ordering;
       tc "determinism" test_determinism;
       tc "suspend/wake" test_suspend_wake;

@@ -220,7 +220,7 @@ let test_end_to_end_recovery () =
       | Some d ->
         check_bool "detected after the stop" true (d > stop_abs);
         check_bool "detected within bound" true
-          (d - stop_abs <= Mk.Ft.detection_bound ft));
+          (d - stop_abs <= Mk.Ft.detection_bound));
       (match Mk.Ft.recovered_at ft ~core:3 with
       | None -> Alcotest.fail "death not recovered"
       | Some r -> check_bool "recovered promptly" true (r - stop_abs <= 500_000));
