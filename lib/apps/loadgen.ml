@@ -9,6 +9,17 @@
    million users therefore costs memory proportional to the requests in
    flight, not the user count.
 
+   Nothing per request outlives its round trip on the host. A re-arrival
+   is a session pushed on an int ring plus one prebuilt thunk scheduled
+   at [now + think]; the thunk pops the oldest session. That is sound
+   because [now + think] never decreases (the clock is monotone and think
+   is constant), so the thunks run in (time, seq) order, which is push
+   order — the argument [Machine_link]'s delivery thunk rests on, checked
+   on every push. Request records come from a LIFO free stack (the record
+   returned last is the one warm in cache) and go back on it once the
+   reply has been read, so the records built stay at the peak number of
+   requests in flight.
+
    Latency is measured at the client (issue to reply delivery) and fed to
    a constant-space [Stats.Histogram]; only replies completing inside the
    measurement window [w_start, w_end) are recorded, so warmup transients
@@ -29,6 +40,12 @@ type t = {
      every request and reply. *)
   pending : int Mk_hw.Inttbl.t;
   hist : Stats.Histogram.t;
+  rearrivals : int Ring.t;  (* sessions awaiting re-arrival, oldest first *)
+  mutable rearrive : unit -> unit;  (* the one re-arrival thunk *)
+  mutable last_at : int;  (* latest re-arrival time armed *)
+  mutable free : Serve.request array;  (* idle records, a LIFO stack *)
+  mutable n_free : int;
+  mutable records : int;  (* records built *)
   mutable next_id : int;
   mutable issued : int;
   mutable offered : int;  (* issued inside the window *)
@@ -47,16 +64,42 @@ let issue t ~session =
   t.issued <- t.issued + 1;
   if now >= t.w_start && now < t.w_end then t.offered <- t.offered + 1;
   Mk_hw.Inttbl.set t.pending id now;
-  t.send { Serve.rq_id = id; rq_session = session }
+  let rq =
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      let rq = t.free.(t.n_free) in
+      rq.Serve.rq_id <- id;
+      rq.Serve.rq_session <- session;
+      rq
+    end
+    else begin
+      t.records <- t.records + 1;
+      Serve.make ~id ~session
+    end
+  in
+  t.send rq
+
+let release t rq =
+  if t.n_free = Array.length t.free then begin
+    let free = Array.make (max 16 (2 * t.n_free)) rq in
+    Array.blit t.free 0 free 0 t.n_free;
+    t.free <- free
+  end;
+  t.free.(t.n_free) <- rq;
+  t.n_free <- t.n_free + 1
+
+let rearrive t () =
+  let session = Ring.pop t.rearrivals in
+  Engine.spawn t.eng ~name:"lg.user" (fun () -> issue t ~session)
 
 (* Link-rx entry point: runs outside any task context at reply delivery
    time; the closed-loop re-arrival is armed with [schedule_at] and issues
    from a fresh (tiny) task. *)
-let on_reply t (rp : Serve.reply) =
-  let issued_at = Mk_hw.Inttbl.find_or t.pending rp.rp_id (-1) in
+let on_reply t (rp : Serve.request) =
+  let issued_at = Mk_hw.Inttbl.find_or t.pending rp.rq_id (-1) in
   if issued_at < 0 then ()
   else begin
-    Mk_hw.Inttbl.remove t.pending rp.rp_id;
+    Mk_hw.Inttbl.remove t.pending rp.rq_id;
     let now = Engine.now t.eng in
     let in_window = now >= t.w_start && now < t.w_end in
     if rp.rp_rejected then begin
@@ -70,11 +113,16 @@ let on_reply t (rp : Serve.reply) =
         Stats.Histogram.add t.hist (now - issued_at)
       end
     end;
+    let session = rp.rq_session in
+    release t rp;
     let at = now + t.think in
-    if at <= t.t_end then
-      Engine.schedule_at t.eng ~at (fun () ->
-          Engine.spawn t.eng ~name:"lg.user" (fun () ->
-              issue t ~session:rp.rp_session))
+    if at <= t.t_end then begin
+      if at < t.last_at then
+        invalid_arg "Loadgen.on_reply: re-arrival before an armed one";
+      t.last_at <- at;
+      Ring.push t.rearrivals session;
+      Engine.schedule_at t.eng ~at t.rearrive
+    end
   end
 
 let start ~eng ~send ~users ~think ~t_start ~t_end ~w_start ~w_end () =
@@ -90,6 +138,12 @@ let start ~eng ~send ~users ~think ~t_start ~t_end ~w_start ~w_end () =
       w_end;
       pending = Mk_hw.Inttbl.create ~initial_bits:10 ~dummy:(-1) ();
       hist = Stats.Histogram.create ();
+      rearrivals = Ring.create ();
+      rearrive = ignore;
+      last_at = min_int;
+      free = [||];
+      n_free = 0;
+      records = 0;
       next_id = 0;
       issued = 0;
       offered = 0;
@@ -100,6 +154,7 @@ let start ~eng ~send ~users ~think ~t_start ~t_end ~w_start ~w_end () =
       users_started = 0;
     }
   in
+  t.rearrive <- rearrive t;
   Engine.spawn eng ~name:"lg.gen" (fun () ->
       let rec gen u =
         if u < t.users then begin
@@ -125,3 +180,4 @@ let completed_total t = t.completed_total
 let shed_total t = t.shed_total
 let in_flight t = Mk_hw.Inttbl.length t.pending
 let users_started t = t.users_started
+let records t = t.records

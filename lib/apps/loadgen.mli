@@ -5,7 +5,13 @@
     users: first arrivals stagger uniformly over one think time, and
     re-arrivals are armed from the reply callback. Client-observed latency
     of replies completing inside [w_start, w_end) lands in a
-    constant-space {!Mk_sim.Stats.Histogram}. *)
+    constant-space {!Mk_sim.Stats.Histogram}.
+
+    Nothing per request outlives its round trip on the host: a pending
+    re-arrival is an int on a ring served by one prebuilt thunk, and the
+    generator owns its {!Serve.request} records, taking one from a LIFO
+    free stack per request and returning it once {!on_reply} has read the
+    reply ({!records}). *)
 
 type t
 
@@ -25,10 +31,13 @@ val start :
     arrivals stagger over [t_start, t_start + think); arrivals stop after
     [t_end]. All times are absolute. *)
 
-val on_reply : t -> Serve.reply -> unit
-(** Reply delivery: record latency (served) or a shed (rejected), then arm
-    the user's next arrival. Effect-free entry point — safe from a
-    {!Mk_net.Machine_link} delivery thunk. *)
+val on_reply : t -> Serve.request -> unit
+(** Reply delivery: record latency (served) or a shed (rejected), recycle
+    the record, then arm the user's next arrival at [now + think].
+    Effect-free entry point — safe from a {!Mk_net.Machine_link} delivery
+    thunk. The caller must not touch the record afterwards. Raises
+    [Invalid_argument] if the engine's clock went back below an armed
+    re-arrival (re-arrivals run in the order they were armed). *)
 
 val hist : t -> Mk_sim.Stats.Histogram.t
 val users : t -> int
@@ -49,3 +58,7 @@ val in_flight : t -> int
 val users_started : t -> int
 (** Distinct users whose first arrival has fired (sessions the run
     touched) — bounded by the horizon when think exceeds it. *)
+
+val records : t -> int
+(** Request records built: at most the peak number of requests in flight,
+    so at most [users]. *)

@@ -16,42 +16,57 @@
    sprintf-ing the strings and measuring them — the simulated costs and
    wire sizes are identical, but the host allocates nothing per request
    here. Equivalence with the string-building formulation is pinned by
-   tests. The [request]/[reply] records themselves still allocate: they
-   cross the PDES shard cut to another domain, so a per-backend freelist
-   would race with the consumer. *)
+   tests.
+
+   One mutable [request] record carries a request through its whole
+   round trip: the load balancer forwards it, [handle] fills its reply
+   fields in place, and the same record rides back to the client, which
+   owns it and reuses it for a later request. That is race-free across
+   the shard cut because a record has exactly one holder at a time and
+   changes hands only through [Pdes] messages, whose exchange barrier
+   orders every access on one side before every access on the other; only
+   the issuer recycles a record, on its own shard, after the reply has
+   been read. *)
 
 open Mk_sim
 open Mk_hw
 open Mk
 
-type request = { rq_id : int; rq_session : int }
+type request = {
+  mutable rq_id : int;
+  mutable rq_session : int;
+  mutable rp_status : int;
+  mutable rp_hits : int;
+  mutable rp_core : int;
+  mutable rp_backend : int;
+  mutable rp_bytes : int;
+  mutable rp_rejected : bool;
+}
+
+let make ~id ~session =
+  {
+    rq_id = id;
+    rq_session = session;
+    rp_status = 0;
+    rp_hits = 0;
+    rp_core = -1;
+    rp_backend = -1;
+    rp_bytes = 0;
+    rp_rejected = false;
+  }
 
 (* Modeled size of a request on the wire: the GET head plus framing. *)
 let request_bytes = 120
 
-type reply = {
-  rp_id : int;
-  rp_session : int;
-  rp_status : int;
-  rp_hits : int;
-  rp_core : int;
-  rp_backend : int;
-  rp_bytes : int;
-  rp_rejected : bool;
-}
-
-(* Synthesized by the load balancer when it sheds a request. *)
-let rejected ~id ~session =
-  {
-    rp_id = id;
-    rp_session = session;
-    rp_status = 503;
-    rp_hits = 0;
-    rp_core = -1;
-    rp_backend = -1;
-    rp_bytes = 64;
-    rp_rejected = true;
-  }
+(* The load balancer's shed: a 503 written into the request's reply
+   fields. *)
+let reject rq =
+  rq.rp_status <- 503;
+  rq.rp_hits <- 0;
+  rq.rp_core <- -1;
+  rq.rp_backend <- -1;
+  rq.rp_bytes <- 64;
+  rq.rp_rejected <- true
 
 (* Per-request front-core cost beyond parsing: connection bookkeeping on a
    kept-alive LB connection, routing to the owner binding, reply framing.
@@ -65,7 +80,7 @@ type t = {
   front : int;
   session : Session.t;
   inbox : request Sync.Mailbox.t;
-  mutable reply_fn : reply -> unit;
+  mutable reply_fn : request -> unit;
   mutable served : int;
 }
 
@@ -90,17 +105,14 @@ let handle t rq =
     + Http.digits t.backend_id + Http.digits r.Session.rs_core
   in
   t.served <- t.served + 1;
-  t.reply_fn
-    {
-      rp_id = rq.rq_id;
-      rp_session = rq.rq_session;
-      rp_status = 200;
-      rp_hits = r.Session.rs_hits;
-      rp_core = r.Session.rs_core;
-      rp_backend = t.backend_id;
-      rp_bytes = Http.response_length_of ~status:200 ~content_type:"text/html" ~body_len;
-      rp_rejected = false;
-    }
+  rq.rp_status <- 200;
+  rq.rp_hits <- r.Session.rs_hits;
+  rq.rp_core <- r.Session.rs_core;
+  rq.rp_backend <- t.backend_id;
+  rq.rp_bytes <-
+    Http.response_length_of ~status:200 ~content_type:"text/html" ~body_len;
+  rq.rp_rejected <- false;
+  t.reply_fn rq
 
 let start os ~backend_id ~front ~workers =
   let session = Session.start os ~name:"cluster.sess" ~front ~workers in

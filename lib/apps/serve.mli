@@ -9,24 +9,33 @@
     the true payload size. The backend registers itself with its machine's
     name service as ["cluster.serve"]. *)
 
-type request = { rq_id : int; rq_session : int }
+type request = {
+  mutable rq_id : int;
+  mutable rq_session : int;
+  mutable rp_status : int;  (** 200 served, 503 shed *)
+  mutable rp_hits : int;  (** session hit count after this request *)
+  mutable rp_core : int;  (** owner core that served it; -1 when rejected *)
+  mutable rp_backend : int;  (** backend machine id; -1 when rejected *)
+  mutable rp_bytes : int;  (** formatted HTTP response size on the wire *)
+  mutable rp_rejected : bool;
+}
+(** One request's exchange record, carried through the whole round trip:
+    the issuer fills the [rq_*] fields, the backend (after {!submit}) or
+    the load balancer's shed ({!reject}) fills the [rp_*] fields in
+    place, and the same record travels back as the reply. A record has
+    exactly one holder at a time and changes hands only through
+    {!Mk_sim.Pdes} messages, so the issuer may reuse it for a later
+    request once it has read the reply ({!Loadgen} keeps a free stack of
+    them). *)
+
+val make : id:int -> session:int -> request
+(** A fresh record with the reply fields unset. *)
 
 val request_bytes : int
 (** Modeled wire size of one request (head + framing). *)
 
-type reply = {
-  rp_id : int;
-  rp_session : int;
-  rp_status : int;
-  rp_hits : int;  (** session hit count after this request *)
-  rp_core : int;  (** owner core that served it; -1 when rejected *)
-  rp_backend : int;  (** backend machine id; -1 when rejected *)
-  rp_bytes : int;  (** formatted HTTP response size on the wire *)
-  rp_rejected : bool;
-}
-
-val rejected : id:int -> session:int -> reply
-(** The 503 reply a load balancer sheds with. *)
+val reject : request -> unit
+(** Write the 503 a load balancer sheds with into the reply fields. *)
 
 val front_cost : int
 (** Front-core cycles per request beyond parsing (kept-alive connection
@@ -44,9 +53,10 @@ val submit : t -> request -> unit
 (** Hand a request to the front loop. Effect-free (mailbox post) — safe
     to call from a {!Mk_net.Machine_link} delivery thunk. *)
 
-val set_reply : t -> (reply -> unit) -> unit
-(** Where finished replies go (the cluster wires this to the backend's
-    uplink). Runs in the per-request task's context on this machine. *)
+val set_reply : t -> (request -> unit) -> unit
+(** Where finished requests go, their reply fields filled (the cluster
+    wires this to the backend's uplink). Runs in the per-request task's
+    context on this machine. *)
 
 val session : t -> Mk.Session.t
 val served : t -> int

@@ -55,15 +55,18 @@ let default_config ?(policy = Lb.Consistent_hash) ~machines () =
    queue the LB loop drains before taking the next client message. Without
    that priority, an overload flood of client requests head-of-line blocks
    the replies that would free backend slots, and goodput collapses
-   instead of saturating. [Wake] just pokes the loop when it is idle. *)
-type lb_msg = From_client of Serve.request | Wake
+   instead of saturating. The LB mailbox carries client requests as they
+   are; a reply's arrival posts the preallocated [wake] record, which the
+   loop recognizes by physical equality, to poke the loop when it is
+   idle. *)
+let wake = Serve.make ~id:(-1) ~session:(-1)
 
 type backend = {
   b_id : int;
   b_os : Os.t;
   b_serve : Serve.t;
   b_down : Serve.request Machine_link.t;  (* LB -> backend *)
-  b_up : Serve.reply Machine_link.t;  (* backend -> LB *)
+  b_up : Serve.request Machine_link.t;  (* backend -> LB, reply filled *)
   b_queue : Serve.request Ring.t;  (* held at the LB for a free slot *)
 }
 
@@ -72,13 +75,13 @@ type t = {
   pdes : Pdes.t;
   lb_os : Os.t;
   lb : Lb.t;
-  lb_box : lb_msg Sync.Mailbox.t;
-  pending_replies : Serve.reply Ring.t;
+  lb_box : Serve.request Sync.Mailbox.t;
+  pending_replies : Serve.request Ring.t;
   backends : backend array;
   client : Machine.t;
   c2lb : Serve.request Machine_link.t;
-  lb2c : Serve.reply Machine_link.t;
-  mutable client_rx : Serve.reply -> unit;
+  lb2c : Serve.request Machine_link.t;
+  mutable client_rx : Serve.request -> unit;
   mutable t_stop : int;  (* LB sheds instead of forwarding after this *)
   mutable forwarded : int;
   mutable lb_rejected : int;
@@ -87,8 +90,8 @@ type t = {
 
 let reject t (rq : Serve.request) =
   t.lb_rejected <- t.lb_rejected + 1;
-  let rp = Serve.rejected ~id:rq.Serve.rq_id ~session:rq.Serve.rq_session in
-  Machine_link.send t.lb2c ~bytes:rp.Serve.rp_bytes rp
+  Serve.reject rq;
+  Machine_link.send t.lb2c ~bytes:rq.Serve.rp_bytes rq
 
 let forward t b rq =
   Lb.note_sent t.lb b.b_id;
@@ -191,12 +194,12 @@ let create cfg =
       probe_id = -1;
     }
   in
-  Machine_link.set_rx c2lb (fun ~bytes:_ rq -> Sync.Mailbox.send t.lb_box (From_client rq));
+  Machine_link.set_rx c2lb (fun ~bytes:_ rq -> Sync.Mailbox.send t.lb_box rq);
   Array.iter
     (fun b ->
       Machine_link.set_rx b.b_up (fun ~bytes:_ rp ->
           Ring.push t.pending_replies rp;
-          Sync.Mailbox.send t.lb_box Wake))
+          Sync.Mailbox.send t.lb_box wake))
     backends;
   Machine_link.set_rx lb2c (fun ~bytes:_ rp -> t.client_rx rp);
   (* The LB loop: one front-end task on the LB machine's core 0, charged
@@ -216,11 +219,11 @@ let create cfg =
       in
       let rec loop () =
         drain_replies ();
-        (match Sync.Mailbox.recv t.lb_box with
-        | From_client rq ->
+        let rq = Sync.Mailbox.recv t.lb_box in
+        if rq != wake then begin
           Machine.compute lbm ~core:0 cfg.lb_cost;
           route t rq
-        | Wake -> ());
+        end;
         loop ()
       in
       loop ());
@@ -262,6 +265,7 @@ type result = {
   r_intra_bytes : int;
   r_session_entries : int;  (* sum of per-backend distinct sessions *)
   r_per_backend : (int * int) array;  (* (served, distinct sessions) *)
+  r_records : int;  (* request records the load generator built *)
 }
 
 let inter_traffic t =
@@ -337,10 +341,13 @@ let run_load t ~users ~think ~warmup ~window =
       Array.map
         (fun b -> (Serve.served b.b_serve, Session.sessions (Serve.session b.b_serve)))
         t.backends;
+    r_records = Loadgen.records lg;
   }
 
 (* One end-to-end request outside any load run, for examples and tests:
-   returns the reply and the client-observed latency. *)
+   returns the reply and the client-observed latency. Each probe builds
+   its own record and never recycles it, so replies a caller holds from
+   several probes never alias. *)
 let probe t ~session =
   t.t_stop <- max_int;
   let result = ref None in
@@ -350,8 +357,7 @@ let probe t ~session =
   t.probe_id <- id - 1;
   Engine.spawn t.client.Machine.eng ~name:"cluster.probe" (fun () ->
       issued_at := Engine.now_ ();
-      Machine_link.send t.c2lb ~bytes:Serve.request_bytes
-        { Serve.rq_id = id; rq_session = session });
+      Machine_link.send t.c2lb ~bytes:Serve.request_bytes (Serve.make ~id ~session));
   Pdes.exec t.pdes;
   match !result with
   | Some (rp, at) -> (rp, at - !issued_at)

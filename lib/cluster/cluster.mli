@@ -63,6 +63,9 @@ type result = {
   r_intra_bytes : int;
   r_session_entries : int;  (** distinct sessions across all shards *)
   r_per_backend : (int * int) array;  (** (served, distinct sessions) *)
+  r_records : int;
+      (** request records the load generator built: host-side, at most the
+          peak number of requests in flight *)
 }
 
 val run_load : t -> users:int -> think:int -> warmup:int -> window:int -> result
@@ -71,9 +74,10 @@ val run_load : t -> users:int -> think:int -> warmup:int -> window:int -> result
     the latest machine clock. Runs the PDES executor to quiescence; callable
     repeatedly (counters are deltas per run). *)
 
-val probe : t -> session:int -> Mk_apps.Serve.reply * int
-(** One end-to-end request outside any load run; returns the reply and the
-    client-observed latency in cycles. *)
+val probe : t -> session:int -> Mk_apps.Serve.request * int
+(** One end-to-end request outside any load run; returns its record, reply
+    fields filled, and the client-observed latency in cycles. Every call
+    builds a fresh record, so replies from several probes never alias. *)
 
 val mark_backend_dead : t -> int -> unit
 (** Remove a backend from LB rotation and mark all its cores dead in its

@@ -543,9 +543,8 @@ let note_presence t ~core lid =
   match t.lrus.(core) with
   | None -> ()
   | Some lru ->
-    (match Lru.touch lru lid with
-     | Some victim when victim <> lid -> evict t ~core victim
-     | Some _ | None -> ())
+    let victim = Lru.touch lru lid in
+    if victim >= 0 && victim <> lid then evict t ~core victim
 
 (* What a memory access must do, decided from the line state. State
    transitions, counters and traffic happen in [prepare_load]/

@@ -211,8 +211,16 @@ let tcp_connect t ~dst_ip ~dst_port = Tcp_lite.connect t.tcp_engine ~dst_ip ~dst
 
 (* A URPC-carried point-to-point link: each frame becomes an n-line
    message; delivery happens in a dedicated receiver task per direction
-   that feeds the peer stack's input path. *)
+   that feeds the peer stack's input path. [Urpc.send]'s [?lines] is
+   passed from a table of prebuilt [Some n], one per line count up to a
+   full Ethernet frame, so a frame send boxes no option. *)
 let connect_urpc m ~core_a ~core_b ?(slots = 16) () =
+  let max_lines = (Ethernet.header_bytes + Ethernet.mtu + 63) / 64 in
+  let some_lines = Array.init (max_lines + 1) (fun n -> Some n) in
+  let lines_of p =
+    let n = (Pbuf.len p + 63) / 64 in
+    if n <= max_lines then some_lines.(n) else Some n
+  in
   let make ~src ~dst =
     let ch =
       Urpc.create m ~sender:src ~receiver:dst ~slots
@@ -223,9 +231,7 @@ let connect_urpc m ~core_a ~core_b ?(slots = 16) () =
       Netif.create
         ~name:(Printf.sprintf "urpc%d" src)
         ~mac:(Ethernet.mac_of_core src)
-        ~send:(fun p ->
-          let lines = (Pbuf.len p + 63) / 64 in
-          Urpc.send ch ~lines p)
+        ~send:(fun p -> Urpc.send ch ?lines:(lines_of p) p)
     in
     (ch, nif)
   in

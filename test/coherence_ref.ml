@@ -131,10 +131,9 @@ let evict t ~core victim =
 let note_presence t ~core lid =
   match t.lrus.(core) with
   | None -> ()
-  | Some lru -> (
-    match Lru.touch lru lid with
-    | Some victim when victim <> lid -> evict t ~core victim
-    | Some _ | None -> ())
+  | Some lru ->
+    let victim = Lru.touch lru lid in
+    if victim >= 0 && victim <> lid then evict t ~core victim
 
 (* What an access must do once its state transition is made. *)
 type outcome =

@@ -8,13 +8,13 @@ open Test_util
 
 let test_lru_basics () =
   let l = Lru.create ~capacity:2 in
-  check_bool "no eviction" true (Lru.touch l 1 = None);
-  check_bool "no eviction" true (Lru.touch l 2 = None);
-  check_bool "evicts lru" true (Lru.touch l 3 = Some 1);
+  check_bool "no eviction" true (Lru.touch l 1 = -1);
+  check_bool "no eviction" true (Lru.touch l 2 = -1);
+  check_bool "evicts lru" true (Lru.touch l 3 = 1);
   check_bool "2 still in" true (Lru.mem l 2);
   (* Touching 2 makes 3 the victim next. *)
-  check_bool "refresh" true (Lru.touch l 2 = None);
-  check_bool "evicts 3" true (Lru.touch l 4 = Some 3);
+  check_bool "refresh" true (Lru.touch l 2 = -1);
+  check_bool "evicts 3" true (Lru.touch l 4 = 3);
   check_int "size" 2 (Lru.size l);
   Lru.remove l 2;
   check_int "removed" 1 (Lru.size l);
@@ -27,7 +27,7 @@ let qcheck_lru_never_exceeds_capacity =
       let l = Lru.create ~capacity:cap in
       List.for_all
         (fun k ->
-          ignore (Lru.touch l k : int option);
+          ignore (Lru.touch l k : int);
           Lru.size l <= cap)
         keys)
 
@@ -44,7 +44,7 @@ let qcheck_lru_victim_is_least_recent =
             if List.mem k !recency || List.length !recency < cap then None
             else List.nth_opt !recency (cap - 1)
           in
-          let victim = Lru.touch l k in
+          let victim = match Lru.touch l k with -1 -> None | v -> Some v in
           recency := k :: List.filter (fun x -> x <> k) !recency;
           (match victim with
            | Some v -> recency := List.filter (fun x -> x <> v) !recency
@@ -125,6 +125,37 @@ let test_directory_consistent_under_capacity () =
       done);
   Machine.run m
 
+(* With a one-line cache, two lines taking turns on one core make every
+   [load_async] a capacity miss that evicts the other line. Past a
+   100-access warm-up, 10,000 such misses allocate nothing: the LRU
+   behind them is flat int arrays. The bank is flushed outside the
+   count. *)
+let test_finite_cache_allocates_nothing () =
+  let m = Machine.create ~cache_lines_per_core:1 Platform.amd_8x4 in
+  let words = ref (-1) and misses = ref 0 in
+  Engine.spawn m.Machine.eng (fun () ->
+      let coh = m.Machine.coh in
+      let lines = [| Machine.alloc_lines m 1; Machine.alloc_lines m 1 |] in
+      let access i = ignore (Coherence.load_async coh ~core:0 lines.(i land 1) : int) in
+      for i = 1 to 100 do
+        access i
+      done;
+      Engine.flush_charge ();
+      let before = Perfcounter.snapshot m.Machine.counters in
+      let total = ref 0 in
+      for i = 1 to 10_000 do
+        Engine.flush_charge ();
+        let w0 = Gc.minor_words () in
+        access i;
+        total := !total + int_of_float (Gc.minor_words () -. w0)
+      done;
+      let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
+      misses := d.Perfcounter.dcache_miss.(0);
+      words := !total);
+  Machine.run m;
+  check_int "every access a capacity miss" 10_000 !misses;
+  check_int "words over 10k misses" 0 !words
+
 let suite =
   ( "capacity",
     [
@@ -135,4 +166,5 @@ let suite =
       tc "infinite default" test_infinite_default_never_capacity_misses;
       tc "dirty eviction writes back" test_dirty_eviction_writes_back;
       tc "directory consistent" test_directory_consistent_under_capacity;
+      tc "finite-cache misses allocate nothing" test_finite_cache_allocates_nothing;
     ] )

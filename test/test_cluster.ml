@@ -118,6 +118,133 @@ let test_load_affinity () =
   check_bool "inter-machine frames" true (r.Cluster.r_inter_frames > 0);
   check_bool "intra-machine urpc" true (r.Cluster.r_intra_msgs > 0)
 
+(* -- the load generator ------------------------------------------------ *)
+
+(* The reference closed loop: first arrivals staggered as [Loadgen.start]
+   staggers them, and each re-arrival armed with a closure of its own
+   that holds the user's session. Returns the reply callback. *)
+let reference_loadgen eng ~issue ~users ~think ~t_end =
+  Engine.spawn eng ~name:"ref.gen" (fun () ->
+      let rec gen u =
+        if u < users then begin
+          let at = u * think / users in
+          if at <= t_end then begin
+            Engine.wait_until at;
+            issue u;
+            gen (u + 1)
+          end
+        end
+      in
+      gen 0);
+  fun session ->
+    let at = Engine.now eng + think in
+    if at <= t_end then
+      Engine.schedule_at eng ~at (fun () ->
+          Engine.spawn eng ~name:"ref.user" (fun () -> issue session))
+
+(* Drive a closed loop on a bare engine and return its issue sequence,
+   (time, session) in issue order. [start eng ~send] builds the loop
+   under test; [send s deliver] is called from the issuing task with the
+   session and the reply callback to run. Every reply is delivered at a
+   time no earlier than the previous reply's, after a random delay of
+   0..[max_delay] cycles, so replies often share a cycle with each other
+   and with their issue. *)
+let issue_sequence ~seed ~max_delay start =
+  let eng = Engine.create () in
+  let rng = Prng.create ~seed in
+  let issued = ref [] and last = ref 0 in
+  let send session deliver =
+    let now = Engine.now_ () in
+    issued := (now, session) :: !issued;
+    let at = max !last (now + Prng.int rng (max_delay + 1)) in
+    last := at;
+    Engine.schedule_at eng ~at deliver
+  in
+  start eng ~send;
+  Engine.run eng ();
+  List.rev !issued
+
+let qcheck_loadgen_matches_reference =
+  qtest "loadgen re-arrival ring = one closure per re-arrival" ~count:200
+    QCheck2.Gen.(
+      quad (int_range 1 40) (int_range 1 50) (int_range 0 60) (int_range 0 1_000_000))
+    (fun (users, think, max_delay, seed) ->
+      let t_end = 20 * (think + max_delay) in
+      let under_test =
+        issue_sequence ~seed ~max_delay (fun eng ~send ->
+            let lg = ref None in
+            let deliver rq () = Mk_apps.Loadgen.on_reply (Option.get !lg) rq in
+            lg :=
+              Some
+                (Mk_apps.Loadgen.start ~eng
+                   ~send:(fun rq -> send rq.Mk_apps.Serve.rq_session (deliver rq))
+                   ~users ~think ~t_start:0 ~t_end ~w_start:0 ~w_end:t_end ()))
+      in
+      let reference =
+        issue_sequence ~seed ~max_delay (fun eng ~send ->
+            let on_reply = ref (fun _ -> ()) in
+            let issue session = send session (fun () -> !on_reply session) in
+            on_reply := reference_loadgen eng ~issue ~users ~think ~t_end)
+      in
+      List.length under_test > users && under_test = reference)
+
+(* Over a run with at least four issues per user (three re-arrivals on
+   average), the generator builds at most one record per user: every
+   reply hands its record back for the next request. *)
+let test_loadgen_recycles_records () =
+  let cl = Cluster.create (Cluster.default_config ~machines:2 ()) in
+  let users = 200 in
+  let r =
+    Cluster.run_load cl ~users ~think:1_000_000 ~warmup:1_000_000 ~window:4_000_000
+  in
+  check_bool "at least 4 issues per user" true
+    (r.Cluster.r_issued_total >= 4 * users);
+  check_bool "records built" true (r.Cluster.r_records >= 1);
+  check_bool "at most one record per user" true (r.Cluster.r_records <= users)
+
+(* A reply that would arm a re-arrival before one already armed breaks
+   the ring's order and is refused: the engine's clock is moved back
+   between two replies. *)
+let test_loadgen_refuses_out_of_order_rearrival () =
+  let eng = Engine.create () in
+  let sent = ref [] in
+  let lg =
+    Mk_apps.Loadgen.start ~eng ~send:(fun rq -> sent := rq :: !sent) ~users:2 ~think:100
+      ~t_start:0 ~t_end:1_000 ~w_start:0 ~w_end:1_000 ()
+  in
+  Engine.run eng ~until:60 ();
+  match !sent with
+  | [ second; first ] ->
+    Mk_apps.Loadgen.on_reply lg second;
+    Engine.run eng ~until:40 ();
+    check_bool "raises Invalid_argument" true
+      (match Mk_apps.Loadgen.on_reply lg first with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+  | l -> Alcotest.failf "%d first arrivals issued, want 2" (List.length l)
+
+(* Minor words per issued request of a closed-loop run on a 2-machine
+   cluster (914 requests), serially: deterministic for a given build. The
+   budget is the measured figure, 108.5711, rounded up to the next
+   hundredth; it was 124.5164 while every request built a fresh request
+   record, reply record and LB wrapper and every re-arrival a closure. *)
+let words_per_request_budget = 108.58
+
+let test_load_words_per_request () =
+  let words =
+    with_domains 1 (fun () ->
+        let cl = Cluster.create (Cluster.default_config ~machines:2 ()) in
+        let w0 = Gc.minor_words () in
+        let r =
+          Cluster.run_load cl ~users:400 ~think:3_000_000 ~warmup:1_000_000
+            ~window:6_000_000
+        in
+        (Gc.minor_words () -. w0) /. float_of_int r.Cluster.r_issued_total)
+  in
+  if words > words_per_request_budget then
+    Alcotest.failf "run_load: %.4f minor words per issued request (budget %.2f)" words
+      words_per_request_budget
+
 (* -- death of a backend: Ft detection + LB reroute -------------------- *)
 
 (* Kill a core on backend 1's OS and let the *fault subsystem* notice:
@@ -192,6 +319,11 @@ let suite =
       tc "lb consistent hash stability" test_ch_stability;
       tc "session affinity (probes)" test_affinity;
       tc "session affinity (load)" test_load_affinity;
+      qcheck_loadgen_matches_reference;
+      tc "loadgen recycles its records" test_loadgen_recycles_records;
+      tc "loadgen refuses an out-of-order re-arrival"
+        test_loadgen_refuses_out_of_order_rearrival;
+      tc "run_load words per request" test_load_words_per_request;
       tc "backend death: Ft detect + reroute" test_backend_death;
       tc "determinism across PDES domains" test_determinism;
     ] )

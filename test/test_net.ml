@@ -136,6 +136,40 @@ let test_udp_over_link () =
       let p2, _ = Stack.udp_recvfrom sock_a in
       check_string "reply" "pong" (Pbuf.contents p2))
 
+(* A frame sent over a [connect_urpc] link allocates only its waits:
+   over 1,000 sends each of a 1-line, a 2-line and a full 24-line
+   Ethernet frame, past a warm-up, the words allocated are exactly the
+   2-word continuations of the engine events that ran during the sends.
+   The line count reaches [Urpc.send] as a prebuilt option. *)
+let test_urpc_link_send_allocates_only_waits () =
+  run_machine (fun m ->
+      let nif_a, nif_b = Stack.connect_urpc m ~core_a:0 ~core_b:2 () in
+      let got = ref 0 in
+      Netif.set_rx nif_b (fun _ -> incr got);
+      let frames =
+        Array.map
+          (fun size -> Pbuf.alloc m ~size ())
+          [| 60; 100; Ethernet.header_bytes + Ethernet.mtu |]
+      in
+      let words = ref 0 and events = ref 0 in
+      for i = 1 to 1_100 do
+        Array.iter
+          (fun p ->
+            Engine.wait 100_000;
+            let e0 = Engine.domain_events_executed () in
+            let w0 = Gc.minor_words () in
+            Netif.transmit nif_a p;
+            if i > 100 then begin
+              words := !words + int_of_float (Gc.minor_words () -. w0);
+              events := !events + Engine.domain_events_executed () - e0
+            end)
+          frames
+      done;
+      Engine.wait 100_000;
+      check_int "frames delivered" (3 * 1_100) !got;
+      check_bool "the sends ran events" true (!events > 0);
+      check_int "words over 3,000 sends = 2 per event" (2 * !events) !words)
+
 let test_udp_unbound_port_dropped () =
   with_stacks (fun m sa sb ->
       let sock_a = Stack.udp_bind sa ~port:5000 in
@@ -247,6 +281,7 @@ let suite =
       qcheck_tcp_header_roundtrip;
       tc "udp over link" test_udp_over_link;
       tc "udp unbound port" test_udp_unbound_port_dropped;
+      tc "urpc link send allocates only its waits" test_urpc_link_send_allocates_only_waits;
       tc "tcp connect/send/close" test_tcp_connect_send_close;
       tc "tcp segmentation" test_tcp_segmentation;
       tc "kernel loopback" test_kernel_loopback;
