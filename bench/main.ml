@@ -8,10 +8,7 @@
    helps even when one long bench dominates. Each job is an independent
    deterministic world and output replays in submission order, so
    simulated results and printed output are byte-identical in any mode
-   (only the host-side timing table varies). The one exception is micro:
-   bechamel aborts if any other domain allocates while it samples
-   (see micro.ml), so micro always runs serially after the pool joins —
-   in every mode, so transcripts still agree byte-for-byte.
+   (only the host-side timing table varies).
 
    Every run ends with a host-side performance table (wall-clock,
    simulated events/sec and minor words per logical event per bench).
@@ -41,7 +38,6 @@ let all : (string * string * (unit -> unit)) list =
     ("large", "large machines: tree/mesh/bands sweeps to 1024 cores (--large)", Large.run);
     ("place_rr", "placement baseline: naive round-robin", Placement.run_rr);
     ("place_skb", "placement: SKB comm-graph driven", Placement.run_skb);
-    ("micro", "bechamel simulator micro-benches", Micro.run);
     ("chaos", "fault injection: detection/recovery/goodput (5 nines drill)", Chaos.run);
     ("cluster", "cluster serving: machines behind an LB, latency vs. load", Cluster_bench.run);
   ]
@@ -69,7 +65,7 @@ let logical t = t.executed + t.fused
    what it allocated. The [Pool.total_*] counters are the bench's own even
    when siblings run on other domains: they read this domain's engine/GC
    counters plus whatever its *nested* pool runs absorbed from worker
-   domains, so a bench that shards (chaos, scaling, micro, ...) still
+   domains, so a bench that shards (chaos, scaling, cluster, ...) still
    reports its full event and allocation cost. *)
 let instrumented name f () =
   let ev0 = Pool.total_executed () in
@@ -209,22 +205,13 @@ let () =
     in
     (* One ambient pool for the whole run: top-level benches are its jobs,
        and sweep benches shard through it via nested Pool.run. [jobs] = 1
-       installs no pool, so everything runs inline on this domain. micro
-       runs after the pool has joined — bechamel's GC stabilization
-       aborts if any other domain allocates concurrently (micro.ml) — and
-       runs last in serial mode too so output order matches any -j. *)
-    let pooled, serial_tail =
-      List.partition (fun (name, _, _) -> name <> "micro") selected
-    in
+       installs no pool, so everything runs inline on this domain. *)
     let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
     Pool.set_ambient pool;
     let jobs_used = match pool with None -> 1 | Some p -> Pool.size p in
     let t0 = Unix.gettimeofday () in
-    let timings = Pool.run (List.map (fun (name, _, f) -> instrumented name f) pooled) in
+    let timings = Pool.run (List.map (fun (name, _, f) -> instrumented name f) selected) in
     Pool.set_ambient None;
     Option.iter Pool.shutdown pool;
-    let tail_timings =
-      List.map (fun (name, _, f) -> instrumented name f ()) serial_tail
-    in
     let harness_wall = Unix.gettimeofday () -. t0 in
-    report ~jobs:jobs_used ~timings:(timings @ tail_timings) ~harness_wall
+    report ~jobs:jobs_used ~timings ~harness_wall

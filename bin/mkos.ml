@@ -3,7 +3,7 @@
    Subcommands:
      platforms                    list the simulated machines
      topo -p <plat>               show the interconnect topology
-     boot -p <plat> [-v]          boot and report SKB contents
+     boot -p <plat>               boot and report SKB contents
      ping -p <plat> -s A -d B     monitor-to-monitor latency
      shootdown -p <plat> -n N     compare the four protocols at N cores
      unmap -p <plat> -n N         end-to-end unmap, multikernel vs IPI *)
@@ -33,12 +33,20 @@ let plat_conv =
 let plat_arg =
   Arg.(value & opt plat_conv Platform.amd_4x4 & info [ "p"; "platform" ] ~doc:"Platform.")
 
-let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable tracing.")
-
 let cores_arg =
   Arg.(value & opt int 8 & info [ "n"; "cores" ] ~doc:"Number of cores to involve.")
 
-let setup_verbose v = if v then Trace.enable ()
+(* Bad input is a usage error: exit 124 with a one-line message, not a
+   simulator crash. *)
+let usage_error fmt = Printf.ksprintf (fun msg -> `Error (false, msg)) fmt
+
+(* The term of a command that takes -p and -n: [run plat n] once -n is
+   at least 1. *)
+let plat_cores_term run =
+  let checked plat n =
+    if n < 1 then usage_error "-n must be at least 1, got %d" n else `Ok (run plat n)
+  in
+  Term.(ret (const checked $ plat_arg $ cores_arg))
 
 let platforms_cmd =
   let run () =
@@ -68,8 +76,7 @@ let topo_cmd =
   Cmd.v (Cmd.info "topo" ~doc:"Show a platform's interconnect") Term.(const run $ plat_arg)
 
 let boot_cmd =
-  let run plat verbose =
-    setup_verbose verbose;
+  let run plat =
     let os = Os.boot plat in
     Printf.printf "booted %s\n" (Platform.describe plat);
     Printf.printf "SKB holds %d facts; sample latencies (cycles, one-way):\n"
@@ -80,24 +87,35 @@ let boot_cmd =
     done
   in
   Cmd.v (Cmd.info "boot" ~doc:"Boot the OS and report the SKB")
-    Term.(const run $ plat_arg $ verbose_arg)
+    Term.(const run $ plat_arg)
 
 let ping_cmd =
   let src_arg = Arg.(value & opt int 0 & info [ "s"; "src" ] ~doc:"Source core.") in
   let dst_arg = Arg.(value & opt int 1 & info [ "d"; "dst" ] ~doc:"Destination core.") in
   let run plat src dst =
-    let os = Os.boot ~measure_latencies:Os.No_measure plat in
-    let rtt =
-      Os.run os (fun () ->
-          let mon = Os.monitor os ~core:src in
-          ignore (Monitor.ping mon dst : int);
-          Monitor.ping mon dst)
+    let n = Platform.n_cores plat in
+    let outside c = c < 0 || c >= n in
+    let no_core flag c =
+      usage_error "%s %d: %s has cores 0..%d" flag c plat.Platform.name (n - 1)
     in
-    Printf.printf "monitor %d <-> %d round trip: %d cycles (%.0f ns)\n" src dst rtt
-      (Platform.cycles_to_ns plat (float_of_int rtt))
+    if outside src then no_core "-s" src
+    else if outside dst then no_core "-d" dst
+    else if src = dst then usage_error "-s and -d are both %d: ping needs two cores" src
+    else begin
+      let os = Os.boot ~measure_latencies:Os.No_measure plat in
+      let rtt =
+        Os.run os (fun () ->
+            let mon = Os.monitor os ~core:src in
+            ignore (Monitor.ping mon dst : int);
+            Monitor.ping mon dst)
+      in
+      Printf.printf "monitor %d <-> %d round trip: %d cycles (%.0f ns)\n" src dst rtt
+        (Platform.cycles_to_ns plat (float_of_int rtt));
+      `Ok ()
+    end
   in
   Cmd.v (Cmd.info "ping" ~doc:"Monitor-to-monitor round trip")
-    Term.(const run $ plat_arg $ src_arg $ dst_arg)
+    Term.(ret (const run $ plat_arg $ src_arg $ dst_arg))
 
 let shootdown_cmd =
   let run plat n =
@@ -116,7 +134,7 @@ let shootdown_cmd =
       Routing.all_protos
   in
   Cmd.v (Cmd.info "shootdown" ~doc:"Compare the four shootdown protocols")
-    Term.(const run $ plat_arg $ cores_arg)
+    (plat_cores_term run)
 
 let unmap_cmd =
   let run plat n =
@@ -156,7 +174,7 @@ let unmap_cmd =
       (ipi Mk_baseline.Ipi_shootdown.Windows)
   in
   Cmd.v (Cmd.info "unmap" ~doc:"End-to-end unmap: messages vs IPIs")
-    Term.(const run $ plat_arg $ cores_arg)
+    (plat_cores_term run)
 
 let () =
   let doc = "drive the simulated multikernel operating system" in

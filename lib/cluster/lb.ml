@@ -59,8 +59,7 @@ let mark_alive t b = t.alive.(b) <- true
 let note_sent t b = t.outstanding.(b) <- t.outstanding.(b) + 1
 let note_done t b = t.outstanding.(b) <- t.outstanding.(b) - 1
 
-(* Option-free pick for the per-request LB loop: -1 = no live backend.
-   {!pick} wraps it for callers that want the option. *)
+(* Option-free pick for the per-request LB loop: -1 = no live backend. *)
 let pick_idx t ~session =
   match t.policy with
   | Round_robin ->
@@ -99,5 +98,3 @@ let pick_idx t ~session =
       in
       walk 0 (if !lo = len then 0 else !lo)
     end
-
-let pick t ~session = match pick_idx t ~session with -1 -> None | b -> Some b

@@ -2,7 +2,7 @@
 
     A pure, deterministic state machine — no simulation dependencies — so
     policy behavior is unit-testable without booting a cluster. The
-    cluster's front-end LB loop drives it: {!pick} a backend per request,
+    cluster's front-end LB loop drives it: {!pick_idx} a backend per request,
     {!note_sent}/{!note_done} track in-flight counts, {!mark_dead} removes
     a backend from rotation (fed by the cluster's failure handling). *)
 
@@ -19,15 +19,12 @@ type t
 val create : policy -> backends:int -> t
 val n : t -> int
 
-val pick : t -> session:int -> int option
-(** Choose a live backend for a session's request; [None] when every
-    backend is dead. [Consistent_hash] maps the session to the first live
-    ring point clockwise of its hash, so the death of one backend moves
-    only the sessions that backend owned. *)
-
 val pick_idx : t -> session:int -> int
-(** Same choice as {!pick} without the option allocation: [-1] when every
-    backend is dead. For the LB loop's per-request path. *)
+(** Choose a live backend for a session's request; [-1] when every
+    backend is dead (no option, so the LB loop's per-request path
+    allocates nothing). [Consistent_hash] maps the session to the first
+    live ring point clockwise of its hash, so the death of one backend
+    moves only the sessions that backend owned. *)
 
 val note_sent : t -> int -> unit
 val note_done : t -> int -> unit

@@ -8,7 +8,7 @@ open Mk_hw
    the server loop runs on the server core's shard machine [sm]. *)
 type ('req, 'resp) binding = {
   sm : Machine.t;
-  req : ('req * bool) Shard.link;  (* bool: expects a response *)
+  req : 'req Shard.link;
   resp : 'resp Shard.link;
   req_lines : int option;  (* as given to [connect]: a send boxes no [Some] *)
   resp_lines : int option;
@@ -30,39 +30,25 @@ let connect sh ~name ~client ~server ?req_lines ?resp_lines () =
 
 let export b handler =
   let rec loop () =
-    let req, wants_resp = Urpc.recv b.req.Shard.rx in
-    let resp = handler req in
-    if wants_resp then Urpc.send b.resp.Shard.tx ?lines:b.resp_lines resp;
+    let resp = handler (Urpc.recv b.req.Shard.rx) in
+    Urpc.send b.resp.Shard.tx ?lines:b.resp_lines resp;
     loop ()
   in
   Engine.spawn b.sm.Machine.eng ~name:(Urpc.name b.req.Shard.rx ^ ".server") loop
 
 (* Every call takes the binding lock with [lock] and gives it back with
    [release], also on an exception, without building a closure. *)
-type 'req request = 'req * bool
-
-let request req : _ request = (req, true)
 let lock b = Sync.Mutex.lock b.lock
 let release b = Sync.Mutex.unlock b.lock
 
-let exchange b (msg : _ request) =
-  match Urpc.send b.req.Shard.tx ?lines:b.req_lines msg; Urpc.recv b.resp.Shard.rx with
+let exchange b req =
+  match Urpc.send b.req.Shard.tx ?lines:b.req_lines req; Urpc.recv b.resp.Shard.rx with
   | resp -> release b; resp
   | exception e -> release b; raise e
 
 let rpc b req =
   lock b;
-  exchange b (request req)
-
-let rpc_async b req =
-  lock b;
-  Urpc.send b.req.Shard.tx ?lines:b.req_lines (request req);
-  fun () ->
-    let resp = Urpc.recv b.resp.Shard.rx in
-    release b;
-    resp
-
-let oneway b req = Urpc.send b.req.Shard.tx ?lines:b.req_lines (req, false)
+  exchange b req
 
 let client_core b = Urpc.sender b.req.Shard.tx
 let server_core b = Urpc.receiver b.req.Shard.tx
@@ -111,7 +97,7 @@ module Reliable = struct
     t.cached_id <- 0;
     t.cached <- None;
     let rec loop () =
-      let (id, req), wants_resp = Urpc.recv t.rb.req.Shard.rx in
+      let id, req = Urpc.recv t.rb.req.Shard.rx in
       (* A stopped core processes nothing more: consume-and-die models the
          request reaching a dead endpoint. *)
       if should_halt () then Engine.halt ();
@@ -125,8 +111,7 @@ module Reliable = struct
             t.cached <- Some r;
             r
         in
-        if wants_resp then
-          Urpc.send t.rb.resp.Shard.tx ?lines:t.rb.resp_lines (id, resp)
+        Urpc.send t.rb.resp.Shard.tx ?lines:t.rb.resp_lines (id, resp)
       end;
       loop ()
     in
@@ -138,8 +123,10 @@ module Reliable = struct
     lock t.rb;
     let id = t.next_id in
     t.next_id <- id + 1;
+    (* One message per call; a retransmit resends it. *)
+    let msg = (id, req) in
     let rec attempt n timeout =
-      Urpc.send t.rb.req.Shard.tx ?lines:t.rb.req_lines (request (id, req));
+      Urpc.send t.rb.req.Shard.tx ?lines:t.rb.req_lines msg;
       await n timeout (Engine.now_ () + timeout)
     (* Drain responses until ours arrives or the deadline passes; responses
        to earlier (timed-out) attempts are discarded. *)

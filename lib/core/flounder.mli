@@ -9,10 +9,10 @@
 
     A binding admits one outstanding call. Every call path takes the
     binding's lock with {!lock} and releases it on return or exception
-    through plain calls, never a [with_lock] closure; {!exchange} is the
-    locked round trip. A hot caller ({!Session.call}) sends a prebuilt
-    {!request} around a scratch record it refills under the lock, so its
-    call allocates only the continuations of its waits. *)
+    through plain calls, never a closure; {!exchange} is the locked round
+    trip. A hot caller ({!Session.call}) sends a scratch request record it
+    refills under the lock, so its call allocates only the continuations
+    of its waits. *)
 
 type ('req, 'resp) binding
 
@@ -38,38 +38,22 @@ val export : ('req, 'resp) binding -> ('req -> 'resp) -> unit
     core's context and send the response. Call once per binding. *)
 
 val rpc : ('req, 'resp) binding -> 'req -> 'resp
-(** Synchronous call: {!lock}, then {!exchange} of a fresh request.
-    Concurrent callers on the same binding serialize. *)
-
-type 'req request
-(** A request message that expects a response. A caller that owns a
-    binding builds one around a scratch request record once and sends it
-    on every call. *)
-
-val request : 'req -> 'req request
+(** Synchronous call: {!lock}, then {!exchange}. Concurrent callers on
+    the same binding serialize. *)
 
 val lock : (_, _) binding -> unit
 (** Take the binding's lock (one outstanding RPC per binding), blocking
     while another call holds it. Follow with {!exchange}. Between the two
-    the caller may refill the scratch record inside its prebuilt
-    {!request}: the server reads the request before it responds, and no
-    other call can refill the record while the lock is held. *)
+    the caller may refill a scratch request record: the server reads the
+    request before it responds, and no other call can refill the record
+    while the lock is held. *)
 
-val exchange : ('req, 'resp) binding -> 'req request -> 'resp
+val exchange : ('req, 'resp) binding -> 'req -> 'resp
 (** Under the lock taken by {!lock}: send the request, await the
     response and release the lock, also when the send or the receive
     raises. Builds no closure and boxes nothing, so a call that sends a
-    prebuilt {!request} allocates only the continuations of its waits.
-    {!rpc}, {!rpc_async} and {!Reliable.call} take and release the lock
-    the same way. *)
-
-val rpc_async : ('req, 'resp) binding -> 'req -> (unit -> 'resp)
-(** Split-phase call: send now, return a function that blocks for the
-    reply — the pipelining pattern of §3.1. *)
-
-val oneway : ('req, _) binding -> 'req -> unit
-(** Fire-and-forget request (no response expected for this message; the
-    server handler still runs and its response is discarded). *)
+    scratch record allocates only the continuations of its waits.
+    {!rpc} and {!Reliable.call} take and release the lock the same way. *)
 
 val client_core : (_, _) binding -> int
 val server_core : (_, _) binding -> int

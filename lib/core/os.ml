@@ -20,7 +20,6 @@ type t = {
   ns : Name_service.t;
   mutable endpoints : (mon_req, mon_resp) Lrpc.endpoint array;
   mutable next_domid : int;
-  doms : (int, Dom.t) Hashtbl.t;
   (* Cores believed alive. A core leaves this set when the failure manager
      (Ft) marks it dead; routing plans are built over live members only.
      One view per shard: each shard only reads and writes its own, kept in
@@ -39,7 +38,6 @@ let n_cores t = Machine.n_cores t.m
 let driver t ~core = t.drivers.(core)
 let monitor t ~core = t.monitors.(core)
 let mm t ~core = t.mms.(core)
-let domains t = Hashtbl.fold (fun _ d acc -> d :: acc) t.doms []
 
 let machine_of_core t core = Shard.machine_of_core t.sh core
 
@@ -236,7 +234,6 @@ let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative
       ns;
       endpoints = [||];
       next_domid = 1;
-      doms = Hashtbl.create 8;
       alive = Array.init (Shard.n_shards sh) (fun _ -> Array.make n true);
     }
   in
@@ -323,7 +320,6 @@ let spawn_domain ?pt_mode t ~name ~cores =
       Monitor.run_fan t.monitors.(home) ~plan:p
         ~op:(Monitor.Op_set_replica { key = Printf.sprintf "dom%d" domid; value = 1 }));
   let dom = Dom.create ~domid ~name ~cores ~vspace ~disps in
-  Hashtbl.replace t.doms domid dom;
   dom
 
 let alloc_map_frame t dom ~core ~vaddr ~bytes =

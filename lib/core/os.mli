@@ -157,5 +157,3 @@ val protect :
   (unit, Types.error) result
 (** Same path as {!unmap} but reducing rights (the mprotect measured in
     Figure 7). *)
-
-val domains : t -> Dom.t list

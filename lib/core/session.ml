@@ -10,9 +10,8 @@
 
    A call is on the serving hot path and builds nothing on the host: it
    takes the binding lock ({!Flounder.lock}), refills that binding's
-   scratch request and sends the request message prebuilt around it
-   ({!Flounder.exchange}), so it allocates only the continuations of its
-   waits. *)
+   scratch request and sends it ({!Flounder.exchange}), so it allocates
+   only the continuations of its waits. *)
 
 open Mk_hw
 
@@ -29,10 +28,8 @@ type t = {
   tables : int Inttbl.t array;
   bindings : (req, resp) Flounder.binding array;
   (* One scratch request per binding, refilled under the binding lock by
-     {!call} instead of allocating per call, and the request message
-     around it, built once and sent on every call. *)
+     {!call} and sent, instead of allocating per call. *)
   scratch : req array;
-  msgs : req Flounder.request array;
   served : int array;
   mutable calls : int;
   req_lines : int;
@@ -89,7 +86,6 @@ let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
           { rs_hits = hits; rs_core = workers.(i) }))
     bindings;
   let scratch = Array.init k (fun _ -> { rq_session = 0; rq_work = 0 }) in
-  let msgs = Array.map Flounder.request scratch in
   {
     os;
     front;
@@ -97,7 +93,6 @@ let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
     tables;
     bindings;
     scratch;
-    msgs;
     served;
     calls = 0;
     req_lines;
@@ -112,7 +107,7 @@ let call t ~session ~work =
   let s = t.scratch.(i) in
   s.rq_session <- session;
   s.rq_work <- work;
-  Flounder.exchange b t.msgs.(i)
+  Flounder.exchange b s
 
 let front t = t.front
 let workers t = Array.to_list t.workers

@@ -313,8 +313,6 @@ let set_home_range t ~first_line ~last_line ~node =
     t.n_ranges <- n + 1
   end
 
-let set_home t ~line ~node = set_home_range t ~first_line:line ~last_line:line ~node
-
 let set_home_region t ~first_line ~last_line ~node_of =
   t.regions <- (first_line, last_line, node_of) :: t.regions
 

@@ -44,13 +44,11 @@ val platform : t -> Platform.t
 val line_of_addr : t -> int -> int
 (** [addr / cacheline_bytes]. *)
 
-val set_home : t -> line:int -> node:int -> unit
-(** Pin a line's home (directory) node — NUMA-aware allocation. Without
-    this, the home defaults to the first toucher's package. *)
-
 val set_home_range : t -> first_line:int -> last_line:int -> node:int -> unit
-(** Pin a whole region at once (what the allocator uses). Ranges must be
-    disjoint and arrive in increasing address order. *)
+(** Pin the home (directory) node of a range of lines — NUMA-aware
+    allocation; without a pin, a line's home is its first toucher's
+    package. Ranges must be disjoint and arrive in increasing address
+    order. *)
 
 val set_home_region : t -> first_line:int -> last_line:int -> node_of:(int -> int) -> unit
 (** Pin a region whose home node is a function of the (absolute) line

@@ -64,11 +64,6 @@ let alloc_region t ~lines ~node_of =
 let compute t ~core n =
   if n > 0 then ignore (Resource.acquire t.cores.(core) n : int)
 
-let spawn_on t ~core ?name f =
-  let name = Option.value name ~default:(Printf.sprintf "core%d-task" core) in
-  Engine.spawn t.eng ~name f
-
 let run t = Engine.run t.eng ()
-let run_until t limit = Engine.run t.eng ~until:limit ()
 let now t = Engine.now t.eng
 let ns_of_cycles t c = Platform.cycles_to_ns t.plat (float_of_int c)

@@ -53,13 +53,8 @@ val compute : t -> core:int -> int -> unit
 (** Occupy [core] for [n] cycles of pure computation (FIFO with anything
     else executing there), blocking the calling task until done. *)
 
-val spawn_on : t -> core:int -> ?name:string -> (unit -> unit) -> unit
-(** Convenience: spawn a task logically bound to a core (naming only — code
-    must use [compute]/coherence calls with the right core id). *)
-
 val run : t -> unit
 (** Drive the engine until no events remain. *)
 
-val run_until : t -> int -> unit
 val now : t -> int
 val ns_of_cycles : t -> int -> float

@@ -6,7 +6,7 @@
    blocking abstractions (Sync, Resource, ...) are built from E_suspend.
 
    Hot-path note: events scheduled at the *current* simulated time
-   (yield, zero waits, same-cycle wakes, spawns) dominate most workloads, and
+   (zero waits, same-cycle wakes, spawns) dominate most workloads, and
    they never need heap ordering — they run before the clock next advances,
    in seq order, and seq is monotonic. They go to a ring-buffer FIFO
    instead of the heap; every later event goes to the heap. The run loop
@@ -22,7 +22,6 @@ type waker = ?delay:int -> unit -> unit
 type _ Effect.t +=
   | E_wait : unit Effect.t
   | E_suspend : unit Effect.t
-  | E_name : string Effect.t
 
 exception Stalled of string
 exception Halted
@@ -79,7 +78,7 @@ type t = {
   mutable n_free : int;
   mutable next_task : int;
   self : t option;  (* [Some t], built once: [run] publishes it *)
-  (* Slot of the task whose [E_suspend] or [E_name] is being handled:
+  (* Slot of the task whose [E_suspend] is being handled:
      [effc] sets it for the handler, which is built once per engine. *)
   mutable eff_slot : int;
   (* The charge cell of the domain running this engine, set by [run]: the
@@ -87,7 +86,6 @@ type t = {
   mutable cell : charge_cell;
   on_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
   on_suspend : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  on_name : ((string, unit) Effect.Deep.continuation -> unit) option;
 }
 
 let nop () = ()
@@ -111,9 +109,9 @@ let run_ev (x : ev) =
 
 (* Rewind an *idle* engine (no pending events, no live tasks) to t=0 so its
    FIFO rings and heap arrays are reused by the next run instead of
-   reallocated — the bechamel engine micro-bench measures spawn+run, not
-   allocator traffic for a fresh engine. [executed] keeps accumulating:
-   it counts the engine's lifetime, not a run. *)
+   reallocated — the benchmark's engine.spawn_run probe measures
+   spawn+run, not allocator traffic for a fresh engine. [executed] keeps
+   accumulating: it counts the engine's lifetime, not a run. *)
 let reset t =
   if t.live > 0 || t.fq_len > 0 || not (Heap.is_empty t.heap) then
     invalid_arg "Engine.reset: engine busy (live tasks or pending events)";
@@ -342,7 +340,6 @@ let create () =
             let w = waker_of t t.eff_slot in
             w.k <- ev_of_cont k;
             register w.fn);
-      on_name = Some (fun k -> Effect.Deep.continue k t.slot_name.(t.eff_slot));
     }
   in
   t
@@ -400,8 +397,8 @@ let body f =
    in it depends on the task beyond its slot.
 
    [E_wait] and [E_suspend] find their payload parked in the domain's
-   charge cell, [E_suspend] and [E_name] find the slot in [eff_slot], and
-   all three return the engine's prebuilt handler. That is safe because
+   charge cell, [E_suspend] finds the slot in [eff_slot], and both
+   return the engine's prebuilt handler. That is safe because
    [effc]'s result is applied at once, on this domain, before anything
    else can perform an effect: the handler reads the payload back before
    any other task runs. *)
@@ -427,9 +424,6 @@ let handler_of t s =
           (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
             match eff with
             | E_wait -> t.on_wait
-            | E_name ->
-              t.eff_slot <- s;
-              t.on_name
             | E_suspend ->
               t.eff_slot <- s;
               t.on_suspend
@@ -580,21 +574,16 @@ let wait_until at =
   let n = at - now_ () in
   if n > 0 then wait n
 
-let yield () = wait 0
-
 let suspend register =
   let c = flushed_cell () in
   c.register <- register;
   Effect.perform E_suspend
 
-let task_name () = Effect.perform E_name
-
-(* A spawn needs nothing from the parent's handler but its name, so it
-   schedules straight onto the running engine: children start at the
-   parent's *virtual* time, since a parent with a banked charge has
-   conceptually already lived those cycles. *)
-let spawn_ ?name f =
-  let name = match name with Some n -> n | None -> task_name () ^ ".child" in
+(* A spawn needs nothing from the parent's handler, so it schedules
+   straight onto the running engine: children start at the parent's
+   *virtual* time, since a parent with a banked charge has conceptually
+   already lived those cycles. *)
+let spawn_ ?(name = "task") f =
   match !(Domain.DLS.get domain_running) with
   | Some t -> spawn_named t name f
   | None -> invalid_arg "Engine.spawn_: no running engine"

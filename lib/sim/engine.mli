@@ -157,9 +157,6 @@ val flush_charge : unit -> unit
 val wait_until : int -> unit
 (** Sleep until the given absolute time (no-op if already past). *)
 
-val yield : unit -> unit
-(** Reschedule after all other events already pending at the current time. *)
-
 val suspend : (waker -> unit) -> unit
 (** [suspend register] blocks the task; [register] receives the waker and
     typically stores it in some wait queue. The task resumes when (and if)
@@ -168,11 +165,8 @@ val suspend : (waker -> unit) -> unit
 
 val spawn_ : ?name:string -> (unit -> unit) -> unit
 (** Spawn a sibling task from inside a task, at the current virtual time,
-    scheduled directly on the running engine. Without [~name] the child is
-    named after its parent ([parent ^ ".child"]). *)
-
-val task_name : unit -> string
-(** Name of the running task (for tracing). *)
+    scheduled directly on the running engine. [name] (default ["task"])
+    labels the task in {!Stalled} diagnostics. *)
 
 val halt : unit -> 'a
 (** Terminate the current task immediately. *)

@@ -7,7 +7,7 @@
    Every mutating operation is an *interaction point* for latency-charge
    fusion: it flushes the caller's banked charge first, so queue contents,
    counts and wake-ups are observed/mutated at the caller's true simulated
-   time. Pure queries (length, peek, ...) don't flush. *)
+   time. Pure queries (length, is_filled, ...) don't flush. *)
 
 let wake (w : Engine.waker) = w ()
 
@@ -30,26 +30,15 @@ module Ivar = struct
     let waiters = Ring.create () in
     { state = Empty; waiters; park = (fun w -> Ring.push waiters w) }
 
-  let fill_waiters t v =
-    t.state <- Full v;
-    wake_n t.waiters (Ring.length t.waiters)
-
   let fill t v =
     Engine.flush_charge ();
     match t.state with
     | Full _ -> invalid_arg "Ivar.fill: already filled"
-    | Empty -> fill_waiters t v
-
-  let try_fill t v =
-    Engine.flush_charge ();
-    match t.state with
-    | Full _ -> false
     | Empty ->
-      fill_waiters t v;
-      true
+      t.state <- Full v;
+      wake_n t.waiters (Ring.length t.waiters)
 
   let is_filled t = match t.state with Full _ -> true | Empty -> false
-  let peek t = match t.state with Full v -> Some v | Empty -> None
 
   let read t =
     Engine.flush_charge ();
@@ -204,57 +193,4 @@ module Mutex = struct
   let unlock t =
     if Semaphore.available t > 0 then invalid_arg "Mutex.unlock: not locked";
     Semaphore.release t
-
-  let with_lock t f =
-    lock t;
-    match f () with
-    | v -> unlock t; v
-    | exception e -> unlock t; raise e
-end
-
-module Condition = struct
-  type t = { waiters : Engine.waker Ring.t; park : Engine.waker -> unit }
-
-  let create () =
-    let waiters = Ring.create () in
-    { waiters; park = (fun w -> Ring.push waiters w) }
-
-  let wait t mutex =
-    (* Atomic in simulation terms: no other task runs between unlock and
-       suspend because tasks only switch at scheduling points. *)
-    Engine.flush_charge ();
-    Mutex.unlock mutex;
-    Engine.suspend t.park;
-    Mutex.lock mutex
-
-  let signal t =
-    Engine.flush_charge ();
-    if not (Ring.is_empty t.waiters) then wake (Ring.pop t.waiters)
-
-  let broadcast t =
-    Engine.flush_charge ();
-    wake_n t.waiters (Ring.length t.waiters)
-end
-
-module Barrier = struct
-  type t = {
-    parties : int;
-    mutable arrived : int;
-    waiters : Engine.waker Ring.t;
-    park : Engine.waker -> unit;
-  }
-
-  let create parties =
-    if parties <= 0 then invalid_arg "Barrier.create";
-    let waiters = Ring.create () in
-    { parties; arrived = 0; waiters; park = (fun w -> Ring.push waiters w) }
-
-  let await t =
-    Engine.flush_charge ();
-    t.arrived <- t.arrived + 1;
-    if t.arrived = t.parties then begin
-      t.arrived <- 0;
-      wake_n t.waiters (Ring.length t.waiters)
-    end
-    else Engine.suspend t.park
 end

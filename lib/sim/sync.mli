@@ -12,12 +12,7 @@ module Ivar : sig
   val fill : 'a t -> 'a -> unit
   (** Raises [Invalid_argument] if already filled. *)
 
-  val try_fill : 'a t -> 'a -> bool
-  (** Like {!fill} but returns [false] instead of raising when already
-      filled (duplicate-delivery friendly). *)
-
   val is_filled : 'a t -> bool
-  val peek : 'a t -> 'a option
   val read : 'a t -> 'a
   (** Blocks the calling task until filled. *)
 end
@@ -56,25 +51,5 @@ module Mutex : sig
   val create : unit -> t
   val lock : t -> unit
   val unlock : t -> unit
-  val with_lock : t -> (unit -> 'a) -> 'a
 end
 
-(** Condition variable used with {!Mutex}. *)
-module Condition : sig
-  type t
-
-  val create : unit -> t
-  val wait : t -> Mutex.t -> unit
-  val signal : t -> unit
-  val broadcast : t -> unit
-end
-
-(** Reusable n-party barrier. *)
-module Barrier : sig
-  type t
-
-  val create : int -> t
-  val await : t -> unit
-  (** Blocks until [n] tasks have called [await]; then all are released and
-      the barrier resets for the next round. *)
-end

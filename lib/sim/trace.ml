@@ -1,42 +1,3 @@
-type src = Logs.src
-
-let all : src list ref = ref []
-
-let make name =
-  let s = Logs.Src.create ("mk." ^ name) ~doc:("multikernel " ^ name ^ " tracing") in
-  Logs.Src.set_level s None;
-  all := s :: !all;
-  s
-
-let set_level = Logs.Src.set_level
-
-let enable () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level ~all:true (Some Logs.Debug);
-  List.iter (fun s -> Logs.Src.set_level s (Some Logs.Debug)) !all
-
-(* Levels are declared App < Error < Warning < Info < Debug, so a message
-   is reported iff its level compares <= the source's current level. *)
-let enabled src level =
-  match Logs.Src.level src with None -> false | Some cur -> compare level cur <= 0
-
-(* Tracing sits on simulator hot paths (per message send, per TLB fill),
-   so the disabled case must not pay for formatting: only when the source
-   level admits the message do we render it. [Format.ikfprintf] consumes
-   the format arguments without evaluating any %a/%t closures or building
-   a string, so a disabled [debugf] costs a level check and nothing else. *)
-let logf level src fmt =
-  if enabled src level then
-    Format.kasprintf
-      (fun s ->
-        let module L = (val Logs.src_log src : Logs.LOG) in
-        L.msg level (fun m -> m "%s" s))
-      fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
-
-let debugf src fmt = logf Logs.Debug src fmt
-let infof src fmt = logf Logs.Info src fmt
-
 (* Communication-graph recorder: counts messages per (src, dst) core pair.
    A recorder is attached to a machine only while a profiling run wants it,
    so the common case costs one [None] check per send. *)

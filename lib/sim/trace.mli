@@ -1,22 +1,4 @@
-(** Lightweight per-subsystem tracing built on [Logs].
-
-    Each subsystem creates its own source once; tracing is off by default
-    and enabled globally (e.g. by the CLI's [-v] flag). *)
-
-type src
-
-val make : string -> src
-(** [make "urpc"] registers a log source named ["mk.urpc"]. *)
-
-val enable : unit -> unit
-(** Turn on Debug-level reporting to stderr for all mk sources. *)
-
-val set_level : src -> Logs.level option -> unit
-(** Set one source's level ([None] disables it). Messages below the level
-    are discarded without formatting their arguments. *)
-
-val debugf : src -> ('a, Format.formatter, unit, unit) format4 -> 'a
-val infof : src -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Host-side instrumentation of the simulated machine. *)
 
 (** Per-(src, dst) core message counting, for dependency-driven placement.
     A recorder is opt-in per machine; when none is attached the cost on

@@ -17,57 +17,54 @@ let with_domains d f =
 
 let test_rr () =
   let lb = Lb.create Lb.Round_robin ~backends:3 in
-  let picks = List.init 6 (fun s -> Lb.pick lb ~session:s) in
-  check_bool "cycles" true
-    (picks = [ Some 0; Some 1; Some 2; Some 0; Some 1; Some 2 ]);
+  let picks = List.init 6 (fun s -> Lb.pick_idx lb ~session:s) in
+  check_bool "cycles" true (picks = [ 0; 1; 2; 0; 1; 2 ]);
   Lb.mark_dead lb 1;
-  let picks = List.init 4 (fun s -> Lb.pick lb ~session:s) in
-  check_bool "skips dead" true (picks = [ Some 0; Some 2; Some 0; Some 2 ]);
+  let picks = List.init 4 (fun s -> Lb.pick_idx lb ~session:s) in
+  check_bool "skips dead" true (picks = [ 0; 2; 0; 2 ]);
   Lb.mark_dead lb 0;
   Lb.mark_dead lb 2;
-  check_bool "all dead" true (Lb.pick lb ~session:9 = None);
+  check_int "all dead" (-1) (Lb.pick_idx lb ~session:9);
   Lb.mark_alive lb 1;
-  check_bool "revived" true (Lb.pick lb ~session:9 = Some 1)
+  check_int "revived" 1 (Lb.pick_idx lb ~session:9)
 
 let test_lo () =
   let lb = Lb.create Lb.Least_outstanding ~backends:3 in
-  check_bool "ties to lowest index" true (Lb.pick lb ~session:0 = Some 0);
+  check_int "ties to lowest index" 0 (Lb.pick_idx lb ~session:0);
   Lb.note_sent lb 0;
   Lb.note_sent lb 1;
-  check_bool "least loaded" true (Lb.pick lb ~session:1 = Some 2);
+  check_int "least loaded" 2 (Lb.pick_idx lb ~session:1);
   Lb.note_sent lb 2;
   Lb.note_sent lb 2;
-  check_bool "min again" true (Lb.pick lb ~session:2 = Some 0);
+  check_int "min again" 0 (Lb.pick_idx lb ~session:2);
   Lb.note_done lb 2;
   Lb.note_done lb 2;
   Lb.mark_dead lb 2;
-  check_bool "dead excluded even at 0 outstanding" true
-    (Lb.pick lb ~session:3 = Some 0)
+  check_int "dead excluded even at 0 outstanding" 0 (Lb.pick_idx lb ~session:3)
 
 (* The referee property for consistent hashing: killing one backend moves
    ONLY the sessions that backend owned; everyone else's mapping is
    untouched (the whole point of the ring vs. `mod n`). *)
 let test_ch_stability () =
   let lb = Lb.create Lb.Consistent_hash ~backends:4 in
-  let before = Array.init 500 (fun s -> Lb.pick lb ~session:s) in
+  let before = Array.init 500 (fun s -> Lb.pick_idx lb ~session:s) in
   (* Sanity: the ring actually spreads sessions across all backends. *)
   let used = Array.make 4 0 in
   Array.iter
-    (function Some b -> used.(b) <- used.(b) + 1 | None -> Alcotest.fail "pick")
+    (fun b -> if b < 0 then Alcotest.fail "pick" else used.(b) <- used.(b) + 1)
     before;
   Array.iteri (fun b n -> check_bool (Printf.sprintf "backend %d used" b) true (n > 0)) used;
   Lb.mark_dead lb 2;
   Array.iteri
     (fun s old ->
-      let now = Lb.pick lb ~session:s in
-      match old with
-      | Some 2 ->
+      let now = Lb.pick_idx lb ~session:s in
+      if old = 2 then
         check_bool "dead backend's sessions moved somewhere live" true
-          (match now with Some b -> b <> 2 | None -> false)
-      | old -> check_bool (Printf.sprintf "session %d stable" s) true (now = old))
+          (now >= 0 && now <> 2)
+      else check_int (Printf.sprintf "session %d stable" s) old now)
     before;
   (* Same-session picks are deterministic. *)
-  check_bool "repeatable" true (Lb.pick lb ~session:123 = Lb.pick lb ~session:123)
+  check_int "repeatable" (Lb.pick_idx lb ~session:123) (Lb.pick_idx lb ~session:123)
 
 (* -- session shard affinity across the cluster ------------------------ *)
 
@@ -89,8 +86,7 @@ let test_affinity () =
   check_int "hits 3" 3 rp3.Serve.rp_hits;
   (* The LB's ring and the cluster's routing agree on placement. *)
   let ring = Lb.create Lb.Consistent_hash ~backends:2 in
-  check_bool "placement matches the ring" true
-    (Lb.pick ring ~session:7 = Some rp1.Serve.rp_backend);
+  check_int "placement matches the ring" rp1.Serve.rp_backend (Lb.pick_idx ring ~session:7);
   (* The owner core is a worker on the backend's session service, and the
      session is recorded on that worker's shard only. *)
   let s = Serve.session (Cluster.backend_serve cl rp1.Serve.rp_backend) in

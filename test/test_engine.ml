@@ -317,10 +317,6 @@ let test_live_tasks () =
   Engine.run eng ();
   check_int "one suspended forever" 1 (Engine.live_tasks eng)
 
-let test_task_name () =
-  let name = run_sim (fun () -> Engine.task_name ()) in
-  check_string "name" "test" name
-
 let test_nested_spawn () =
   let sum =
     run_sim (fun () ->
@@ -739,16 +735,11 @@ let test_allocation_budget () =
            Sync.Mailbox.send mb i
          done)
        (fun () -> ignore (Sync.Mailbox.recv mb : int)));
-  (* A spawn schedules on the running engine; an unnamed one also reads
-     its parent's name, and builds the child's. The child runs under its
+  (* A spawn schedules on the running engine; the child runs under its
      slot's reused handler. *)
-  check "spawn_ + wait" 18.0
+  check "spawn_ + wait" 13.0
     (words_per_op (fun () ->
          Engine.spawn_ ignore;
-         Engine.wait 1));
-  check "spawn_ ~name + wait" 13.0
-    (words_per_op (fun () ->
-         Engine.spawn_ ~name:"child" ignore;
          Engine.wait 1))
 
 let suite =
@@ -778,7 +769,6 @@ let suite =
       tc "reset" test_reset;
       tc "halt" test_halt;
       tc "live tasks" test_live_tasks;
-      tc "task name" test_task_name;
       tc "nested spawn" test_nested_spawn;
       tc "charge banks delay" test_charge_banks_delay;
       tc "charge flushes at wait" test_charge_flushes_at_wait;

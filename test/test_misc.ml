@@ -1,4 +1,4 @@
-(* Coverage for the remaining public surface: error formatting, tracing,
+(* Coverage for the remaining public surface: error formatting,
    netif accounting, stack overhead knob, echo harness, flounder/name
    service edge cases. *)
 
@@ -33,27 +33,6 @@ let test_cap_pp () =
        i + 3 <= String.length s && (String.sub s i 3 = "RAM" || find (i + 1))
      in
      find 0)
-
-let test_trace_sources () =
-  let src = Trace.make "testsrc" in
-  (* Disabled by default: logging is a no-op but must not raise. *)
-  Trace.debugf src "value %d" 42;
-  Trace.infof src "hello %s" "world"
-
-let test_trace_lazy () =
-  let src = Trace.make "testsrc-lazy" in
-  let evaluated = ref false in
-  let probe ppf = evaluated := true; Format.pp_print_string ppf "probe" in
-  (* Disabled source: the %t closure must never run — disabled tracing on
-     hot paths has to cost a level check, not argument formatting. *)
-  Trace.debugf src "expensive: %t" probe;
-  Trace.infof src "expensive: %t" probe;
-  check_bool "disabled trace does not format" false !evaluated;
-  (* Enabled source: the same call site now renders its arguments. *)
-  Trace.set_level src (Some Logs.Debug);
-  Trace.debugf src "expensive: %t" probe;
-  check_bool "enabled trace formats" true !evaluated;
-  Trace.set_level src None
 
 let test_netif_counters () =
   run_machine (fun m ->
@@ -154,8 +133,6 @@ let suite =
       tc "error strings" test_error_strings;
       tc "vpage math" test_vpage_math;
       tc "cap pp" test_cap_pp;
-      tc "trace sources" test_trace_sources;
-      tc "trace lazy formatting" test_trace_lazy;
       tc "netif counters" test_netif_counters;
       tc "kernel overhead" test_kernel_overhead_slows_stack;
       tc "flounder interleaved" test_flounder_interleaved_clients;

@@ -325,10 +325,10 @@ let session_call_cost () =
       (words, float_of_int (Engine.domain_events_executed () - e0) /. 500.0))
 
 (* A session call takes the binding lock, fills the binding's scratch
-   request and sends its prebuilt message without building a closure or
-   a tuple. Every event of the round trip (15: client, worker and both
-   wire sequencers) resumes one continuation of 2 words, and the only
-   other allocation is the worker's 3-word response record. *)
+   request and sends it without building a closure or a tuple. Every
+   event of the round trip (15: client, worker and both wire sequencers)
+   resumes one continuation of 2 words, and the only other allocation is
+   the worker's 3-word response record. *)
 let test_session_call_allocation () =
   let words, events = session_call_cost () in
   if words <> (2.0 *. events) +. 3.0 then

@@ -176,7 +176,8 @@ let test_remote_coherence_roundtrip () =
   let m1 = Mk.Shard.machine sh 1 in
   let addr = Machine.alloc_lines m1 ~node:7 1 in
   let coh0 = (Mk.Shard.machine sh 0).Machine.coh in
-  Coherence.set_home coh0 ~line:(Coherence.line_of_addr coh0 addr) ~node:7;
+  let line = Coherence.line_of_addr coh0 addr in
+  Coherence.set_home_range coh0 ~first_line:line ~last_line:line ~node:7;
   let t_load = ref (-1) and t_store = ref (-1) in
   Pdes.spawn (Mk.Shard.pdes sh) ~shard:0 ~name:"req" (fun () ->
       let t0 = Engine.now_ () in
@@ -205,7 +206,8 @@ let test_remote_line_refuses_posted () =
   let coh0 = (Mk.Shard.machine sh 0).Machine.coh in
   let remote_line () =
     let addr = Machine.alloc_lines m1 ~node:7 1 in
-    Coherence.set_home coh0 ~line:(Coherence.line_of_addr coh0 addr) ~node:7;
+    let line = Coherence.line_of_addr coh0 addr in
+    Coherence.set_home_range coh0 ~first_line:line ~last_line:line ~node:7;
     addr
   in
   let fresh = remote_line () and touched = remote_line () in
@@ -278,7 +280,8 @@ let sharded_hw_run ~domains =
   let m3 = Mk.Shard.machine sh 3 in
   let addr = Machine.alloc_lines m3 ~node:6 1 in
   let coh0 = (Mk.Shard.machine sh 0).Machine.coh in
-  Coherence.set_home coh0 ~line:(Coherence.line_of_addr coh0 addr) ~node:6;
+  let line = Coherence.line_of_addr coh0 addr in
+  Coherence.set_home_range coh0 ~first_line:line ~last_line:line ~node:6;
   Pdes.spawn (Mk.Shard.pdes sh) ~shard:0 ~name:"loader" (fun () ->
       for i = 1 to 12 do
         Coherence.load coh0 ~core:1 addr;

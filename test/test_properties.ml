@@ -219,7 +219,7 @@ let fusion_observe ~fusion (traces, n_msgs) =
   List.iteri
     (fun c ops ->
       let core = c mod n in
-      Machine.spawn_on m ~core (fun () ->
+      Engine.spawn m.Machine.eng (fun () ->
           List.iter
             (fun (tag, amt) ->
               match tag mod 6 with
@@ -234,13 +234,13 @@ let fusion_observe ~fusion (traces, n_msgs) =
           ends := (c, Engine.now_ ()) :: !ends))
     traces;
   let ch = Mk.Urpc.create m ~sender:0 ~receiver:2 () in
-  Machine.spawn_on m ~core:0 (fun () ->
+  Engine.spawn m.Machine.eng (fun () ->
       for i = 1 to n_msgs do
         Mk.Urpc.send ch i
       done;
       Engine.flush_charge ();
       ends := (100, Engine.now_ ()) :: !ends);
-  Machine.spawn_on m ~core:2 (fun () ->
+  Engine.spawn m.Machine.eng (fun () ->
       for _ = 1 to n_msgs do
         ignore (Mk.Urpc.recv ch : int)
       done;

@@ -5,7 +5,6 @@ let test_ivar_basic () =
   run_sim (fun () ->
       let iv = Sync.Ivar.create () in
       check_bool "not filled" false (Sync.Ivar.is_filled iv);
-      check_bool "peek none" true (Sync.Ivar.peek iv = None);
       Sync.Ivar.fill iv 42;
       check_bool "filled" true (Sync.Ivar.is_filled iv);
       check_int "read" 42 (Sync.Ivar.read iv);
@@ -78,11 +77,12 @@ let test_mutex_exclusion () =
       let done_ = Sync.Semaphore.create 0 in
       for _ = 1 to 5 do
         Engine.spawn_ (fun () ->
-            Sync.Mutex.with_lock mu (fun () ->
-                incr inside;
-                if !inside > !max_inside then max_inside := !inside;
-                Engine.wait 10;
-                decr inside);
+            Sync.Mutex.lock mu;
+            incr inside;
+            if !inside > !max_inside then max_inside := !inside;
+            Engine.wait 10;
+            decr inside;
+            Sync.Mutex.unlock mu;
             Sync.Semaphore.release done_)
       done;
       for _ = 1 to 5 do
@@ -93,63 +93,6 @@ let test_mutex_exclusion () =
         (match Sync.Mutex.unlock mu with
          | () -> false
          | exception Invalid_argument _ -> true))
-
-let test_condition () =
-  run_sim (fun () ->
-      let mu = Sync.Mutex.create () in
-      let cond = Sync.Condition.create () in
-      let ready = ref false in
-      let observed = ref false in
-      Engine.spawn_ (fun () ->
-          Sync.Mutex.lock mu;
-          while not !ready do
-            Sync.Condition.wait cond mu
-          done;
-          observed := true;
-          Sync.Mutex.unlock mu);
-      Engine.wait 20;
-      Sync.Mutex.lock mu;
-      ready := true;
-      Sync.Condition.signal cond;
-      Sync.Mutex.unlock mu;
-      Engine.wait 1;
-      check_bool "consumer saw flag" true !observed)
-
-let test_condition_broadcast () =
-  run_sim (fun () ->
-      let mu = Sync.Mutex.create () in
-      let cond = Sync.Condition.create () in
-      let woke = ref 0 in
-      for _ = 1 to 3 do
-        Engine.spawn_ (fun () ->
-            Sync.Mutex.lock mu;
-            Sync.Condition.wait cond mu;
-            incr woke;
-            Sync.Mutex.unlock mu)
-      done;
-      Engine.wait 10;
-      Sync.Condition.broadcast cond;
-      Engine.wait 1;
-      check_int "all three woke" 3 !woke)
-
-let test_barrier_rounds () =
-  run_sim (fun () ->
-      let bar = Sync.Barrier.create 3 in
-      let rounds = Array.make 3 0 in
-      let finished = Sync.Semaphore.create 0 in
-      for i = 0 to 2 do
-        Engine.spawn_ (fun () ->
-            for _ = 1 to 4 do
-              Engine.wait (i * 5);
-              Sync.Barrier.await bar;
-              rounds.(i) <- rounds.(i) + 1
-            done;
-            Sync.Semaphore.release finished)
-      done;
-      for _ = 1 to 3 do
-        Sync.Semaphore.acquire finished
-      done;
-      Array.iteri (fun i r -> check_int (Printf.sprintf "party %d" i) 4 r) rounds)
 
 let qcheck_mailbox_order =
   qtest "mailbox preserves order" QCheck2.Gen.(list small_int) (fun xs ->
@@ -172,8 +115,5 @@ let suite =
       tc "mailbox blocking" test_mailbox_blocking;
       tc "semaphore" test_semaphore;
       tc "mutex exclusion" test_mutex_exclusion;
-      tc "condition" test_condition;
-      tc "condition broadcast" test_condition_broadcast;
-      tc "barrier rounds" test_barrier_rounds;
       qcheck_mailbox_order;
     ] )

@@ -131,9 +131,7 @@ let test_flounder_rpc () =
       let b = Flounder.connect sh ~name:"doubler" ~client:0 ~server:2 () in
       Flounder.export b (fun x -> x * 2);
       check_int "rpc" 14 (Flounder.rpc b 7);
-      let wait = Flounder.rpc_async b 10 in
-      check_int "split-phase" 20 (wait ());
-      Flounder.oneway b 5;
+      check_int "second rpc" 20 (Flounder.rpc b 10);
       check_int "cores" 0 (Flounder.client_core b);
       check_int "server core" 2 (Flounder.server_core b))
 
