@@ -161,6 +161,20 @@ let dense_pkg_max = 64
 (* Slots a fresh table holds before its first growth. *)
 let initial_slots = 64
 
+(* The directed link counters along the route from package [src] to
+   [dst], in route order ([[||]] when they coincide). The route is walked
+   hop by hop, so no list of links is built. *)
+let route_counters counters topo src dst =
+  let refs = Array.make (Topology.hops topo src dst) (ref 0) in
+  let u = ref src in
+  for i = 0 to Array.length refs - 1 do
+    let v = Topology.next_hop topo !u dst in
+    refs.(i) <- Perfcounter.link_counter counters (!u, v);
+    u := v
+  done;
+  assert (!u = dst);
+  refs
+
 let create ?cache_lines_per_core plat counters =
   let n = Platform.n_cores plat in
   if n >= nil then invalid_arg "Coherence.create: too many cores for the packed line table";
@@ -189,10 +203,7 @@ let create ?cache_lines_per_core plat counters =
     if not dense then [||]
     else
       Array.init npkg (fun src ->
-          Array.init npkg (fun dst ->
-              Topology.path_directed topo src dst
-              |> List.map (Perfcounter.link_counter counters)
-              |> Array.of_list))
+          Array.init npkg (fun dst -> route_counters counters topo src dst))
   in
   let probe_refs =
     Array.concat
@@ -412,11 +423,7 @@ let path_refs_of t src_pkg dst_pkg =
     let refs = Inttbl.find_or t.path_cache key [||] in
     if refs != [||] then refs
     else begin
-      let refs =
-        Topology.path_directed t.plat.Platform.topo src_pkg dst_pkg
-        |> List.map (Perfcounter.link_counter t.counters)
-        |> Array.of_list
-      in
+      let refs = route_counters t.counters t.plat.Platform.topo src_pkg dst_pkg in
       Inttbl.set t.path_cache key refs;
       refs
     end

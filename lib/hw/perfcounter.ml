@@ -43,9 +43,9 @@ let count_dram (t : t) ~core = bump t.dram_fetch ~core
 let count_inval (t : t) ~core = bump t.invalidations ~core
 
 let link_counter (t : t) link =
-  match Hashtbl.find_opt t.link_dwords link with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.link_dwords link with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.replace t.link_dwords link r;
     r

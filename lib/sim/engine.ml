@@ -12,7 +12,13 @@
    instead of the heap; every later event goes to the heap. The run loop
    merges the FIFO and heap fronts by (time, seq), so the schedule is
    bit-for-bit identical to the all-heap engine while same-time events
-   cost O(1) with no sift. *)
+   cost O(1) with no sift.
+
+   A wait whose resumption would be the very next event the loop pops
+   (nothing due now, nothing in the heap due at or before it, and within
+   the current run's limit) does not go through the queue at all: the
+   task moves the clock, consumes the seq and counts the event as
+   executed in place, and carries on (see [advance]; DESIGN.md §8). *)
 
 type waker = ?delay:int -> unit -> unit
 
@@ -42,8 +48,8 @@ type ev = Obj.t
    ignored. *)
 type wake_cell = { mutable k : ev; mutable fn : waker }
 
-(* The per-domain latency-charge cell: see "deferred latency charging"
-   below. *)
+(* The per-domain cell: the latency-charge bank (see "deferred latency
+   charging" below), the running engine and the domain's event counts. *)
 type charge_cell = {
   mutable pending : int;  (* banked delay, flushed at interaction points *)
   mutable deferred : int;  (* charges banked (would-be wait events) *)
@@ -53,11 +59,23 @@ type charge_cell = {
      the engine's handler on this domain before anything else runs. *)
   mutable wait_n : int;
   mutable register : waker -> unit;
+  (* The engine whose run loop is draining events on this domain (saved
+     and restored across nested runs). Every task handler is installed by
+     that loop, so inside a task this is always [Some]. [now_], [spawn_]
+     and [advance] reach the engine through it, with no effect. *)
+  mutable running : t option;
+  mutable dom_executed : int;  (* events executed by every engine on this domain *)
+  mutable dom_inplace : int;  (* of those, waits resumed in place *)
 }
 
-type t = {
+and t = {
   mutable now : int;
   mutable seq : int;
+  (* Latest time the current run may reach: [run_to]'s limit. *)
+  mutable lim : int;
+  (* A bare thunk (not a task) is running: no wait may resume in place,
+     so a wait from one still raises [Effect.Unhandled]. *)
+  mutable in_thunk : bool;
   heap : ev Heap.t;
   (* FIFO of events due at the current time: parallel seq/event rings. *)
   mutable fq_seq : int array;
@@ -99,14 +117,6 @@ let ev_of_thunk (f : unit -> unit) : ev = Obj.repr f
 
 let ev_of_cont (k : (unit, unit) Effect.Deep.continuation) : ev = Obj.repr k
 
-(* Execute a queued event. The tag check is exact: a first-class
-   continuation is always a [cont_tag] block, and no callable value ever
-   carries that tag (closures are [closure_tag]/[infix_tag]). *)
-let run_ev (x : ev) =
-  if Obj.tag x = Obj.cont_tag then
-    Effect.Deep.continue (Obj.obj x : (unit, unit) Effect.Deep.continuation) ()
-  else (Obj.obj x : unit -> unit) ()
-
 (* Rewind an *idle* engine (no pending events, no live tasks) to t=0 so its
    FIFO rings and heap arrays are reused by the next run instead of
    reallocated — the benchmark's engine.spawn_run probe measures
@@ -131,23 +141,6 @@ let next_time t =
   if t.fq_len > 0 then t.now
   else if Heap.is_empty t.heap then max_int
   else Heap.min_time t.heap
-
-(* Events executed by every engine on this domain: lets the bench harness
-   attribute events/sec to a bench without threading engine handles out,
-   and stays correct when benches run on parallel domains. *)
-let domain_executed : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-(* The engine whose [run] loop is currently draining events on this
-   domain (saved/restored across nested runs). Every task handler is
-   installed by that loop, so inside a task this is always [Some]. [now_]
-   reads the clock through it rather than performing an effect (two stack
-   switches plus a continuation per call, which the serving bench would
-   pay ~28M times), and [spawn_] schedules on it. *)
-let domain_running : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let domain_events_executed () = !(Domain.DLS.get domain_executed)
 
 (* -- deferred latency charging ("fusion") --
 
@@ -185,7 +178,16 @@ let domain_charge : charge_cell Domain.DLS.key =
         fuse = fusion_default;
         wait_n = 0;
         register = no_register;
+        running = None;
+        dom_executed = 0;
+        dom_inplace = 0;
       })
+
+(* Events executed by every engine on this domain: lets the bench harness
+   attribute events/sec to a bench without threading engine handles out,
+   and stays correct when benches run on parallel domains. *)
+let domain_events_executed () = (Domain.DLS.get domain_charge).dom_executed
+let domain_events_inplace () = (Domain.DLS.get domain_charge).dom_inplace
 
 let set_fusion b = (Domain.DLS.get domain_charge).fuse <- b
 let fusion_enabled () = (Domain.DLS.get domain_charge).fuse
@@ -247,16 +249,43 @@ let schedule t ~at thunk =
   if at = t.now then fifo_push t t.seq thunk
   else Heap.push t.heap ~time:at ~seq:t.seq thunk
 
+(* Yield for [n] cycles: the handler schedules the continuation. *)
+let yield_for c n =
+  c.wait_n <- n;
+  Effect.perform E_wait
+
+(* Advance the running task by [n] cycles, from inside a task. The
+   resumption is due at [at = now + max 0 n] with the next [seq]. When
+   the run loop would pop it next anyway (nothing is due now, the heap
+   holds nothing due at or before [at], since an entry at [at] has a
+   lower seq, and [at] is within the run's limit) the task resumes in
+   place: the clock moves, the seq is consumed and the event counts as
+   executed, as the loop would have done, with no effect, continuation
+   or queue push. Otherwise, and always from a bare thunk, it performs
+   the effect, so a wait from a thunk still raises [Effect.Unhandled]. *)
+let advance c n =
+  match c.running with
+  | Some t when t.fq_len = 0 && not t.in_thunk ->
+    let at = t.now + max 0 n in
+    if at <= t.lim && (Heap.is_empty t.heap || Heap.min_time t.heap > at) then begin
+      t.now <- at;
+      t.seq <- t.seq + 1;
+      t.executed <- t.executed + 1;
+      c.dom_executed <- c.dom_executed + 1;
+      c.dom_inplace <- c.dom_inplace + 1
+    end
+    else yield_for c n
+  | _ -> yield_for c n
+
 (* Pay a non-empty bank [c] as one wait, from inside a task. *)
 let pay c =
   let p = c.pending in
   c.pending <- 0;
   c.flushes <- c.flushes + 1;
-  c.wait_n <- p;
-  Effect.perform E_wait
+  advance c p
 
 (* The domain's cell once its bank is paid: one fetch when nothing is
-   banked, and a second after paying, which yields. *)
+   banked, and a second after paying, which may have yielded. *)
 let flushed_cell () =
   let c = Domain.DLS.get domain_charge in
   if c.pending > 0 then begin
@@ -266,7 +295,7 @@ let flushed_cell () =
   else c
 
 (* Drain the pending-charge bank as one wait. Must run inside a task (it
-   performs [E_wait]); a no-op when nothing is banked, so it is safe (and
+   may perform [E_wait]); a no-op when nothing is banked, so it is safe (and
    cheap) to call at every interaction point. *)
 let flush_charge () =
   let c = Domain.DLS.get domain_charge in
@@ -307,6 +336,8 @@ let create () =
     {
       now = 0;
       seq = 0;
+      lim = max_int;
+      in_thunk = false;
       (* Pre-sized with the engine's own dummy thunk so the first timed
          event of a run does not pay the backing-array allocation mid-flight;
          the arrays are recycled across runs of a [reset] engine. *)
@@ -439,6 +470,7 @@ let exec t (name : string) f =
   let tid = t.next_task in
   t.next_task <- tid + 1;
   let slot = take_slot t tid name in
+  t.in_thunk <- false;
   Effect.Deep.match_with body f (handler_of t slot)
 
 (* Start task [f] at the current virtual time: callable from inside a task
@@ -495,9 +527,23 @@ let stalled t =
   raise
     (Stalled (Printf.sprintf "%d task(s) suspended forever at t=%d: %s" t.live t.now who))
 
+(* Execute a queued event. The tag check is exact: a first-class
+   continuation is always a [cont_tag] block, and no callable value ever
+   carries that tag (closures are [closure_tag]/[infix_tag]). A thunk
+   runs flagged [in_thunk]; a spawn thunk clears the flag for the task it
+   starts ([exec]). *)
+let run_ev t (x : ev) =
+  if Obj.tag x = Obj.cont_tag then
+    Effect.Deep.continue (Obj.obj x : (unit, unit) Effect.Deep.continuation) ()
+  else begin
+    t.in_thunk <- true;
+    (Obj.obj x : unit -> unit) ();
+    t.in_thunk <- false
+  end
+
 (* The run loop: a top-level function of its state rather than a closure,
-   so entering it allocates nothing. [lim = max_int] means no limit. *)
-let rec drain t lim allow_stall dom_counter =
+   so entering it allocates nothing. [t.lim = max_int] means no limit. *)
+let rec drain t allow_stall =
   let have_f = t.fq_len > 0 in
   let have_h = not (Heap.is_empty t.heap) in
   if not have_f && not have_h then begin
@@ -513,27 +559,32 @@ let rec drain t lim allow_stall dom_counter =
          || (Heap.min_time t.heap = t.now && Heap.min_seq t.heap < fifo_front_seq t))
     in
     let ntime = if from_heap then Heap.min_time t.heap else t.now in
-    if ntime > lim then stop_at t lim
+    if ntime > t.lim then stop_at t t.lim
     else begin
       let thunk = if from_heap then Heap.pop_exn t.heap else fifo_pop t in
       t.now <- ntime;
       t.executed <- t.executed + 1;
-      incr dom_counter;
-      run_ev thunk;
-      drain t lim allow_stall dom_counter
+      t.cell.dom_executed <- t.cell.dom_executed + 1;
+      run_ev t thunk;
+      drain t allow_stall
     end
   end
 
 let run_to t lim allow_stall =
-  let cur = Domain.DLS.get domain_running in
-  let saved = !cur in
-  cur := t.self;
-  t.cell <- Domain.DLS.get domain_charge;
-  match drain t lim allow_stall (Domain.DLS.get domain_executed) with
-  | () -> cur := saved
+  let c = Domain.DLS.get domain_charge in
+  let saved = c.running and saved_lim = t.lim in
+  c.running <- t.self;
+  t.cell <- c;
+  t.lim <- lim;
+  match drain t allow_stall with
+  | () ->
+    c.running <- saved;
+    t.lim <- saved_lim
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    cur := saved;
+    c.running <- saved;
+    t.lim <- saved_lim;
+    t.in_thunk <- false;
     Printexc.raise_with_backtrace e bt
 
 let run t ?until ?(allow_stall = true) () =
@@ -553,14 +604,12 @@ let run_until t until = run_to t until true
    flush (a yield) would tear. *)
 
 let now_ () =
-  match !(Domain.DLS.get domain_running) with
-  | Some t -> t.now + (Domain.DLS.get domain_charge).pending
+  let c = Domain.DLS.get domain_charge in
+  match c.running with
+  | Some t -> t.now + c.pending
   | None -> invalid_arg "Engine.now_: no running engine"
 
-let wait n =
-  let c = flushed_cell () in
-  c.wait_n <- n;
-  Effect.perform E_wait
+let wait n = advance (flushed_cell ()) n
 
 let charge n =
   let c = Domain.DLS.get domain_charge in
@@ -584,7 +633,7 @@ let suspend register =
    *virtual* time, since a parent with a banked charge has conceptually
    already lived those cycles. *)
 let spawn_ ?(name = "task") f =
-  match !(Domain.DLS.get domain_running) with
+  match (Domain.DLS.get domain_charge).running with
   | Some t -> spawn_named t name f
   | None -> invalid_arg "Engine.spawn_: no running engine"
 

@@ -45,6 +45,13 @@ val domain_events_executed : unit -> int
     events/sec; per-domain (not global) so parallel bench workers don't
     see each other's events. *)
 
+val domain_events_inplace : unit -> int
+(** Of {!domain_events_executed}, the waits (a {!wait}, or the flush of
+    a banked {!charge}) that resumed in place: the resumption was the
+    next event the run loop would pop, so the task advanced the clock
+    without yielding. Read-only; a test pins it so that a change which
+    defeats the in-place path fails. *)
+
 val domain_events_fused : unit -> int
 (** Scheduler events saved by latency-charge fusion on the current domain:
     charges banked minus flush waits paid. Adding this to
@@ -111,7 +118,9 @@ val live_tasks : t -> int
     handled by {!run}, and raise [Effect.Unhandled] elsewhere. The effects
     behind {!wait} and {!suspend} carry no payload (the delay or register
     callback waits in a per-domain cell for the handler), so either one
-    allocates only the continuation the OCaml runtime captures. *)
+    allocates only the continuation the OCaml runtime captures. A wait
+    whose resumption is the next event due resumes in place, without an
+    effect, and allocates nothing (see {!domain_events_inplace}). *)
 
 type waker = ?delay:int -> unit -> unit
 (** The resumption callback handed to {!suspend}. A task has one waker,
@@ -136,7 +145,10 @@ val now_ : unit -> int
     state. *)
 
 val wait : int -> unit
-(** Advance this task's local time by [n >= 0] cycles. *)
+(** Advance this task's local time by [n >= 0] cycles. When nothing else
+    is due before the task's resumption (and it is within the current
+    run's limit), the task resumes in place: same schedule, same event
+    count, no yield. *)
 
 val charge : int -> unit
 (** Bank a *pure* delay — one that nothing else can observe before this

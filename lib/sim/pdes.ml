@@ -500,7 +500,7 @@ let exec_team t ~domains:d =
   let worker w () =
     Engine.set_fusion fusion;
     let ev0 = Engine.domain_events_executed () and fu0 = Engine.domain_events_fused () in
-    let g0 = Gc.quick_stat () in
+    let mi0 = Gc.minor_words () and ma0 = (Gc.quick_stat ()).Gc.major_collections in
     let my_round = ref 0 in
     let published () = Atomic.get round <> !my_round in
     let rec loop () =
@@ -519,12 +519,11 @@ let exec_team t ~domains:d =
       end
     in
     loop ();
-    let g1 = Gc.quick_stat () in
     let tot = totals.(w - 1) in
     tot.w_executed <- Engine.domain_events_executed () - ev0;
     tot.w_fused <- Engine.domain_events_fused () - fu0;
-    tot.w_minor <- g1.Gc.minor_words -. g0.Gc.minor_words;
-    tot.w_major <- g1.Gc.major_collections - g0.Gc.major_collections
+    tot.w_minor <- Gc.minor_words () -. mi0;
+    tot.w_major <- (Gc.quick_stat ()).Gc.major_collections - ma0
   in
   let p0 = start t in
   let workers = List.init (d - 1) (fun w -> Domain.spawn (worker (w + 1))) in

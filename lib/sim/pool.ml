@@ -104,8 +104,10 @@ let total_executed () =
 
 let total_fused () = Engine.domain_events_fused () + (Domain.DLS.get foreign_key).f_fused
 
-let total_minor_words () =
-  (Gc.quick_stat ()).Gc.minor_words +. (Domain.DLS.get foreign_key).f_minor
+(* [Gc.minor_words] is this domain's own count, exact to the word: it
+   includes the minor heap in use, and leaves out other domains, whose
+   words reach these totals through [absorb]. *)
+let total_minor_words () = Gc.minor_words () +. (Domain.DLS.get foreign_key).f_minor
 
 let total_major_collections () =
   (Gc.quick_stat ()).Gc.major_collections + (Domain.DLS.get foreign_key).f_major

@@ -221,10 +221,9 @@ let test_loadgen_refuses_out_of_order_rearrival () =
 
 (* Minor words per issued request of a closed-loop run on a 2-machine
    cluster (914 requests), serially: deterministic for a given build. The
-   budget is the measured figure, 108.5711, rounded up to the next
-   hundredth; it was 124.5164 while every request built a fresh request
-   record, reply record and LB wrapper and every re-arrival a closure. *)
-let words_per_request_budget = 108.58
+   budget is the measured figure, 86.6761, rounded up to the next
+   hundredth. *)
+let words_per_request_budget = 86.68
 
 let test_load_words_per_request () =
   let words =
@@ -240,6 +239,37 @@ let test_load_words_per_request () =
   if words > words_per_request_budget then
     Alcotest.failf "run_load: %.4f minor words per issued request (budget %.2f)" words
       words_per_request_budget
+
+(* -- engine events on the smoke sweep ---------------------------------- *)
+
+(* The two cells of the `--cluster-smoke` sweep, serially: the engine
+   events they execute with fusion on, and how many of those are waits
+   that resumed in place, are deterministic. Pinning both makes a change
+   that defeats the in-place path (or moves the schedule) fail here
+   rather than only in a noisy timing. *)
+let test_smoke_inplace_count () =
+  let saved = !Mk_benches.Cluster_bench.smoke in
+  Mk_benches.Cluster_bench.smoke := true;
+  let cells =
+    Fun.protect
+      ~finally:(fun () -> Mk_benches.Cluster_bench.smoke := saved)
+      Mk_benches.Cluster_bench.cells
+  in
+  let fused = Engine.fusion_enabled () in
+  Engine.set_fusion true;
+  let count () =
+    let e0 = Engine.domain_events_executed () in
+    let i0 = Engine.domain_events_inplace () in
+    List.iter (fun c -> ignore (Mk_benches.Cluster_bench.run_cell c)) cells;
+    (Engine.domain_events_executed () - e0, Engine.domain_events_inplace () - i0)
+  in
+  let executed, inplace =
+    Fun.protect
+      ~finally:(fun () -> Engine.set_fusion fused)
+      (fun () -> with_domains 1 count)
+  in
+  check_int "events executed" 126_339 executed;
+  check_int "of which resumed in place" 53_014 inplace
 
 (* -- death of a backend: Ft detection + LB reroute -------------------- *)
 
@@ -320,6 +350,7 @@ let suite =
       tc "loadgen refuses an out-of-order re-arrival"
         test_loadgen_refuses_out_of_order_rearrival;
       tc "run_load words per request" test_load_words_per_request;
+      tc "smoke sweep: executed and in-place event counts" test_smoke_inplace_count;
       tc "backend death: Ft detect + reroute" test_backend_death;
       tc "determinism across PDES domains" test_determinism;
     ] )

@@ -312,16 +312,18 @@ let test_spill_and_return () =
 (* Spilling to a pooled set and returning inline allocate nothing once
    the pool has grown. A round is a store and then k readers, each on its
    own package: the store returns a spilled set inline, the third reader
-   spills it again. Each of the k + 1 accesses is one blocking wait, and
-   its continuation (2 words) is all a round allocates, from k = 1 to 5,
-   across the inline-to-spilled boundary. *)
+   spills it again. Each of the k + 1 accesses is one blocking wait (k + 1
+   events a round). The task runs alone, so every wait resumes in place:
+   a round allocates 2 words per resume that went through the scheduler,
+   which is none, from k = 1 to 5, across the inline-to-spilled
+   boundary. *)
 let test_spill_allocates_nothing () =
-  let words k =
+  let cost k =
     let m = Machine.create Platform.amd_8x4 in
     let coh = m.Machine.coh in
     let a = Machine.alloc_lines m 1 in
     let readers = Array.sub [| 8; 12; 16; 20; 24 |] 0 k in
-    let w = ref nan in
+    let r = ref (nan, -1, -1) in
     Engine.spawn m.Machine.eng (fun () ->
         let round () =
           Coherence.store coh ~core:4 a;
@@ -330,19 +332,27 @@ let test_spill_allocates_nothing () =
           done
         in
         for _ = 1 to 100 do round () done;
+        let e0 = Engine.domain_events_executed () and s0 = scheduled_events () in
         let w0 = Gc.minor_words () in
         for _ = 1 to 10_000 do round () done;
-        w := (Gc.minor_words () -. w0) /. 10_000.);
+        let words = (Gc.minor_words () -. w0) /. 10_000. in
+        r := (words, Engine.domain_events_executed () - e0, scheduled_events () - s0));
     Machine.run m;
-    !w
+    !r
   in
-  let w = Array.init 5 (fun i -> words (i + 1)) in
+  let c = Array.init 5 (fun i -> cost (i + 1)) in
+  let show f = String.concat " " (Array.to_list (Array.map f c)) in
   Array.iteri
-    (fun i wk ->
-      if wk <> float_of_int (2 * (i + 2)) then
-        Alcotest.failf "words per round with 1..5 readers: %s (want 4 6 8 10 12)"
-          (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.2f") w))))
-    w
+    (fun i (w, events, scheduled) ->
+      let k = i + 1 in
+      if events <> 10_000 * (k + 1) || scheduled <> 0 || w <> 0.0 then
+        Alcotest.failf
+          "1..5 readers: words per round %s (want 0 0 0 0 0), events %s (want \
+           10,000 per access), resumed through the scheduler %s (want 0)"
+          (show (fun (w, _, _) -> Printf.sprintf "%.2f" w))
+          (show (fun (_, e, _) -> string_of_int e))
+          (show (fun (_, _, s) -> string_of_int s)))
+    c
 
 (* Words allocated by simulated accesses that do not wait, on a fresh
    amd_8x4 machine: 10,100 rounds, the first 100 a warm-up. A round calls

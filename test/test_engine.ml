@@ -27,6 +27,15 @@ let test_now_outside_run () =
   check_int "inside a run" 7 (run_sim (fun () -> Engine.wait 7; Engine.now_ ()));
   outside ()
 
+(* A bare thunk is not a task: a wait from one raises, even when its
+   resumption would be the next event due and so could resume in place. *)
+let test_wait_in_thunk () =
+  let eng = Engine.create () in
+  Engine.schedule_at eng ~at:10 (fun () -> Engine.wait 5);
+  match Engine.run eng () with
+  | () -> Alcotest.fail "a wait from a thunk returned"
+  | exception Effect.Unhandled _ -> check_int "clock" 10 (Engine.now eng)
+
 let test_spawn_ordering () =
   (* Tasks spawned at the same time run in spawn order. *)
   let eng = Engine.create () in
@@ -679,19 +688,23 @@ let prop_ring_matches_queue =
    Minor words per operation, averaged over 100k operations after a
    warm-up that grows every ring and queue to size: deterministic for a
    given build, so the budgets pin the engine's per-event diet. A wait or
-   a suspend is its continuation and nothing else: the effects carry no
-   payload, a task's waker is built once, on its first suspend, and
-   [Sync] queues its waker on a ring. *)
+   a suspend that goes through the scheduler is its continuation and
+   nothing else: the effects carry no payload, a task's waker is built
+   once, on its first suspend, and [Sync] queues its waker on a ring. A
+   wait whose resumption is the next event due resumes in place and
+   allocates nothing. *)
 
 let alloc_ops = 100_000
 
 (* Words allocated per call of [op] by the task running it. [partner],
    if any, runs alongside as a second task for [alloc_ops + warm-up]
-   rounds. *)
-let words_per_op ?partner op =
+   rounds. [ticks], if any, are the times of no-op events scheduled
+   before the run: the engine executes them without allocating. *)
+let words_per_op ?partner ?(ticks = Seq.empty) op =
   let warm = 1_000 in
   let eng = Engine.create () in
   let words = ref nan in
+  Seq.iter (fun at -> Engine.schedule_at eng ~at ignore) ticks;
   Option.iter
     (fun p -> Engine.spawn eng ~name:"partner" (fun () -> p (warm + alloc_ops)))
     partner;
@@ -713,7 +726,20 @@ let test_allocation_budget () =
       Alcotest.failf "%s: %.2f minor words per operation (budget %.0f)" name words
         budget
   in
-  check "wait" 2.0 (words_per_op (fun () -> Engine.wait 1));
+  let exactly name want words =
+    if words <> want then
+      Alcotest.failf "%s: %.2f minor words per operation (want %.0f)" name words want
+  in
+  (* Alone, every wait resumes in place. *)
+  exactly "lone wait" 0.0 (words_per_op (fun () -> Engine.wait 1));
+  (* An event due before the resumption, or at its time but scheduled
+     first, sends every wait through the scheduler, which captures its
+     continuation. *)
+  let n = 2 * (1_000 + alloc_ops) in
+  exactly "wait past an earlier event" 2.0
+    (words_per_op ~ticks:(Seq.init n (fun i -> (2 * i) + 1)) (fun () -> Engine.wait 2));
+  exactly "wait tied with an earlier-scheduled event" 2.0
+    (words_per_op ~ticks:(Seq.init n (fun i -> i + 1)) (fun () -> Engine.wait 1));
   (* A semaphore round trip: two suspends, one per side. *)
   let ping = Sync.Semaphore.create 0 and pong = Sync.Semaphore.create 0 in
   check "semaphore round trip" 4.0
@@ -748,6 +774,7 @@ let suite =
       tc "wait advances time" test_wait_advances_time;
       tc "negative wait" test_negative_wait_is_zero;
       tc "now_ outside a run" test_now_outside_run;
+      tc "wait in a bare thunk raises" test_wait_in_thunk;
       tc "spawn ordering" test_spawn_ordering;
       tc "determinism" test_determinism;
       tc "suspend/wake" test_suspend_wake;

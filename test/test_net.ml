@@ -139,8 +139,11 @@ let test_udp_over_link () =
 (* A frame sent over a [connect_urpc] link allocates only its waits:
    over 1,000 sends each of a 1-line, a 2-line and a full 24-line
    Ethernet frame, past a warm-up, the words allocated are exactly the
-   2-word continuations of the engine events that ran during the sends.
-   The line count reaches [Urpc.send] as a prebuilt option. *)
+   2-word continuations of the engine events that ran during the sends
+   and resumed through the scheduler. The sender runs alone between
+   sends, so each of the 30,063 events is a wait that resumes in place:
+   none goes through the scheduler and the sends allocate nothing. The
+   line count reaches [Urpc.send] as a prebuilt option. *)
 let test_urpc_link_send_allocates_only_waits () =
   run_machine (fun m ->
       let nif_a, nif_b = Stack.connect_urpc m ~core_a:0 ~core_b:2 () in
@@ -151,24 +154,28 @@ let test_urpc_link_send_allocates_only_waits () =
           (fun size -> Pbuf.alloc m ~size ())
           [| 60; 100; Ethernet.header_bytes + Ethernet.mtu |]
       in
-      let words = ref 0 and events = ref 0 in
+      let words = ref 0 and events = ref 0 and scheduled = ref 0 in
       for i = 1 to 1_100 do
         Array.iter
           (fun p ->
             Engine.wait 100_000;
-            let e0 = Engine.domain_events_executed () in
+            let e0 = Engine.domain_events_executed () and s0 = scheduled_events () in
             let w0 = Gc.minor_words () in
             Netif.transmit nif_a p;
             if i > 100 then begin
               words := !words + int_of_float (Gc.minor_words () -. w0);
-              events := !events + Engine.domain_events_executed () - e0
+              events := !events + Engine.domain_events_executed () - e0;
+              scheduled := !scheduled + scheduled_events () - s0
             end)
           frames
       done;
       Engine.wait 100_000;
       check_int "frames delivered" (3 * 1_100) !got;
       check_bool "the sends ran events" true (!events > 0);
-      check_int "words over 3,000 sends = 2 per event" (2 * !events) !words)
+      check_int "events over 3,000 sends" 30_063 !events;
+      check_int "events resumed through the scheduler" 0 !scheduled;
+      check_int "words over 3,000 sends = 2 per scheduled event" (2 * !scheduled)
+        !words)
 
 let test_udp_unbound_port_dropped () =
   with_stacks (fun m sa sb ->

@@ -223,15 +223,15 @@ let test_boot_input_checks () =
   raises "one injector, two shards" (fun () ->
       Os.boot ~shards:2 ~faults:[| inj () |] ~measure_latencies:Os.No_measure plat)
 
-(* Minor words per blocking access from shard 0 to a line pinned on
-   package [node], on amd_8x4 cut into [n_shards] shards. Cores 0 and 1
-   (package 0, shard 0) take turns storing and loading, so each access
-   moves the line or hits. *)
-let words_per_access ~n_shards ~node =
+(* Minor words and engine events through the scheduler per blocking
+   access from shard 0 to a line pinned on package [node], on amd_8x4 cut
+   into [n_shards] shards. Cores 0 and 1 (package 0, shard 0) take turns
+   storing and loading, so each access moves the line or hits. *)
+let access_cost ~n_shards ~node =
   let sh = Shard.create ~n_shards Platform.amd_8x4 in
   let coh = (Shard.machine sh 0).Machine.coh in
   let addr = Shard.alloc_shared sh ~src_core:0 ~node 1 in
-  let words = ref nan in
+  let r = ref (nan, nan) in
   Pdes.spawn (Shard.pdes sh) ~shard:0 ~name:"budget" (fun () ->
       let round () =
         Coherence.store coh ~core:0 addr;
@@ -242,43 +242,61 @@ let words_per_access ~n_shards ~node =
       for _ = 1 to 50 do
         round ()
       done;
+      let s0 = Test_util.scheduled_events () in
       let w0 = Gc.minor_words () in
       for _ = 1 to 500 do
         round ()
       done;
-      words := (Gc.minor_words () -. w0) /. 2000.0);
+      let words = (Gc.minor_words () -. w0) /. 2000.0 in
+      r := (words, float_of_int (Test_util.scheduled_events () - s0) /. 2000.0));
   Shard.exec ~domains:1 sh;
-  !words
+  !r
 
-(* A blocking access allocates its wait's continuation (2 words) and
-   nothing else: the table probe, the counter bumps and the directory
-   update are closure-free. A locally pinned line costs the same words on
-   two shards as on one. A line homed on the other shard adds exactly the
-   two Pdes thunks of the route: the request (13 words: ten captured
-   values) and the reply (4). Its service on the home shard allocates
-   nothing, and parking builds no callback. *)
-let access_budget = 2.0
+(* A blocking access allocates its wait's continuation (2 words) when the
+   wait resumes through the scheduler, and nothing else: the table probe,
+   the counter bumps and the directory update are closure-free. On one
+   shard the task runs alone, so every wait resumes in place and an
+   access allocates nothing. On two shards a locally pinned line costs
+   the same, except that a wait which would cross the window's end
+   yields (half the accesses, 1 word an access). A line homed on the
+   other shard adds exactly the two Pdes thunks of the route: the request
+   (13 words: ten captured values) and the reply (4). Both run as events
+   on the scheduler and allocate nothing there; the task parks once (its
+   continuation, 2 words), its service on the home shard allocates
+   nothing, and parking builds no callback: 19 words an access. Each
+   figure is pinned, and so is the relation that explains it. *)
 let route_thunks = 17.0
 
 let test_access_allocation_budget () =
-  let one = words_per_access ~n_shards:1 ~node:0 in
-  let local = words_per_access ~n_shards:2 ~node:0 in
-  let remote = words_per_access ~n_shards:2 ~node:7 in
-  if one > access_budget then
-    Alcotest.failf "blocking access: %.2f minor words (budget %.0f)" one access_budget;
-  if local <> one then
-    Alcotest.failf "local line: %.2f minor words on two shards, %.2f on one" local one;
-  if remote <> local +. route_thunks then
-    Alcotest.failf "remote line: %.2f minor words, local %.2f + %.0f route thunks" remote
-      local route_thunks
+  let pin what ~words ~scheduled (w, s) =
+    if w <> words || s <> scheduled then
+      Alcotest.failf
+        "%s: %.3f minor words, %.3f events through the scheduler per access (want \
+         %.1f, %.1f)"
+        what w s words scheduled
+  in
+  pin "one shard" ~words:0.0 ~scheduled:0.0 (access_cost ~n_shards:1 ~node:0);
+  let ((local_w, local_s) as local) = access_cost ~n_shards:2 ~node:0 in
+  pin "local line on two shards" ~words:1.0 ~scheduled:0.5 local;
+  let ((remote_w, remote_s) as remote) = access_cost ~n_shards:2 ~node:7 in
+  pin "remote line" ~words:19.0 ~scheduled:3.0 remote;
+  if local_w <> 2.0 *. local_s then
+    Alcotest.failf
+      "local line: %.3f minor words, %.3f resumes through the scheduler per access"
+      local_w local_s;
+  if remote_w <> (2.0 *. (remote_s -. 2.0)) +. route_thunks then
+    Alcotest.failf
+      "remote line: %.3f minor words, %.3f events through the scheduler (2 of them the \
+       route thunks) + %.0f route words per access"
+      remote_w remote_s route_thunks
 
 (* Minor words per [Os.protect] (an mprotect and its undo alternate, each
    a full LRPC + shootdown round trip over all 32 cores): deterministic
-   for a given build. The budget is the measured figure (3,722) exactly:
+   for a given build. The budget is the measured figure (3,588) exactly:
    one-shard boots install no cross-shard hooks, blocking and waking
    allocate nothing beyond the continuation, waiters queue on rings, and
    a simulated memory access and a counter bump build no closure. *)
-let protect_budget = 3_722.0
+let protect_budget = 3_588.0
 
 let test_protect_allocation_budget () =
   let os = Os.boot Platform.amd_8x4 in
@@ -317,25 +335,36 @@ let session_call_cost () =
         call i
       done;
       let e0 = Engine.domain_events_executed () in
+      let s0 = Test_util.scheduled_events () in
       let w0 = Gc.minor_words () in
       for i = 1 to 500 do
         call i
       done;
       let words = (Gc.minor_words () -. w0) /. 500.0 in
-      (words, float_of_int (Engine.domain_events_executed () - e0) /. 500.0))
+      let per n = float_of_int n /. 500.0 in
+      ( words,
+        per (Engine.domain_events_executed () - e0),
+        per (Test_util.scheduled_events () - s0) ))
 
 (* A session call takes the binding lock, fills the binding's scratch
    request and sends it without building a closure or a tuple. Every
    event of the round trip (15: client, worker and both wire sequencers)
-   resumes one continuation of 2 words, and the only other allocation is
-   the worker's 3-word response record. *)
+   resumes one continuation. Each of the 4 that resume through the
+   scheduler allocates it (2 words), the 11 that resume in place allocate
+   nothing, and the only other allocation is the worker's 3-word response
+   record: 11 words a call. *)
 let test_session_call_allocation () =
-  let words, events = session_call_cost () in
-  if words <> (2.0 *. events) +. 3.0 then
+  let words, events, scheduled = session_call_cost () in
+  if words <> 11.0 || events <> 15.0 || scheduled <> 4.0 then
     Alcotest.failf
-      "Session.call: %.2f minor words per call; %.2f events allocate %.2f, plus 3 for \
-       the response"
-      words events (2.0 *. events)
+      "Session.call: %.2f minor words, %.2f events, %.2f through the scheduler per call \
+       (want 11, 15, 4)"
+      words events scheduled;
+  if words <> (2.0 *. scheduled) +. 3.0 then
+    Alcotest.failf
+      "Session.call: %.2f minor words per call; %.2f events, %.2f through the \
+       scheduler allocate %.2f, plus 3 for the response"
+      words events scheduled (2.0 *. scheduled)
 
 let suite =
   ( "os-pdes",

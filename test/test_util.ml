@@ -35,6 +35,12 @@ let run_os ?(plat = Platform.amd_2x2) ?(measure_latencies = Mk.Os.No_measure) f 
   let os = Mk.Os.boot ~measure_latencies plat in
   Mk.Os.run os (fun () -> f os)
 
+(* Events executed on this domain that went through the scheduler: every
+   executed event except the waits that resumed in place. Each one that
+   resumes a task allocates that task's continuation (2 words). *)
+let scheduled_events () =
+  Engine.domain_events_executed () - Engine.domain_events_inplace ()
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
