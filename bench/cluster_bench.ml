@@ -86,10 +86,8 @@ let json_path = "CLUSTER_sim.json"
 
 let write_json results =
   let oc = open_out json_path in
-  (* v2 adds per-cell [wire_batches]/[wire_msgs]: coalescable wire flush
-     groups and the frames inside them. Machine_link counts both whether
-     or not batching is on, so the JSON stays byte-identical under
-     MK_NO_WIRE_BATCH=1 — the wire-batch referee diffs this file. *)
+  (* v2 adds per-cell [wire_batches]/[wire_msgs]: wire flush groups (the
+     windows in which a link sent) and the frames inside them. *)
   Printf.fprintf oc "{\n  \"schema\": \"cluster_sim/v2\",\n  \"cells\": [\n";
   let last = List.length results - 1 in
   List.iteri

@@ -19,10 +19,14 @@ let ok_html body = { status = 200; content_type = "text/html"; body }
 let not_found =
   { status = 404; content_type = "text/plain"; body = "404 not found\n" }
 
+let head_too_large =
+  { status = 431; content_type = "text/plain"; body = "head too large\n" }
+
 let status_text = function
   | 200 -> "OK"
   | 404 -> "Not Found"
   | 400 -> "Bad Request"
+  | 431 -> "Request Header Fields Too Large"
   | 500 -> "Internal Server Error"
   | _ -> "Status"
 
@@ -115,16 +119,25 @@ module Scan = struct
     end
 end
 
+let max_head_bytes = 8192
+
+type head = Head of string | Eof | Too_large of int
+
 (* Pull TCP segments until the head of the request (through the blank
-   line) has arrived. *)
+   line) has arrived. A head that cannot end within [max_head_bytes]
+   stops the reading at once: with [n] bytes buffered and no blank line,
+   the earliest the head can end is [n + 1]. So the buffer never holds
+   more than the cap plus the segment that crossed it. *)
 let read_head conn =
   let sc = Scan.create () in
   let rec go () =
     match Scan.header_end sc with
-    | Some _ -> Some (Scan.contents sc)
+    | Some off when off <= max_head_bytes -> Head (Scan.contents sc)
+    | Some _ -> Too_large (Scan.length sc)
+    | None when Scan.length sc >= max_head_bytes -> Too_large (Scan.length sc)
     | None -> (
       match Tcp_lite.recv conn with
-      | "" -> None  (* EOF before a full request *)
+      | "" -> Eof  (* EOF before a full request *)
       | chunk ->
         Scan.add sc chunk;
         go ())
@@ -141,8 +154,9 @@ let start_server stack ~port handler =
         Engine.spawn_ ~name:"httpd.conn" (fun () ->
             Machine.compute m ~core conn_setup_cost;
             (match read_head conn with
-             | None -> ()
-             | Some head ->
+             | Eof -> ()
+             | Too_large _ -> Tcp_lite.send conn (format_response head_too_large)
+             | Head head ->
                Machine.compute m ~core (String.length head * parse_cost_per_char);
                let resp =
                  match parse_request head with

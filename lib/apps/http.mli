@@ -25,7 +25,21 @@ val not_found : response
 
 val start_server : Mk_net.Stack.t -> port:int -> handler -> unit
 (** Accept loop on the stack's core; each connection served by its own
-    task. *)
+    task. A request head longer than {!max_head_bytes} gets a 431 and the
+    connection closes. *)
+
+val max_head_bytes : int
+(** Longest request head (through the blank line) a server reads: 8 KiB. *)
+
+type head =
+  | Head of string  (** everything buffered once the head is complete *)
+  | Eof  (** the peer closed before a full head *)
+  | Too_large of int  (** bytes buffered when the head outgrew the cap *)
+
+val read_head : Mk_net.Tcp_lite.conn -> head
+(** Read a request head segment by segment. Stops as soon as the head
+    cannot end within {!max_head_bytes}, so it never buffers more than
+    the cap plus one segment. Task context required. *)
 
 val parse_request : string -> (string * string) option
 (** [parse_request head] returns (method, path) from a request head

@@ -20,10 +20,11 @@
    reply has been read, so the records built stay at the peak number of
    requests in flight.
 
-   Latency is measured at the client (issue to reply delivery) and fed to
-   a constant-space [Stats.Histogram]; only replies completing inside the
-   measurement window [w_start, w_end) are recorded, so warmup transients
-   do not pollute the quantiles. *)
+   Latency is measured at the client, from the issue time the record
+   carries ([rq_issued]) to reply delivery, and fed to a constant-space
+   [Stats.Histogram]; only replies completing inside the measurement
+   window [w_start, w_end) are recorded, so warmup transients do not
+   pollute the quantiles. *)
 
 open Mk_sim
 
@@ -35,10 +36,6 @@ type t = {
   t_end : int;  (* last instant a (re-)arrival may be issued *)
   w_start : int;
   w_end : int;
-  (* rq_id -> issue time. Ids are non-negative and issue times >= 0, so
-     [-1] is the absent sentinel; probed and updated allocation-free on
-     every request and reply. *)
-  pending : int Mk_hw.Inttbl.t;
   hist : Stats.Histogram.t;
   rearrivals : int Ring.t;  (* sessions awaiting re-arrival, oldest first *)
   mutable rearrive : unit -> unit;  (* the one re-arrival thunk *)
@@ -46,7 +43,6 @@ type t = {
   mutable free : Serve.request array;  (* idle records, a LIFO stack *)
   mutable n_free : int;
   mutable records : int;  (* records built *)
-  mutable next_id : int;
   mutable issued : int;
   mutable offered : int;  (* issued inside the window *)
   mutable completed : int;  (* served replies completing inside the window *)
@@ -58,23 +54,20 @@ type t = {
 
 (* Task context on the client engine. *)
 let issue t ~session =
-  let id = t.next_id in
-  t.next_id <- id + 1;
   let now = Engine.now_ () in
   t.issued <- t.issued + 1;
   if now >= t.w_start && now < t.w_end then t.offered <- t.offered + 1;
-  Mk_hw.Inttbl.set t.pending id now;
   let rq =
     if t.n_free > 0 then begin
       t.n_free <- t.n_free - 1;
       let rq = t.free.(t.n_free) in
-      rq.Serve.rq_id <- id;
+      rq.Serve.rq_issued <- now;
       rq.Serve.rq_session <- session;
       rq
     end
     else begin
       t.records <- t.records + 1;
-      Serve.make ~id ~session
+      Serve.make ~issued:now ~session
     end
   in
   t.send rq
@@ -96,33 +89,28 @@ let rearrive t () =
    time; the closed-loop re-arrival is armed with [schedule_at] and issues
    from a fresh (tiny) task. *)
 let on_reply t (rp : Serve.request) =
-  let issued_at = Mk_hw.Inttbl.find_or t.pending rp.rq_id (-1) in
-  if issued_at < 0 then ()
+  let now = Engine.now t.eng in
+  let in_window = now >= t.w_start && now < t.w_end in
+  if rp.rp_rejected then begin
+    t.shed_total <- t.shed_total + 1;
+    if in_window then t.shed <- t.shed + 1
+  end
   else begin
-    Mk_hw.Inttbl.remove t.pending rp.rq_id;
-    let now = Engine.now t.eng in
-    let in_window = now >= t.w_start && now < t.w_end in
-    if rp.rp_rejected then begin
-      t.shed_total <- t.shed_total + 1;
-      if in_window then t.shed <- t.shed + 1
+    t.completed_total <- t.completed_total + 1;
+    if in_window then begin
+      t.completed <- t.completed + 1;
+      Stats.Histogram.add t.hist (now - rp.rq_issued)
     end
-    else begin
-      t.completed_total <- t.completed_total + 1;
-      if in_window then begin
-        t.completed <- t.completed + 1;
-        Stats.Histogram.add t.hist (now - issued_at)
-      end
-    end;
-    let session = rp.rq_session in
-    release t rp;
-    let at = now + t.think in
-    if at <= t.t_end then begin
-      if at < t.last_at then
-        invalid_arg "Loadgen.on_reply: re-arrival before an armed one";
-      t.last_at <- at;
-      Ring.push t.rearrivals session;
-      Engine.schedule_at t.eng ~at t.rearrive
-    end
+  end;
+  let session = rp.rq_session in
+  release t rp;
+  let at = now + t.think in
+  if at <= t.t_end then begin
+    if at < t.last_at then
+      invalid_arg "Loadgen.on_reply: re-arrival before an armed one";
+    t.last_at <- at;
+    Ring.push t.rearrivals session;
+    Engine.schedule_at t.eng ~at t.rearrive
   end
 
 let start ~eng ~send ~users ~think ~t_start ~t_end ~w_start ~w_end () =
@@ -136,7 +124,6 @@ let start ~eng ~send ~users ~think ~t_start ~t_end ~w_start ~w_end () =
       t_end;
       w_start;
       w_end;
-      pending = Mk_hw.Inttbl.create ~initial_bits:10 ~dummy:(-1) ();
       hist = Stats.Histogram.create ();
       rearrivals = Ring.create ();
       rearrive = ignore;
@@ -144,7 +131,6 @@ let start ~eng ~send ~users ~think ~t_start ~t_end ~w_start ~w_end () =
       free = [||];
       n_free = 0;
       records = 0;
-      next_id = 0;
       issued = 0;
       offered = 0;
       completed = 0;
@@ -178,6 +164,5 @@ let completed t = t.completed
 let shed t = t.shed
 let completed_total t = t.completed_total
 let shed_total t = t.shed_total
-let in_flight t = Mk_hw.Inttbl.length t.pending
 let users_started t = t.users_started
 let records t = t.records

@@ -4,8 +4,9 @@
     think → repeat) with memory proportional to requests in flight, not
     users: first arrivals stagger uniformly over one think time, and
     re-arrivals are armed from the reply callback. Client-observed latency
-    of replies completing inside [w_start, w_end) lands in a
-    constant-space {!Mk_sim.Stats.Histogram}.
+    (reply delivery minus the record's [rq_issued]) of replies completing
+    inside [w_start, w_end) lands in a constant-space
+    {!Mk_sim.Stats.Histogram}.
 
     Nothing per request outlives its round trip on the host: a pending
     re-arrival is an int on a ring served by one prebuilt thunk, and the
@@ -53,7 +54,6 @@ val shed : t -> int
 
 val completed_total : t -> int
 val shed_total : t -> int
-val in_flight : t -> int
 
 val users_started : t -> int
 (** Distinct users whose first arrival has fired (sessions the run

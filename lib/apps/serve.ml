@@ -3,6 +3,8 @@
 
    Requests arrive from the load balancer over an inter-machine link as
    compact [request] records (the wire bytes are modeled, not carried).
+   The link's delivery spawns each request's task on the backend's
+   engine directly.
    The front (driver) core charges the same per-character parse cost as
    the single-machine web stack for the request head it would
    reconstruct, then reaches the session's owner core over the per-core
@@ -33,7 +35,7 @@ open Mk_hw
 open Mk
 
 type request = {
-  mutable rq_id : int;
+  mutable rq_issued : int;
   mutable rq_session : int;
   mutable rp_status : int;
   mutable rp_hits : int;
@@ -43,9 +45,9 @@ type request = {
   mutable rp_rejected : bool;
 }
 
-let make ~id ~session =
+let make ~issued ~session =
   {
-    rq_id = id;
+    rq_issued = issued;
     rq_session = session;
     rp_status = 0;
     rp_hits = 0;
@@ -79,7 +81,6 @@ type t = {
   backend_id : int;
   front : int;
   session : Session.t;
-  inbox : request Sync.Mailbox.t;
   mutable reply_fn : request -> unit;
   mutable served : int;
 }
@@ -118,30 +119,13 @@ let start os ~backend_id ~front ~workers =
   let session = Session.start os ~name:"cluster.sess" ~front ~workers in
   Name_service.register (Os.name_service os) ~from_core:front ~name:"cluster.serve"
     ~tag:backend_id;
-  let t =
-    {
-      os;
-      backend_id;
-      front;
-      session;
-      inbox = Sync.Mailbox.create ();
-      reply_fn = (fun _ -> ());
-      served = 0;
-    }
-  in
-  let eng = (Os.machine os).Machine.eng in
-  Engine.spawn eng ~name:"serve.front" (fun () ->
-      let rec loop () =
-        let rq = Sync.Mailbox.recv t.inbox in
-        Engine.spawn_ ~name:"serve.req" (fun () -> handle t rq);
-        loop ()
-      in
-      loop ());
-  t
+  { os; backend_id; front; session; reply_fn = (fun _ -> ()); served = 0 }
 
-(* Link-rx entry point: effect-free (mailbox post), callable from a
-   [Machine_link] delivery thunk. *)
-let submit t rq = Sync.Mailbox.send t.inbox rq
+(* Link-rx entry point: effect-free (a spawn on the backend's engine),
+   callable from a [Machine_link] delivery thunk. *)
+let submit t rq =
+  Engine.spawn (Os.machine t.os).Machine.eng ~name:"serve.req" (fun () -> handle t rq)
+
 let set_reply t f = t.reply_fn <- f
 let session t = t.session
 let served t = t.served

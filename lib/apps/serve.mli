@@ -1,16 +1,17 @@
 (** One backend machine's serving application for the cluster subsystem.
 
     Requests arrive from the load balancer as compact records (wire bytes
-    modeled by the link layer); the front core re-materializes and parses
-    the HTTP head with the real {!Http} parser at the same per-character
-    cost as the single-machine web stack, reaches the session's owner core
-    over the per-core sharded {!Mk.Session} service (URPC), and formats
-    the response with {!Http.format_response} so the reply's wire size is
-    the true payload size. The backend registers itself with its machine's
-    name service as ["cluster.serve"]. *)
+    modeled by the link layer), and each delivery spawns its request's
+    task at once. The task charges the front core the single-machine web
+    stack's per-character {!Http} parse cost for the request head,
+    reaches the session's owner core over the per-core sharded
+    {!Mk.Session} service (URPC), and sizes the reply as the exact
+    {!Http.format_response} output for its response. The backend
+    registers itself with its machine's name service as
+    ["cluster.serve"]. *)
 
 type request = {
-  mutable rq_id : int;
+  mutable rq_issued : int;  (** issuer's clock when it sent the request *)
   mutable rq_session : int;
   mutable rp_status : int;  (** 200 served, 503 shed *)
   mutable rp_hits : int;  (** session hit count after this request *)
@@ -28,7 +29,7 @@ type request = {
     request once it has read the reply ({!Loadgen} keeps a free stack of
     them). *)
 
-val make : id:int -> session:int -> request
+val make : issued:int -> session:int -> request
 (** A fresh record with the reply fields unset. *)
 
 val request_bytes : int
@@ -46,11 +47,11 @@ type t
 val start : Mk.Os.t -> backend_id:int -> front:int -> workers:int list -> t
 (** Bring up the serving app on a booted backend: start the sharded
     session service on [workers], register ["cluster.serve"] with the
-    machine's name service, and spawn the front loop on [front]'s engine.
-    Task context required (service bring-up is messaging). *)
+    machine's name service. Task context required (service bring-up is
+    messaging). *)
 
 val submit : t -> request -> unit
-(** Hand a request to the front loop. Effect-free (mailbox post) — safe
+(** Spawn the request's task on the backend's engine. Effect-free — safe
     to call from a {!Mk_net.Machine_link} delivery thunk. *)
 
 val set_reply : t -> (request -> unit) -> unit

@@ -3,8 +3,6 @@ open Mk_hw
 
 type style = Linux | Windows
 
-let style_to_string = function Linux -> "Linux" | Windows -> "Windows"
-
 let vector = 0xfd
 
 let per_ipi_send_cost = function Linux -> 950 | Windows -> 1350

@@ -11,8 +11,6 @@
 
 type style = Linux | Windows
 
-val style_to_string : style -> string
-
 type t
 
 val setup : Mk_hw.Machine.t -> style -> cores:int list -> t

@@ -59,7 +59,7 @@ let default_config ?(policy = Lb.Consistent_hash) ~machines () =
    are; a reply's arrival posts the preallocated [wake] record, which the
    loop recognizes by physical equality, to poke the loop when it is
    idle. *)
-let wake = Serve.make ~id:(-1) ~session:(-1)
+let wake = Serve.make ~issued:(-1) ~session:(-1)
 
 type backend = {
   b_id : int;
@@ -85,7 +85,6 @@ type t = {
   mutable t_stop : int;  (* LB sheds instead of forwarding after this *)
   mutable forwarded : int;
   mutable lb_rejected : int;
-  mutable probe_id : int;
 }
 
 let reject t (rq : Serve.request) =
@@ -191,7 +190,6 @@ let create cfg =
       t_stop = max_int;
       forwarded = 0;
       lb_rejected = 0;
-      probe_id = -1;
     }
   in
   Machine_link.set_rx c2lb (fun ~bytes:_ rq -> Sync.Mailbox.send t.lb_box rq);
@@ -259,7 +257,7 @@ type result = {
   r_offered_rps : float;
   r_inter_frames : int;
   r_inter_bytes : int;
-  r_wire_batches : int;  (* coalescable flush groups across all links *)
+  r_wire_batches : int;  (* flush groups across all links *)
   r_wire_msgs : int;  (* frames inside those groups (= inter frames) *)
   r_intra_msgs : int;
   r_intra_bytes : int;
@@ -351,16 +349,13 @@ let run_load t ~users ~think ~warmup ~window =
 let probe t ~session =
   t.t_stop <- max_int;
   let result = ref None in
-  let issued_at = ref 0 in
   t.client_rx <- (fun rp -> result := Some (rp, Engine.now t.client.Machine.eng));
-  let id = t.probe_id in
-  t.probe_id <- id - 1;
   Engine.spawn t.client.Machine.eng ~name:"cluster.probe" (fun () ->
-      issued_at := Engine.now_ ();
-      Machine_link.send t.c2lb ~bytes:Serve.request_bytes (Serve.make ~id ~session));
+      Machine_link.send t.c2lb ~bytes:Serve.request_bytes
+        (Serve.make ~issued:(Engine.now_ ()) ~session));
   Pdes.exec t.pdes;
   match !result with
-  | Some (rp, at) -> (rp, at - !issued_at)
+  | Some (rp, at) -> (rp, at - rp.Serve.rq_issued)
   | None -> failwith "Cluster.probe: request lost"
 
 let mark_backend_dead t b =
@@ -369,7 +364,6 @@ let mark_backend_dead t b =
   List.iter (fun c -> Os.mark_dead os ~core:c) (Platform.core_ids t.cfg.platform)
 
 let config t = t.cfg
-let n_machines t = t.cfg.machines
 let lb t = t.lb
 let pdes t = t.pdes
 let backend_os t b = t.backends.(b).b_os

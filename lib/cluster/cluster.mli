@@ -55,9 +55,8 @@ type result = {
   r_inter_frames : int;  (** wire frames during the run (all links) *)
   r_inter_bytes : int;
   r_wire_batches : int;
-      (** coalescable flush groups on the wire links — what batching sends
-          as one cross-shard message each; identical with batching on or
-          off (see {!Mk_net.Machine_link.tx_batches}) *)
+      (** flush groups on the wire links: windows in which a link sent
+          (see {!Mk_net.Machine_link.tx_batches}) *)
   r_wire_msgs : int;  (** frames inside those groups (= [r_inter_frames]) *)
   r_intra_msgs : int;  (** URPC messages inside backends during the run *)
   r_intra_bytes : int;
@@ -84,7 +83,6 @@ val mark_backend_dead : t -> int -> unit
     OS ({!Mk.Os.mark_dead}). In-flight requests to it are lost. *)
 
 val config : t -> config
-val n_machines : t -> int
 val lb : t -> Lb.t
 val pdes : t -> Mk_sim.Pdes.t
 val backend_os : t -> int -> Mk.Os.t

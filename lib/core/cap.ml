@@ -10,7 +10,6 @@ type objtype =
 type rights = { read : bool; write : bool; execute : bool; grant : bool }
 
 let rights_all = { read = true; write = true; execute = true; grant = true }
-let rights_ro = { read = true; write = false; execute = false; grant = false }
 
 type t = {
   capid : int;
@@ -99,10 +98,6 @@ module Db = struct
   let mint_ram db ~base ~bytes =
     let o = new_obj db ~otype:RAM ~base ~bytes ~parent:None in
     attach_cap db o ~otype:RAM ~base ~bytes ~rights:rights_all
-
-  let mint_dev db ~base ~bytes =
-    let o = new_obj db ~otype:Dev_frame ~base ~bytes ~parent:None in
-    attach_cap db o ~otype:Dev_frame ~base ~bytes ~rights:rights_all
 
   let lookup db c = Hashtbl.find_opt db.caps c.capid
 

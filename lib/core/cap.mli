@@ -22,7 +22,6 @@ type objtype =
 type rights = { read : bool; write : bool; execute : bool; grant : bool }
 
 val rights_all : rights
-val rights_ro : rights
 
 type t = private {
   capid : int;  (** unique id of this capability instance *)
@@ -45,9 +44,6 @@ module Db : sig
 
   val mint_ram : db -> base:Types.paddr -> bytes:int -> cap
   (** Introduce fresh untyped memory (boot / memory-server only). *)
-
-  val mint_dev : db -> base:Types.paddr -> bytes:int -> cap
-  (** Device frame for memory-mapped IO. *)
 
   val retype :
     db -> ?rights:rights -> cap -> to_:objtype -> count:int -> bytes_each:int ->

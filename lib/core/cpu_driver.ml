@@ -33,16 +33,6 @@ let cap_retype t ?rights cap ~to_ ~count ~bytes_each =
       Machine.compute t.m ~core:t.core_id cap_op_cost;
       Cap.Db.retype t.db ?rights cap ~to_ ~count ~bytes_each)
 
-let cap_copy t cap =
-  syscall t (fun () ->
-      Machine.compute t.m ~core:t.core_id cap_op_cost;
-      Cap.Db.copy t.db cap)
-
-let cap_delete t cap =
-  syscall t (fun () ->
-      Machine.compute t.m ~core:t.core_id cap_op_cost;
-      Cap.Db.delete t.db cap)
-
 let cap_revoke_local t cap =
   syscall t (fun () ->
       Machine.compute t.m ~core:t.core_id cap_op_cost;

@@ -36,8 +36,6 @@ val cap_retype :
     entry point is what the monitor invokes once agreement is reached, and
     what single-core programs use directly. *)
 
-val cap_copy : t -> Cap.t -> (Cap.t, Types.error) result
-val cap_delete : t -> Cap.t -> (unit, Types.error) result
 val cap_revoke_local : t -> Cap.t -> (int, Types.error) result
 
 val interrupt : t -> vector:int -> (src:int -> unit) -> unit

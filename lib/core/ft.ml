@@ -130,11 +130,6 @@ let attach ~until os =
 let register_service t ~name ~home ~respawn =
   t.services <- { s_name = name; s_home = home; s_respawn = respawn } :: t.services
 
-let service_home t ~name =
-  List.find_map
-    (fun s -> if s.s_name = name then Some s.s_home else None)
-    t.services
-
 let detected_at t ~core = if t.detected_at.(core) < 0 then None else Some t.detected_at.(core)
 let detected_by t ~core = if t.detected_by.(core) < 0 then None else Some t.detected_by.(core)
 let recovered_at t ~core = if t.recovered_at.(core) < 0 then None else Some t.recovered_at.(core)

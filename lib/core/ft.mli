@@ -20,9 +20,6 @@ val register_service : t -> name:string -> home:int -> respawn:(int -> unit) -> 
     called with the replacement core (and must bring the service up there,
     including name-service re-registration). *)
 
-val service_home : t -> name:string -> int option
-(** Current home core of a managed service. *)
-
 val detected_at : t -> core:int -> int option
 (** Absolute time a core's death was first detected, if it was. *)
 

@@ -24,7 +24,6 @@ let init ~machine_of drivers ~mem_per_core =
     drivers
 
 let core t = t.core_id
-let pool_bytes t = t.pool
 let free_bytes t = t.pool - t.used
 
 let set_peers ~donor_ok ts ~monitors =

@@ -20,7 +20,6 @@ val init :
     core's pool is carved from — its own shard's. *)
 
 val core : t -> int
-val pool_bytes : t -> int
 val free_bytes : t -> int
 
 val alloc_ram : t -> bytes:int -> (Cap.t, Types.error) result

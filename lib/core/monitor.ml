@@ -600,7 +600,6 @@ let send_cap t ~dst cap =
     if Sync.Ivar.read iv then Ok () else Error (Types.Err_invalid_args "cap transfer refused")
   end
 
-let set_replica t key value = Hashtbl.replace t.replicas key value
 let get_replica t key = Hashtbl.find_opt t.replicas key
 let set_on_replica t f = t.on_replica <- Some f
 

@@ -87,7 +87,6 @@ val send_cap : t -> dst:int -> Cap.t -> (unit, Types.error) result
 (** Transfer a capability to another core's database, refusing types that
     may not cross cores and capabilities under revocation (§4.8). *)
 
-val set_replica : t -> string -> int -> unit
 val get_replica : t -> string -> int option
 (** The generic replicated key/value state updated by [Op_set_replica]. *)
 

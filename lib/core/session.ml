@@ -30,10 +30,7 @@ type t = {
   (* One scratch request per binding, refilled under the binding lock by
      {!call} and sent, instead of allocating per call. *)
   scratch : req array;
-  served : int array;
   mutable calls : int;
-  req_lines : int;
-  resp_lines : int;
 }
 
 (* Deterministic 64-bit finalizer (splitmix-style, constants clipped to
@@ -47,13 +44,12 @@ let mix z =
 let worker_slot t ~session = mix session mod Array.length t.workers
 let owner_core t ~session = t.workers.(worker_slot t ~session)
 
-let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
+let start os ~name ~front ~workers =
   if workers = [] then invalid_arg "Session.start: no workers";
   let workers = Array.of_list workers in
   let k = Array.length workers in
   let ns = Os.name_service os in
   let tables = Array.init k (fun _ -> Inttbl.create ~initial_bits:6 ~dummy:0 ()) in
-  let served = Array.make k 0 in
   (* Each worker advertises its shard; the front discovers the owner core
      by lookup rather than trusting the construction order. *)
   Array.iteri
@@ -73,7 +69,7 @@ let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
         in
         Flounder.connect (Os.shards os)
           ~name:(Printf.sprintf "%s.b%d" name i)
-          ~client:front ~server ~req_lines ~resp_lines ())
+          ~client:front ~server ())
   in
   Array.iteri
     (fun i b ->
@@ -82,22 +78,10 @@ let start ?(req_lines = 1) ?(resp_lines = 1) os ~name ~front ~workers =
           Machine.compute wm ~core:workers.(i) rq.rq_work;
           let hits = Inttbl.find_or tables.(i) rq.rq_session 0 + 1 in
           Inttbl.set tables.(i) rq.rq_session hits;
-          served.(i) <- served.(i) + 1;
           { rs_hits = hits; rs_core = workers.(i) }))
     bindings;
   let scratch = Array.init k (fun _ -> { rq_session = 0; rq_work = 0 }) in
-  {
-    os;
-    front;
-    workers;
-    tables;
-    bindings;
-    scratch;
-    served;
-    calls = 0;
-    req_lines;
-    resp_lines;
-  }
+  { os; front; workers; tables; bindings; scratch; calls = 0 }
 
 let call t ~session ~work =
   let i = worker_slot t ~session in
@@ -111,11 +95,6 @@ let call t ~session ~work =
 
 let front t = t.front
 let workers t = Array.to_list t.workers
-let served_on t ~core =
-  let total = ref 0 in
-  Array.iteri (fun i w -> if w = core then total := !total + t.served.(i)) t.workers;
-  !total
-
 let sessions_on t ~core =
   let total = ref 0 in
   Array.iteri
@@ -126,9 +105,6 @@ let sessions_on t ~core =
 let sessions t = Array.fold_left (fun a tbl -> a + Inttbl.length tbl) 0 t.tables
 let calls t = t.calls
 
-(* Two URPC messages per call (request + response), in cache lines. *)
+(* Two URPC messages per call (request + response), one cache line each. *)
 let intra_msgs t = 2 * t.calls
-
-let intra_bytes t =
-  let line = (Os.platform t.os).Mk_hw.Platform.cacheline in
-  t.calls * (t.req_lines + t.resp_lines) * line
+let intra_bytes t = intra_msgs t * (Os.platform t.os).Mk_hw.Platform.cacheline

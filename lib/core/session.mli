@@ -24,19 +24,12 @@ val mix : int -> int
 (** Deterministic splitmix-style integer hash (also used by the load
     balancer's consistent-hash ring). *)
 
-val start :
-  ?req_lines:int ->
-  ?resp_lines:int ->
-  Os.t ->
-  name:string ->
-  front:int ->
-  workers:int list ->
-  t
+val start : Os.t -> name:string -> front:int -> workers:int list -> t
 (** Bring up the service: register every worker shard with the name
     service, discover them from [front] by lookup, connect one Flounder
     binding per worker and start its server loop. Task context required
-    (registration and lookup are messaging). [req_lines]/[resp_lines]
-    size the URPC messages (cache lines, default 1). *)
+    (registration and lookup are messaging). Requests and responses are
+    one cache line each. *)
 
 val call : t -> session:int -> work:int -> resp
 (** Serve one request from the front core: URPC to the session's owner
@@ -48,7 +41,6 @@ val owner_core : t -> session:int -> int
 val front : t -> int
 val workers : t -> int list
 
-val served_on : t -> core:int -> int
 val sessions_on : t -> core:int -> int
 (** Distinct sessions resident in [core]'s shard table. *)
 
@@ -61,4 +53,5 @@ val intra_msgs : t -> int
 (** Intra-machine URPC messages on the serving path (2 per call). *)
 
 val intra_bytes : t -> int
-(** Intra-machine URPC payload bytes on the serving path. *)
+(** Intra-machine URPC payload bytes on the serving path (one cache line
+    per message). *)

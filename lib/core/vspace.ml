@@ -166,5 +166,3 @@ let protect t ~monitor ~plan_for ~vaddr ~bytes ~writable =
     shoot t ~monitor ~plan_for ~vpages;
     Ok ()
   end
-
-let mapped_pages t = Hashtbl.length t.pages

@@ -85,7 +85,5 @@ val protect :
 (** Reduce rights on a mapped range (the mprotect of Figure 7); same
     shootdown obligation as {!unmap}. *)
 
-val mapped_pages : t -> int
-
 val pt_update_cost : int
 (** Cycles to edit one page-table entry (checked store via CPU driver). *)

@@ -61,5 +61,3 @@ let phi t ~now =
   else log10_e *. float_of_int elapsed /. mean_interval t
 
 let suspect t ~now = phi t ~now > t.threshold
-
-let last_heard t = t.last

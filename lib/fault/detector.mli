@@ -26,5 +26,3 @@ val suspect : t -> now:int -> bool
 (** [phi > threshold]. *)
 
 val mean_interval : t -> float
-
-val last_heard : t -> int

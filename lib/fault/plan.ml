@@ -37,11 +37,6 @@ let empty = { core_stops = []; links = []; msgs = []; nics = [] }
 let is_empty p =
   p.core_stops = [] && p.links = [] && p.msgs = [] && p.nics = []
 
-(* A partitioned link: transfers still complete, but only after a delay so
-   large the failure detector will long since have fired. Chosen below any
-   risk of overflowing simulated-time arithmetic. *)
-let partition_extra = 50_000_000
-
 let victims p = List.map (fun s -> s.victim) p.core_stops
 
 (* Generate a deterministic random plan for a chaos run. [victims] are the

@@ -39,10 +39,6 @@ val empty : t
 
 val is_empty : t -> bool
 
-val partition_extra : int
-(** Per-transfer delay that models a partitioned (vs merely degraded)
-    link: large enough that the failure detector fires first. *)
-
 val victims : t -> int list
 (** Cores the plan stops, in plan order. *)
 

@@ -99,5 +99,4 @@ let recvfrom t ~core =
   Sync.Semaphore.release t.room;
   user_copy
 
-let queue_len t = Sync.Mailbox.length t.q
 let packets t = t.count

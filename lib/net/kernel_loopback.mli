@@ -21,5 +21,4 @@ val recvfrom : t -> core:int -> Pbuf.t
     processing on the receiving core (reading the remote-written skb), and
     copy_to_user. *)
 
-val queue_len : t -> int
 val packets : t -> int

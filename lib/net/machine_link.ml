@@ -9,21 +9,16 @@
    window: nothing a machine sends can affect another machine sooner than
    the wire latency.
 
-   Wire batching: sent the moment it departs, every frame needs a
-   [Pdes.send] closure of its own, a host allocation per frame at cluster
-   request rates. Instead, frames departing inside the same PDES window
-   are buffered per link and handed over at the next exchange barrier by
-   the link's flush hook, which runs with the sending shard as its
-   source: one [Pdes.send] per frame, each with its own arrival timestamp
-   and sequence number, so the destination sees exactly the messages it
-   would have seen unbatched (MK_NO_WIRE_BATCH=1, refereed in CI). The
-   hook moves each frame into the link's receive ring, and every frame's
-   thunk is the link's one prebuilt [deliver_next], which pops the ring's
-   oldest frame. That is sound because one link's frames have
-   non-decreasing arrival times and rising sequence numbers, so the
-   destination runs them in the order the hook pushed them. Buffered
-   frames cannot be lost: the executor runs the flush hook at the top of
-   every exchange, including the final one. *)
+   One frame path, allocation-free on the host. [send] pushes the frame's
+   size and payload onto the link's tx rings and queues one [Pdes.send]
+   at once, carrying the link's one prebuilt [deliver_next] thunk. The
+   link's flush hook, which the executor runs at the top of every
+   exchange barrier before it collects any outbox, moves the window's
+   frames from the tx rings to the rx rings, so they are there before any
+   of their messages is delivered; [deliver_next] pops the oldest. That
+   is sound because one link's frames have non-decreasing arrival times
+   and rising sequence numbers under the one [src_id] no other sender
+   uses, so the destination runs them in the order [send] pushed them. *)
 
 open Mk_sim
 
@@ -34,14 +29,12 @@ type 'a t = {
   wire : Resource.t;  (* tx serialization on the sender's engine *)
   cycles_per_byte : float;
   latency : int;  (* propagation, >= Pdes.lookahead *)
-  batching : bool;  (* sampled at create time *)
   mutable rx : bytes:int -> 'a -> unit;
   mutable tx_frames : int;
   mutable tx_bytes : int;
-  mutable tx_batches : int;  (* coalescable flush groups, both modes *)
+  mutable tx_batches : int;  (* windows that sent at least one frame *)
   mutable frames_at_flush : int;  (* tx_frames at the last flush *)
-  (* Batched mode: the current window's frames, on the sending shard... *)
-  tx_at : int Ring.t;
+  (* The current window's frames, on the sending shard... *)
   tx_size : int Ring.t;
   tx_msg : 'a Ring.t;
   (* ...and the frames handed over but not yet delivered, on the
@@ -51,36 +44,17 @@ type 'a t = {
   deliver_next : unit -> unit;
 }
 
-(* Referee switch: MK_NO_WIRE_BATCH=1 (or [set_batching_override
-   (Some false)]) makes every frame an individual [Pdes.send], so CI can
-   byte-diff batched vs unbatched cluster output. Sampled when a link is
-   created, so one run never mixes modes on a link. *)
-let batching_default =
-  match Sys.getenv_opt "MK_NO_WIRE_BATCH" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
-
-let batching_override = ref None
-let set_batching_override b = batching_override := b
-
-let batching_enabled () =
-  match !batching_override with Some b -> b | None -> batching_default
+(* Wire batching is the one frame path; the constant stays for callers
+   that refuse to time a non-default execution mode. *)
+let batching_enabled () = true
 
 let flush t =
-  (* Batch bookkeeping is identical in both modes: a "batch" is the group
-     of frames the link accepted since the previous barrier — what
-     batching coalesces, counted whether or not it actually did. *)
-  let frames = t.tx_frames - t.frames_at_flush in
-  if frames > 0 then begin
+  if t.tx_frames > t.frames_at_flush then begin
     t.tx_batches <- t.tx_batches + 1;
     t.frames_at_flush <- t.tx_frames
   end;
   Ring.transfer t.tx_size t.rx_size;
-  Ring.transfer t.tx_msg t.rx_msg;
-  while not (Ring.is_empty t.tx_at) do
-    let at = Ring.pop t.tx_at in
-    Pdes.send t.pdes ~dst:t.dst_shard ~src_core:t.src_id ~at t.deliver_next
-  done
+  Ring.transfer t.tx_msg t.rx_msg
 
 let create pdes ~dst_shard ~src_shard ~src_id ~ghz ?(gbps = 10.0) ~latency () =
   if latency < Pdes.lookahead pdes then
@@ -96,13 +70,11 @@ let create pdes ~dst_shard ~src_shard ~src_id ~ghz ?(gbps = 10.0) ~latency () =
          times [ghz] cycles/ns. *)
       cycles_per_byte = 8.0 *. ghz /. gbps;
       latency;
-      batching = batching_enabled ();
       rx = (fun ~bytes:_ _ -> ());
       tx_frames = 0;
       tx_bytes = 0;
       tx_batches = 0;
       frames_at_flush = 0;
-      tx_at = Ring.create ();
       tx_size = Ring.create ();
       tx_msg = Ring.create ();
       rx_size = Ring.create ();
@@ -113,8 +85,6 @@ let create pdes ~dst_shard ~src_shard ~src_id ~ghz ?(gbps = 10.0) ~latency () =
           t.rx ~bytes (Ring.pop t.rx_msg));
     }
   in
-  (* The hook runs in both modes so [tx_batches] never depends on the
-     referee switch. *)
   Pdes.add_flush pdes ~shard:src_shard (fun () -> flush t);
   t
 
@@ -132,16 +102,10 @@ let send t ~bytes msg =
   let departed = Resource.reserve t.wire (Stdlib.max 1 ser) in
   t.tx_frames <- t.tx_frames + 1;
   t.tx_bytes <- t.tx_bytes + bytes;
-  let at = departed + t.latency in
-  if t.batching then begin
-    Ring.push t.tx_at at;
-    Ring.push t.tx_size bytes;
-    Ring.push t.tx_msg msg
-  end
-  else begin
-    let rx = t.rx in
-    Pdes.send t.pdes ~dst:t.dst_shard ~src_core:t.src_id ~at (fun () -> rx ~bytes msg)
-  end
+  Ring.push t.tx_size bytes;
+  Ring.push t.tx_msg msg;
+  Pdes.send t.pdes ~dst:t.dst_shard ~src_core:t.src_id ~at:(departed + t.latency)
+    t.deliver_next
 
 let tx_frames t = t.tx_frames
 let tx_bytes t = t.tx_bytes

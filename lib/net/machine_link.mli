@@ -9,13 +9,10 @@
     {!Mk_sim.Pdes.send} message, so cluster runs are byte-identical at any
     domain count.
 
-    Frames departing inside the same PDES window are buffered per link
-    and handed over by a flush hook at the exchange barrier, one
-    {!Mk_sim.Pdes.send} per frame with its own arrival timestamp, each
-    carrying the link's one prebuilt delivery thunk, which pops the frame
-    from a per-link receive ring. Batching changes host cost only, never
-    simulated output (refereed against [MK_NO_WIRE_BATCH=1] in CI), and a
-    batched frame allocates nothing on the host.
+    Each frame is one {!Mk_sim.Pdes.send} queued as it departs, carrying
+    the link's one prebuilt delivery thunk; the payload waits on per-link
+    rings that a flush hook hands to the receiving side at the exchange
+    barrier, so a frame allocates nothing on the host.
 
     One [t] is one direction; build a pair for a full-duplex wire. *)
 
@@ -56,21 +53,13 @@ val tx_frames : _ t -> int
 val tx_bytes : _ t -> int
 
 val tx_batches : _ t -> int
-(** Coalescable flush groups this link produced: the number of exchange
-    barriers at which the link had accepted at least one frame since the
-    previous barrier. Counted identically with batching enabled or
-    disabled (it describes the traffic shape, not the transport), so
-    referee runs agree; [tx_frames / tx_batches] is the realized
-    frames-per-batch ratio. *)
+(** Flush groups this link produced: the number of exchange barriers at
+    which the link had accepted at least one frame since the previous
+    barrier. [tx_frames / tx_batches] is the realized frames-per-batch
+    ratio. *)
 
 val latency : _ t -> int
 
-val set_batching_override : bool option -> unit
-(** Process-wide override of wire batching, sampled when a link is
-    created: [Some false] forces per-frame sends (the referee mode),
-    [Some true] forces batching, [None] restores the [MK_NO_WIRE_BATCH]
-    environment default (batching on unless the variable is set to a
-    non-empty value other than ["0"]). *)
-
 val batching_enabled : unit -> bool
-(** The batching mode a link created now would sample. *)
+(** Always [true]: batching is the only frame path. Kept for callers that
+    refuse to time a non-default execution mode. *)

@@ -182,7 +182,6 @@ let udp_sendto sock ~dst_ip ~dst_port payload =
 let udp_recvfrom sock = Sync.Mailbox.recv sock.rx_q
 let udp_pending sock = Sync.Mailbox.length sock.rx_q
 
-let arp_add t ~ip ~mac = Hashtbl.replace t.arp_table ip mac
 let arp_lookup t ~ip = Hashtbl.find_opt t.arp_table ip
 
 (* ICMP echo round trip; None on timeout. *)

@@ -53,9 +53,6 @@ val udp_pending : udp_sock -> int
 
 (** {1 ARP / ICMP} *)
 
-val arp_add : t -> ip:int -> mac:int -> unit
-(** Static ARP entry. *)
-
 val arp_lookup : t -> ip:int -> int option
 
 val ping : t -> dst_ip:int -> timeout:int -> int option

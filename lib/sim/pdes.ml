@@ -84,6 +84,7 @@ and t = {
   gather : gather;  (* the barrier's scratch, reused for every destination *)
   mutable horizon : int;  (* exclusive upper bound of the last window *)
   mutable barriers : int;  (* windows executed, across exec calls *)
+  (* This exec's parallelism profile, reported to [Pool] on return: *)
   mutable events : int;  (* events executed inside windows *)
   mutable critical : int;  (* per window, the busiest shard's events; summed *)
   mutable busy : int;  (* shard-windows that executed at least one event *)
@@ -166,11 +167,6 @@ let create ~n_shards ~lookahead =
 let n_shards t = Array.length t.shards
 let lookahead t = t.lookahead
 let barriers t = t.barriers
-
-type profile = { windows : int; events : int; critical : int; busy : int }
-
-let profile (t : t) =
-  { windows = t.barriers; events = t.events; critical = t.critical; busy = t.busy }
 
 let engine t i =
   if i < 0 || i >= Array.length t.shards then invalid_arg "Pdes.engine: bad shard";
@@ -413,18 +409,21 @@ let check_errors t =
 
 (* Bracket one [exec]: events executed outside windows (host code
    driving a shard engine between runs) stay out of the profile, and what
-   this run added is reported to the Pool counters on return. *)
+   this run added is reported to the Pool counters on return. [start]
+   returns the barrier count so far. *)
 let start t =
   Array.iter (fun s -> s.seen <- Engine.events_executed s.eng) t.shards;
-  profile t
+  t.events <- 0;
+  t.critical <- 0;
+  t.busy <- 0;
+  t.barriers
 
-let finish t (p0 : profile) =
-  let p = profile t in
-  let windows = p.windows - p0.windows in
+let finish t barriers0 =
+  let windows = t.barriers - barriers0 in
   Pool.note Barriers windows;
-  Pool.note Pdes_events (p.events - p0.events);
-  Pool.note Pdes_critical (p.critical - p0.critical);
-  Pool.note Pdes_busy (p.busy - p0.busy);
+  Pool.note Pdes_events t.events;
+  Pool.note Pdes_critical t.critical;
+  Pool.note Pdes_busy t.busy;
   Pool.note Pdes_slots (windows * Array.length t.shards);
   Array.iter
     (fun s ->
@@ -525,7 +524,7 @@ let exec_team t ~domains:d =
     tot.w_minor <- Gc.minor_words () -. mi0;
     tot.w_major <- (Gc.quick_stat ()).Gc.major_collections - ma0
   in
-  let p0 = start t in
+  let b0 = start t in
   let workers = List.init (d - 1) (fun w -> Domain.spawn (worker (w + 1))) in
   let quit () =
     Atomic.set horizon_pub (-1);
@@ -551,16 +550,16 @@ let exec_team t ~domains:d =
             i := !i + d
           done;
           wait_for ~mu ~cv all_done));
-  finish t p0
+  finish t b0
 
 let exec_serial t =
-  let p0 = start t in
+  let b0 = start t in
   let n = Array.length t.shards in
   windows t (fun until ->
       for i = 0 to n - 1 do
         run_shard t i ~until
       done);
-  finish t p0
+  finish t b0
 
 (* -- domain-count configuration (MK_PDES env, --pdes flag) -- *)
 

@@ -74,12 +74,10 @@ let samples t =
    below [2^sub_bits] get one bucket each (exact); above that, each
    power-of-two range is split into [2^sub_bits] linear sub-buckets, so a
    bucket's width never exceeds [value / 2^sub_bits]. The bucket array is
-   fixed-size (~1.9k ints at the default sub_bits=5) however many samples
-   arrive — the serving benches feed it millions of latencies. *)
+   fixed-size (1,888 ints) however many samples arrive — the serving
+   benches feed it millions of latencies. *)
 module Histogram = struct
   type t = {
-    sub_bits : int;
-    sub : int;  (* 2^sub_bits, sub-buckets per power-of-two group *)
     counts : int array;
     mutable n : int;
     mutable sum : float;
@@ -87,12 +85,11 @@ module Histogram = struct
     mutable mx : int;
   }
 
-  let create ?(sub_bits = 5) () =
-    if sub_bits < 1 || sub_bits > 16 then invalid_arg "Histogram.create: sub_bits";
-    let sub = 1 lsl sub_bits in
+  let sub_bits = 5
+  let sub = 1 lsl sub_bits (* sub-buckets per power-of-two group *)
+
+  let create () =
     {
-      sub_bits;
-      sub;
       (* Groups g = 1 .. 63 - sub_bits cover every non-negative int msb;
          group 0 is the exact region below 2^sub_bits. *)
       counts = Array.make ((64 - sub_bits) * sub) 0;
@@ -110,27 +107,27 @@ module Histogram = struct
     done;
     !m
 
-  let index t v =
-    if v < t.sub then v
+  let index v =
+    if v < sub then v
     else
       let m = msb v in
-      let g = m - t.sub_bits + 1 in
-      (g * t.sub) + ((v lsr (m - t.sub_bits)) land (t.sub - 1))
+      let g = m - sub_bits + 1 in
+      (g * sub) + ((v lsr (m - sub_bits)) land (sub - 1))
 
   (* Inclusive [lo, hi] of a bucket; buckets in the exact region are a
      single value wide. *)
-  let bounds t i =
-    if i < t.sub then (i, i)
+  let bounds (_ : t) i =
+    if i < sub then (i, i)
     else
-      let g = i / t.sub and s = i mod t.sub in
-      let lo = (t.sub + s) lsl (g - 1) in
+      let g = i / sub and s = i mod sub in
+      let lo = (sub + s) lsl (g - 1) in
       (lo, lo + (1 lsl (g - 1)) - 1)
 
-  let bucket_of = index
+  let bucket_of (_ : t) v = index v
 
   let add t v =
     let v = Stdlib.max 0 v in
-    t.counts.(index t v) <- t.counts.(index t v) + 1;
+    t.counts.(index v) <- t.counts.(index v) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum +. float_of_int v;
     if v < t.mn then t.mn <- v;
@@ -160,8 +157,6 @@ module Histogram = struct
     end
 
   let merge_into ~dst src =
-    if dst.sub_bits <> src.sub_bits then
-      invalid_arg "Histogram.merge_into: sub_bits mismatch";
     Array.iteri (fun i c -> if c > 0 then dst.counts.(i) <- dst.counts.(i) + c) src.counts;
     dst.n <- dst.n + src.n;
     dst.sum <- dst.sum +. src.sum;

@@ -39,15 +39,14 @@ val summary : t -> string
     [2^sub_bits] are exact (one bucket per value); above that each
     power-of-two range splits into [2^sub_bits] linear sub-buckets, so the
     relative error of {!Histogram.quantile} is at most [1 / 2^sub_bits]
-    (~3% at the default [sub_bits = 5]). Samples are non-negative ints
+    (~3%, with [sub_bits = 5]). Samples are non-negative ints
     (cycles); negatives clamp to 0. *)
 module Histogram : sig
   type t
 
-  val create : ?sub_bits:int -> unit -> t
-  (** [sub_bits] (default 5) sets the sub-bucket resolution; the bucket
-      array is [~(64 - sub_bits) * 2^sub_bits] ints regardless of sample
-      count. Raises [Invalid_argument] outside [1..16]. *)
+  val create : unit -> t
+  (** An empty histogram; its bucket array is [(64 - sub_bits) *
+      2^sub_bits] ints regardless of sample count. *)
 
   val add : t -> int -> unit
   val count : t -> int
@@ -67,7 +66,7 @@ module Histogram : sig
 
   val merge_into : dst:t -> t -> unit
   (** Fold [src] into [dst] (e.g. per-shard histograms into a cluster
-      total). Raises [Invalid_argument] on a [sub_bits] mismatch. *)
+      total). *)
 
   val bucket_of : t -> int -> int
   (** Bucket index a value lands in (exposed for the error-bound test). *)

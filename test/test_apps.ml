@@ -137,6 +137,50 @@ let test_http_load_counts () =
       in
       check_bool "served some requests" true (n > 3))
 
+(* A client streams 64 KiB of request head, 256 bytes a segment, with no
+   blank line. Read on its own, the head stops at the cap: the reader has
+   buffered at least the cap and less than the cap plus one segment. End
+   to end, the client gets a 431 and the server closes. *)
+let test_http_head_cap () =
+  let seg = 256 in
+  let line = String.make (seg - 2) 'a' ^ "\r\n" in
+  let stream conn =
+    Tcp_lite.send conn "GET / HTTP/1.1\r\n";
+    for _ = 1 to 65_536 / seg do
+      Tcp_lite.send conn line
+    done
+  in
+  run_machine (fun m ->
+      let nif_a, nif_b = Stack.connect_urpc m ~core_a:0 ~core_b:2 () in
+      let client = Stack.create m ~core:0 nif_a in
+      let server = Stack.create m ~core:2 nif_b in
+      let listener = Stack.tcp_listen server ~port:81 in
+      let head = Sync.Ivar.create () in
+      Engine.spawn_ (fun () ->
+          Sync.Ivar.fill head (Http.read_head (Tcp_lite.accept listener)));
+      stream (Stack.tcp_connect client ~dst_ip:(Stack.ip server) ~dst_port:81);
+      (match Sync.Ivar.read head with
+       | Http.Too_large n ->
+         if n < Http.max_head_bytes || n >= Http.max_head_bytes + seg then
+           Alcotest.failf "buffered %d bytes (cap %d, segment %d)" n
+             Http.max_head_bytes seg
+       | Http.Head _ | Http.Eof -> Alcotest.fail "oversized head not refused");
+      Http.start_server server ~port:80 (fun ~meth:_ ~path:_ -> Http.ok_html "x");
+      let conn = Stack.tcp_connect client ~dst_ip:(Stack.ip server) ~dst_port:80 in
+      stream conn;
+      let reply = Buffer.create 128 in
+      let rec read () =
+        match Tcp_lite.recv conn with
+        | "" -> ()
+        | chunk ->
+          Buffer.add_string reply chunk;
+          read ()
+      in
+      read ();
+      let status = "HTTP/1.1 431 " in
+      check_string "status line" status
+        (Buffer.sub reply 0 (min (Buffer.length reply) (String.length status))))
+
 (* ---- Workload skeletons (smoke + scaling sanity) ---- *)
 
 let linux_rt plat =
@@ -181,6 +225,7 @@ let suite =
       tc "http parsing" test_http_parsing;
       tc "http end to end" test_http_end_to_end;
       tc "http load" test_http_load_counts;
+      tc "http head cap: 431 past 8 KiB" test_http_head_cap;
       tc "workloads scale" test_workloads_scale;
       tc "runtimes comparable" test_runtimes_comparable;
     ] )

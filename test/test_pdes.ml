@@ -386,15 +386,25 @@ let test_ping_pong_allocates_nothing () =
   if per_hop > 0.0 then
     Alcotest.failf "2-shard ping-pong: %.3f minor words per delivered message" per_hop
 
+(* The windows and parallelism profile one serial [exec] reports to the
+   [Pool] counters. *)
+let exec_profile p =
+  let read () =
+    Pool.(total Barriers, total Pdes_events, total Pdes_critical, total Pdes_busy)
+  in
+  let w0, e0, c0, b0 = read () in
+  Pdes.exec ~domains:1 p;
+  let w, e, c, b = read () in
+  (w - w0, e - e0, c - c0, b - b0)
+
 let test_profile () =
   let p = ticking ~idle:3 ~windows:50 in
-  Pdes.exec ~domains:1 p;
-  let pr = Pdes.profile p in
-  check_int "windows" (Pdes.barriers p) pr.Pdes.windows;
+  let windows, events, critical, busy = exec_profile p in
+  check_int "windows" (Pdes.barriers p) windows;
   (* Only shard 0 works, except the one window that fires shard 2's far
      event: the critical path is every event, so the speedup bound is 1. *)
-  check_int "critical = events" pr.Pdes.events pr.Pdes.critical;
-  check_int "one busy shard per window" pr.Pdes.windows pr.Pdes.busy;
+  check_int "critical = events" events critical;
+  check_int "one busy shard per window" windows busy;
   (* Two equally busy shards halve the critical path. *)
   let p = Pdes.create ~n_shards:2 ~lookahead:100 in
   for s = 0 to 1 do
@@ -403,10 +413,9 @@ let test_profile () =
           Engine.wait 100
         done)
   done;
-  Pdes.exec ~domains:1 p;
-  let pr = Pdes.profile p in
-  check_int "both shards busy in every window" (2 * pr.Pdes.windows) pr.Pdes.busy;
-  check_int "critical path is half the events" pr.Pdes.events (2 * pr.Pdes.critical)
+  let windows, events, critical, busy = exec_profile p in
+  check_int "both shards busy in every window" (2 * windows) busy;
+  check_int "critical path is half the events" events (2 * critical)
 
 let suite =
   ( "pdes",

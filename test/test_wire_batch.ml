@@ -1,17 +1,16 @@
-(* The wire-level batching path and the zero-copy HTTP scanner.
+(* The wire-level frame path and the zero-copy HTTP scanner.
 
-   Batching referee in miniature: a random cluster cell must produce an
-   identical result record with wire batching forced on and forced off,
-   and a differential property pins the canonical delivery order that
-   batched frames, sent from flush hooks, must share with window sends
-   (the property CI's full-sweep referee byte-diffs).
+   [Machine_link] in miniature: over random bursts on several links, its
+   delivery log must equal a reference written here that sends every
+   frame as its own [Pdes.send] closure behind the same serialization
+   [Resource]; a differential property pins the canonical delivery order
+   of window and flush-hook sends; and a frame allocates nothing.
    The HTTP side pins the incremental CRLFCRLF scanner to a naive oracle
    over adversarially fragmented chunk streams, and the arithmetic
    response-length model to the real formatter. *)
 
 open Mk_sim
 open Mk_apps
-open Mk_cluster
 open Test_util
 
 (* -- Pdes delivery order vs a reference model ------------------------- *)
@@ -100,80 +99,113 @@ let qcheck_delivery_order =
        ~name:"Pdes.send from windows and hooks runs in (at, src_core, mseq) order" gen
        delivery_order_holds)
 
-(* -- a batched frame allocates nothing ------------------------------- *)
+(* -- a frame allocates nothing ---------------------------------------- *)
 
 (* Minor words per frame over one link, from a sender that posts bursts of
    [burst] frames with one wait between bursts; measured as the difference
    between a long and a short run, so set-up and growth cancel out. *)
-let words_per_frame ~batching =
+let words_per_frame () =
   let run bursts =
-    Mk_net.Machine_link.set_batching_override (Some batching);
-    Fun.protect
-      ~finally:(fun () -> Mk_net.Machine_link.set_batching_override None)
-      (fun () ->
-        let burst = 8 in
-        let p = Pdes.create ~n_shards:2 ~lookahead:1_000 in
-        let link =
-          Mk_net.Machine_link.create p ~dst_shard:1 ~src_shard:0 ~src_id:0 ~ghz:2.0
-            ~latency:1_000 ()
-        in
-        let got = ref 0 in
-        Mk_net.Machine_link.set_rx link (fun ~bytes:_ (_ : string) -> incr got);
-        Pdes.spawn p ~shard:0 (fun () ->
-            for _ = 1 to bursts do
-              for _ = 1 to burst do
-                Mk_net.Machine_link.send link ~bytes:64 "frame"
-              done;
-              Engine.wait 1_000
-            done);
-        let w0 = Gc.minor_words () in
-        Pdes.exec ~domains:1 p;
-        let w = Gc.minor_words () -. w0 in
-        check_int "every frame delivered" (burst * bursts) !got;
-        (w, burst * bursts))
+    let burst = 8 in
+    let p = Pdes.create ~n_shards:2 ~lookahead:1_000 in
+    let link =
+      Mk_net.Machine_link.create p ~dst_shard:1 ~src_shard:0 ~src_id:0 ~ghz:2.0
+        ~latency:1_000 ()
+    in
+    let got = ref 0 in
+    Mk_net.Machine_link.set_rx link (fun ~bytes:_ (_ : string) -> incr got);
+    Pdes.spawn p ~shard:0 (fun () ->
+        for _ = 1 to bursts do
+          for _ = 1 to burst do
+            Mk_net.Machine_link.send link ~bytes:64 "frame"
+          done;
+          Engine.wait 1_000
+        done);
+    let w0 = Gc.minor_words () in
+    Pdes.exec ~domains:1 p;
+    let w = Gc.minor_words () -. w0 in
+    check_int "every frame delivered" (burst * bursts) !got;
+    (w, burst * bursts)
   in
   let ws, fs = run 100 and wl, fl = run 10_100 in
   (wl -. ws) /. float_of_int (fl - fs)
 
-let test_batched_frame_allocation () =
-  (* What remains per batched frame is the sender's wait (2 words, its
-     continuation) shared by its burst of 8; the referee mode's per-frame
-     closure costs 6 more. *)
-  let batched = words_per_frame ~batching:true in
-  if batched > 0.25 then
-    Alcotest.failf "batched frame: %.3f minor words (budget 0.25)" batched;
-  let unbatched = words_per_frame ~batching:false in
-  if unbatched < batched +. 4.0 then
-    Alcotest.failf "unbatched frame: %.3f minor words, batched %.3f: no closure saved"
-      unbatched batched
+let test_frame_allocation () =
+  (* What remains per frame is the sender's wait (2 words, its
+     continuation) shared by its burst of 8. *)
+  let w = words_per_frame () in
+  if w > 0.25 then Alcotest.failf "frame: %.3f minor words (budget 0.25)" w
 
-(* -- batching referee: random cluster cells --------------------------- *)
+(* -- Machine_link vs a per-frame reference ----------------------------- *)
 
-let qcheck_batch_referee =
-  qtest "cluster cell identical with wire batching forced on/off" ~count:4
-    QCheck2.Gen.(tup3 (int_range 1 3) (int_range 50 250) (int_range 0 2))
-    (fun (machines, users, pol_i) ->
-      let policy =
-        match pol_i with
-        | 0 -> Lb.Round_robin
-        | 1 -> Lb.Least_outstanding
-        | _ -> Lb.Consistent_hash
-      in
-      let run ov =
-        Mk_net.Machine_link.set_batching_override (Some ov);
-        Fun.protect
-          ~finally:(fun () -> Mk_net.Machine_link.set_batching_override None)
-          (fun () ->
-            let cl =
-              Cluster.create (Cluster.default_config ~policy ~machines ())
-            in
-            Cluster.run_load cl ~users ~think:2_000_000 ~warmup:500_000
-              ~window:4_000_000)
-      in
-      (* Every field of the result record — counts, quantiles, floats,
-         per-backend arrays — must agree; wire counters included, since
-         they describe traffic shape, not transport. *)
-      run true = run false)
+(* Four links into and out of three shards: two share a source and a
+   destination (their sends interleave in one outbox), and latencies
+   differ so frames of different links overtake each other. Few gaps and
+   frame sizes make frames of different links arrive at the same cycle,
+   where only the merge key orders them. *)
+let links = [| (0, 2, 1_000); (0, 2, 1_300); (1, 2, 1_000); (2, 0, 1_100) |]
+
+(* The reference link: every frame its own [Pdes.send] closure, sent as
+   it departs the same FIFO [Resource] at the same bandwidth. *)
+let reference_send p ~wire ~src_id ~dst ~latency ~rx ~bytes msg =
+  Engine.flush_charge ();
+  let cycles_per_byte = 8.0 *. 2.0 /. 10.0 in
+  let ser = int_of_float (ceil (float_of_int bytes *. cycles_per_byte)) in
+  let departed = Resource.reserve wire (Stdlib.max 1 ser) in
+  Pdes.send p ~dst ~src_core:src_id ~at:(departed + latency) (fun () -> rx ~bytes msg)
+
+(* Run one script of (link, gap, bytes) frames, each shard sending its
+   links' frames in script order after waiting [gap] cycles, and return
+   each destination's (time, link, bytes, frame) deliveries. *)
+let delivery_log ~reference script =
+  let p = Pdes.create ~n_shards:3 ~lookahead:1_000 in
+  let log = Array.make 3 [] in
+  let send =
+    Array.mapi
+      (fun l (src, dst, latency) ->
+        let rx ~bytes i =
+          log.(dst) <- (Engine.now (Pdes.engine p dst), l, bytes, i) :: log.(dst)
+        in
+        if reference then begin
+          let wire = Resource.create ~name:"wire" () in
+          reference_send p ~wire ~src_id:(l + 1) ~dst ~latency ~rx
+        end
+        else begin
+          let link =
+            Mk_net.Machine_link.create p ~dst_shard:dst ~src_shard:src ~src_id:(l + 1)
+              ~ghz:2.0 ~latency ()
+          in
+          Mk_net.Machine_link.set_rx link rx;
+          Mk_net.Machine_link.send link
+        end)
+      links
+  in
+  for s = 0 to 2 do
+    Pdes.spawn p ~shard:s (fun () ->
+        List.iteri
+          (fun i (l, gap, bytes) ->
+            let src, _, _ = links.(l) in
+            if src = s then begin
+              if gap > 0 then Engine.wait gap;
+              send.(l) ~bytes i
+            end)
+          script)
+  done;
+  Pdes.exec ~domains:1 p;
+  Array.map List.rev log
+
+let qcheck_link_vs_reference =
+  qtest "Machine_link deliveries = per-frame reference" ~count:300
+    QCheck2.Gen.(
+      list_size (int_bound 80)
+        (tup3
+           (int_bound (Array.length links - 1))
+           (oneofl [ 0; 0; 300; 1_000; 2_500 ])
+           (oneofl [ 1; 64; 120; 1_500 ])))
+    (fun script ->
+      let got = delivery_log ~reference:false script in
+      got = delivery_log ~reference:true script
+      && Array.fold_left (fun n l -> n + List.length l) 0 got = List.length script)
 
 (* -- incremental CRLFCRLF scanner vs naive oracle --------------------- *)
 
@@ -269,8 +301,8 @@ let suite =
   ( "wire-batch",
     [
       qcheck_delivery_order;
-      tc "batched frame allocates no closure" test_batched_frame_allocation;
-      qcheck_batch_referee;
+      tc "batched frame allocates no closure" test_frame_allocation;
+      qcheck_link_vs_reference;
       qcheck_scan_fragmented;
       tc "scanner straddles chunk boundaries" test_scan_straddles_boundaries;
       qcheck_response_length;
