@@ -32,4 +32,3 @@ val outstanding : t -> int -> int
 val mark_dead : t -> int -> unit
 val mark_alive : t -> int -> unit
 val alive : t -> int -> bool
-val any_alive : t -> bool

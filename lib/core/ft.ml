@@ -25,7 +25,6 @@ type t = {
   os : Os.t;
   mutable services : service list;
   detected_at : int array;  (* absolute time of first detection; -1 = none *)
-  detected_by : int array;
   recovered_at : int array;  (* services respawned + death announced *)
   mutable deaths : int;
 }
@@ -77,7 +76,6 @@ let handle_death t ~by ~core ~at =
   Shard.post sh ~src_core:by ~core:0 (fun () ->
       if t.detected_at.(core) < 0 then begin
         t.detected_at.(core) <- at;
-        t.detected_by.(core) <- by;
         t.deaths <- t.deaths + 1;
         Os.mark_dead t.os ~core;
         Engine.spawn (Shard.engine sh 0) ~name:"ft.recover" (fun () ->
@@ -92,7 +90,6 @@ let attach ~until os =
       os;
       services = [];
       detected_at = Array.make n (-1);
-      detected_by = Array.make n (-1);
       recovered_at = Array.make n (-1);
       deaths = 0;
     }
@@ -131,7 +128,6 @@ let register_service t ~name ~home ~respawn =
   t.services <- { s_name = name; s_home = home; s_respawn = respawn } :: t.services
 
 let detected_at t ~core = if t.detected_at.(core) < 0 then None else Some t.detected_at.(core)
-let detected_by t ~core = if t.detected_by.(core) < 0 then None else Some t.detected_by.(core)
 let recovered_at t ~core = if t.recovered_at.(core) < 0 then None else Some t.recovered_at.(core)
 let deaths t = t.deaths
 

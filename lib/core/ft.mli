@@ -23,7 +23,6 @@ val register_service : t -> name:string -> home:int -> respawn:(int -> unit) -> 
 val detected_at : t -> core:int -> int option
 (** Absolute time a core's death was first detected, if it was. *)
 
-val detected_by : t -> core:int -> int option
 val recovered_at : t -> core:int -> int option
 (** Time the death was announced and dependent services respawned. *)
 

@@ -60,9 +60,6 @@ val connect : t array -> unit
     carrying one interconnect leg — the monitors' dispatch loops never
     read another shard's state. *)
 
-val chan_to : t -> int -> msg Urpc.t
-(** The outgoing channel to a peer monitor (for channel-setup services). *)
-
 val ping : t -> int -> int
 (** Round-trip a message to a peer monitor and return the cycles taken:
     the boot-time online measurement that feeds the SKB. *)

@@ -243,11 +243,11 @@ let alloc_shared t ~src_core ?(node = 0) nlines =
 (* -- URPC across the cut --
 
    One logical channel becomes a (sender-half, receiver-half) pair: the
-   sender half runs the real send path (ring stores, flow control, wire
-   sequencing) on the sender's shard; at each message's visibility time
-   the payload crosses as a Pdes message carrying one interconnect leg and
-   materializes in the receiver half's ring, where the receiver pays the
-   normal fetch + dispatch path. Each half's buffer is homed on its own
+   sender half runs the real send path (ring stores, flow control, the
+   delivery event) on the sender's shard; at each message's visibility
+   time the payload crosses as a Pdes message carrying one interconnect
+   leg and materializes in the receiver half's ring, where the receiver
+   pays the normal fetch + dispatch path. Each half's buffer is homed on its own
    side of the cut, so neither ring ever triggers remote coherence. *)
 let split_at_wire t tx rx =
   let sender = Urpc.sender tx and receiver = Urpc.receiver tx in
@@ -255,8 +255,8 @@ let split_at_wire t tx rx =
   let leg =
     t.leg.(Platform.package_of t.plat sender).(Platform.package_of t.plat receiver)
   in
-  Urpc.set_remote_delivery tx (fun ~visible_at payload ->
-      Pdes.send t.pdes ~dst:rs ~src_core:sender ~at:(visible_at + leg) (fun () ->
+  Urpc.set_remote_delivery tx (fun payload ->
+      Pdes.send t.pdes ~dst:rs ~src_core:sender ~at:(Engine.now_ () + leg) (fun () ->
           Urpc.deliver_remote (rx ()) payload))
 
 let link_urpc (type a) t ~sender ~receiver ?slots ?name () : a link =

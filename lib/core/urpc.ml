@@ -1,3 +1,10 @@
+(* URPC channels (§4.6): a ring of cache-line slots written by one sender
+   core and polled by one receiver core. A send pays its software path and
+   posts its line stores; the message becomes visible when the last store
+   completes, and the channel's one delivery thunk, scheduled at that
+   time, hands it to the receive mailbox. No task stands behind a
+   channel. *)
+
 open Mk_sim
 open Mk_hw
 
@@ -18,14 +25,12 @@ let k_dropped = 2
 (* Mutable and recycled: one record travels sender -> wire queue ->
    receive mailbox and goes back on the channel's [free] stack once the
    receiver has read the payload, so steady-state messaging allocates no
-   record per message. [visible_at] rides in the record rather than a
-   (time, delivery) tuple on the wire queue. *)
+   record per message. *)
 type 'a delivery = {
   mutable payload : 'a;
   mutable slot_addr : int;
   mutable lines : int;
   mutable kind : int;
-  mutable visible_at : int;
 }
 
 type 'a t = {
@@ -40,25 +45,22 @@ type 'a t = {
   box : 'a delivery Sync.Mailbox.t;
   prefetch : bool;
   chan_name : string;
-  (* In-flight messages awaiting visibility, drained by one persistent
-     per-channel sequencer task (spawned on first send). [visible_at] is
-     monotonic per channel, so queue order is delivery order. *)
+  (* In-flight messages awaiting visibility. Each send schedules
+     [deliver] once at its visibility time, which is monotonic per
+     channel, so the deliveries pop this queue in order. *)
   wire_q : 'a delivery Ring.t;
+  deliver : unit -> unit;  (* built once: pops and delivers the head *)
   (* Recycled delivery records, a stack of [n_free] (capped in practice by
      ring slots + 1). *)
   mutable free : 'a delivery array;
   mutable n_free : int;
-  mutable wire_spawned : bool;
-  (* The parked sequencer's waker; [Engine.no_waker] while it runs. *)
-  mutable wire_waker : Engine.waker;
-  park : Engine.waker -> unit;  (* the sequencer's suspend callback *)
   mutable last_visible : int;
   mutable sent : int;
   mutable received : int;
   mutable notify : (unit -> unit) option;
   (* PDES cross-shard delivery (sender half): messages leave the shard at
      their visibility time instead of entering the receive mailbox. *)
-  mutable remote_delivery : (visible_at:int -> 'a -> unit) option;
+  mutable remote_delivery : ('a -> unit) option;
 }
 
 (* A channel's buffers are one block of contiguous lines: the slot ring
@@ -74,6 +76,59 @@ let block_home ~ring ~sender ~receiver off =
   if off < default_slots then ring
   else if off < default_slots + send_lines then sender
   else receiver
+
+(* Pull a delivery record off the channel's free stack (or allocate the
+   first few); released by the receiver once the payload has been read, or
+   at the wire for an injected drop. *)
+let get_delivery t ~payload ~slot_addr ~lines ~kind =
+  if t.n_free = 0 then { payload; slot_addr; lines; kind }
+  else begin
+    t.n_free <- t.n_free - 1;
+    let d = t.free.(t.n_free) in
+    d.payload <- payload;
+    d.slot_addr <- slot_addr;
+    d.lines <- lines;
+    d.kind <- kind;
+    d
+  end
+
+(* The stack grows by doubling, filled with the record being pushed: the
+   slots above [n_free] are never read. *)
+let release_delivery t d =
+  if t.n_free = Array.length t.free then begin
+    let free = Array.make (max 4 (2 * t.n_free)) d in
+    Array.blit t.free 0 free 0 t.n_free;
+    t.free <- free
+  end;
+  t.free.(t.n_free) <- d;
+  t.n_free <- t.n_free + 1
+
+(* The channel's [deliver] thunk, run at the head message's visibility
+   time: the moment the sender's last line store completes and the
+   polling receiver can see the message (§4.6). *)
+let deliver_next t =
+  let d = Ring.pop t.wire_q in
+  if d.kind = k_dropped then begin
+    (* Injected loss: the slot is reclaimed (the sender's ring index
+       advances regardless) but the receiver never sees the message. *)
+    Sync.Semaphore.release t.flow;
+    release_delivery t d
+  end
+  else begin
+    match t.remote_delivery with
+    | Some hook ->
+      (* Cross-shard: the message leaves this shard now; the flow credit
+         returns at the wire (the real receiver — another shard's
+         receiver-half channel — cannot touch this semaphore). A
+         duplicate redelivers a slot whose credit was already returned,
+         same rule as [charge_receive]. *)
+      hook d.payload;
+      if d.kind <> k_dup then Sync.Semaphore.release t.flow;
+      release_delivery t d
+    | None ->
+      Sync.Mailbox.send t.box d;
+      (match t.notify with Some f -> f () | None -> ())
+  end
 
 let build (type a) m ~sender ~receiver ~slots ~prefetch ~name ~base : a t =
   let cl = m.Machine.plat.Platform.cacheline in
@@ -96,11 +151,9 @@ let build (type a) m ~sender ~receiver ~slots ~prefetch ~name ~base : a t =
       prefetch;
       chan_name = name;
       wire_q = Ring.create ();
+      deliver = (fun () -> deliver_next t);
       free = [||];
       n_free = 0;
-      wire_spawned = false;
-      wire_waker = Engine.no_waker;
-      park = (fun w -> t.wire_waker <- w);
       last_visible = 0;
       sent = 0;
       received = 0;
@@ -136,8 +189,7 @@ let stats_sent t = t.sent
 let stats_received t = t.received
 
 (* Post [lines] consecutive line stores starting at the slot; the message
-   becomes visible when the last store's invalidation completes. In-order
-   delivery is enforced by the channel's visibility sequencer. *)
+   becomes visible when the last store's invalidation completes. *)
 let post_message t ~slot_addr ~lines =
   let coh = t.m.Machine.coh in
   let cl = t.m.Machine.plat.Platform.cacheline in
@@ -148,89 +200,12 @@ let post_message t ~slot_addr ~lines =
   done;
   !delay
 
-(* The per-channel delivery sequencer: one persistent task that sleeps
-   until the head message's visibility time, posts it to the receive
-   mailbox, and parks itself when the wire is idle. Because [visible_at]
-   is monotonic per channel, draining the queue in FIFO order realizes
-   exactly the (time, seq) schedule that one spawned wire task per
-   message used to — minus a task creation/teardown and a continuation
-   allocation per message, and minus the wake-up event entirely when
-   messages are in flight back to back. *)
-(* Pull a delivery record off the channel's free stack (or allocate the
-   first few); released by the receiver once the payload has been read, or
-   at the wire for an injected drop. *)
-let get_delivery t ~payload ~slot_addr ~lines ~kind ~visible_at =
-  if t.n_free = 0 then { payload; slot_addr; lines; kind; visible_at }
-  else begin
-    t.n_free <- t.n_free - 1;
-    let d = t.free.(t.n_free) in
-    d.payload <- payload;
-    d.slot_addr <- slot_addr;
-    d.lines <- lines;
-    d.kind <- kind;
-    d.visible_at <- visible_at;
-    d
-  end
-
-(* The stack grows by doubling, filled with the record being pushed: the
-   slots above [n_free] are never read. *)
-let release_delivery t d =
-  if t.n_free = Array.length t.free then begin
-    let free = Array.make (max 4 (2 * t.n_free)) d in
-    Array.blit t.free 0 free 0 t.n_free;
-    t.free <- free
-  end;
-  t.free.(t.n_free) <- d;
-  t.n_free <- t.n_free + 1
-
-let rec wire_loop t =
-  if Ring.is_empty t.wire_q then begin
-    Engine.suspend t.park;
-    wire_loop t
-  end
-  else begin
-    let d = Ring.pop t.wire_q in
-    Engine.wait_until d.visible_at;
-    if d.kind = k_dropped then begin
-      (* Injected loss: the slot is reclaimed (the sender's ring index
-         advances regardless) but the receiver never sees the message. *)
-      Sync.Semaphore.release t.flow;
-      release_delivery t d
-    end
-    else begin
-      match t.remote_delivery with
-      | Some hook ->
-        (* Cross-shard: the message leaves this shard at its visibility
-           time; the flow credit returns at the wire (the real receiver —
-           another shard's receiver-half channel — cannot touch this
-           semaphore). A duplicate redelivers a slot whose credit was
-           already returned, same rule as [charge_receive]. *)
-        hook ~visible_at:d.visible_at d.payload;
-        if d.kind <> k_dup then Sync.Semaphore.release t.flow;
-        release_delivery t d
-      | None ->
-        Sync.Mailbox.send t.box d;
-        (match t.notify with Some f -> f () | None -> ())
-    end;
-    wire_loop t
-  end
-
-let wire_post t d =
-  Ring.push t.wire_q d;
-  if not t.wire_spawned then begin
-    t.wire_spawned <- true;
-    (* Name built here, not in [create]: a monitor mesh makes n*(n-1)
-       channels and most never carry a message. *)
-    Engine.spawn_ ~name:(t.chan_name ^ ".wire") (fun () -> wire_loop t)
-  end
-  else begin
-    (* A running sequencer will see the new entry by itself. *)
-    let w = t.wire_waker in
-    if w != Engine.no_waker then begin
-      t.wire_waker <- Engine.no_waker;
-      w ()
-    end
-  end
+(* Queue a delivery record and schedule its delivery at [visible_at].
+   [Engine.at_] pays the sender's banked charge first, so a fused run
+   sequences the delivery exactly where an unfused one does. *)
+let wire_post t ~payload ~slot_addr ~lines ~kind ~visible_at =
+  Ring.push t.wire_q (get_delivery t ~payload ~slot_addr ~lines ~kind);
+  Engine.at_ ~at:visible_at t.deliver
 
 let send t ?(lines = 1) payload =
   (match t.m.Machine.comm with
@@ -251,7 +226,7 @@ let send t ?(lines = 1) payload =
   if not (Mk_fault.Injector.armed inj) then begin
     t.last_visible <- visible_at;
     t.sent <- t.sent + 1;
-    wire_post t (get_delivery t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at)
+    wire_post t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at
   end
   else begin
     (* Fault point: the injector decides this message's fate. Delay is
@@ -268,12 +243,12 @@ let send t ?(lines = 1) payload =
     t.sent <- t.sent + 1;
     match fate with
     | Mk_fault.Injector.Drop ->
-      wire_post t (get_delivery t ~payload ~slot_addr ~lines ~kind:k_dropped ~visible_at)
+      wire_post t ~payload ~slot_addr ~lines ~kind:k_dropped ~visible_at
     | Mk_fault.Injector.Dup ->
-      wire_post t (get_delivery t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at);
-      wire_post t (get_delivery t ~payload ~slot_addr ~lines ~kind:k_dup ~visible_at)
+      wire_post t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at;
+      wire_post t ~payload ~slot_addr ~lines ~kind:k_dup ~visible_at
     | Mk_fault.Injector.Deliver | Mk_fault.Injector.Delay _ ->
-      wire_post t (get_delivery t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at)
+      wire_post t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at
   end
 
 (* Receive-side cost once a message line is visible: fetch each line from
@@ -316,7 +291,7 @@ let charge_receive t (d : 'a delivery) =
 let deliver_remote t ?(lines = 1) payload =
   let slot_addr = t.slot_addrs.(t.head) in
   t.head <- (t.head + 1) mod Array.length t.slot_addrs;
-  let d = get_delivery t ~payload ~slot_addr ~lines ~kind:k_dup ~visible_at:0 in
+  let d = get_delivery t ~payload ~slot_addr ~lines ~kind:k_dup in
   Sync.Mailbox.send t.box d;
   match t.notify with Some f -> f () | None -> ()
 
@@ -353,16 +328,20 @@ module Broadcast = struct
        than an assoc-list scan per message. *)
     order : 'a Sync.Mailbox.t array;
     by_core : 'a Sync.Mailbox.t option array;
-    (* In-flight messages, as two parallel rings so a send allocates
-       nothing: visibility times, and payloads. The wire sequencer is
-       spawned on the first send. *)
-    q_vis : int Ring.t;
+    (* In-flight payloads, each with one [deliver] scheduled at its
+       visibility time, as for point-to-point channels. *)
     q_payload : 'a Ring.t;
-    mutable wire_spawned : bool;
-    mutable wire_waker : Engine.waker;
-    park : Engine.waker -> unit;
+    deliver : unit -> unit;
     mutable last_visible : int;
   }
+
+  (* Fan the head message out to every receiver mailbox, in creation
+     order, at its visibility time. *)
+  let deliver_next t =
+    let payload = Ring.pop t.q_payload in
+    for i = 0 to Array.length t.order - 1 do
+      Sync.Mailbox.send t.order.(i) payload
+    done
 
   let create m ~sender ~receivers ?node () =
     let node =
@@ -387,51 +366,20 @@ module Broadcast = struct
         line_addr;
         order;
         by_core;
-        q_vis = Ring.create ();
         q_payload = Ring.create ();
-        wire_spawned = false;
-        wire_waker = Engine.no_waker;
-        park = (fun w -> t.wire_waker <- w);
+        deliver = (fun () -> deliver_next t);
         last_visible = 0;
       }
     in
     t
-
-  (* Same delivery-sequencer scheme as point-to-point channels: one
-     persistent task fans each message out to every receiver mailbox at
-     its visibility time, in order. *)
-  let rec wire_loop t =
-    if Ring.is_empty t.q_vis then begin
-      Engine.suspend t.park;
-      wire_loop t
-    end
-    else begin
-      let visible_at = Ring.pop t.q_vis and payload = Ring.pop t.q_payload in
-      Engine.wait_until visible_at;
-      for i = 0 to Array.length t.order - 1 do
-        Sync.Mailbox.send t.order.(i) payload
-      done;
-      wire_loop t
-    end
 
   let send t payload =
     Engine.charge send_sw_cost;
     let delay = Coherence.store_posted t.m.Machine.coh ~core:t.src t.line_addr in
     let visible_at = max (Engine.now_ () + delay) t.last_visible in
     t.last_visible <- visible_at;
-    Ring.push t.q_vis visible_at;
     Ring.push t.q_payload payload;
-    if not t.wire_spawned then begin
-      t.wire_spawned <- true;
-      Engine.spawn_ ~name:"bcast.wire" (fun () -> wire_loop t)
-    end
-    else begin
-      let w = t.wire_waker in
-      if w != Engine.no_waker then begin
-        t.wire_waker <- Engine.no_waker;
-        w ()
-      end
-    end
+    Engine.at_ ~at:visible_at t.deliver
 
   let recv t ~core =
     let box =

@@ -10,7 +10,13 @@
 
     The channel buffer's home (directory) node is a placement knob: by
     default it lives on the sender's node; the NUMA-aware multicast of §5.1
-    allocates it on the aggregation node instead ({!create}'s [node]). *)
+    allocates it on the aggregation node instead ({!create}'s [node]).
+
+    Delivery is an event at a known time, not an agent: each send
+    schedules the channel's one prebuilt delivery thunk at the message's
+    visibility time ({!Mk_sim.Engine.at_}), and that thunk posts the head
+    of the channel's in-flight queue to the receive mailbox. Visibility
+    times are monotonic per channel, so messages arrive in order. *)
 
 type 'a t
 
@@ -94,7 +100,7 @@ val set_notify : _ t -> (unit -> unit) -> unit
     poll cycles in the simulator (the real system's poll loop; its cost is
     charged by the consumer, see {!Monitor}). *)
 
-val set_remote_delivery : 'a t -> (visible_at:int -> 'a -> unit) -> unit
+val set_remote_delivery : 'a t -> ('a -> unit) -> unit
 (** PDES cross-shard linkage, sender half, installed by
     [Shard.split_at_wire]: instead of entering the local
     receive mailbox, each message leaves the shard at its visibility time
@@ -102,7 +108,8 @@ val set_remote_delivery : 'a t -> (visible_at:int -> 'a -> unit) -> unit
     ending in the receiver shard's {!deliver_remote}). The flow credit
     returns at the wire — the real receiver lives on another shard and
     cannot release this channel's semaphore. The callback runs in the
-    channel's wire-sequencer task but must not block. *)
+    channel's delivery event, at the visibility time ([Engine.now_]),
+    outside any task: it must not perform task effects. *)
 
 val deliver_remote : 'a t -> ?lines:int -> 'a -> unit
 (** PDES cross-shard linkage, receiver half: materialize an arriving

@@ -206,15 +206,6 @@ let iter_neighbors t u f =
     if u + side < t.n then f (u + side)
   | Irregular { adj; _ } -> List.iter f adj.(u)
 
-let neighbors t u =
-  check_node t u;
-  match t.kind with
-  | Irregular { adj; _ } -> adj.(u)
-  | _ ->
-    let acc = ref [] in
-    iter_neighbors t u (fun v -> acc := v :: !acc);
-    List.rev !acc
-
 let links t =
   match t.kind with
   | Irregular { link_arr; _ } -> Array.copy link_arr

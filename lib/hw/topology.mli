@@ -56,8 +56,6 @@ val path : t -> int -> int -> link list
 val path_directed : t -> int -> int -> (int * int) list
 (** Same, but each hop keeps its direction of travel. *)
 
-val neighbors : t -> int -> int list
-
 val contiguous_partition : t -> parts:int -> int array
 (** Deterministic node -> class map splitting the node ids into [parts]
     contiguous ranges of near-equal size. This is the PDES shard

@@ -194,8 +194,7 @@ let ping t ~dst_ip ~timeout =
   Icmp.encode p ~icmp_type:Icmp.type_echo_request ~ident:1 ~seq;
   let sent = Engine.now_ () in
   ip_output t ~proto:Icmp.protocol ~dst_ip p;
-  Engine.spawn_ ~name:"ping.timeout" (fun () ->
-      Engine.wait timeout;
+  Engine.at_ ~at:(Engine.now_ () + timeout) (fun () ->
       match Hashtbl.find_opt t.ping_waiters seq with
       | Some iv ->
         Hashtbl.remove t.ping_waiters seq;

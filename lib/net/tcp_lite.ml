@@ -1,9 +1,15 @@
 (* A small but genuine TCP: real 20-byte headers, sequence/acknowledgement
    numbers, a 3-way handshake, MSS segmentation, cumulative acks, FIN
    teardown, and timer-driven retransmission with exponential backoff (the
-   reason the paper's web-server setup runs a timer driver). Connections
+   reason the paper's web-server setup runs a timer driver), and flow
+   control: each segment advertises the receive window left
+   ([window] less the bytes its reader has not taken), and [send] waits
+   while its next segment would pass the peer's last advertised edge, so a
+   connection never holds more than [window] unread bytes. Connections
    survive packet loss when the owning stack has a {!Mk_hw.Timer}; without
-   one the substrate must be loss-free (URPC links are). *)
+   one the substrate must be loss-free (URPC links are). There is no
+   persist timer, so on a lossy link a lost window update leaves a sender
+   that waits for window stalled. *)
 
 open Mk_sim
 
@@ -77,6 +83,10 @@ type conn = {
   mutable snd_una : int;
   mutable rcv_nxt : int;
   rx_data : string Sync.Mailbox.t;  (* "" signals EOF *)
+  mutable unread : int;  (* payload bytes in [rx_data], at most [window] *)
+  mutable rcv_adv : int;  (* right edge of the window last advertised *)
+  mutable snd_wnd : int;  (* the peer's last advertised window *)
+  mutable wnd_wait : unit Sync.Ivar.t option;  (* a [send] waiting for it *)
   established : unit Sync.Ivar.t;
   mutable parent : listener option;
   (* Retransmission state: unacked segments in send order. *)
@@ -123,6 +133,8 @@ let transmit c ~seq ~flags ~payload =
   let t = c.engine in
   let p = t.alloc_pbuf (String.length payload) in
   if payload <> "" then Pbuf.blit_string payload p 0;
+  let wnd = window - c.unread in
+  c.rcv_adv <- c.rcv_nxt + wnd;
   encode p
     ~h:
       {
@@ -131,13 +143,21 @@ let transmit c ~seq ~flags ~payload =
         seq;
         ack = c.rcv_nxt;
         flags;
-        wnd = window;
+        wnd;
       };
   t.segments_sent <- t.segments_sent + 1;
   t.output ~dst_ip:c.remote_ip p
 
 let seq_consumed ~flags ~payload =
   String.length payload + (if flags land (flag_syn lor flag_fin) <> 0 then 1 else 0)
+
+(* Wake a [send] waiting for window; it re-checks the window itself. *)
+let wake_sender c =
+  match c.wnd_wait with
+  | Some iv ->
+    c.wnd_wait <- None;
+    Sync.Ivar.fill iv ()
+  | None -> ()
 
 let cancel_rto c =
   (match c.rto_handle with Some h -> Mk_hw.Timer.cancel h | None -> ());
@@ -156,10 +176,12 @@ and on_rto c =
   | [] -> ()
   | (seq, flags, payload) :: _ ->
     if c.retries >= max_retries then begin
-      (* Give up: the peer is unreachable. Fail any blocked reader. *)
+      (* Give up: the peer is unreachable. Fail any blocked reader, and
+         any sender waiting for window. *)
       c.st <- Closed;
       c.unacked <- [];
-      Sync.Mailbox.send c.rx_data ""
+      Sync.Mailbox.send c.rx_data "";
+      wake_sender c
     end
     else begin
       c.engine.retransmitted <- c.engine.retransmitted + 1;
@@ -181,8 +203,13 @@ let send_segment c ~flags ~payload =
   end;
   transmit c ~seq ~flags ~payload
 
-(* Cumulative acknowledgement: retire covered segments. *)
-let process_ack c ack =
+(* Cumulative acknowledgement: take the window it carries and retire
+   covered segments. *)
+let process_ack c ~ack ~wnd =
+  if ack >= c.snd_una then begin
+    c.snd_wnd <- wnd;
+    wake_sender c
+  end;
   if ack > c.snd_una then begin
     c.snd_una <- ack;
     c.retries <- 0;
@@ -205,6 +232,10 @@ let new_conn t ~local_port ~remote_ip ~remote_port ~st =
     snd_una = initial_seq;
     rcv_nxt = 0;
     rx_data = Sync.Mailbox.create ();
+    unread = 0;
+    rcv_adv = 0;
+    snd_wnd = window;
+    wnd_wait = None;
     established = Sync.Ivar.create ();
     parent = None;
     unacked = [];
@@ -232,6 +263,12 @@ let connect t ~dst_ip ~dst_port =
 
 let rec send c data =
   match c.st with
+  | Established | Close_wait
+    when c.snd_nxt + min mss (String.length data) > c.snd_una + c.snd_wnd ->
+    let iv = Sync.Ivar.create () in
+    c.wnd_wait <- Some iv;
+    Sync.Ivar.read iv;
+    send c data
   | Established | Close_wait ->
     if String.length data <= mss then
       send_segment c ~flags:(flag_ack lor flag_psh) ~payload:data
@@ -241,7 +278,19 @@ let rec send c data =
     end
   | _ -> invalid_arg "Tcp_lite.send: connection not established"
 
-let recv c = Sync.Mailbox.recv c.rx_data
+(* Reading frees window. Once the edge last advertised leaves the peer
+   less than a segment, and a segment's room is free again, say so: a
+   sender with nothing in flight gets no other acknowledgement to learn it
+   from. *)
+let recv c =
+  let data = Sync.Mailbox.recv c.rx_data in
+  c.unread <- c.unread - String.length data;
+  (match c.st with
+   | (Established | Fin_wait)
+     when c.rcv_adv - c.rcv_nxt < mss && window - c.unread >= mss ->
+     send_segment c ~flags:flag_ack ~payload:""
+   | _ -> ());
+  data
 
 let close c =
   match c.st with
@@ -256,7 +305,7 @@ let close c =
 let state c = c.st
 
 let handle_conn c (h : seg_hdr) payload =
-  if h.flags land flag_ack <> 0 then process_ack c h.ack;
+  if h.flags land flag_ack <> 0 then process_ack c ~ack:h.ack ~wnd:h.wnd;
   match c.st with
   | Syn_sent when h.flags land flag_syn <> 0 && h.flags land flag_ack <> 0 ->
     c.rcv_nxt <- h.seq + 1;
@@ -274,17 +323,19 @@ let handle_conn c (h : seg_hdr) payload =
       (* Duplicate SYN|ACK: our handshake ACK was lost; re-ack. *)
       send_segment c ~flags:flag_ack ~payload:""
     else begin
-      let in_order = h.seq = c.rcv_nxt in
-      let had_payload = payload <> "" in
-      if had_payload then
-        if in_order then begin
-          c.rcv_nxt <- c.rcv_nxt + String.length payload;
-          Sync.Mailbox.send c.rx_data payload
-        end
-        else
-          (* Duplicate or gap: drop, re-advertise what we expect. *)
-          send_segment c ~flags:flag_ack ~payload:"";
-      let fin_seq = h.seq + String.length payload in
+      let len = String.length payload in
+      (* In-order payload is taken only while it fits the receive window;
+         a sender that keeps to the advertised window always fits. *)
+      let accepted = len > 0 && h.seq = c.rcv_nxt && c.unread + len <= window in
+      if accepted then begin
+        c.rcv_nxt <- c.rcv_nxt + len;
+        c.unread <- c.unread + len;
+        Sync.Mailbox.send c.rx_data payload
+      end
+      else if len > 0 then
+        (* Duplicate, gap or no room: drop, re-advertise what we expect. *)
+        send_segment c ~flags:flag_ack ~payload:"";
+      let fin_seq = h.seq + len in
       if h.flags land flag_fin <> 0 then begin
         if fin_seq = c.rcv_nxt then begin
           c.rcv_nxt <- c.rcv_nxt + 1;
@@ -300,7 +351,7 @@ let handle_conn c (h : seg_hdr) payload =
         end
         else send_segment c ~flags:flag_ack ~payload:""
       end
-      else if had_payload && in_order then send_segment c ~flags:flag_ack ~payload:""
+      else if accepted then send_segment c ~flags:flag_ack ~payload:""
     end
   | Closed ->
     (* A retransmitted FIN after we are done: re-acknowledge it. *)

@@ -637,4 +637,14 @@ let spawn_ ?(name = "task") f =
   | Some t -> spawn_named t name f
   | None -> invalid_arg "Engine.spawn_: no running engine"
 
+(* The thunk counterpart of [spawn_]: an act at a known later time that
+   needs no task of its own (a URPC delivery, a timeout watchdog). The
+   bank is paid first, so the event is sequenced after everything the
+   caller's banked window would have let fire, as a waker's is. *)
+let at_ ~at thunk =
+  let c = flushed_cell () in
+  match c.running with
+  | Some t -> schedule t ~at (ev_of_thunk thunk)
+  | None -> invalid_arg "Engine.at_: no running engine"
+
 let halt () = raise Halted

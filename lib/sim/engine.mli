@@ -56,12 +56,7 @@ val domain_events_fused : unit -> int
 (** Scheduler events saved by latency-charge fusion on the current domain:
     charges banked minus flush waits paid. Adding this to
     {!domain_events_executed} reconstructs the event count an unfused run
-    executes, so events/sec stays comparable across fusion modes. The
-    reconstruction is slightly conservative: fusion also removes
-    second-order scheduler traffic (e.g. a delivery sequencer that parks
-    and is re-woken between a sender's eager waits never parks when those
-    waits are banked), and those avoided park/wake events are counted
-    neither as executed nor as fused. *)
+    executes, so events/sec stays comparable across fusion modes. *)
 
 val set_fusion : bool -> unit
 (** Enable/disable latency-charge fusion on the {e current domain}
@@ -179,6 +174,12 @@ val spawn_ : ?name:string -> (unit -> unit) -> unit
 (** Spawn a sibling task from inside a task, at the current virtual time,
     scheduled directly on the running engine. [name] (default ["task"])
     labels the task in {!Stalled} diagnostics. *)
+
+val at_ : at:int -> (unit -> unit) -> unit
+(** [at_ ~at thunk] pays any banked charge, then schedules [thunk] on the
+    running engine at absolute time [at] (clamped to now), as
+    {!schedule_at} does: the thunk counterpart of {!spawn_}, for an act
+    at a known time that needs no task to wait for it. *)
 
 val halt : unit -> 'a
 (** Terminate the current task immediately. *)

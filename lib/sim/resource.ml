@@ -7,7 +7,6 @@ type t = {
 let create ?(name = "resource") () = { rname = name; busy_until = 0; busy_cycles = 0 }
 
 let name t = t.rname
-let busy_until t = t.busy_until
 
 let reserve_at t ~now n =
   let n = max 0 n in

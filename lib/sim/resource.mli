@@ -13,13 +13,11 @@ val create : ?name:string -> unit -> t
 
 val name : t -> string
 
-val busy_until : t -> int
-(** Absolute time at which all currently accepted work completes. *)
-
 val acquire : t -> int -> int
-(** [acquire r n] reserves the resource for [n] cycles starting at
-    [max now (busy_until r)], waits until the reservation ends, and returns
-    the time service {e started} (so callers can compute queueing delay). *)
+(** [acquire r n] reserves the resource for [n] cycles starting at the
+    later of now and the end of the work it has already accepted, waits
+    until the reservation ends, and returns the time service {e started}
+    (so callers can compute queueing delay). *)
 
 val reserve : t -> int -> int
 (** Like {!acquire} but does not block the caller: reserves capacity and

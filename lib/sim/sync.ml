@@ -112,7 +112,7 @@ module Mailbox = struct
 
   let take_opt t = if Ring.is_empty t.items then None else Some (Ring.pop t.items)
 
-  (* Timed receive. A watchdog task marks the entry stale at the deadline
+  (* Timed receive. A watchdog thunk marks the entry stale at the deadline
      and fires its waker; whichever of send/watchdog runs first marks it
      stale and wakes, and the loser leaves the waker alone, so it cannot
      resume a later suspension of the same task. A message arriving in
@@ -128,13 +128,12 @@ module Mailbox = struct
         let left = deadline - Engine.now_ () in
         if left <= 0 then take_opt t
         else begin
-          (* Spawn the watchdog in task context (effects are unavailable
-             inside the suspend callback); the entry only becomes visible
-             to [send] once suspend registers it, and the watchdog cannot
-             fire before then because [left] > 0. *)
+          (* Schedule the watchdog in task context (effects are
+             unavailable inside the suspend callback); the entry only
+             becomes visible to [send] once suspend registers it, and the
+             watchdog cannot fire before then because [left] > 0. *)
           let entry = { stale = false; waker = Engine.no_waker } in
-          Engine.spawn_ ~name:"mbox.timeout" (fun () ->
-              Engine.wait left;
+          Engine.at_ ~at:deadline (fun () ->
               if not entry.stale then begin
                 entry.stale <- true;
                 wake entry.waker

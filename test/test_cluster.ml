@@ -272,8 +272,8 @@ let test_smoke_inplace_count () =
       ~finally:(fun () -> Engine.set_fusion fused)
       (fun () -> with_domains 1 count)
   in
-  check_int "events executed" 121_677 executed;
-  check_int "of which resumed in place" 53_014 inplace
+  check_int "events executed" 112_313 executed;
+  check_int "of which resumed in place" 44_161 inplace
 
 (* -- death of a backend: Ft detection + LB reroute -------------------- *)
 

@@ -88,7 +88,7 @@ let scaling_golden =
       {|   128          22797          40166             136628|};
       {|-- PDES sharded multicast unmap (4 shards) --|};
       {| cores   rounds   unmap(cyc)     events     windows  lookahead|};
-      {|    64       10        11038      45504         389        265|} ]
+      {|    64       10        11038      44244         389        265|} ]
 
 (* fig9's Barrelfish column boots a 4-shard amd_4x4: the one golden over a
    sharded OS (split monitor mesh, split message barriers). *)

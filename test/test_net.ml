@@ -232,6 +232,49 @@ let test_tcp_segmentation () =
       Engine.wait 5_000_000;
       check_int "all bytes arrived" 5000 !total)
 
+(* A peer streams 256 KiB at a server connection whose reader pauses.
+   The sender keeps to the advertised window: while the reader is paused
+   the connection holds at most [window] unread bytes and [send] waits
+   instead of handing the rest to the wire. Once the reader resumes, the
+   whole stream arrives intact, followed by the sender's FIN. *)
+let test_tcp_receive_window () =
+  with_stacks (fun _m sa sb ->
+      let listener = Stack.tcp_listen sb ~port:82 in
+      let server = Sync.Ivar.create () in
+      Engine.spawn_ (fun () -> Sync.Ivar.fill server (Tcp_lite.accept listener));
+      let conn = Stack.tcp_connect sa ~dst_ip:(Stack.ip sb) ~dst_port:82 in
+      let stream = String.init (256 * 1024) (fun i -> Char.chr (i land 0xff)) in
+      let sent = ref false in
+      Engine.spawn_ (fun () ->
+          Tcp_lite.send conn stream;
+          sent := true;
+          Tcp_lite.close conn);
+      Engine.wait 5_000_000;
+      let sc = Sync.Ivar.read server in
+      let held = sc.Tcp_lite.unread in
+      check_bool "held bytes within the window" true
+        (held > 0 && held <= Tcp_lite.window);
+      check_bool "send waits for window" false !sent;
+      (* The SYN took one sequence number. *)
+      check_int "nothing sent past what was held" held
+        (conn.Tcp_lite.snd_nxt - Tcp_lite.initial_seq - 1);
+      let got = Buffer.create (String.length stream) in
+      let max_unread = ref held in
+      let rec drain () =
+        match Tcp_lite.recv sc with
+        | "" -> ()
+        | chunk ->
+          Buffer.add_string got chunk;
+          max_unread := max !max_unread sc.Tcp_lite.unread;
+          drain ()
+      in
+      drain ();
+      check_bool "send returned" true !sent;
+      check_bool "unread never past the window" true (!max_unread <= Tcp_lite.window);
+      check_int "reads drain the count" 0 sc.Tcp_lite.unread;
+      check_int "every byte arrived" (String.length stream) (Buffer.length got);
+      check_bool "the stream intact" true (String.equal stream (Buffer.contents got)))
+
 (* ---- Kernel loopback ---- *)
 
 let test_kernel_loopback () =
@@ -291,6 +334,7 @@ let suite =
       tc "urpc link send allocates only its waits" test_urpc_link_send_allocates_only_waits;
       tc "tcp connect/send/close" test_tcp_connect_send_close;
       tc "tcp segmentation" test_tcp_segmentation;
+      tc "tcp receive window" test_tcp_receive_window;
       tc "kernel loopback" test_kernel_loopback;
       tc "nic echo path" test_nic_echo_path;
       tc "nic wire rate" test_nic_wire_rate;
