@@ -50,8 +50,7 @@ let page_tables () =
          (fun k ->
            [
              (fun () -> unmap_with_mode Vspace.Shared_table ~touchers:k);
-             (fun () ->
-               unmap_with_mode (Vspace.Replicated { track_tlb_fills = true }) ~touchers:k);
+             (fun () -> unmap_with_mode Vspace.Replicated ~touchers:k);
            ])
          page_table_touchers)
     |> Array.of_list

@@ -38,10 +38,6 @@ val request_bytes : int
 val reject : request -> unit
 (** Write the 503 a load balancer sheds with into the reply fields. *)
 
-val front_cost : int
-(** Front-core cycles per request beyond parsing (kept-alive connection
-    bookkeeping; the accept path is not paid per request). *)
-
 type t
 
 val start : Mk.Os.t -> backend_id:int -> front:int -> workers:int list -> t

@@ -5,6 +5,9 @@ type style = Linux | Windows
 
 let vector = 0xfd
 
+(* Initiator-side cycles per IPI sent: APIC programming plus the kernel's
+   bookkeeping (cpumask walk for Linux; dispatcher-database work for
+   Windows — the code the "heroic" Windows7 effort of §2.1 reworked). *)
 let per_ipi_send_cost = function Linux -> 950 | Windows -> 1350
 
 (* Page-table edit cost under the mmap/address-space lock. *)

@@ -20,8 +20,3 @@ val unmap : t -> initiator:int -> vpages:int list -> int
 (** Run one unmap/mprotect: page-table update under the address-space
     lock, serial IPIs, wait for all acknowledgements. Returns the latency
     in cycles observed by the initiator. Task context required. *)
-
-val per_ipi_send_cost : style -> int
-(** Initiator-side cycles per IPI sent: APIC programming plus the kernel's
-    bookkeeping (cpumask walk for Linux; dispatcher-database work for
-    Windows — the code the "heroic" Windows7 effort of §2.1 reworked). *)

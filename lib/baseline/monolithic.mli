@@ -31,5 +31,4 @@ module Futex_barrier : sig
 
   val create : t -> parties:int -> b
   val await : b -> core:int -> unit
-  val wake_cost_per_waiter : int
 end

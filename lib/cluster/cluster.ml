@@ -363,7 +363,6 @@ let mark_backend_dead t b =
   let os = t.backends.(b).b_os in
   List.iter (fun c -> Os.mark_dead os ~core:c) (Platform.core_ids t.cfg.platform)
 
-let config t = t.cfg
 let lb t = t.lb
 let pdes t = t.pdes
 let backend_os t b = t.backends.(b).b_os

@@ -82,7 +82,6 @@ val mark_backend_dead : t -> int -> unit
 (** Remove a backend from LB rotation and mark all its cores dead in its
     OS ({!Mk.Os.mark_dead}). In-flight requests to it are lost. *)
 
-val config : t -> config
 val lb : t -> Lb.t
 val pdes : t -> Mk_sim.Pdes.t
 val backend_os : t -> int -> Mk.Os.t

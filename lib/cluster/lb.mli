@@ -11,9 +11,6 @@ type policy = Round_robin | Least_outstanding | Consistent_hash
 val policy_name : policy -> string
 (** Short tag for artifacts: ["rr"], ["lo"], ["ch"]. *)
 
-val vnodes : int
-(** Ring points per backend under [Consistent_hash]. *)
-
 type t
 
 val create : policy -> backends:int -> t

@@ -288,26 +288,3 @@ module Db = struct
 
   let size db = Hashtbl.length db.caps
 end
-
-module Space = struct
-  type cap = t
-  type slot = int
-
-  type space = { mutable next : int; slots : (int, cap) Hashtbl.t }
-
-  let create () = { next = 1; slots = Hashtbl.create 16 }
-
-  let put s c =
-    let slot = s.next in
-    s.next <- s.next + 1;
-    Hashtbl.replace s.slots slot c;
-    slot
-
-  let get s slot =
-    match Hashtbl.find_opt s.slots slot with
-    | Some c -> Ok c
-    | None -> Error Types.Err_cap_not_found
-
-  let remove s slot = Hashtbl.remove s.slots slot
-  let count s = Hashtbl.length s.slots
-end

@@ -21,8 +21,6 @@ type objtype =
 
 type rights = { read : bool; write : bool; execute : bool; grant : bool }
 
-val rights_all : rights
-
 type t = private {
   capid : int;  (** unique id of this capability instance *)
   otype : objtype;
@@ -95,17 +93,4 @@ module Db : sig
 
   val size : db -> int
   (** Number of live capabilities. *)
-end
-
-(** A domain's capability space: slot-addressed storage for its caps. *)
-module Space : sig
-  type cap = t
-  type space
-  type slot = int
-
-  val create : unit -> space
-  val put : space -> cap -> slot
-  val get : space -> slot -> (cap, Types.error) result
-  val remove : space -> slot -> unit
-  val count : space -> int
 end

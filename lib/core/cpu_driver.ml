@@ -1,5 +1,6 @@
 open Mk_hw
 
+(* In-kernel checking per capability invocation. *)
 let cap_op_cost = 180
 
 type t = {

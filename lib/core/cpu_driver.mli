@@ -41,6 +41,3 @@ val cap_revoke_local : t -> Cap.t -> (int, Types.error) result
 val interrupt : t -> vector:int -> (src:int -> unit) -> unit
 (** Route a hardware interrupt vector to a user-space handler: the driver
     demultiplexes it and delivers it as a message ({!Mk_hw.Ipi}). *)
-
-val cap_op_cost : int
-(** Cycles of in-kernel checking per capability invocation. *)

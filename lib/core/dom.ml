@@ -1,6 +1,6 @@
 (* Domains (processes): a collection of dispatchers, one per core the
-   domain spans (§4.5), a shared virtual address space coordinated across
-   them (§4.8), and a capability space. *)
+   domain spans (§4.5), and a shared virtual address space coordinated
+   across them (§4.8). *)
 
 type t = {
   domid : Types.domid;
@@ -8,11 +8,10 @@ type t = {
   dcores : int list;
   vspace : Vspace.t;
   disps : (int * Dispatcher.t) list;  (* core -> dispatcher *)
-  cap_space : Cap.Space.space;
 }
 
 let create ~domid ~name ~cores ~vspace ~disps =
-  { domid; dname = name; dcores = cores; vspace; disps; cap_space = Cap.Space.create () }
+  { domid; dname = name; dcores = cores; vspace; disps }
 
 let domid t = t.domid
 let name t = t.dname
@@ -27,6 +26,5 @@ let dispatcher_on t core =
       (Printf.sprintf "domain %s has no dispatcher on core %d" t.dname core)
 
 let dispatchers t = List.map snd t.disps
-let cap_space t = t.cap_space
 
 let spans t core = List.mem core t.dcores

@@ -1,7 +1,7 @@
 (** Domains — the multikernel's processes (§4.5, §4.8).
 
-    A domain is a collection of dispatchers (one per core it spans), a
-    virtual address space shared across them, and a capability space.
+    A domain is a collection of dispatchers (one per core it spans) and a
+    virtual address space shared across them.
     Create them with {!Os.spawn_domain}, which also announces the domain to
     every spanned OS node through the monitors. *)
 
@@ -25,5 +25,4 @@ val dispatcher_on : t -> int -> Dispatcher.t
     the domain does not span it. *)
 
 val dispatchers : t -> Dispatcher.t list
-val cap_space : t -> Cap.Space.space
 val spans : t -> int -> bool

@@ -43,15 +43,14 @@ let pick_new_home t =
    dead core. Best-effort (fire-and-forget fan): recovery must not
    block on a protocol that can itself lose messages. Runs in a task on
    the detector's shard. *)
-let announce t ~by ~core ~at =
+let announce t ~by ~core =
   Os.mark_dead t.os ~core;
   let mon = Os.monitor t.os ~core:by in
   let members = List.filter (fun c -> c <> by) (Os.live_cores t.os) in
   let plan = Os.default_plan t.os ~root:by ~members in
   ignore
-    (Monitor.run_fan_async mon ~plan
-       ~op:(Monitor.Op_set_replica { key = Monitor.dead_replica_key core; value = at })
-      : unit Sync.Ivar.t)
+    (Monitor.run_fan_async mon ~plan ~op:(Monitor.Op_mark_dead { core })
+      : bool Sync.Ivar.t)
 
 (* Failover: respawn everything homed on the corpse. Runs on the
    deduplicating shard (shard 0 / the coordinator), where the liveness view
@@ -79,7 +78,7 @@ let handle_death t ~by ~core ~at =
         t.deaths <- t.deaths + 1;
         Os.mark_dead t.os ~core;
         Engine.spawn (Shard.engine sh 0) ~name:"ft.recover" (fun () ->
-            Os.call t.os ~src_core:0 ~core:by (fun () -> announce t ~by ~core ~at);
+            Os.call t.os ~src_core:0 ~core:by (fun () -> announce t ~by ~core);
             recover t ~core)
       end)
 
@@ -100,7 +99,9 @@ let attach ~until os =
      window on another domain: the start time would then depend on how far
      that domain had got, and the result on the domain count. [Os.post] is
      a direct call same-shard or from host context, and one interconnect
-     leg otherwise. *)
+     leg otherwise. Every detector starts before the caller arms the
+     injector, so no death announcement can reach a monitor whose
+     detector state does not exist yet. *)
   for c = 0 to n - 1 do
     Os.post os ~core:c (fun () ->
         Monitor.start_ft (Os.monitor os ~core:c) ~interval:hb_interval ~threshold

@@ -1,7 +1,7 @@
 open Mk_sim
 open Mk_hw
 
-let handle_cost = 50
+let handle_cost = 50  (* event-loop cycles per handled message *)
 let poll_scan_cost = 5
 
 (* §4.4: with nothing runnable, the monitor idles the core (MONITOR/MWAIT
@@ -17,51 +17,54 @@ type fan_op =
   | Op_pt_update of { vpages : int list }
       (* replicated-page-table mode (§4.8): apply a mapping change to this
          core's hardware-table replica *)
+  | Op_mark_dead of { core : int }
 
 type agree_op =
   | Ag_noop
   | Ag_retype of { cap : Cap.t; expected_frontier : int; bytes : int }
   | Ag_revoke of { cap : Cap.t }
 
+(* What a round does at each core it reaches. The core's answer is [true]
+   for a fan, its vote for a prepare, the decision for a decide, and
+   whether its database accepted the capability for a transfer. *)
+type step =
+  | Fan of fan_op
+  | Prepare of agree_op
+  | Decide of { commit : bool; op : agree_op }
+  | Transfer of Cap.t
+
+(* A round goes down the plan as [Down] and each core's answer, ANDed with
+   its leaves', comes back up as [Yes] or [No]: the answer is the
+   constructor, so an ack is one word of payload. *)
 type msg =
   | Heartbeat of { from : int }
   | Ping of { seq : int; from : int }
   | Pong of { seq : int }
-  | Fan of { xid : int; parent : int; leaves : int list; op : fan_op }
-  | Fan_ack of { xid : int }
-  | Prepare of { xid : int; parent : int; leaves : int list; op : agree_op }
-  | Vote of { xid : int; yes : bool }
-  | Decide of { xid : int; parent : int; leaves : int list; commit : bool; op : agree_op }
-  | Decide_ack of { xid : int }
-  | Cap_transfer of { xid : int; from : int; cap : Cap.t }
-  | Cap_transfer_ack of { xid : int; ok : bool }
+  | Down of { xid : int; parent : int; leaves : int list; step : step }
+  | Yes of { xid : int }
+  | No of { xid : int }
   | Wake of { domid : Types.domid }
 
-(* Per-transaction state while a fan/agreement is in flight through us. *)
-type fan_state = {
-  mutable fs_remaining : int;
-  fs_parent : int option;  (* None at the origin *)
-  fs_done : unit Sync.Ivar.t option;
-}
-
-type vote_state = {
-  mutable vs_remaining : int;
-  mutable vs_yes : bool;
-  vs_parent : int option;
-  vs_plan : Routing.plan option;  (* at the origin: to run phase 2 *)
-  vs_op : agree_op;
-  vs_result : bool Sync.Ivar.t option;
+(* A round in flight through this core: the answers its children still owe
+   and the conjunction so far. At the origin ([parent = -1]) it also holds
+   the plan's branches, which a prepare's decide round reuses, and the
+   caller's result. *)
+type round = {
+  mutable remaining : int;
+  mutable yes : bool;
+  parent : int;
+  mutable step : step;
+  branches : Routing.branch list;
+  result : bool Sync.Ivar.t;
 }
 
 (* Failure-detection state, present once [start_ft] has run: one phi
-   detector per peer, the local is-dead view, and the interned replica keys
-   death announcements arrive under. *)
+   detector per peer and the local is-dead view. *)
 type ft_state = {
   ft_interval : int;
   ft_until : int;  (* absolute stop time: lets the engine drain after a run *)
   ft_detectors : Mk_fault.Detector.t option array;  (* None for self *)
   ft_peer_dead : bool array;
-  ft_dead_keys : string array;
   ft_on_death : core:int -> at:int -> unit;
 }
 
@@ -87,7 +90,7 @@ type t = {
      [connect]. *)
   mutable arena : int;
   shard : Shard.t;
-  mutable on_replica : (key:string -> value:int -> unit) option;
+  mutable on_dead : int -> unit;
   mutable mesh : t array;  (* all monitors, indexed by core; set by [connect] *)
   inbox : Sync.Semaphore.t;
   (* Incoming channels with pending messages, by scan position (sender
@@ -97,10 +100,8 @@ type t = {
   ready : Bitset.t;
   mutable scan_idx : int;
   mutable next_seq : int;
-  fans : (int, fan_state) Hashtbl.t;
-  votes : (int, vote_state) Hashtbl.t;
+  rounds : (int, round) Hashtbl.t;
   pings : (int, unit Sync.Ivar.t) Hashtbl.t;
-  cap_acks : (int, bool Sync.Ivar.t) Hashtbl.t;
   revoking : (Cap.objtype * int * int, unit) Hashtbl.t;
   (* Extent locks taken by a yes vote in a retype prepare; cleared by the
      decide round. Guarantees a single global ordering of conflicting
@@ -127,16 +128,14 @@ let create ~shard m driver =
       (if Shard.n_shards shard > 1 then Array.make (Machine.n_cores m) None else [||]);
     arena = 0;
     shard;
-    on_replica = None;
+    on_dead = ignore;
     mesh = [||];
     inbox = Sync.Semaphore.create 0;
     ready = Bitset.create ~n:(max 1 (Machine.n_cores m - 1));
     scan_idx = 0;
     next_seq = 0;
-    fans = Hashtbl.create 8;
-    votes = Hashtbl.create 8;
+    rounds = Hashtbl.create 8;
     pings = Hashtbl.create 8;
-    cap_acks = Hashtbl.create 8;
     revoking = Hashtbl.create 8;
     retype_locks = Hashtbl.create 8;
     replicas = Hashtbl.create 8;
@@ -275,9 +274,7 @@ let apply_fan_op t op =
         if Tlb.invalidate tlb ~vpage then
           Engine.charge t.m.Machine.plat.Platform.tlb_invlpg)
       vpages
-  | Op_set_replica { key; value } ->
-    Hashtbl.replace t.replicas key value;
-    (match t.on_replica with Some f -> f ~key ~value | None -> ())
+  | Op_set_replica { key; value } -> Hashtbl.replace t.replicas key value
   | Op_pt_update { vpages } ->
     (* Replicated-table mode: edit the local replica's entries and drop any
        stale translation the TLB still caches. *)
@@ -288,6 +285,11 @@ let apply_fan_op t op =
         if Tlb.invalidate tlb ~vpage then
           Engine.charge t.m.Machine.plat.Platform.tlb_invlpg)
       vpages
+  | Op_mark_dead { core } ->
+    (* Stop heartbeating the corpse, and let the OS drop it from this
+       shard's liveness view. *)
+    (match t.ft with Some ft -> ft.ft_peer_dead.(core) <- true | None -> ());
+    t.on_dead core
 
 let extent_key (c : Cap.t) = (c.Cap.otype, c.Cap.base, c.Cap.bytes)
 
@@ -334,42 +336,67 @@ let apply_decision t ~xid ~commit op =
       ignore (Cap.Db.revoke_replica db cap : int)
 
 (* ------------------------------------------------------------------ *)
-(* Protocol engine                                                     *)
+(* Round engine                                                        *)
 
-let fan_complete t xid st =
-  Hashtbl.remove t.fans xid;
-  match (st.fs_parent, st.fs_done) with
-  | Some p, _ -> send_to t p (Fan_ack { xid })
-  | None, Some iv -> Sync.Ivar.fill iv ()
-  | None, None -> ()
+(* The [result] of an aggregator's round: only an origin fills its result,
+   so this one stays empty and no aggregator allocates its own. *)
+let no_result : bool Sync.Ivar.t = Sync.Ivar.create ()
 
-let vote_round_done t xid vs =
-  match vs.vs_parent with
-  | Some p ->
-    Hashtbl.remove t.votes xid;
-    send_to t p (Vote { xid; yes = vs.vs_yes })
-  | None ->
-    (* Origin: all votes in. Run the decide round over the same plan. *)
-    let plan = Option.get vs.vs_plan in
-    let commit = vs.vs_yes in
-    apply_decision t ~xid ~commit vs.vs_op;
-    vs.vs_remaining <- Routing.branch_count plan;
-    if vs.vs_remaining = 0 then begin
-      Hashtbl.remove t.votes xid;
-      match vs.vs_result with Some iv -> Sync.Ivar.fill iv commit | None -> ()
-    end
-    else
-      List.iter
-        (fun (b : Routing.branch) ->
-          send_to t b.Routing.aggregator
-            (Decide { xid; parent = t.core_id; leaves = b.Routing.leaves; commit; op = vs.vs_op }))
-        plan.Routing.branches
+let apply_step t ~xid = function
+  | Fan op ->
+    apply_fan_op t op;
+    true
+  | Prepare op -> vote_on t ~xid op
+  | Decide { commit; op } ->
+    apply_decision t ~xid ~commit op;
+    commit
+  | Transfer cap -> Result.is_ok (Cap.Db.insert_remote (Cpu_driver.capdb t.driver) cap)
 
-let decide_round_done t xid vs =
-  Hashtbl.remove t.votes xid;
-  match vs.vs_parent with
-  | Some p -> send_to t p (Decide_ack { xid })
-  | None -> (match vs.vs_result with Some iv -> Sync.Ivar.fill iv vs.vs_yes | None -> ())
+let answer t ~parent ~xid yes =
+  send_to t parent (if yes then Yes { xid } else No { xid })
+
+(* Every answer is in. An aggregator reports the conjunction up; the
+   origin of a prepare applies the decision and runs the decide round over
+   the same branches; any other origin hands the result to its caller. *)
+let rec complete t ~xid r =
+  match r.step with
+  | Prepare op when r.parent < 0 ->
+    apply_decision t ~xid ~commit:r.yes op;
+    r.step <- Decide { commit = r.yes; op };
+    descend t ~xid r
+  | Fan _ | Prepare _ | Decide _ | Transfer _ ->
+    Hashtbl.remove t.rounds xid;
+    if r.parent >= 0 then answer t ~parent:r.parent ~xid r.yes
+    else Sync.Ivar.fill r.result r.yes
+
+(* At the origin: send the round's step to every branch aggregator. With
+   no branches the round completes at once. *)
+and descend t ~xid r =
+  r.remaining <- List.length r.branches;
+  if r.remaining = 0 then complete t ~xid r
+  else begin
+    Hashtbl.replace t.rounds xid r;
+    List.iter
+      (fun (b : Routing.branch) ->
+        send_to t b.Routing.aggregator
+          (Down { xid; parent = t.core_id; leaves = b.Routing.leaves; step = r.step }))
+      r.branches
+  end
+
+let collect t ~xid yes =
+  match Hashtbl.find_opt t.rounds xid with
+  | None -> ()
+  | Some r ->
+    r.yes <- r.yes && yes;
+    r.remaining <- r.remaining - 1;
+    if r.remaining = 0 then complete t ~xid r
+
+(* Open a round at this core over [branches]; [yes] is the root's own
+   answer. *)
+let originate t ~xid ~branches ~yes step =
+  let iv = Sync.Ivar.create () in
+  descend t ~xid { remaining = 0; yes; parent = -1; step; branches; result = iv };
+  iv
 
 let handle t msg =
   t.handled <- t.handled + 1;
@@ -389,71 +416,26 @@ let handle t msg =
        Hashtbl.remove t.pings seq;
        Sync.Ivar.fill iv ()
      | None -> ())
-  | Fan { xid; parent; leaves; op } ->
-    apply_fan_op t op;
-    if leaves = [] then send_to t parent (Fan_ack { xid })
+  | Down { xid; parent; leaves; step } ->
+    let yes = apply_step t ~xid step in
+    if leaves = [] then answer t ~parent ~xid yes
     else begin
-      Hashtbl.replace t.fans xid
-        { fs_remaining = List.length leaves; fs_parent = Some parent; fs_done = None };
-      List.iter
-        (fun leaf -> send_to t leaf (Fan { xid; parent = t.core_id; leaves = []; op }))
-        leaves
-    end
-  | Fan_ack { xid } ->
-    (match Hashtbl.find_opt t.fans xid with
-     | None -> ()
-     | Some st ->
-       st.fs_remaining <- st.fs_remaining - 1;
-       if st.fs_remaining = 0 then fan_complete t xid st)
-  | Prepare { xid; parent; leaves; op } ->
-    let my_vote = vote_on t ~xid op in
-    if leaves = [] then send_to t parent (Vote { xid; yes = my_vote })
-    else begin
-      Hashtbl.replace t.votes xid
-        { vs_remaining = List.length leaves; vs_yes = my_vote; vs_parent = Some parent;
-          vs_plan = None; vs_op = op; vs_result = None };
-      List.iter
-        (fun leaf -> send_to t leaf (Prepare { xid; parent = t.core_id; leaves = []; op }))
-        leaves
-    end
-  | Vote { xid; yes } ->
-    (match Hashtbl.find_opt t.votes xid with
-     | None -> ()
-     | Some vs ->
-       vs.vs_yes <- vs.vs_yes && yes;
-       vs.vs_remaining <- vs.vs_remaining - 1;
-       if vs.vs_remaining = 0 then vote_round_done t xid vs)
-  | Decide { xid; parent; leaves; commit; op } ->
-    apply_decision t ~xid ~commit op;
-    if leaves = [] then send_to t parent (Decide_ack { xid })
-    else begin
-      Hashtbl.replace t.votes xid
-        { vs_remaining = List.length leaves; vs_yes = commit; vs_parent = Some parent;
-          vs_plan = None; vs_op = op; vs_result = None };
+      Hashtbl.replace t.rounds xid
+        {
+          remaining = List.length leaves;
+          yes;
+          parent;
+          step;
+          branches = [];
+          result = no_result;
+        };
       List.iter
         (fun leaf ->
-          send_to t leaf (Decide { xid; parent = t.core_id; leaves = []; commit; op }))
+          send_to t leaf (Down { xid; parent = t.core_id; leaves = []; step }))
         leaves
     end
-  | Decide_ack { xid } ->
-    (match Hashtbl.find_opt t.votes xid with
-     | None -> ()
-     | Some vs ->
-       vs.vs_remaining <- vs.vs_remaining - 1;
-       if vs.vs_remaining = 0 then decide_round_done t xid vs)
-  | Cap_transfer { xid; from; cap } ->
-    let ok =
-      match Cap.Db.insert_remote (Cpu_driver.capdb t.driver) cap with
-      | Ok () -> true
-      | Error _ -> false
-    in
-    send_to t from (Cap_transfer_ack { xid; ok })
-  | Cap_transfer_ack { xid; ok } ->
-    (match Hashtbl.find_opt t.cap_acks xid with
-     | Some iv ->
-       Hashtbl.remove t.cap_acks xid;
-       Sync.Ivar.fill iv ok
-     | None -> ())
+  | Yes { xid } -> collect t ~xid true
+  | No { xid } -> collect t ~xid false
   | Wake { domid } ->
     (match Hashtbl.find_opt t.wakers domid with Some w -> w () | None -> ())
 
@@ -544,43 +526,14 @@ let ping t dst =
 
 let run_fan_async t ~plan ~op =
   let xid = fresh_xid t in
-  let iv = Sync.Ivar.create () in
-  apply_fan_op t op;
-  let branches = plan.Routing.branches in
-  if branches = [] then Sync.Ivar.fill iv ()
-  else begin
-    Hashtbl.replace t.fans xid
-      { fs_remaining = List.length branches; fs_parent = None; fs_done = Some iv };
-    List.iter
-      (fun (b : Routing.branch) ->
-        send_to t b.Routing.aggregator
-          (Fan { xid; parent = t.core_id; leaves = b.Routing.leaves; op }))
-      branches
-  end;
-  iv
+  let step = Fan op in
+  originate t ~xid ~branches:plan.Routing.branches ~yes:(apply_step t ~xid step) step
 
-let run_fan t ~plan ~op = Sync.Ivar.read (run_fan_async t ~plan ~op)
+let run_fan t ~plan ~op = ignore (Sync.Ivar.read (run_fan_async t ~plan ~op) : bool)
 
 let agree_async t ~plan ~op =
   let xid = fresh_xid t in
-  let iv = Sync.Ivar.create () in
-  let my_vote = vote_on t ~xid op in
-  let branches = plan.Routing.branches in
-  if branches = [] then begin
-    apply_decision t ~xid ~commit:my_vote op;
-    Sync.Ivar.fill iv my_vote
-  end
-  else begin
-    Hashtbl.replace t.votes xid
-      { vs_remaining = List.length branches; vs_yes = my_vote; vs_parent = None;
-        vs_plan = Some plan; vs_op = op; vs_result = Some iv };
-    List.iter
-      (fun (b : Routing.branch) ->
-        send_to t b.Routing.aggregator
-          (Prepare { xid; parent = t.core_id; leaves = b.Routing.leaves; op }))
-      branches
-  end;
-  iv
+  originate t ~xid ~branches:plan.Routing.branches ~yes:(vote_on t ~xid op) (Prepare op)
 
 let agree t ~plan ~op = Sync.Ivar.read (agree_async t ~plan ~op)
 
@@ -593,15 +546,16 @@ let send_cap t ~dst cap =
   if not (transferable cap) then Error (Types.Err_cap_type "not transferable")
   else if Hashtbl.mem t.revoking (extent_key cap) then Error Types.Err_revoke_in_progress
   else begin
-    let xid = fresh_xid t in
-    let iv = Sync.Ivar.create () in
-    Hashtbl.replace t.cap_acks xid iv;
-    send_to t dst (Cap_transfer { xid; from = t.core_id; cap });
+    let iv =
+      originate t ~xid:(fresh_xid t)
+        ~branches:[ { Routing.aggregator = dst; leaves = [] } ]
+        ~yes:true (Transfer cap)
+    in
     if Sync.Ivar.read iv then Ok () else Error (Types.Err_invalid_args "cap transfer refused")
   end
 
 let get_replica t key = Hashtbl.find_opt t.replicas key
-let set_on_replica t f = t.on_replica <- Some f
+let set_on_dead t f = t.on_dead <- f
 
 let register_wake t domid w = Hashtbl.replace t.wakers domid w
 
@@ -609,8 +563,6 @@ let wake_remote t ~core domid = send_to t core (Wake { domid })
 
 (* ------------------------------------------------------------------ *)
 (* Failure detection                                                   *)
-
-let dead_replica_key core = "dead:" ^ string_of_int core
 
 let kill t =
   t.halted <- true;
@@ -623,9 +575,9 @@ let is_halted t = t.halted
 let peer_suspected t ~core =
   match t.ft with Some ft -> ft.ft_peer_dead.(core) | None -> false
 
-(* One heartbeat/detector round per interval: mark peers announced dead by
-   another monitor (replica key), fire the detector on silent peers, and
-   heartbeat everyone still believed alive. Skipping suspected peers also
+(* One heartbeat/detector round per interval: fire the detector on silent
+   peers and heartbeat everyone still believed alive (a peer announced dead
+   by another monitor is already marked). Skipping suspected peers also
    bounds the URPC flow credits a dead peer can strand (the detector fires
    after ~threshold*ln10 intervals, well under the 16-slot ring). *)
 let rec ft_loop t ft =
@@ -636,19 +588,13 @@ let rec ft_loop t ft =
   Array.iteri
     (fun peer det ->
       match det with
-      | None -> ()
-      | Some d ->
-        if not ft.ft_peer_dead.(peer) then begin
-          if Hashtbl.mem t.replicas ft.ft_dead_keys.(peer) then
-            (* Another monitor detected it and the announcement reached us
-               first: stop heartbeating, no duplicate recovery. *)
-            ft.ft_peer_dead.(peer) <- true
-          else if Mk_fault.Detector.suspect d ~now then begin
-            ft.ft_peer_dead.(peer) <- true;
-            ft.ft_on_death ~core:peer ~at:now
-          end
-          else send_to t peer (Heartbeat { from = t.core_id })
-        end)
+      | Some d when not ft.ft_peer_dead.(peer) ->
+        if Mk_fault.Detector.suspect d ~now then begin
+          ft.ft_peer_dead.(peer) <- true;
+          ft.ft_on_death ~core:peer ~at:now
+        end
+        else send_to t peer (Heartbeat { from = t.core_id })
+      | Some _ | None -> ())
     ft.ft_detectors;
   ft_loop t ft
 
@@ -668,7 +614,6 @@ let start_ft t ~interval ~threshold ~until ~on_death =
                 (Mk_fault.Detector.create ~threshold ~expected_interval:interval
                    ~now ()));
       ft_peer_dead = Array.make n false;
-      ft_dead_keys = Array.init n dead_replica_key;
       ft_on_death = on_death;
     }
   in

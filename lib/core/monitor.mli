@@ -7,14 +7,26 @@
     local dispatchers. Each monitor is a single-core, schedulable
     user-space process whose only cross-core interface is URPC.
 
-    Two protocol engines cover everything the paper needs:
+    One round engine covers every global operation the paper needs. A
+    round runs one step down a {!Routing.plan}: the origin applies it and
+    sends a [Down] message to each branch's aggregator, which applies it
+    and forwards it to its leaves. Each core answers [Yes] or [No]; an
+    aggregator ANDs its leaves' answers into its own and reports the
+    conjunction to its parent once all are in. The rounds are:
 
-    - {!run_fan}: ordered one-phase dissemination over a {!Routing.plan}
-      with aggregated acknowledgements — TLB shootdown (§5.1) and any
-      order-insensitive replica update.
-    - {!agree}: two-phase commit over the same plans — capability retype
-      and revoke (§4.7, Figure 8), where all cores must agree on a single
-      ordering of operations. *)
+    - {!run_fan}: ordered one-phase dissemination with aggregated
+      acknowledgements — TLB shootdown (§5.1), any order-insensitive
+      replica update, and the failure manager's death announcements.
+    - {!agree}: two-phase commit — capability retype and revoke (§4.7,
+      Figure 8), where all cores must agree on a single ordering of
+      operations. The answers of the prepare round are votes; when the
+      last one reaches the origin, it applies the decision and opens the
+      decide round over the same branches.
+    - {!send_cap}: a round with one branch and no leaves, whose answer is
+      whether the destination accepted the capability.
+
+    Heartbeats, boot-time pings and wake-ups are not rounds: the first
+    and last are one-way, and a ping needs no round state. *)
 
 type fan_op =
   | Op_noop  (** raw messaging-cost measurement (Figure 6) *)
@@ -24,6 +36,9 @@ type fan_op =
   | Op_pt_update of { vpages : int list }
       (** apply a mapping change to this core's page-table replica and drop
           the stale TLB entries (the replicated-table variant of §4.8) *)
+  | Op_mark_dead of { core : int }
+      (** a core's death, announced by the failure manager: stop
+          heartbeating it and call the {!set_on_dead} hook *)
 
 type agree_op =
   | Ag_noop  (** 2PC cost measurement (Figure 8) *)
@@ -69,9 +84,9 @@ val run_fan : t -> plan:Routing.plan -> op:fan_op -> unit
     applied it and acknowledgements have aggregated back. The op is also
     applied locally at the root. *)
 
-val run_fan_async : t -> plan:Routing.plan -> op:fan_op -> unit Mk_sim.Sync.Ivar.t
-(** Split-phase variant: returns immediately with a completion ivar, so
-    requests can be pipelined (Figure 8's "cost when pipelining"). *)
+val run_fan_async : t -> plan:Routing.plan -> op:fan_op -> bool Mk_sim.Sync.Ivar.t
+(** Split-phase variant: returns immediately with a completion ivar (filled
+    with [true]), so requests can be pipelined. *)
 
 val agree : t -> plan:Routing.plan -> op:agree_op -> bool
 (** Two-phase commit of [op] across the plan's cores (plus the root).
@@ -87,11 +102,11 @@ val send_cap : t -> dst:int -> Cap.t -> (unit, Types.error) result
 val get_replica : t -> string -> int option
 (** The generic replicated key/value state updated by [Op_set_replica]. *)
 
-val set_on_replica : t -> (key:string -> value:int -> unit) -> unit
-(** Hook fired whenever an [Op_set_replica] is applied on this monitor
-    (locally or via a fan). A sharded {!Os} uses it to keep each shard's
-    liveness view in sync from the death announcements, without reading
-    another shard's state. *)
+val set_on_dead : t -> (int -> unit) -> unit
+(** Hook called with the dead core whenever an [Op_mark_dead] is applied
+    on this monitor (locally or via a fan). {!Os} uses it to keep each
+    shard's liveness view in sync from the death announcements, without
+    reading another shard's state. *)
 
 val register_wake : t -> Types.domid -> (unit -> unit) -> unit
 (** Register the waker the monitor calls when a [Wake] message arrives for
@@ -112,8 +127,8 @@ val start_ft :
     heartbeats every peer it believes alive and evaluates a per-peer
     phi-accrual detector ({!Mk_fault.Detector}) with the given [threshold].
     The first monitor to suspect a peer calls [on_death] (from its
-    detection task's context); peers already announced dead via the
-    [dead:<core>] replica key are marked without a callback. The task stops
+    detection task's context); a peer announced dead by an [Op_mark_dead]
+    fan is marked when the fan is applied, without a callback. The task stops
     at absolute time [until] so runs can drain. *)
 
 val kill : t -> unit
@@ -126,12 +141,6 @@ val is_halted : t -> bool
 val peer_suspected : t -> core:int -> bool
 (** This monitor's local view of a peer (detector fired or announcement
     received). *)
-
-val dead_replica_key : int -> string
-(** Replica key under which a core's death is announced mesh-wide. *)
-
-val handle_cost : int
-(** Monitor event-loop cycles charged per handled message. *)
 
 val messages_handled : t -> int
 

@@ -23,8 +23,8 @@ type t = {
   (* Cores believed alive. A core leaves this set when the failure manager
      (Ft) marks it dead; routing plans are built over live members only.
      One view per shard: each shard only reads and writes its own, kept in
-     sync by the mesh-wide death announcements (every monitor applying the
-     [dead:<core>] replica fires the [on_replica] hook on its own shard). *)
+     sync by the mesh-wide death announcements (every monitor applying an
+     [Op_mark_dead] calls its [on_dead] hook on its own shard). *)
   alive : bool array array;
 }
 
@@ -197,12 +197,6 @@ let probe_pairs plat measure =
     in
     intra @ inter
 
-let dead_key_core key =
-  match String.index_opt key ':' with
-  | Some i when String.sub key 0 i = "dead" ->
-    int_of_string_opt (String.sub key (i + 1) (String.length key - i - 1))
-  | _ -> None
-
 let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative)
     ?(mem_per_core = 64 * 1024 * 1024) plat =
   let sh = Shard.create ?eng ?faults ~n_shards:shards plat in
@@ -239,15 +233,12 @@ let boot ?eng ?(shards = 1) ?faults ?measure_latencies:(measure = Representative
   in
   t.endpoints <- Array.init n (fun core -> monitor_endpoint t core);
   (* Death announcements keep every shard's liveness view in sync: each
-     monitor applying the replica update marks the core dead in its own
-     shard's view — no shard reads another's. *)
+     monitor applying one marks the core dead in its own shard's view — no
+     shard reads another's. *)
   Array.iteri
     (fun c mon ->
-      let s = Shard.shard_of_core sh c in
-      Monitor.set_on_replica mon (fun ~key ~value:_ ->
-          match dead_key_core key with
-          | Some core -> t.alive.(s).(core) <- false
-          | None -> ()))
+      let alive = t.alive.(Shard.shard_of_core sh c) in
+      Monitor.set_on_dead mon (fun core -> alive.(core) <- false))
     monitors;
   (* Measurement: one probe task per shard pings that shard's share of the
      pairs (in canonical order) into [res]; the facts are asserted after

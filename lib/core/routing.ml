@@ -79,8 +79,6 @@ let numa_multicast plat ~latency ~root ~members =
 let plan_cores plan =
   List.concat_map (fun b -> b.aggregator :: b.leaves) plan.branches
 
-let branch_count plan = List.length plan.branches
-
 (* Dependency-driven placement: cluster the measured communication graph
    greedily (heaviest edges first, clusters capped at a package's core
    count) and pack the heaviest-talking clusters onto packages so their

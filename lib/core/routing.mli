@@ -55,8 +55,6 @@ val numa_multicast :
 val plan_cores : plan -> int list
 (** Every core the plan reaches (excluding the root). *)
 
-val branch_count : plan -> int
-
 val place_threads :
   Mk_hw.Platform.t -> threads:int -> edges:(int * int * int) list -> int array
 (** [place_threads plat ~threads ~edges] maps logical threads

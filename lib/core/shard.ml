@@ -40,7 +40,6 @@ let n_shards t = Array.length t.machines
 let pdes t = t.pdes
 let lookahead t = Pdes.lookahead t.pdes
 let shard_of_core t core = t.shard_of_core.(core)
-let shard_of_pkg t p = t.shard_of_pkg.(p)
 
 let machine t i =
   if i < 0 || i >= Array.length t.machines then invalid_arg "Shard.machine: bad shard";

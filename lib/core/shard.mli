@@ -57,7 +57,6 @@ val machine : t -> int -> Mk_hw.Machine.t
 val machine_of_core : t -> int -> Mk_hw.Machine.t
 val engine : t -> int -> Mk_sim.Engine.t
 val shard_of_core : t -> int -> int
-val shard_of_pkg : t -> int -> int
 
 val first_core : t -> int -> int
 (** The lowest-numbered core of a shard (its "representative" for

@@ -1,7 +1,7 @@
 open Mk_sim
 open Mk_hw
 
-let create_cost = 300
+let create_cost = 300  (* user-level bookkeeping to create a thread *)
 let join_cost = 120
 let migrate_dispatch_cost = 250  (* scheduler hand-off work on each side *)
 let tcb_lines = 2  (* thread control block: registers + scheduler state *)

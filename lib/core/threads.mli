@@ -19,9 +19,6 @@ val spawn :
 val join : thread -> unit
 val core : thread -> int
 
-val create_cost : int
-(** Cycles of user-level bookkeeping to create a thread. *)
-
 (** {1 Migratable threads}
 
     §4.8: "The thread schedulers on each dispatcher exchange messages to

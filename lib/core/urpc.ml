@@ -8,6 +8,7 @@
 open Mk_sim
 open Mk_hw
 
+(* Per-message stub code: marshalling on send, dispatch on receive. *)
 let send_sw_cost = 30
 let recv_sw_cost = 30
 let prefetch_latency_penalty = 120

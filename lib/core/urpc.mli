@@ -120,12 +120,6 @@ val deliver_remote : 'a t -> ?lines:int -> 'a -> unit
     [deliver_remote] on a receiver-half channel of another shard) splits
     one logical channel at the wire. *)
 
-val send_sw_cost : int
-(** Cycles of marshalling/stub code on the send side (per message). *)
-
-val recv_sw_cost : int
-(** Cycles of dispatch/stub code on the receive side (per message). *)
-
 val icache_lines : int
 (** Instruction-cache footprint of the URPC send+receive fast path, for
     Table 3 (a property of the code size, asserted not measured). *)

@@ -6,7 +6,7 @@ let tlb_walk_cost = Vspace_costs.tlb_walk_cost
 
 type pt_mode =
   | Shared_table
-  | Replicated of { track_tlb_fills : bool }
+  | Replicated
 
 type entry = { frame : Cap.t; mutable w : bool }
 
@@ -17,7 +17,7 @@ type t = {
   mode : pt_mode;
   pages : (int, entry) Hashtbl.t;  (* vpage -> entry (ground truth) *)
   (* Which cores may hold a cached translation per vpage (only maintained
-     when the mode tracks fills). *)
+     in [Replicated] mode). *)
   filled_by : (int, int list ref) Hashtbl.t;
 }
 
@@ -76,7 +76,7 @@ let touch t ~core ~vaddr =
       Engine.charge tlb_walk_cost;
       (match t.mode with
        | Shared_table -> ()
-       | Replicated _ ->
+       | Replicated ->
          (* [filled_by] is shared with every other core touching this
             vspace: the first-touch check must happen at the true time
             (after the walk), or two cores walking the same page inside
@@ -102,8 +102,7 @@ let touch t ~core ~vaddr =
 let cores_with_mapping t ~vpages =
   match t.mode with
   | Shared_table -> t.vcores
-  | Replicated { track_tlb_fills = false } -> t.vcores
-  | Replicated { track_tlb_fills = true } ->
+  | Replicated ->
     List.sort_uniq compare
       (List.concat_map
          (fun vp ->
@@ -140,11 +139,11 @@ let shoot t ~monitor ~plan_for ~vpages =
   let op =
     match t.mode with
     | Shared_table -> Monitor.Op_tlb_invalidate { vpages }
-    | Replicated _ -> Monitor.Op_pt_update { vpages }
+    | Replicated -> Monitor.Op_pt_update { vpages }
   in
   Monitor.run_fan monitor ~plan:(plan_for ~members:targets) ~op;
   (match t.mode with
-   | Replicated _ -> List.iter (fun vp -> Hashtbl.remove t.filled_by vp) vpages
+   | Replicated -> List.iter (fun vp -> Hashtbl.remove t.filled_by vp) vpages
    | Shared_table -> ())
 
 let unmap t ~monitor ~plan_for ~vaddr ~bytes =

@@ -19,10 +19,10 @@ type pt_mode =
   | Shared_table
       (** one table shared by all dispatchers: cheap updates, but an unmap
           must shoot down every core the domain spans *)
-  | Replicated of { track_tlb_fills : bool }
+  | Replicated
       (** per-core table replicas kept consistent by monitor messages:
-          costlier map, and — when fills are tracked — shootdowns touch
-          only cores that may actually cache the translation.
+          costlier map, but replicas fill on first touch and shootdowns
+          touch only the cores whose replica holds the translation.
 
           Unsupported for domains spanning shards of a multi-shard boot:
           the lazy fill-tracking table is host state mutated at first

@@ -1,5 +1,6 @@
 open Mk_sim
 
+(* Cycles charged on the core per expiry (timer interrupt + dispatch). *)
 let interrupt_cost = 350
 
 type t = { m : Machine.t; core_id : int; mutable fired : int }

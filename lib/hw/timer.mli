@@ -23,6 +23,3 @@ val is_armed : handle -> bool
 
 val fired : t -> int
 (** Number of expirations delivered (statistics). *)
-
-val interrupt_cost : int
-(** Cycles charged on the core per expiry (timer interrupt + dispatch). *)

@@ -71,4 +71,3 @@ val udp_layer_cost : int
 (** Cycles of UDP-layer processing per packet (excl. checksum & copies). *)
 
 val ip_layer_cost : int
-val driver_layer_cost : int

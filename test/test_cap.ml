@@ -132,16 +132,6 @@ let test_revoke_replica () =
   check_bool "gone" false (Cap.Db.mem db1 ram);
   check_int "unknown object kills none" 0 (Cap.Db.revoke_replica db1 ram)
 
-let test_space () =
-  let sp = Cap.Space.create () in
-  let db = fresh () in
-  let ram = Cap.Db.mint_ram db ~base:0 ~bytes:4096 in
-  let slot = Cap.Space.put sp ram in
-  check_bool "get" true (Cap.Space.get sp slot = Ok ram);
-  check_int "count" 1 (Cap.Space.count sp);
-  Cap.Space.remove sp slot;
-  check_bool "empty slot" true (Cap.Space.get sp slot = Error Types.Err_cap_not_found)
-
 let qcheck_revoke_kills_all_descendants =
   qtest "revoke destroys every descendant" ~count:50
     QCheck2.Gen.(list_size (int_range 1 12) (int_range 1 3))
@@ -175,6 +165,5 @@ let suite =
       tc "frontier protocol" test_frontier_protocol;
       tc "insert remote dedup" test_insert_remote_dedup;
       tc "revoke replica" test_revoke_replica;
-      tc "cap space" test_space;
       qcheck_revoke_kills_all_descendants;
     ] )

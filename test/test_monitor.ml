@@ -90,6 +90,9 @@ let test_cap_transfer () =
        | Ok () -> ()
        | Error e -> Alcotest.fail (Types.error_to_string e));
       check_bool "present remotely" true (Cap.Db.mem (Cpu_driver.capdb (Os.driver os ~core:1)) ram);
+      (* The destination's database refuses a capability it already holds. *)
+      check_bool "second transfer refused" true
+        (Result.is_error (Monitor.send_cap mon ~dst:1 ram));
       (* Page tables must not cross cores. *)
       let pt =
         Result.get_ok (Cap.Db.retype db0 ram ~to_:(Cap.Page_table 1) ~count:1 ~bytes_each:4096)
@@ -225,6 +228,159 @@ let test_xid_past_a_million () =
       check_bool "core 0 commits" true (Sync.Ivar.read a0);
       check_bool "core 1 commits" true (Sync.Ivar.read a1))
 
+(* -- the round engine --
+
+   One round over a random plan: Os.plan's three tree shapes, or a
+   hand-built plan of branches with 0-3 leaves, or no branches at all. A
+   random subset of the plan's cores holds a stale replica frontier and
+   votes no. The agreement must commit iff that subset is empty, and every
+   core must have run the decide round: on commit each replica advanced
+   its frontier; on abort none did, and every extent lock a yes vote took
+   was released — a second retype from a common frontier commits. A fan
+   of a fresh replica key then reaches exactly the plan's cores. *)
+
+type round_case = {
+  big : bool;  (* amd_8x4 rather than amd_4x4 *)
+  root : int;
+  members : int list;
+  shape : int;  (* 0-2: Unicast, Multicast, Numa_multicast; 3: hand-built; 4: empty *)
+  sizes : int list;  (* hand-built branch sizes: aggregator + 0-3 leaves *)
+  no_picks : int list;  (* indices into the plan's cores *)
+}
+
+let gen_round_case =
+  QCheck2.Gen.(
+    let* big = bool in
+    let n = if big then 32 else 16 in
+    let* root = int_bound (n - 1) in
+    let* members = list_size (int_bound n) (int_bound (n - 1)) in
+    let* shape = int_bound 4 in
+    let* sizes = list_repeat n (int_range 1 4) in
+    let* no_picks = list_size (int_bound 2) (int_bound 63) in
+    return { big; root; members; shape; sizes; no_picks })
+
+let print_round_case c =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "{%s root=%d members=[%s] shape=%d sizes=[%s] no=[%s]}"
+    (if c.big then "amd_8x4" else "amd_4x4")
+    c.root (ints c.members) c.shape (ints c.sizes) (ints c.no_picks)
+
+(* Cut [cores] into consecutive branches of the given sizes. *)
+let rec hand_branches cores sizes =
+  match (cores, sizes) with
+  | [], _ | _, [] -> []
+  | aggregator :: rest, k :: sizes ->
+    let leaves = List.filteri (fun i _ -> i < k - 1) rest in
+    let rest = List.filteri (fun i _ -> i >= k - 1) rest in
+    { Routing.aggregator; leaves } :: hand_branches rest sizes
+
+let round_holds c =
+  let plat = if c.big then Platform.amd_8x4 else Platform.amd_4x4 in
+  let os = Os.boot ~measure_latencies:Os.No_measure plat in
+  let root = c.root in
+  let plan =
+    let hand branches = { Routing.root; branches; numa_aware = false } in
+    match c.shape with
+    | 0 -> Os.plan os Routing.Unicast ~root ~members:c.members
+    | 1 -> Os.plan os Routing.Multicast ~root ~members:c.members
+    | 2 -> Os.plan os Routing.Numa_multicast ~root ~members:c.members
+    | 3 ->
+      let others = List.sort_uniq compare (List.filter (( <> ) root) c.members) in
+      hand (hand_branches others c.sizes)
+    | _ -> hand []
+  in
+  let cores = root :: Routing.plan_cores plan in
+  let no =
+    List.sort_uniq compare
+      (List.map (fun i -> List.nth cores (i mod List.length cores)) c.no_picks)
+  in
+  Os.run os (fun () ->
+      let mon = Os.monitor os ~core:root in
+      let db core = Cpu_driver.capdb (Os.driver os ~core) in
+      let ram = Cap.Db.mint_ram (db root) ~base:0x9000000 ~bytes:65536 in
+      let frontier core = Result.get_ok (Cap.Db.frontier (db core) ram) in
+      let advance core =
+        Result.get_ok (Cap.Db.advance_frontier (db core) ram ~bytes:4096)
+      in
+      let retype expected_frontier =
+        Monitor.agree mon ~plan
+          ~op:(Monitor.Ag_retype { cap = ram; expected_frontier; bytes = 4096 })
+      in
+      let transferred =
+        List.for_all
+          (fun core -> core = root || Monitor.send_cap mon ~dst:core ram = Ok ())
+          cores
+      in
+      List.iter advance no;
+      let committed = retype 0 in
+      (* The origin's own retype is its caller's; replicas advance on commit. *)
+      let decided =
+        List.for_all
+          (fun core ->
+            frontier core
+            = if List.mem core no || (committed && core <> root) then 4096 else 0)
+          cores
+      in
+      List.iter (fun core -> if frontier core = 0 then advance core) cores;
+      let unlocked = retype 4096 in
+      let decided_again =
+        List.for_all
+          (fun core -> frontier core = if core = root then 4096 else 8192)
+          cores
+      in
+      Monitor.run_fan mon ~plan
+        ~op:(Monitor.Op_set_replica { key = "round"; value = 7 });
+      let reached =
+        List.for_all
+          (fun core ->
+            Bool.equal
+              (Monitor.get_replica (Os.monitor os ~core) "round" = Some 7)
+              (List.mem core cores))
+          (List.init (Platform.n_cores plat) Fun.id)
+      in
+      transferred
+      && committed = (no = [])
+      && decided && unlocked && decided_again && reached)
+
+let qcheck_round_engine =
+  qtest ~count:60 "agree and fan rounds over random plans and no-voters"
+    ~print:print_round_case gen_round_case round_holds
+
+(* A death announcement on a 2-shard boot with every detector running:
+   each member marks the peer dead when it applies the fan, each shard's
+   liveness view drops it, and no detector reports a death. *)
+let test_mark_dead_fan () =
+  let os = Os.boot ~shards:2 ~measure_latencies:Os.No_measure Platform.amd_4x4 in
+  let n = Os.n_cores os in
+  let deaths = ref [] in
+  for c = 0 to n - 1 do
+    Os.post os ~core:c (fun () ->
+        Monitor.start_ft (Os.monitor os ~core:c) ~interval:20_000 ~threshold:4.0
+          ~until:100_000 ~on_death:(fun ~core ~at:_ -> deaths := (c, core) :: !deaths))
+  done;
+  let members = List.filter (( <> ) 3) (List.init n Fun.id) in
+  Os.run os (fun () ->
+      let plan = Os.default_plan os ~root:0 ~members in
+      Monitor.run_fan (Os.monitor os ~core:0) ~plan
+        ~op:(Monitor.Op_mark_dead { core = 3 });
+      List.iter
+        (fun c ->
+          check_bool
+            (Printf.sprintf "core %d suspects 3" c)
+            true
+            (Os.call os ~core:c (fun () ->
+                 Monitor.peer_suspected (Os.monitor os ~core:c) ~core:3)))
+        members;
+      let sh = Os.shards os in
+      for s = 0 to Shard.n_shards sh - 1 do
+        check_bool
+          (Printf.sprintf "shard %d view" s)
+          false
+          (Os.call os ~core:(Shard.first_core sh s) (fun () -> Os.alive os ~core:3))
+      done;
+      Engine.wait 150_000);
+  check_int "no detector fired" 0 (List.length !deaths)
+
 (* The monitor mesh's layout against its reference model, an edge-by-edge
    reservation loop: in src-major order, every shard machine holding an
    endpoint of the edge reserves the next 21 lines — a 16-line ring homed
@@ -334,5 +490,7 @@ let suite =
       tc "messages handled" test_messages_handled_counted;
       tc "dispatch order" test_dispatch_order;
       tc "xid unique past a million" test_xid_past_a_million;
+      qcheck_round_engine;
+      tc "death announcement marks every member" test_mark_dead_fan;
       tc "mesh layout matches per-edge reference" test_mesh_layout;
     ] )

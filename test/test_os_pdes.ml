@@ -292,11 +292,11 @@ let test_access_allocation_budget () =
 
 (* Minor words per [Os.protect] (an mprotect and its undo alternate, each
    a full LRPC + shootdown round trip over all 32 cores): deterministic
-   for a given build. The budget is the measured figure (3,588) exactly:
+   for a given build. The budget is the measured figure (3,344) exactly:
    one-shard boots install no cross-shard hooks, blocking and waking
    allocate nothing beyond the continuation, waiters queue on rings, and
    a simulated memory access and a counter bump build no closure. *)
-let protect_budget = 3_588.0
+let protect_budget = 3_344.0
 
 let test_protect_allocation_budget () =
   let os = Os.boot Platform.amd_8x4 in

@@ -17,9 +17,7 @@ let setup os ~pt_mode ~cores =
 let test_tracked_members () =
   run_os ~plat:Platform.amd_8x4 (fun os ->
       let cores = List.init 16 Fun.id in
-      let dom, vaddr =
-        setup os ~pt_mode:(Vspace.Replicated { track_tlb_fills = true }) ~cores
-      in
+      let dom, vaddr = setup os ~pt_mode:Vspace.Replicated ~cores in
       let vs = Dom.vspace dom in
       let vpages = [ Types.vpage_of_vaddr vaddr ] in
       check_bool "nobody filled yet" true (Vspace.shoot_members vs ~vpages = []);
@@ -42,9 +40,7 @@ let test_shared_members_are_all () =
 let test_tracked_unmap_still_correct () =
   run_os ~plat:Platform.amd_8x4 (fun os ->
       let cores = List.init 16 Fun.id in
-      let dom, vaddr =
-        setup os ~pt_mode:(Vspace.Replicated { track_tlb_fills = true }) ~cores
-      in
+      let dom, vaddr = setup os ~pt_mode:Vspace.Replicated ~cores in
       let vs = Dom.vspace dom in
       List.iter (fun c -> ignore (Vspace.touch vs ~core:c ~vaddr)) [ 2; 9; 14 ];
       (match Os.unmap os dom ~core:0 ~vaddr ~bytes:Types.page_size with
@@ -83,9 +79,7 @@ let test_tracking_cheaper_for_narrow_sharing () =
   in
   let tracked =
     run_os ~plat:Platform.amd_8x4 (fun os ->
-        let dom, vaddr =
-          setup os ~pt_mode:(Vspace.Replicated { track_tlb_fills = true }) ~cores
-        in
+        let dom, vaddr = setup os ~pt_mode:Vspace.Replicated ~cores in
         unmap_cycles os dom ~vaddr ~touchers:[ 0; 1 ])
   in
   check_bool
@@ -109,7 +103,7 @@ let test_replicated_single_round_costlier_when_wide () =
         Engine.now_ () - t0)
   in
   let shared = one_round Vspace.Shared_table in
-  let replicated = one_round (Vspace.Replicated { track_tlb_fills = true }) in
+  let replicated = one_round Vspace.Replicated in
   check_bool
     (Printf.sprintf "replicated (%d) >= shared (%d) when everyone holds it" replicated shared)
     true (replicated >= shared)
