@@ -169,29 +169,60 @@ let fusion_default =
 
 let no_register (_ : waker) = ()
 
-let domain_charge : charge_cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        pending = 0;
-        deferred = 0;
-        flushes = 0;
-        fuse = fusion_default;
-        wait_n = 0;
-        register = no_register;
-        running = None;
-        dom_executed = 0;
-        dom_inplace = 0;
-      })
+let fresh_cell () =
+  {
+    pending = 0;
+    deferred = 0;
+    flushes = 0;
+    fuse = fusion_default;
+    wait_n = 0;
+    register = no_register;
+    running = None;
+    dom_executed = 0;
+    dom_inplace = 0;
+  }
+
+(* Per-domain state in two loads instead of a [Domain.DLS.get] call
+   (DESIGN.md §9). [Domain.spawn] stores each [~split_from_parent] value
+   in the child's DLS array, grown to hold it, before the child runs
+   anything, so the slot never holds the DLS sentinel. The slot is found
+   by physical identity with a block built for the purpose, so nothing
+   depends on how a key is represented, and it is the same on every
+   domain since every domain's array is indexed by the same keys. A
+   reader loads its slot through its own [%dls_get] external (the
+   primitive the stdlib's DLS reads the array with), typed as an array
+   of its value's type so the load skips the generic float-array check;
+   only that slot is ever read at that type. *)
+external dls_state : unit -> Obj.t array = "%dls_get"
+
+let dls_slot fresh =
+  let key = Domain.DLS.new_key ~split_from_parent:(fun _ -> fresh ()) fresh in
+  let probe = fresh () in
+  Domain.DLS.set key probe;
+  let st = dls_state () in
+  let rec find i =
+    if i = Array.length st then failwith "Engine.dls_slot: probe not found"
+    else if st.(i) == Obj.repr probe then i
+    else find (i + 1)
+  in
+  (key, find 0)
+
+(* One cell per domain; the main domain's is built here. *)
+let domain_charge, charge_slot = dls_slot fresh_cell
+
+external dls_cells : unit -> charge_cell array = "%dls_get"
+
+let domain_cell () = Array.unsafe_get (dls_cells ()) charge_slot
 
 (* Events executed by every engine on this domain: lets the bench harness
    attribute events/sec to a bench without threading engine handles out,
    and stays correct when benches run on parallel domains. *)
-let domain_events_executed () = (Domain.DLS.get domain_charge).dom_executed
-let domain_events_inplace () = (Domain.DLS.get domain_charge).dom_inplace
+let domain_events_executed () = (domain_cell ()).dom_executed
+let domain_events_inplace () = (domain_cell ()).dom_inplace
 
-let set_fusion b = (Domain.DLS.get domain_charge).fuse <- b
-let fusion_enabled () = (Domain.DLS.get domain_charge).fuse
-let pending_charge () = (Domain.DLS.get domain_charge).pending
+let set_fusion b = (domain_cell ()).fuse <- b
+let fusion_enabled () = (domain_cell ()).fuse
+let pending_charge () = (domain_cell ()).pending
 
 (* Scheduler events saved by coalescing so far on this domain: each
    deferred charge would have been one wait event, and each flush pays one
@@ -199,7 +230,7 @@ let pending_charge () = (Domain.DLS.get domain_charge).pending
    event count an unfused run executes, which keeps events/sec
    baseline-comparable across fusion modes. *)
 let domain_events_fused () =
-  let c = Domain.DLS.get domain_charge in
+  let c = domain_cell () in
   c.deferred - c.flushes
 
 let fifo_grow t =
@@ -287,10 +318,10 @@ let pay c =
 (* The domain's cell once its bank is paid: one fetch when nothing is
    banked, and a second after paying, which may have yielded. *)
 let flushed_cell () =
-  let c = Domain.DLS.get domain_charge in
+  let c = domain_cell () in
   if c.pending > 0 then begin
     pay c;
-    Domain.DLS.get domain_charge
+    domain_cell ()
   end
   else c
 
@@ -298,7 +329,7 @@ let flushed_cell () =
    may perform [E_wait]); a no-op when nothing is banked, so it is safe (and
    cheap) to call at every interaction point. *)
 let flush_charge () =
-  let c = Domain.DLS.get domain_charge in
+  let c = domain_cell () in
   if c.pending > 0 then pay c
 
 (* The waker of the task in slot [s], built on its first suspend. A call
@@ -357,7 +388,7 @@ let create () =
       next_task = 0;
       self = Some t;
       eff_slot = 0;
-      cell = Domain.DLS.get domain_charge;
+      cell = domain_cell ();
       on_wait =
         Some (fun k -> schedule t ~at:(t.now + max 0 t.cell.wait_n) (ev_of_cont k));
       on_suspend =
@@ -445,7 +476,7 @@ let handler_of t s =
             free_slot t s;
             (* Drop, don't pay, the bank on a crash: the next slice on this
                domain must not inherit a dead task's pending delay. *)
-            (Domain.DLS.get domain_charge).pending <- 0;
+            (domain_cell ()).pending <- 0;
             match e with
             | Halted -> ()
             | e ->
@@ -477,7 +508,7 @@ let exec t (name : string) f =
    (where a charge may be banked) as well as from setup code (where the
    bank is always empty and this is plain [t.now]). *)
 let spawn_named t name f =
-  let at = t.now + (Domain.DLS.get domain_charge).pending in
+  let at = t.now + (domain_cell ()).pending in
   schedule t ~at (ev_of_thunk (fun () -> exec t name f))
 
 let spawn t ?(name = "task") f = spawn_named t name f
@@ -525,7 +556,8 @@ let stalled t =
     ^ if extra > 0 then Printf.sprintf ", ... (+%d more)" extra else ""
   in
   raise
-    (Stalled (Printf.sprintf "%d task(s) suspended forever at t=%d: %s" t.live t.now who))
+    (Stalled
+       (Printf.sprintf "%d task(s) suspended forever at t=%d: %s" t.live t.now who))
 
 (* Execute a queued event. The tag check is exact: a first-class
    continuation is always a [cont_tag] block, and no callable value ever
@@ -571,7 +603,7 @@ let rec drain t allow_stall =
   end
 
 let run_to t lim allow_stall =
-  let c = Domain.DLS.get domain_charge in
+  let c = domain_cell () in
   let saved = c.running and saved_lim = t.lim in
   c.running <- t.self;
   t.cell <- c;
@@ -604,7 +636,7 @@ let run_until t until = run_to t until true
    flush (a yield) would tear. *)
 
 let now_ () =
-  let c = Domain.DLS.get domain_charge in
+  let c = domain_cell () in
   match c.running with
   | Some t -> t.now + c.pending
   | None -> invalid_arg "Engine.now_: no running engine"
@@ -612,7 +644,7 @@ let now_ () =
 let wait n = advance (flushed_cell ()) n
 
 let charge n =
-  let c = Domain.DLS.get domain_charge in
+  let c = domain_cell () in
   if c.fuse && n > 0 then begin
     c.pending <- c.pending + n;
     c.deferred <- c.deferred + 1
@@ -633,7 +665,7 @@ let suspend register =
    *virtual* time, since a parent with a banked charge has conceptually
    already lived those cycles. *)
 let spawn_ ?(name = "task") f =
-  match (Domain.DLS.get domain_charge).running with
+  match (domain_cell ()).running with
   | Some t -> spawn_named t name f
   | None -> invalid_arg "Engine.spawn_: no running engine"
 

@@ -71,6 +71,27 @@ val fusion_enabled : unit -> bool
 val pending_charge : unit -> int
 (** Delay currently banked on this domain (0 outside a task slice). *)
 
+type charge_cell
+(** A domain's charge cell: its charge bank, running engine and event
+    counts. Each domain has its own, built when the domain starts. *)
+
+val domain_charge : charge_cell Domain.DLS.key
+
+val domain_cell : unit -> charge_cell
+(** The current domain's cell, the one [Domain.DLS.get domain_charge]
+    returns, read in two loads from its slot in the domain's DLS array. *)
+
+val dls_slot : (unit -> 'a) -> 'a Domain.DLS.key * int
+(** [dls_slot fresh] makes a key whose value each domain gets from
+    [fresh] when it starts (the calling domain at once), and returns it
+    with the key's index in every domain's DLS array, the array the
+    [%dls_get] primitive returns. [fresh] must build a new block at each
+    call: the index is found by physical identity. Call it at module
+    initialisation, before any domain is spawned: a domain already
+    running holds no value at the index. A module reads its value with
+    [Array.unsafe_get (dls ()) slot], through its own
+    [external dls : unit -> v array = "%dls_get"] at the value's type. *)
+
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn eng f] schedules task [f] to start at the current simulated time.
     Usable both from outside [run] (setup) and from within a task. *)

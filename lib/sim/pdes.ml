@@ -177,29 +177,34 @@ let spawn t ~shard ?name f = Engine.spawn (engine t shard) ?name f
 (* Which shard the current domain is executing a window or running flush
    hooks for; [send] uses it to pick the source outbox (and sequence
    counter) without threading the shard index through every
-   hardware-layer hook. *)
-let cur_key : (t * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   hardware-layer hook. One cell per domain, read through its DLS slot
+   (see {!Engine.dls_slot}). *)
+let _, cur_slot = Engine.dls_slot (fun () -> ref None)
+
+external dls_cur : unit -> (t * int) option ref array = "%dls_get"
+
+let cur () = Array.unsafe_get (dls_cur ()) cur_slot
 
 (* Which shard (of [t]) the calling domain is currently running a window
    or flush hooks for; [None] otherwise (host/setup context). Lets glue
    code (e.g. {!Mk.Shard}) decide whether it is on a shard engine and, if
    so, which one, without threading the index everywhere. *)
 let current t =
-  match Domain.DLS.get cur_key with
+  match !(cur ()) with
   | Some (t', i) when t' == t -> t.shards.(i).index
   | _ -> None
 
 let send t ~dst ~src_core ~at fn =
-  if dst < 0 || dst >= Array.length t.shards then invalid_arg "Pdes.send: bad dst shard";
+  if dst < 0 || dst >= Array.length t.shards then
+    invalid_arg "Pdes.send: bad dst shard";
   if at < t.horizon then
     invalid_arg
-      (Printf.sprintf "Pdes.send: lookahead violation (at=%d < horizon=%d)" at t.horizon);
+      (Printf.sprintf "Pdes.send: lookahead violation (at=%d < horizon=%d)" at
+         t.horizon);
   (* Outside a window and its flush hooks (setup before the first
      exchange) any outbox works — horizon is still 0 and the first
      exchange drains them all. *)
-  let src =
-    match Domain.DLS.get cur_key with Some (t', i) when t' == t -> i | _ -> 0
-  in
+  let src = match !(cur ()) with Some (t', i) when t' == t -> i | _ -> 0 in
   let s = t.shards.(src) in
   push s.outbox.(dst) ~at ~core:src_core ~seq:s.send_seq fn;
   s.send_seq <- s.send_seq + 1
@@ -210,7 +215,8 @@ let send t ~dst ~src_core ~at fn =
    senders that coalesce frames per window to hand them over through
    {!send}. *)
 let add_flush t ~shard f =
-  if shard < 0 || shard >= Array.length t.shards then invalid_arg "Pdes.add_flush: bad shard";
+  if shard < 0 || shard >= Array.length t.shards then
+    invalid_arg "Pdes.add_flush: bad shard";
   let s = t.shards.(shard) in
   s.flush <- s.flush @ [ f ]
 
@@ -226,14 +232,15 @@ let add_flush t ~shard f =
 let run_shard t i ~until =
   let s = t.shards.(i) in
   if not (Engine.skip_idle s.eng ~until) then begin
-    let saved = Domain.DLS.get cur_key in
-    Domain.DLS.set cur_key s.key;
+    let c = cur () in
+    let saved = !c in
+    c := s.key;
     let out = Pool.swap_sink s.sink in
     (match Engine.run_until s.eng until with
     | () -> ()
     | exception e -> s.err <- Some (e, Printexc.get_raw_backtrace ()));
     ignore (Pool.swap_sink out : Buffer.t option);
-    Domain.DLS.set cur_key saved
+    c := saved
   end
 
 (* Gathered entry [i] precedes entry [j] in the canonical (at, src_core,
@@ -322,10 +329,11 @@ let run_flush t i =
   match t.shards.(i).flush with
   | [] -> ()
   | hooks ->
-    let saved = Domain.DLS.get cur_key in
-    Domain.DLS.set cur_key t.shards.(i).key;
+    let c = cur () in
+    let saved = !c in
+    c := t.shards.(i).key;
     List.iter (fun f -> f ()) hooks;
-    Domain.DLS.set cur_key saved
+    c := saved
 
 (* Deliver every pending cross-shard message. Flush hooks run first — in
    shard order, then registration order — so senders that coalesce frames
@@ -498,7 +506,8 @@ let exec_team t ~domains:d =
   in
   let worker w () =
     Engine.set_fusion fusion;
-    let ev0 = Engine.domain_events_executed () and fu0 = Engine.domain_events_fused () in
+    let ev0 = Engine.domain_events_executed ()
+    and fu0 = Engine.domain_events_fused () in
     let mi0 = Gc.minor_words () and ma0 = (Gc.quick_stat ()).Gc.major_collections in
     let my_round = ref 0 in
     let published () = Atomic.get round <> !my_round in

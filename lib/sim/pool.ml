@@ -14,33 +14,8 @@
    own sub-jobs. Some domain always holds a leaf job, so progress is
    guaranteed without ever oversubscribing beyond the pool size. *)
 
-(* -- output capture -- *)
-
-let out_key : Buffer.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let emit s =
-  match Domain.DLS.get out_key with
-  | None ->
-    print_string s;
-    flush stdout
-  | Some buf -> Buffer.add_string buf s
-
-(* Install [sink] as this domain's output sink and return the one it
-   replaces: the allocation-free core of [redirect_to], for callers that
-   restore the sink themselves (Pdes does, once per busy shard window). *)
-let swap_sink sink =
-  let saved = Domain.DLS.get out_key in
-  Domain.DLS.set out_key sink;
-  saved
-
-(* Save/restore rather than reset-to-None: a pool job that is itself a
-   redirected bench must fall back to the job's capture buffer, not to
-   stdout, when its inner redirection ends. *)
-let redirect_to buf f =
-  let saved = swap_sink (Some buf) in
-  Fun.protect ~finally:(fun () -> ignore (swap_sink saved : Buffer.t option)) f
-
-(* -- per-domain totals (own counters + absorbed foreign jobs) -- *)
+(* -- per-domain state: the output sink, and the counters absorbed from
+   jobs that ran on other domains -- *)
 
 (* Additive structure counters that layers above the engine report here,
    so the per-job capture below needs no dependency on them. *)
@@ -60,7 +35,10 @@ let index = function
   | Pdes_busy -> 3
   | Pdes_slots -> 4
 
-type foreign = {
+(* One cell per domain, read through its DLS slot (see
+   {!Engine.dls_slot}). *)
+type local = {
+  mutable sink : Buffer.t option;  (* [None]: print to stdout *)
   mutable f_executed : int;
   mutable f_fused : int;
   mutable f_minor : float;
@@ -68,9 +46,10 @@ type foreign = {
   f_counts : int array;  (* [counter]s, by [index] *)
 }
 
-let foreign_key : foreign Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
+let _, local_slot =
+  Engine.dls_slot (fun () ->
       {
+        sink = None;
         f_executed = 0;
         f_fused = 0;
         f_minor = 0.0;
@@ -78,12 +57,43 @@ let foreign_key : foreign Domain.DLS.key =
         f_counts = Array.make n_counters 0;
       })
 
+external dls_locals : unit -> local array = "%dls_get"
+
+let local () = Array.unsafe_get (dls_locals ()) local_slot
+
+(* -- output capture -- *)
+
+let emit s =
+  match (local ()).sink with
+  | None ->
+    print_string s;
+    flush stdout
+  | Some buf -> Buffer.add_string buf s
+
+(* Install [sink] as this domain's output sink and return the one it
+   replaces: the allocation-free core of [redirect_to], for callers that
+   restore the sink themselves (Pdes does, once per busy shard window). *)
+let swap_sink sink =
+  let l = local () in
+  let saved = l.sink in
+  l.sink <- sink;
+  saved
+
+(* Save/restore rather than reset-to-None: a pool job that is itself a
+   redirected bench must fall back to the job's capture buffer, not to
+   stdout, when its inner redirection ends. *)
+let redirect_to buf f =
+  let saved = swap_sink (Some buf) in
+  Fun.protect ~finally:(fun () -> ignore (swap_sink saved : Buffer.t option)) f
+
+(* -- per-domain totals (own counters + absorbed foreign jobs) -- *)
+
 (* Fold counters produced on other domains into this domain's totals. The
    pool's own merge uses it for jobs that ran elsewhere; Pdes uses it for
    the worker-domain halves of a sharded window run, so an enclosing
    measurement reads the same totals wherever the shards executed. *)
 let absorb ~executed ~fused ~minor ~major =
-  let fo = Domain.DLS.get foreign_key in
+  let fo = local () in
   fo.f_executed <- fo.f_executed + executed;
   fo.f_fused <- fo.f_fused + fused;
   fo.f_minor <- fo.f_minor +. minor;
@@ -93,24 +103,24 @@ let absorb ~executed ~fused ~minor ~major =
    that ran elsewhere. Pdes reports its windows here, on the domain that
    calls [Pdes.exec]. *)
 let note c n =
-  let counts = (Domain.DLS.get foreign_key).f_counts in
+  let counts = (local ()).f_counts in
   counts.(index c) <- counts.(index c) + n
 
-let total c = (Domain.DLS.get foreign_key).f_counts.(index c)
+let total c = (local ()).f_counts.(index c)
 let total_barriers () = total Barriers
 
 let total_executed () =
-  Engine.domain_events_executed () + (Domain.DLS.get foreign_key).f_executed
+  Engine.domain_events_executed () + (local ()).f_executed
 
-let total_fused () = Engine.domain_events_fused () + (Domain.DLS.get foreign_key).f_fused
+let total_fused () = Engine.domain_events_fused () + (local ()).f_fused
 
 (* [Gc.minor_words] is this domain's own count, exact to the word: it
    includes the minor heap in use, and leaves out other domains, whose
    words reach these totals through [absorb]. *)
-let total_minor_words () = Gc.minor_words () +. (Domain.DLS.get foreign_key).f_minor
+let total_minor_words () = Gc.minor_words () +. (local ()).f_minor
 
 let total_major_collections () =
-  (Gc.quick_stat ()).Gc.major_collections + (Domain.DLS.get foreign_key).f_major
+  (Gc.quick_stat ()).Gc.major_collections + (local ()).f_major
 
 (* -- the pool -- *)
 
@@ -248,7 +258,7 @@ let exec_cell cell f () =
   cell.dom <- (Domain.self () :> int);
   let ev0 = total_executed () and fu0 = total_fused () in
   let mi0 = total_minor_words () and ma0 = total_major_collections () in
-  let fo = Domain.DLS.get foreign_key in
+  let fo = local () in
   let counts0 = Array.copy fo.f_counts in
   (match redirect_to cell.buf f with
   | v -> cell.outcome <- Some (Ok v)
@@ -292,7 +302,7 @@ let run ?pool fs =
        failure — after the replay, so a failing sweep still shows every
        completed job's output, in order. *)
     let self = (Domain.self () :> int) in
-    let fo = Domain.DLS.get foreign_key in
+    let fo = local () in
     Array.iter
       (fun c ->
         emit (Buffer.contents c.buf);

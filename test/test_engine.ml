@@ -413,6 +413,84 @@ let test_charge_nonpositive_is_noop () =
       in
       check_int "no time" 0 t)
 
+(* -- the domain's charge cell, read from its DLS slot -- *)
+
+(* [Engine.domain_cell] loads the current domain's DLS array at the slot
+   [Engine.dls_slot] found at start-up. That rests on the stdlib's DLS
+   layout: [%dls_get] returns the domain's array, a key's value sits at
+   the same index on every domain, and [Domain.spawn] stores a
+   [~split_from_parent] key's value before the child runs anything. An
+   OCaml release that changes any of the three fails here. *)
+external dls_state : unit -> Obj.t array = "%dls_get"
+
+let test_dls_layout () =
+  let made = ref 0 in
+  let key, slot =
+    Engine.dls_slot (fun () ->
+        incr made;
+        ref !made)
+  in
+  let mine = Domain.DLS.get key in
+  check_int "the calling domain holds the probe" 1 !mine;
+  check_bool "at the slot" true (Obj.repr mine == (dls_state ()).(slot));
+  let child_sees_its_own =
+    Domain.join
+      (Domain.spawn (fun () ->
+           (* Read the slot before any [Domain.DLS.get] of the key. *)
+           let v : int ref = Obj.obj (dls_state ()).(slot) in
+           !v > 1 && v == Domain.DLS.get key))
+  in
+  check_bool "a spawned domain's value sits at the same slot" true child_sees_its_own
+
+let same_cell () = Engine.domain_cell () == Domain.DLS.get Engine.domain_charge
+
+(* The slot lookup returns the very cell [Domain.DLS.get] does on every
+   kind of domain that runs an engine, and a domain spawned from a task
+   with a banked charge starts with its own cell, empty and zeroed. *)
+let test_cell_lookup () =
+  check_bool "main domain" true (same_cell ());
+  let main = Engine.domain_cell () in
+  with_fusion true (fun () ->
+      let child = ref None in
+      let banked =
+        run_sim (fun () ->
+            Engine.charge 50;
+            child :=
+              Some
+                (Domain.join
+                   (Domain.spawn (fun () ->
+                        ( same_cell () && Engine.domain_cell () != main,
+                          [
+                            Engine.pending_charge ();
+                            Engine.domain_events_executed ();
+                            Engine.domain_events_inplace ();
+                            Engine.domain_events_fused ();
+                          ] ))));
+            Engine.pending_charge ())
+      in
+      check_int "the parent's bank is kept" 50 banked;
+      match !child with
+      | None -> Alcotest.fail "the task did not run"
+      | Some (own, counts) ->
+        check_bool "spawned domain: its own cell" true own;
+        Alcotest.(check (list int)) "spawned domain: fresh cell" [ 0; 0; 0; 0 ] counts);
+  let pool = Pool.create ~jobs:2 in
+  let in_jobs =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> Pool.run ~pool (List.init 4 (fun _ () -> same_cell ())))
+  in
+  check_bool "pool jobs" true (List.for_all Fun.id in_jobs);
+  let p = Pdes.create ~n_shards:2 ~lookahead:10 in
+  let seen = Array.make 2 false in
+  for shard = 0 to 1 do
+    Pdes.spawn p ~shard (fun () ->
+        Engine.wait 25;
+        seen.(shard) <- same_cell ())
+  done;
+  Pdes.exec ~domains:2 p;
+  check_bool "PDES team windows" true (Array.for_all Fun.id seen)
+
 (* -- the idle-window path: [skip_idle] against [run ~until] -- *)
 
 (* An engine whose clock stands at [t0], with one logged event pending at
@@ -424,7 +502,8 @@ let pending_engine ~t0 ~delays log =
   Engine.run eng ();
   List.iteri
     (fun i d ->
-      Engine.schedule_at eng ~at:(t0 + d) (fun () -> log := (i, Engine.now eng) :: !log))
+      Engine.schedule_at eng ~at:(t0 + d) (fun () ->
+          log := (i, Engine.now eng) :: !log))
     delays;
   eng
 
@@ -802,6 +881,8 @@ let suite =
       tc "charge counts fused events" test_charge_counts_fused_events;
       tc "fusion off is eager" test_fusion_off_is_eager;
       tc "charge nonpositive noop" test_charge_nonpositive_is_noop;
+      tc "DLS layout the cell lookup rests on" test_dls_layout;
+      tc "cell lookup on every domain" test_cell_lookup;
       tc "skip_idle directed" test_skip_idle_directed;
       tc "ring" test_ring;
       prop_ring_matches_queue;
