@@ -38,8 +38,6 @@ type step =
    constructor, so an ack is one word of payload. *)
 type msg =
   | Heartbeat of { from : int }
-  | Ping of { seq : int; from : int }
-  | Pong of { seq : int }
   | Down of { xid : int; parent : int; leaves : int list; step : step }
   | Yes of { xid : int }
   | No of { xid : int }
@@ -101,7 +99,6 @@ type t = {
   mutable scan_idx : int;
   mutable next_seq : int;
   rounds : (int, round) Hashtbl.t;
-  pings : (int, unit Sync.Ivar.t) Hashtbl.t;
   revoking : (Cap.objtype * int * int, unit) Hashtbl.t;
   (* Extent locks taken by a yes vote in a retype prepare; cleared by the
      decide round. Guarantees a single global ordering of conflicting
@@ -135,7 +132,6 @@ let create ~shard m driver =
     scan_idx = 0;
     next_seq = 0;
     rounds = Hashtbl.create 8;
-    pings = Hashtbl.create 8;
     revoking = Hashtbl.create 8;
     retype_locks = Hashtbl.create 8;
     replicas = Hashtbl.create 8;
@@ -303,7 +299,9 @@ let vote_on t ~xid op =
       match Hashtbl.find_opt t.retype_locks key with
       | Some owner when owner <> xid -> false  (* a concurrent retype holds it *)
       | _ ->
-        if Cap.Db.vote_retype (Cpu_driver.capdb t.driver) cap ~expected_frontier then begin
+        if
+          Cap.Db.vote_retype (Cpu_driver.capdb t.driver) cap ~expected_frontier
+        then begin
           Hashtbl.replace t.retype_locks key xid;
           true
         end
@@ -355,6 +353,15 @@ let apply_step t ~xid = function
 let answer t ~parent ~xid yes =
   send_to t parent (if yes then Yes { xid } else No { xid })
 
+(* Send [step] down to each branch aggregator, a direct loop so that
+   opening a round allocates no closure. *)
+let rec send_down t ~xid step = function
+  | [] -> ()
+  | (b : Routing.branch) :: rest ->
+    send_to t b.Routing.aggregator
+      (Down { xid; parent = t.core_id; leaves = b.Routing.leaves; step });
+    send_down t ~xid step rest
+
 (* Every answer is in. An aggregator reports the conjunction up; the
    origin of a prepare applies the decision and runs the decide round over
    the same branches; any other origin hands the result to its caller. *)
@@ -376,17 +383,13 @@ and descend t ~xid r =
   if r.remaining = 0 then complete t ~xid r
   else begin
     Hashtbl.replace t.rounds xid r;
-    List.iter
-      (fun (b : Routing.branch) ->
-        send_to t b.Routing.aggregator
-          (Down { xid; parent = t.core_id; leaves = b.Routing.leaves; step = r.step }))
-      r.branches
+    send_down t ~xid r.step r.branches
   end
 
 let collect t ~xid yes =
-  match Hashtbl.find_opt t.rounds xid with
-  | None -> ()
-  | Some r ->
+  match Hashtbl.find t.rounds xid with
+  | exception Not_found -> ()
+  | r ->
     r.yes <- r.yes && yes;
     r.remaining <- r.remaining - 1;
     if r.remaining = 0 then complete t ~xid r
@@ -408,13 +411,6 @@ let handle t msg =
        (match ft.ft_detectors.(from) with
         | Some d -> Mk_fault.Detector.heartbeat d ~now:(Engine.now_ ())
         | None -> ())
-     | None -> ())
-  | Ping { seq; from } -> send_to t from (Pong { seq })
-  | Pong { seq } ->
-    (match Hashtbl.find_opt t.pings seq with
-     | Some iv ->
-       Hashtbl.remove t.pings seq;
-       Sync.Ivar.fill iv ()
      | None -> ())
   | Down { xid; parent; leaves; step } ->
     let yes = apply_step t ~xid step in
@@ -516,12 +512,13 @@ let connect monitors =
     monitors
 
 let ping t dst =
-  let seq = fresh_xid t in
-  let iv = Sync.Ivar.create () in
-  Hashtbl.replace t.pings seq iv;
   let t0 = Engine.now_ () in
-  send_to t dst (Ping { seq; from = t.core_id });
-  Sync.Ivar.read iv;
+  let iv =
+    originate t ~xid:(fresh_xid t)
+      ~branches:[ { Routing.aggregator = dst; leaves = [] } ]
+      ~yes:true (Fan Op_noop)
+  in
+  ignore (Sync.Ivar.read iv : bool);
   Engine.now_ () - t0
 
 let run_fan_async t ~plan ~op =
@@ -544,14 +541,16 @@ let transferable (cap : Cap.t) =
 
 let send_cap t ~dst cap =
   if not (transferable cap) then Error (Types.Err_cap_type "not transferable")
-  else if Hashtbl.mem t.revoking (extent_key cap) then Error Types.Err_revoke_in_progress
+  else if Hashtbl.mem t.revoking (extent_key cap) then
+    Error Types.Err_revoke_in_progress
   else begin
     let iv =
       originate t ~xid:(fresh_xid t)
         ~branches:[ { Routing.aggregator = dst; leaves = [] } ]
         ~yes:true (Transfer cap)
     in
-    if Sync.Ivar.read iv then Ok () else Error (Types.Err_invalid_args "cap transfer refused")
+    if Sync.Ivar.read iv then Ok ()
+    else Error (Types.Err_invalid_args "cap transfer refused")
   end
 
 let get_replica t key = Hashtbl.find_opt t.replicas key

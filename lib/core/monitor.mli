@@ -77,7 +77,8 @@ val connect : t array -> unit
 
 val ping : t -> int -> int
 (** Round-trip a message to a peer monitor and return the cycles taken:
-    the boot-time online measurement that feeds the SKB. *)
+    the boot-time online measurement that feeds the SKB. The round trip
+    is a one-core round (a no-op fan whose only branch is the peer). *)
 
 val run_fan : t -> plan:Routing.plan -> op:fan_op -> unit
 (** Disseminate [op] along the plan; blocks until every reached core has

@@ -25,9 +25,9 @@ type line_state = Invalid | Shared of int list | Modified of int
    always ascending. Nearly every line has zero to two sharers; a third
    spills the set to a pooled [Bitset] (so a spilled set has at least
    three members), and it returns inline when the line leaves the shared
-   state or an eviction brings it back to two. A remote slot marks a line
-   pinned to a package another shard owns: blocking accesses route it,
-   everything else refuses it (see [get_line]). *)
+   state. A remote slot marks a line pinned to a package another shard
+   owns: blocking accesses route it, everything else refuses it (see
+   [get_line]). *)
 let field_bits = 15
 let nil = (1 lsl field_bits) - 1
 let home_shift = 3
@@ -49,7 +49,8 @@ let owner_of w =
   let o = (w lsr owner_shift) land nil in
   if o = nil then -1 else o
 
-let with_owner w o = w land lnot (nil lsl owner_shift) lor ((o land nil) lsl owner_shift)
+let with_owner w o =
+  w land lnot (nil lsl owner_shift) lor ((o land nil) lsl owner_shift)
 let a_of w = (w lsr a_shift) land nil
 let b_of w = w lsr b_shift
 let pool_of w = w lsr a_shift
@@ -58,11 +59,11 @@ let pool_of w = w lsr a_shift
 let meta w = w land ((1 lsl a_shift) - 1) land lnot (tag_mask lor spilled_bit)
 
 let with_sharers w ~tag a b = meta w lor tag lor (a lsl a_shift) lor (b lsl b_shift)
-let invalid_word w = with_sharers w ~tag:tag_invalid nil nil
 let modified_word w core = with_sharers w ~tag:tag_modified core nil
 
 let shared_word w x y =
-  if x < y then with_sharers w ~tag:tag_shared x y else with_sharers w ~tag:tag_shared y x
+  if x < y then with_sharers w ~tag:tag_shared x y
+  else with_sharers w ~tag:tag_shared y x
 
 let spilled_word w i = meta w lor tag_shared lor spilled_bit lor (i lsl a_shift)
 
@@ -80,15 +81,11 @@ type t = {
   mutable n_pool : int;
   mutable free : int array;
   mutable n_free : int;
-  (* Optional finite capacity per core (in lines): evictions write dirty
-     victims back to their home and drop clean ones. None = infinite. *)
-  lrus : Lru.t option array;
   (* Home-node pinning as sorted, non-overlapping [first, last] -> node
      ranges: the bump allocator pins whole regions, so per-line entries
      would be wastefully huge. Stored as parallel int arrays so the binary
      search in [pinned_home_of] touches flat memory, and adjacent
-     same-node ranges are merged on insert — the URPC mesh alone would
-     otherwise pin hundreds of thousands of one-line ranges. *)
+     same-node ranges are merged on insert. *)
   mutable range_first : int array;
   mutable range_last : int array;
   mutable range_node : int array;
@@ -175,9 +172,10 @@ let route_counters counters topo src dst =
   assert (!u = dst);
   refs
 
-let create ?cache_lines_per_core plat counters =
+let create plat counters =
   let n = Platform.n_cores plat in
-  if n >= nil then invalid_arg "Coherence.create: too many cores for the packed line table";
+  if n >= nil then
+    invalid_arg "Coherence.create: too many cores for the packed line table";
   let npkg = plat.Platform.n_packages in
   let topo = plat.Platform.topo in
   let pkg = Array.init n (fun c -> Platform.package_of plat c) in
@@ -225,10 +223,6 @@ let create ?cache_lines_per_core plat counters =
     n_pool = 0;
     free = [||];
     n_free = 0;
-    lrus =
-      (match cache_lines_per_core with
-       | None -> Array.make n None
-       | Some cap -> Array.init n (fun _ -> Some (Lru.create ~capacity:cap)));
     range_first = Array.make 64 0;
     range_last = Array.make 64 0;
     range_node = Array.make 64 0;
@@ -237,7 +231,8 @@ let create ?cache_lines_per_core plat counters =
     dirs =
       Array.init npkg (fun i -> Resource.create ~name:(Printf.sprintf "dir%d" i) ());
     ports =
-      Array.init n (fun i -> Resource.create ~name:(Printf.sprintf "cacheport%d" i) ());
+      Array.init n (fun i ->
+          Resource.create ~name:(Printf.sprintf "cacheport%d" i) ());
     n_cores = n;
     pkg;
     sgrp;
@@ -265,7 +260,9 @@ let set_fault t inj = t.inj <- inj
 let set_remote_home t ~is_remote ~route =
   t.is_remote <- is_remote;
   t.register <-
-    (fun wake -> route ~core:t.rq_core ~line:t.rq_line ~home:t.rq_home ~write:t.rq_write ~wake)
+    (fun wake ->
+      route ~core:t.rq_core ~line:t.rq_line ~home:t.rq_home ~write:t.rq_write
+        ~wake)
 
 (* Extra transfer latency from an injected degraded/partitioned link
    between two packages; 0 unless a fault plan is armed. *)
@@ -300,7 +297,10 @@ let set_home_range t ~first_line ~last_line ~node =
     (idx > 0 && t.range_last.(idx - 1) >= first_line)
     || (idx < n && t.range_first.(idx) <= last_line)
   then invalid_arg "Coherence.set_home_range: overlapping ranges";
-  if idx > 0 && t.range_node.(idx - 1) = node && t.range_last.(idx - 1) = first_line - 1
+  if
+    idx > 0
+    && t.range_node.(idx - 1) = node
+    && t.range_last.(idx - 1) = first_line - 1
   then t.range_last.(idx - 1) <- last_line
   else begin
     if n = Array.length t.range_first then begin
@@ -341,7 +341,8 @@ let rec range_search t line lo hi =
 
 let rec region_scan line = function
   | [] -> -1
-  | (f, l, fn) :: rest -> if line >= f && line <= l then fn line else region_scan line rest
+  | (f, l, fn) :: rest ->
+    if line >= f && line <= l then fn line else region_scan line rest
 
 let pinned_home_of t line =
   let n = range_search t line 0 (t.n_ranges - 1) in
@@ -391,8 +392,8 @@ let get_line t ~core line =
   if tag_of t.state.(s) = tag_remote then
     invalid_arg
       (Printf.sprintf
-         "Coherence: line %d is homed on another shard; only blocking load/store may \
-          reach it"
+         "Coherence: line %d is homed on another shard; only blocking \
+          load/store may reach it"
          line);
   s
 
@@ -410,7 +411,8 @@ let dram_of t src_pkg home =
   if t.dram_lat != [||] then t.dram_lat.(src_pkg).(home)
   else
     t.plat.Platform.dram
-    + (2 * t.plat.Platform.hop_one_way * Topology.hops t.plat.Platform.topo src_pkg home)
+    + (2 * t.plat.Platform.hop_one_way
+      * Topology.hops t.plat.Platform.topo src_pkg home)
 
 (* Pre-resolved directed link counters en route between two (distinct)
    packages; above [dense_pkg_max], resolved once per communicating pair
@@ -506,51 +508,6 @@ let next_member bs c =
     let j = Bitset.find_next bs (c + 1) in
     if j > c then j else -1
 
-(* [w] without [core] as a sharer: invalid once empty, inline again once
-   a spilled set is down to two. *)
-let remove_sharer t w core =
-  if is_spilled w then begin
-    let bs = t.pool.(pool_of w) in
-    Bitset.remove bs core;
-    if Bitset.cardinal bs > 2 then w
-    else begin
-      let x = Bitset.find_next bs 0 in
-      release t w;
-      shared_word w x (next_member bs x)
-    end
-  end
-  else if a_of w = core then
-    if b_of w = nil then invalid_word w else with_sharers w ~tag:tag_shared (b_of w) nil
-  else if b_of w = core then with_sharers w ~tag:tag_shared (a_of w) nil
-  else w
-
-(* Capacity: a core dropping a line (eviction or remote invalidation). *)
-let forget t ~core lid =
-  match t.lrus.(core) with Some lru -> Lru.remove lru lid | None -> ()
-
-let evict t ~core victim_lid =
-  let s = Inttbl.find_or t.index victim_lid (-1) in
-  if s >= 0 then begin
-    let w = t.state.(s) in
-    if tag_of w = tag_modified && a_of w = core then begin
-      (* Dirty eviction: write the line back to its home. *)
-      charge_path t t.pkg.(core) (home_of_word w) data_dwords;
-      t.state.(s) <- with_owner (invalid_word w) (-1)
-    end
-    else if tag_of w = tag_shared then begin
-      let w = remove_sharer t w core in
-      t.state.(s) <- (if owner_of w = core then with_owner w (-1) else w)
-    end
-  end
-
-(* Record that [core] now caches [lid]; handle any capacity eviction. *)
-let note_presence t ~core lid =
-  match t.lrus.(core) with
-  | None -> ()
-  | Some lru ->
-    let victim = Lru.touch lru lid in
-    if victim >= 0 && victim <> lid then evict t ~core victim
-
 (* What a memory access must do, decided from the line state. State
    transitions, counters and traffic happen in [prepare_load]/
    [prepare_store]; how the latency is realized (blocking wait vs
@@ -604,7 +561,6 @@ let prepare_load t ~core lid s =
   let p = t.plat in
   Perfcounter.count_load t.counters ~core;
   Perfcounter.touch_line t.counters ~core ~line:lid;
-  note_presence t ~core lid;
   let w = t.state.(s) in
   let home = home_of_word w in
   if tag_of w = tag_modified then begin
@@ -658,24 +614,19 @@ let prepare_load t ~core lid s =
     set_txn t ~home ~lat ~src_port:(-1) ~ln:(-1)
   end
 
-(* One sharer [c] of a line [core] is about to own: drop its copy and
-   return the farthest invalidation latency seen so far. *)
-let invalidate t ~core lid c far =
-  if c = core then far
-  else begin
-    forget t ~core:c lid;
-    if is_local_group t core c then far else max far (xfer_of t c core)
-  end
+(* One sharer [c] of a line [core] is about to own: the farthest
+   invalidation latency seen so far, [c]'s included. *)
+let invalidate t ~core c far =
+  if c = core || is_local_group t core c then far else max far (xfer_of t c core)
 
-let rec invalidate_spilled t ~core lid bs c far =
+let rec invalidate_spilled t ~core bs c far =
   if c < 0 then far
-  else invalidate_spilled t ~core lid bs (next_member bs c) (invalidate t ~core lid c far)
+  else invalidate_spilled t ~core bs (next_member bs c) (invalidate t ~core c far)
 
 let prepare_store t ~core lid s =
   let p = t.plat in
   Perfcounter.count_store t.counters ~core;
   Perfcounter.touch_line t.counters ~core ~line:lid;
-  note_presence t ~core lid;
   let w = with_owner t.state.(s) core in
   t.state.(s) <- w;
   let home = home_of_word w in
@@ -685,7 +636,6 @@ let prepare_store t ~core lid s =
     else begin
       Perfcounter.count_miss t.counters ~core;
       Perfcounter.count_c2c t.counters ~core;
-      forget t ~core:o lid;
       t.state.(s) <- modified_word w core;
       if is_local_group t core o then set_local t p.Platform.shared_cache_fetch
       else begin
@@ -713,11 +663,11 @@ let prepare_store t ~core lid s =
       let far =
         if is_spilled w then begin
           let bs = t.pool.(pool_of w) in
-          invalidate_spilled t ~core lid bs (Bitset.find_next bs 0) 0
+          invalidate_spilled t ~core bs (Bitset.find_next bs 0) 0
         end
         else begin
-          let far = invalidate t ~core lid (a_of w) 0 in
-          if b_of w = nil then far else invalidate t ~core lid (b_of w) far
+          let far = invalidate t ~core (a_of w) 0 in
+          if b_of w = nil then far else invalidate t ~core (b_of w) far
         end
       in
       release t w;

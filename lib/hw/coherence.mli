@@ -20,10 +20,8 @@
     ascending core order. Core ids must fit 15 bits: {!create} rejects a
     machine of 32767 cores or more.
 
-    Caches default to infinite capacity (misses are cold and coherence
-    misses); pass [cache_lines_per_core] to model finite caches with LRU
-    replacement — dirty victims write back to their home node, clean ones
-    are silently dropped, and the directory stays consistent either way. *)
+    Caches have infinite capacity: every miss is a cold or a coherence
+    miss, which is the warm-cache regime the paper measures. *)
 
 type t
 
@@ -32,7 +30,7 @@ type line_state =
   | Shared of int list  (** clean, cached by these cores *)
   | Modified of int  (** dirty, exclusively owned by this core *)
 
-val create : ?cache_lines_per_core:int -> Platform.t -> Perfcounter.t -> t
+val create : Platform.t -> Perfcounter.t -> t
 
 val set_fault : t -> Mk_fault.Injector.t -> unit
 (** Attach a fault injector: cross-package data transfers and DRAM fetches
@@ -50,7 +48,8 @@ val set_home_range : t -> first_line:int -> last_line:int -> node:int -> unit
     package. Ranges must be disjoint and arrive in increasing address
     order. *)
 
-val set_home_region : t -> first_line:int -> last_line:int -> node_of:(int -> int) -> unit
+val set_home_region :
+  t -> first_line:int -> last_line:int -> node_of:(int -> int) -> unit
 (** Pin a region whose home node is a function of the (absolute) line
     number — O(1) state for arenas with a regular interleaved layout,
     like the large monitor mesh's n*(n-1) channel buffers. The region
@@ -62,7 +61,13 @@ val home_of : t -> line:int -> int option
 val set_remote_home :
   t ->
   is_remote:(int -> bool) ->
-  route:(core:int -> line:int -> home:int -> write:bool -> wake:Mk_sim.Engine.waker -> unit) ->
+  route:
+    (core:int ->
+    line:int ->
+    home:int ->
+    write:bool ->
+    wake:Mk_sim.Engine.waker ->
+    unit) ->
   unit
 (** PDES cross-shard routing: a line whose *pinned* home package satisfies
     [is_remote] is serviced by another shard's directory. Call it before

@@ -14,12 +14,14 @@ type t = {
       (* message-graph recorder for placement profiling; None = no cost *)
 }
 
-let create ?eng ?cache_lines_per_core ?(fault = Mk_fault.Injector.none) plat =
+let create ?eng ?(fault = Mk_fault.Injector.none) plat =
   let eng = match eng with Some e -> e | None -> Engine.create () in
   let n = Platform.n_cores plat in
   let counters = Perfcounter.create plat in
-  let coh = Coherence.create ?cache_lines_per_core plat counters in
-  let cores = Array.init n (fun i -> Resource.create ~name:(Printf.sprintf "core%d" i) ()) in
+  let coh = Coherence.create plat counters in
+  let cores =
+    Array.init n (fun i -> Resource.create ~name:(Printf.sprintf "core%d" i) ())
+  in
   let ipi = Ipi.create plat ~core_resources:cores in
   Coherence.set_fault coh fault;
   Ipi.set_fault ipi fault;

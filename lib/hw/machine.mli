@@ -23,15 +23,13 @@ type t = {
 
 val create :
   ?eng:Mk_sim.Engine.t ->
-  ?cache_lines_per_core:int ->
   ?fault:Mk_fault.Injector.t ->
   Platform.t ->
   t
-(** [cache_lines_per_core] switches the coherence model from infinite to
-    finite LRU caches of that many lines per core. [fault] attaches a fault
-    injector to the coherence fabric, IPI controller and (via the machine
-    record) the URPC / NIC layers; the default [Injector.none] makes every
-    fault point a single boolean read. *)
+(** [eng] defaults to a fresh engine. [fault] attaches a fault injector
+    to the coherence fabric, IPI controller and (via the machine record)
+    the URPC / NIC layers; the default [Injector.none] makes every fault
+    point a single boolean read. *)
 
 val n_cores : t -> int
 

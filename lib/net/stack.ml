@@ -24,12 +24,6 @@ and t = {
   offload : bool;
   kernel_overhead : int;  (* per-packet syscall/softirq cost: in-kernel stacks *)
   tcp_engine : Tcp_lite.t;
-  (* Address resolution: off by default (point-to-point links don't need
-     it); NIC-attached stacks enable it and resolve next hops like any
-     Ethernet host. *)
-  arp_enabled : bool;
-  arp_table : (int, int) Hashtbl.t;  (* ip -> mac *)
-  arp_pending : (int, Pbuf.t list ref) Hashtbl.t;  (* awaiting resolution *)
   ping_waiters : (int, int Sync.Ivar.t) Hashtbl.t;  (* seq -> send time *)
   mutable ping_seq : int;
 }
@@ -48,58 +42,23 @@ let send_frame t ~dst_mac p =
     ~bytes:(Ethernet.header_bytes + Ipv4.header_bytes) ~write:true;
   Netif.transmit t.nif p
 
-let send_arp t ~op ~target_mac ~target_ip =
-  let p = Pbuf.alloc t.m ~size:0 () in
-  Arp.encode p
-    ~a:{ Arp.op; sender_mac = Netif.mac t.nif; sender_ip = t.sip; target_mac; target_ip };
-  Ethernet.encode p
-    ~dst:(if op = Arp.op_request then Arp.broadcast_mac else target_mac)
-    ~src:(Netif.mac t.nif) ~ethertype:Arp.ethertype;
-  Netif.transmit t.nif p
-
 (* Output path: UDP/TCP -> IP -> Ethernet -> interface, charging each
-   layer's processing and touching the header lines it writes. Without ARP
-   the peer's MAC is derived from its address (our point-to-point links);
-   with it, unresolved packets queue behind an ARP request. *)
+   layer's processing and touching the header lines it writes. Every link
+   is point-to-point, so the peer's MAC is derived from its address. *)
 let ip_output t ~proto ~dst_ip p =
   Machine.compute t.m ~core:t.score (ip_layer_cost + t.kernel_overhead);
   Ipv4.encode p ~src:t.sip ~dst:dst_ip ~proto;
-  if not t.arp_enabled then
-    send_frame t ~dst_mac:(Ethernet.mac_of_core (dst_ip land 0xff)) p
-  else
-    match Hashtbl.find_opt t.arp_table dst_ip with
-    | Some mac -> send_frame t ~dst_mac:mac p
-    | None ->
-      (match Hashtbl.find_opt t.arp_pending dst_ip with
-       | Some q -> q := p :: !q
-       | None ->
-         Hashtbl.replace t.arp_pending dst_ip (ref [ p ]);
-         send_arp t ~op:Arp.op_request ~target_mac:0 ~target_ip:dst_ip)
+  send_frame t ~dst_mac:(Ethernet.mac_of_core (dst_ip land 0xff)) p
 
 (* Input path, run in the context of whatever task delivers the frame. *)
-let handle_arp t p =
-  match Arp.decode p with
-  | None -> ()
-  | Some a ->
-    (* Learn the sender either way. *)
-    Hashtbl.replace t.arp_table a.Arp.sender_ip a.Arp.sender_mac;
-    (match Hashtbl.find_opt t.arp_pending a.Arp.sender_ip with
-     | Some q ->
-       Hashtbl.remove t.arp_pending a.Arp.sender_ip;
-       List.iter
-         (fun pkt -> send_frame t ~dst_mac:a.Arp.sender_mac pkt)
-         (List.rev !q)
-     | None -> ());
-    if a.Arp.op = Arp.op_request && a.Arp.target_ip = t.sip then
-      send_arp t ~op:Arp.op_reply ~target_mac:a.Arp.sender_mac ~target_ip:a.Arp.sender_ip
-
 let handle_icmp t ~src_ip p =
   match Icmp.decode p with
   | None -> ()
   | Some m ->
     if m.Icmp.icmp_type = Icmp.type_echo_request then begin
       let reply = Pbuf.of_string t.m (Pbuf.contents p) in
-      Icmp.encode reply ~icmp_type:Icmp.type_echo_reply ~ident:m.Icmp.ident ~seq:m.Icmp.seq;
+      Icmp.encode reply ~icmp_type:Icmp.type_echo_reply ~ident:m.Icmp.ident
+        ~seq:m.Icmp.seq;
       ip_output t ~proto:Icmp.protocol ~dst_ip:src_ip reply
     end
     else if m.Icmp.icmp_type = Icmp.type_echo_reply then
@@ -114,8 +73,7 @@ let input t p =
   match Ethernet.decode p with
   | None -> ()
   | Some eth ->
-    if eth.Ethernet.ethertype = Arp.ethertype then handle_arp t p
-    else if eth.Ethernet.ethertype <> Ethernet.ethertype_ipv4 then ()
+    if eth.Ethernet.ethertype <> Ethernet.ethertype_ipv4 then ()
     else begin
       Machine.compute t.m ~core:t.score ip_layer_cost;
       (* Header parse reads. *)
@@ -143,8 +101,7 @@ let input t p =
         else if iph.Ipv4.proto = Icmp.protocol then handle_icmp t ~src_ip:iph.Ipv4.src p
     end
 
-let create m ~core ?ip ?(checksum_offload = false) ?(kernel_overhead = 0) ?timer
-    ?(arp = false) nif =
+let create m ~core ?ip ?(checksum_offload = false) ?(kernel_overhead = 0) ?timer nif =
   let sip = match ip with Some i -> i | None -> Ipv4.addr_of_core core in
   let t_ref = ref None in
   let tcp_engine =
@@ -157,9 +114,7 @@ let create m ~core ?ip ?(checksum_offload = false) ?(kernel_overhead = 0) ?timer
   let t =
     { m; score = core; sip; nif; udp_socks = Hashtbl.create 8;
       offload = checksum_offload; kernel_overhead; tcp_engine;
-      arp_enabled = arp; arp_table = Hashtbl.create 16;
-      arp_pending = Hashtbl.create 8; ping_waiters = Hashtbl.create 8;
-      ping_seq = 0 }
+      ping_waiters = Hashtbl.create 8; ping_seq = 0 }
   in
   t_ref := Some t;
   Netif.set_rx nif (fun p -> input t p);
@@ -181,8 +136,6 @@ let udp_sendto sock ~dst_ip ~dst_port payload =
 
 let udp_recvfrom sock = Sync.Mailbox.recv sock.rx_q
 let udp_pending sock = Sync.Mailbox.length sock.rx_q
-
-let arp_lookup t ~ip = Hashtbl.find_opt t.arp_table ip
 
 (* ICMP echo round trip; None on timeout. *)
 let ping t ~dst_ip ~timeout =

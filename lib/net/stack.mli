@@ -16,7 +16,6 @@ val create :
   ?checksum_offload:bool ->
   ?kernel_overhead:int ->
   ?timer:Mk_hw.Timer.t ->
-  ?arp:bool ->
   Netif.t ->
   t
 (** Bind a stack instance to an interface. [ip] defaults to a 10.0.0.x
@@ -25,9 +24,8 @@ val create :
     [kernel_overhead] adds per-packet cycles on both paths — the
     syscall/softirq/sk-lock tax of modelling an in-kernel stack.
     [timer] enables TCP retransmission (the paper's web server runs a
-    separate timer driver for exactly this). [arp] turns on real ARP
-    next-hop resolution (NIC-attached stacks); without it MACs derive from
-    addresses, which is all point-to-point links need. *)
+    separate timer driver for exactly this). Every link is point-to-point,
+    so a peer's MAC derives from its address and there is no ARP. *)
 
 val machine : t -> Mk_hw.Machine.t
 val core : t -> int
@@ -51,9 +49,7 @@ val udp_recvfrom : udp_sock -> Pbuf.t * (int * int)
 
 val udp_pending : udp_sock -> int
 
-(** {1 ARP / ICMP} *)
-
-val arp_lookup : t -> ip:int -> int option
+(** {1 ICMP} *)
 
 val ping : t -> dst_ip:int -> timeout:int -> int option
 (** ICMP echo round-trip time in cycles, or [None] on timeout. Task

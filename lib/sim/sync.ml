@@ -1,8 +1,9 @@
 (* Blocking primitives built on Engine.suspend. Each primitive builds its
    suspend callback once, at [create], and drops a waker from its queue
-   before calling it, as the waker contract asks. All queues are FIFO
-   {!Ring}s, which keeps the whole simulation deterministic and lets a
-   block/wake round trip allocate nothing but the task's continuation.
+   before calling it, as the waker contract asks. Every queue is FIFO (a
+   {!Ring}, or an ivar's short list of readers woken oldest first), which
+   keeps the whole simulation deterministic; a block/wake round trip on a
+   ring allocates nothing but the task's continuation.
 
    Every mutating operation is an *interaction point* for latency-charge
    fusion: it flushes the caller's banked charge first, so queue contents,
@@ -11,24 +12,23 @@
 
 let wake (w : Engine.waker) = w ()
 
-(* Wake the first [n] wakers of [q], oldest first. Wakers only schedule,
-   so none of them can push onto [q] while this runs. *)
-let wake_n q n =
-  for _ = 1 to n do
-    wake (Ring.pop q)
-  done
-
 module Ivar = struct
   type 'a state = Empty | Full of 'a
+
+  (* An ivar is written once and nearly always read by one task, so its
+     readers are a list, newest first: a wait conses 3 words where a ring
+     would allocate its 16-slot array. *)
   type 'a t = {
     mutable state : 'a state;
-    waiters : Engine.waker Ring.t;
+    mutable waiters : Engine.waker list;
     park : Engine.waker -> unit;
   }
 
   let create () =
-    let waiters = Ring.create () in
-    { state = Empty; waiters; park = (fun w -> Ring.push waiters w) }
+    let rec t =
+      { state = Empty; waiters = []; park = (fun w -> t.waiters <- w :: t.waiters) }
+    in
+    t
 
   let fill t v =
     Engine.flush_charge ();
@@ -36,7 +36,10 @@ module Ivar = struct
     | Full _ -> invalid_arg "Ivar.fill: already filled"
     | Empty ->
       t.state <- Full v;
-      wake_n t.waiters (Ring.length t.waiters)
+      let ws = t.waiters in
+      t.waiters <- [];
+      (* Oldest first, as a FIFO queue would. *)
+      match ws with [ w ] -> wake w | ws -> List.iter wake (List.rev ws)
 
   let is_filled t = match t.state with Full _ -> true | Empty -> false
 

@@ -5,9 +5,9 @@
    owner and storm-slot time, plus an n-bit [Bitset] of sharers. It keeps
    the same latency, counter and traffic model, written the plain way, and
    covers what the differential property drives: one machine, pinned
-   ranges, finite LRU caches, and the blocking, banked, posted and async
-   accesses. Cross-shard routing, computed home regions and fault
-   injection are left out. *)
+   ranges, and the blocking, banked, posted and async accesses.
+   Cross-shard routing, computed home regions and fault injection are
+   left out. *)
 
 open Mk_sim
 open Mk_hw
@@ -31,7 +31,6 @@ type t = {
   plat : Platform.t;
   counters : Perfcounter.t;
   lines : (int, line) Hashtbl.t;
-  lrus : Lru.t option array;
   mutable ranges : (int * int * int) list;  (* first, last, node *)
   dirs : Resource.t array;
   ports : Resource.t array;
@@ -45,16 +44,12 @@ let store_post_cost = 60
 let port_occupancy = 70
 let max_deferred_at_access = 512
 
-let create ?cache_lines_per_core plat counters =
+let create plat counters =
   let n = Platform.n_cores plat in
   {
     plat;
     counters;
     lines = Hashtbl.create 64;
-    lrus =
-      (match cache_lines_per_core with
-       | None -> Array.make n None
-       | Some cap -> Array.init n (fun _ -> Some (Lru.create ~capacity:cap)));
     ranges = [];
     dirs = Array.init plat.Platform.n_packages (fun _ -> Resource.create ());
     ports = Array.init n (fun _ -> Resource.create ());
@@ -90,8 +85,11 @@ let get_line t ~core lid =
     l
 
 let hops t a b = Topology.hops t.plat.Platform.topo a b
+
 let xfer_of t src dst =
-  t.plat.Platform.cc_base + (2 * t.plat.Platform.hop_one_way * hops t t.pkg.(src) t.pkg.(dst))
+  t.plat.Platform.cc_base
+  + (2 * t.plat.Platform.hop_one_way * hops t t.pkg.(src) t.pkg.(dst))
+
 let dram_of t src_pkg home =
   t.plat.Platform.dram + (2 * t.plat.Platform.hop_one_way * hops t src_pkg home)
 
@@ -110,43 +108,27 @@ let charge_probe_broadcast t =
 
 let is_local_group t a b = t.sgrp.(a) = t.sgrp.(b)
 
-let forget t ~core lid =
-  match t.lrus.(core) with Some lru -> Lru.remove lru lid | None -> ()
-
-let evict t ~core victim =
-  match Hashtbl.find_opt t.lines victim with
-  | None -> ()
-  | Some v ->
-    if v.tag = tag_modified && v.excl = core then begin
-      charge_path t t.pkg.(core) v.home data_dwords;
-      v.tag <- tag_invalid;
-      v.owner <- -1
-    end
-    else if v.tag = tag_shared then begin
-      Bitset.remove v.sharers core;
-      if Bitset.is_empty v.sharers then v.tag <- tag_invalid;
-      if v.owner = core then v.owner <- -1
-    end
-
-let note_presence t ~core lid =
-  match t.lrus.(core) with
-  | None -> ()
-  | Some lru ->
-    let victim = Lru.touch lru lid in
-    if victim >= 0 && victim <> lid then evict t ~core victim
-
 (* What an access must do once its state transition is made. *)
 type outcome =
   | Hit
   | Local of int
   | Txn of { home : int; lat : int; src_port : int; storm : line option }
 
+(* A fetch from the line's home memory. *)
+let dram_txn t ~core l =
+  Txn
+    {
+      home = l.home;
+      lat = dram_of t t.pkg.(core) l.home;
+      src_port = -1;
+      storm = None;
+    }
+
 let prepare_load t ~core addr =
   let p = t.plat in
   let lid = line_of_addr t addr in
   let l = get_line t ~core lid in
   Perfcounter.count_load t.counters ~core;
-  note_presence t ~core lid;
   if l.tag = tag_modified then begin
     let o = l.excl in
     if o = core then Hit
@@ -184,7 +166,7 @@ let prepare_load t ~core addr =
       else begin
         Perfcounter.count_dram t.counters ~core;
         charge_path t t.pkg.(core) l.home (cmd_dwords + data_dwords);
-        Txn { home = l.home; lat = dram_of t t.pkg.(core) l.home; src_port = -1; storm = None }
+        dram_txn t ~core l
       end
     end
   end
@@ -195,7 +177,7 @@ let prepare_load t ~core addr =
     Bitset.clear l.sharers;
     Bitset.add l.sharers core;
     charge_path t t.pkg.(core) l.home (cmd_dwords + data_dwords);
-    Txn { home = l.home; lat = dram_of t t.pkg.(core) l.home; src_port = -1; storm = None }
+    dram_txn t ~core l
   end
 
 let prepare_store t ~core addr =
@@ -203,7 +185,6 @@ let prepare_store t ~core addr =
   let lid = line_of_addr t addr in
   let l = get_line t ~core lid in
   Perfcounter.count_store t.counters ~core;
-  note_presence t ~core lid;
   l.owner <- core;
   if l.tag = tag_modified then begin
     let o = l.excl in
@@ -211,7 +192,6 @@ let prepare_store t ~core addr =
     else begin
       Perfcounter.count_miss t.counters ~core;
       Perfcounter.count_c2c t.counters ~core;
-      forget t ~core:o lid;
       l.excl <- core;
       if is_local_group t core o then Local p.Platform.shared_cache_fetch
       else begin
@@ -233,10 +213,8 @@ let prepare_store t ~core addr =
       let far = ref 0 in
       Bitset.iter
         (fun c ->
-          if c <> core then begin
-            forget t ~core:c lid;
-            if not (is_local_group t core c) then far := max !far (xfer_of t c core)
-          end)
+          if c <> core && not (is_local_group t core c) then
+            far := max !far (xfer_of t c core))
         l.sharers;
       l.tag <- tag_modified;
       l.excl <- core;
@@ -253,7 +231,7 @@ let prepare_store t ~core addr =
     l.tag <- tag_modified;
     l.excl <- core;
     charge_path t t.pkg.(core) l.home (cmd_dwords + data_dwords);
-    Txn { home = l.home; lat = dram_of t t.pkg.(core) l.home; src_port = -1; storm = None }
+    dram_txn t ~core l
   end
 
 let realize_txn t ~home ~lat ~src_port ~storm =

@@ -21,7 +21,8 @@ let test_states () =
       let coh = m.Machine.coh in
       let a = Machine.alloc_lines m 1 in
       let line = Coherence.line_of_addr coh a in
-      check_bool "untouched invalid" true (Coherence.line_state coh ~line = Coherence.Invalid);
+      check_bool "untouched invalid" true
+        (Coherence.line_state coh ~line = Coherence.Invalid);
       Coherence.load coh ~core:0 a;
       (match Coherence.line_state coh ~line with
        | Coherence.Shared [ 0 ] -> ()
@@ -51,7 +52,9 @@ let test_invariant_single_owner () =
         else Coherence.load coh ~core a;
         Array.iter
           (fun addr ->
-            match Coherence.line_state coh ~line:(Coherence.line_of_addr coh addr) with
+            match
+              Coherence.line_state coh ~line:(Coherence.line_of_addr coh addr)
+            with
             | Coherence.Modified _ | Coherence.Invalid -> ()
             | Coherence.Shared cs ->
               check_bool "no dup sharers" true
@@ -63,8 +66,16 @@ let test_latency_ordering () =
   (* local hit < shared-cache fetch < cross-package fetch. *)
   run_machine (fun m ->
       let coh = m.Machine.coh in
-      let time f = let t0 = Engine.now_ () in f (); Engine.now_ () - t0 in
-      let mk_dirty core = let a = Machine.alloc_lines m 1 in Coherence.store coh ~core a; a in
+      let time f =
+        let t0 = Engine.now_ () in
+        f ();
+        Engine.now_ () - t0
+      in
+      let mk_dirty core =
+        let a = Machine.alloc_lines m 1 in
+        Coherence.store coh ~core a;
+        a
+      in
       let a1 = mk_dirty 1 in
       let local = time (fun () -> Coherence.load coh ~core:0 a1) in
       let a2 = mk_dirty 2 in
@@ -100,7 +111,8 @@ let test_home_pinning () =
       let coh = m.Machine.coh in
       let a = Machine.alloc_lines m ~node:1 1 in
       let line = Coherence.line_of_addr coh a in
-      check_bool "home pinned before touch" true (Coherence.home_of coh ~line = Some 1);
+      check_bool "home pinned before touch" true
+        (Coherence.home_of coh ~line = Some 1);
       Coherence.load coh ~core:0 a;
       check_bool "home survives touch" true (Coherence.home_of coh ~line = Some 1))
 
@@ -121,7 +133,8 @@ let test_traffic_counted () =
       let before = Perfcounter.snapshot m.Machine.counters in
       Coherence.load coh ~core:2 a;
       let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
-      check_bool "cross-package fetch moved dwords" true (Perfcounter.total_dwords d > 0);
+      check_bool "cross-package fetch moved dwords" true
+        (Perfcounter.total_dwords d > 0);
       check_int "one miss" 1 d.Perfcounter.dcache_miss.(2);
       check_int "one c2c" 1 d.Perfcounter.c2c_fetch.(2))
 
@@ -182,15 +195,26 @@ let test_touch_range () =
       let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
       check_int "16 lines written" 16 d.Perfcounter.stores.(0))
 
+(* Caches are infinite: 64 lines re-read by one core all hit. *)
+let test_infinite_caches () =
+  run_machine (fun m ->
+      let coh = m.Machine.coh in
+      let lines = Array.init 64 (fun _ -> Machine.alloc_lines m 1) in
+      Array.iter (fun a -> Coherence.load coh ~core:0 a) lines;
+      let before = Perfcounter.snapshot m.Machine.counters in
+      Array.iter (fun a -> Coherence.load coh ~core:0 a) lines;
+      let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
+      check_int "all hits" 0 d.Perfcounter.dcache_miss.(0))
+
 (* -- the flat line table against the reference directory --
 
    [Coherence_ref] is the record-per-line directory with an n-bit sharer
    [Bitset] that the flat table replaced. Random access streams run
    through both, on random small platforms (three over 64 packages, where
-   latencies and link paths are computed per access), with random pins
-   and finite LRU caches of 1-4 lines; every access's latency, every
-   line's state after it (sharer order included), the final clock, the
-   counters and the link dwords must agree. *)
+   latencies and link paths are computed per access), with random pins;
+   every access's latency, every line's state after it (sharer order
+   included), the final clock, the counters and the link dwords must
+   agree. *)
 
 type model = {
   load : core:int -> int -> unit;
@@ -202,8 +226,8 @@ type model = {
   pin : first_line:int -> last_line:int -> node:int -> unit;
 }
 
-let flat ?cache_lines_per_core plat counters =
-  let c = Coherence.create ?cache_lines_per_core plat counters in
+let flat plat counters =
+  let c = Coherence.create plat counters in
   {
     load = Coherence.load c;
     store = Coherence.store c;
@@ -214,8 +238,8 @@ let flat ?cache_lines_per_core plat counters =
     pin = Coherence.set_home_range c;
   }
 
-let reference ?cache_lines_per_core plat counters =
-  let c = Coherence_ref.create ?cache_lines_per_core plat counters in
+let reference plat counters =
+  let c = Coherence_ref.create plat counters in
   {
     load = Coherence_ref.load c;
     store = Coherence_ref.store c;
@@ -232,11 +256,15 @@ let first_line = 16
 (* Two tasks share the stream by its [task] bit, so directory, port and
    storm-slot queueing interleave. Each access is traced with its return
    value, its latency and every line's state after it. *)
-let run_stream make ~plat ~cap ~pins ~ops =
+let run_stream make ~plat ~pins ~ops =
   let counters = Perfcounter.create plat in
-  let m = make ?cache_lines_per_core:cap plat counters in
+  let m = make plat counters in
   let n = Platform.n_cores plat and npkg = plat.Platform.n_packages in
-  List.iter (fun (li, node) -> m.pin ~first_line:(first_line + li) ~last_line:(first_line + li) ~node:(node mod npkg)) pins;
+  List.iter
+    (fun (li, node) ->
+      m.pin ~first_line:(first_line + li) ~last_line:(first_line + li)
+        ~node:(node mod npkg))
+    pins;
   let eng = Engine.create () in
   let traces = Array.make 2 [] in
   for task = 0 to 1 do
@@ -249,14 +277,24 @@ let run_stream make ~plat ~cap ~pins ~ops =
               let t0 = Engine.now_ () in
               let ret =
                 match kind with
-                | 0 -> m.load ~core addr; 0
-                | 1 -> m.store ~core addr; 0
-                | 2 -> m.store_local ~core addr; 0
+                | 0 ->
+                  m.load ~core addr;
+                  0
+                | 1 ->
+                  m.store ~core addr;
+                  0
+                | 2 ->
+                  m.store_local ~core addr;
+                  0
                 | 3 -> m.store_posted ~core addr
                 | 4 -> m.load_async ~core addr
-                | _ -> Engine.wait (core land 255); 0
+                | _ ->
+                  Engine.wait (core land 255);
+                  0
               in
-              let states = List.init diff_lines (fun i -> m.state ~line:(first_line + i)) in
+              let states =
+                List.init diff_lines (fun i -> m.state ~line:(first_line + i))
+              in
               traces.(task) <- (ret, Engine.now_ () - t0, states) :: traces.(task)
             end)
           ops)
@@ -269,44 +307,50 @@ let gen_platform =
     oneof
       [
         oneofl Platform.all;
-        map2 (fun p c -> Platform.synthetic_mesh ~packages:p ~cores_per_package:c) (int_range 2 9) (int_range 1 4);
-        map2 (fun p c -> Platform.synthetic_tree ~packages:p ~cores_per_package:c) (int_range 2 9) (int_range 1 4);
-        map2 (fun b c -> Platform.synthetic_bands ~bands:b ~packages_per_band:2 ~cores_per_package:c) (int_range 1 4) (int_range 1 3);
-        map (fun p -> Platform.synthetic_mesh ~packages:p ~cores_per_package:1) (int_range 65 70);
+        map2
+          (fun p c -> Platform.synthetic_mesh ~packages:p ~cores_per_package:c)
+          (int_range 2 9) (int_range 1 4);
+        map2
+          (fun p c -> Platform.synthetic_tree ~packages:p ~cores_per_package:c)
+          (int_range 2 9) (int_range 1 4);
+        map2
+          (fun b c ->
+            Platform.synthetic_bands ~bands:b ~packages_per_band:2
+              ~cores_per_package:c)
+          (int_range 1 4) (int_range 1 3);
+        map
+          (fun p -> Platform.synthetic_mesh ~packages:p ~cores_per_package:1)
+          (int_range 65 70);
       ])
 
 let qcheck_flat_table_matches_reference =
   qtest "flat line table = reference directory" ~count:150
     QCheck2.Gen.(
-      tup4 gen_platform
-        (opt (int_range 1 4))
-        (list_size (int_bound 4) (pair (int_bound (diff_lines - 1)) (int_bound 1000)))
+      triple gen_platform
+        (list_size (int_bound 4)
+           (pair (int_bound (diff_lines - 1)) (int_bound 1000)))
         (list_size (int_range 20 200)
-           (tup4 (int_bound 1) (int_bound 6) (int_bound 1000) (int_bound (diff_lines - 1)))))
-    (fun (plat, cap, pins, ops) ->
+           (tup4 (int_bound 1) (int_bound 6) (int_bound 1000)
+              (int_bound (diff_lines - 1)))))
+    (fun (plat, pins, ops) ->
       let pins = List.sort_uniq (fun (a, _) (b, _) -> compare a b) pins in
-      run_stream flat ~plat ~cap ~pins ~ops = run_stream reference ~plat ~cap ~pins ~ops)
+      run_stream flat ~plat ~pins ~ops = run_stream reference ~plat ~pins ~ops)
 
-(* Directed: a third sharer spills the set, a store returns it inline,
-   and an eviction from a spilled set brings it back to two. *)
+(* Directed: a third sharer spills the set and a store returns it
+   inline. *)
 let test_spill_and_return () =
-  let m = Machine.create ~cache_lines_per_core:1 Platform.amd_8x4 in
+  let m = Machine.create Platform.amd_8x4 in
   let coh = m.Machine.coh in
-  let a = Machine.alloc_lines m 1 and b = Machine.alloc_lines m 1 in
+  let a = Machine.alloc_lines m 1 in
   let state x = Coherence.line_state coh ~line:(Coherence.line_of_addr coh x) in
   Engine.spawn m.Machine.eng (fun () ->
       List.iter (fun c -> Coherence.load coh ~core:c a) [ 9; 2; 30; 5 ];
-      check_bool "spilled, ascending" true (state a = Coherence.Shared [ 2; 5; 9; 30 ]);
+      check_bool "spilled, ascending" true
+        (state a = Coherence.Shared [ 2; 5; 9; 30 ]);
       Coherence.store coh ~core:9 a;
       check_bool "inline again" true (state a = Coherence.Modified 9);
       List.iter (fun c -> Coherence.load coh ~core:c a) [ 2; 30 ];
-      check_bool "spilled again" true (state a = Coherence.Shared [ 2; 9; 30 ]);
-      (* A one-line cache: touching [b] evicts [a] from core 30. *)
-      Coherence.load coh ~core:30 b;
-      check_bool "evicted down to two" true (state a = Coherence.Shared [ 2; 9 ]);
-      Coherence.load coh ~core:2 b;
-      Coherence.load coh ~core:9 b;
-      check_bool "evicted to empty" true (state a = Coherence.Invalid));
+      check_bool "spilled again" true (state a = Coherence.Shared [ 2; 9; 30 ]));
   Machine.run m
 
 (* Spilling to a pooled set and returning inline allocate nothing once
@@ -372,7 +416,8 @@ let access_words ?(setup = fun _ -> ()) ops =
             Engine.flush_charge ();
             let w0 = Gc.minor_words () in
             op m i;
-            if i > 100 then total := !total + int_of_float (Gc.minor_words () -. w0))
+            if i > 100 then
+              total := !total + int_of_float (Gc.minor_words () -. w0))
           ops
       done;
       words := !total);
@@ -412,11 +457,15 @@ let test_access_allocates_nothing () =
             lines.(i) <- line m;
             Coherence.load m.Machine.coh ~core:8 lines.(i))
           lines)
-      [| (fun m i -> ignore (Coherence.load_async m.Machine.coh ~core:0 lines.(i) : int)) |]
+      [|
+        (fun m i ->
+          ignore (Coherence.load_async m.Machine.coh ~core:0 lines.(i) : int));
+      |]
   in
   let open Perfcounter in
   check_int "store_local: only the first call misses" 1 hs.dcache_miss.(0);
-  check_int "load_async after store_posted: every call from a cache" 10_100 cs.c2c_fetch.(0);
+  check_int "load_async after store_posted: every call from a cache" 10_100
+    cs.c2c_fetch.(0);
   check_int "store_posted: every call after the cold first invalidates" 10_099
     cs.invalidations.(8);
   check_int "load_async of a line core 8 read: every call from memory" 10_100
@@ -440,6 +489,7 @@ let suite =
       tc "local traffic free" test_local_traffic_free;
       tc "read storm serializes" test_read_storm_serializes;
       tc "touch range" test_touch_range;
+      tc "infinite default" test_infinite_caches;
       qcheck_flat_table_matches_reference;
       tc "spill and return inline" test_spill_and_return;
       tc "spill allocates nothing" test_spill_allocates_nothing;

@@ -8,9 +8,14 @@ let test_ping () =
       let mon = Os.monitor os ~core:0 in
       let rtt = Monitor.ping mon 3 in
       check_bool "positive round trip" true (rtt > 0);
+      let handled c = Monitor.messages_handled (Os.monitor os ~core:c) in
+      let h0 = handled 0 and h3 = handled 3 in
       (* Two pings cost about the same (deterministic steady state). *)
       let rtt2 = Monitor.ping mon 3 in
-      check_bool "steady" true (abs (rtt - rtt2) < rtt))
+      check_bool "steady" true (abs (rtt - rtt2) < rtt);
+      (* A ping is a one-core round: one message there, one answer back. *)
+      check_int "peer handled one message" 1 (handled 3 - h3);
+      check_int "origin handled one answer" 1 (handled 0 - h0))
 
 let test_fan_noop_all_ack () =
   run_os (fun os ->
@@ -39,7 +44,8 @@ let test_fan_replica_update () =
   run_os (fun os ->
       let mon = Os.monitor os ~core:0 in
       let plan = Os.default_plan os ~root:0 ~members:[ 0; 1; 2; 3 ] in
-      Monitor.run_fan mon ~plan ~op:(Monitor.Op_set_replica { key = "quantum"; value = 42 });
+      Monitor.run_fan mon ~plan
+        ~op:(Monitor.Op_set_replica { key = "quantum"; value = 42 });
       for c = 0 to 3 do
         check_bool
           (Printf.sprintf "replica on %d" c)
@@ -78,7 +84,9 @@ let test_pipelined_agrees () =
   run_os (fun os ->
       let mon = Os.monitor os ~core:0 in
       let plan = Os.default_plan os ~root:0 ~members:[ 0; 1; 2; 3 ] in
-      let ivs = List.init 8 (fun _ -> Monitor.agree_async mon ~plan ~op:Monitor.Ag_noop) in
+      let ivs =
+        List.init 8 (fun _ -> Monitor.agree_async mon ~plan ~op:Monitor.Ag_noop)
+      in
       List.iter (fun iv -> check_bool "all commit" true (Sync.Ivar.read iv)) ivs)
 
 let test_cap_transfer () =
@@ -89,13 +97,15 @@ let test_cap_transfer () =
       (match Monitor.send_cap mon ~dst:1 ram with
        | Ok () -> ()
        | Error e -> Alcotest.fail (Types.error_to_string e));
-      check_bool "present remotely" true (Cap.Db.mem (Cpu_driver.capdb (Os.driver os ~core:1)) ram);
+      check_bool "present remotely" true
+        (Cap.Db.mem (Cpu_driver.capdb (Os.driver os ~core:1)) ram);
       (* The destination's database refuses a capability it already holds. *)
       check_bool "second transfer refused" true
         (Result.is_error (Monitor.send_cap mon ~dst:1 ram));
       (* Page tables must not cross cores. *)
       let pt =
-        Result.get_ok (Cap.Db.retype db0 ram ~to_:(Cap.Page_table 1) ~count:1 ~bytes_each:4096)
+        Result.get_ok
+          (Cap.Db.retype db0 ram ~to_:(Cap.Page_table 1) ~count:1 ~bytes_each:4096)
         |> List.hd
       in
       match Monitor.send_cap mon ~dst:1 pt with

@@ -1,51 +1,19 @@
-(* ARP resolution, ICMP echo, thread migration and monitor core-sleep. *)
+(* ICMP echo, thread migration and monitor core-sleep. *)
 
 open Mk_sim
 open Mk_hw
 open Mk_net
 open Test_util
 
-let with_arp_stacks f =
+let with_stacks f =
   run_machine (fun m ->
       let nif_a, nif_b = Stack.connect_urpc m ~core_a:0 ~core_b:2 () in
-      let sa = Stack.create m ~core:0 ~arp:true nif_a in
-      let sb = Stack.create m ~core:2 ~arp:true nif_b in
-      f m sa sb)
-
-let test_arp_resolves_and_delivers () =
-  with_arp_stacks (fun m sa sb ->
-      let sock_a = Stack.udp_bind sa ~port:1000 in
-      let sock_b = Stack.udp_bind sb ~port:2000 in
-      check_bool "table empty" true (Stack.arp_lookup sa ~ip:(Stack.ip sb) = None);
-      (* First datagram triggers resolution; it must still arrive. *)
-      Stack.udp_sendto sock_a ~dst_ip:(Stack.ip sb) ~dst_port:2000
-        (Pbuf.of_string m "first");
-      let p, _ = Stack.udp_recvfrom sock_b in
-      check_string "queued behind ARP, then delivered" "first" (Pbuf.contents p);
-      check_bool "resolved" true (Stack.arp_lookup sa ~ip:(Stack.ip sb) <> None);
-      (* Peer learned us from the request. *)
-      check_bool "gratuitous learning" true (Stack.arp_lookup sb ~ip:(Stack.ip sa) <> None);
-      (* Reply path now uses the cache directly. *)
-      Stack.udp_sendto sock_b ~dst_ip:(Stack.ip sa) ~dst_port:1000
-        (Pbuf.of_string m "second");
-      let p2, _ = Stack.udp_recvfrom sock_a in
-      check_string "cached path" "second" (Pbuf.contents p2))
-
-let test_arp_codec_roundtrip () =
-  run_machine (fun m ->
-      let p = Pbuf.alloc m ~size:0 () in
-      Arp.encode p
-        ~a:{ Arp.op = Arp.op_request; sender_mac = 0xaabbccddeeff; sender_ip = 0x0a000001;
-             target_mac = 0; target_ip = 0x0a000002 };
-      match Arp.decode p with
-      | Some a ->
-        check_int "op" Arp.op_request a.Arp.op;
-        check_bool "mac" true (a.Arp.sender_mac = 0xaabbccddeeff);
-        check_int "ip" 0x0a000001 a.Arp.sender_ip
-      | None -> Alcotest.fail "decode failed")
+      let sa = Stack.create m ~core:0 nif_a in
+      let sb = Stack.create m ~core:2 nif_b in
+      f sa sb)
 
 let test_icmp_ping () =
-  with_arp_stacks (fun _m sa sb ->
+  with_stacks (fun sa sb ->
       match Stack.ping sa ~dst_ip:(Stack.ip sb) ~timeout:10_000_000 with
       | Some rtt -> check_bool "positive rtt" true (rtt > 0)
       | None -> Alcotest.fail "ping timed out")
@@ -133,8 +101,6 @@ let test_busy_monitor_does_not_sleep () =
 let suite =
   ( "arp-icmp-misc",
     [
-      tc "arp resolves" test_arp_resolves_and_delivers;
-      tc "arp codec" test_arp_codec_roundtrip;
       tc "icmp ping" test_icmp_ping;
       tc "icmp ping timeout" test_icmp_ping_timeout;
       tc "icmp checksum" test_icmp_checksum_guard;
