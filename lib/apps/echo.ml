@@ -42,12 +42,15 @@ let run m ~nic ~app_stack ~port ~payload_bytes ~offered_mbps ~duration =
   in
   let t_end = Engine.now_ () + duration in
   let generator_ip = 0x0a0000fe in
+  let ident = ref 0 in
   let rec generate_int next_f =
     if int_of_float next_f < t_end then begin
       Engine.wait_until (int_of_float next_f);
       let p = Pbuf.alloc m ~size:payload_bytes () in
       Udp.encode p ~src_port:9999 ~dst_port:port;
-      Ipv4.encode p ~src:generator_ip ~dst:(Stack.ip app_stack) ~proto:Ipv4.proto_udp;
+      incr ident;
+      Ipv4.encode p ~ident:!ident ~src:generator_ip ~dst:(Stack.ip app_stack)
+        ~proto:Ipv4.proto_udp;
       Ethernet.encode p ~dst:(Netif.mac (Nic.netif nic)) ~src:0x02feedbeef00
         ~ethertype:Ethernet.ethertype_ipv4;
       Nic.inject nic p;
@@ -60,7 +63,8 @@ let run m ~nic ~app_stack ~port ~payload_bytes ~offered_mbps ~duration =
   Engine.wait (duration / 10);
   let elapsed = Engine.now_ () - t0 in
   let achieved_mbps =
-    float_of_int (!echoed_bytes * 8) /. (float_of_int elapsed /. (plat.Platform.ghz *. 1e9))
+    float_of_int (!echoed_bytes * 8)
+    /. (float_of_int elapsed /. (plat.Platform.ghz *. 1e9))
     /. 1e6
   in
   {

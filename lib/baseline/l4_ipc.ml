@@ -1,34 +1,9 @@
-open Mk_hw
-
 let icache_lines = 25
 let dcache_lines = 13
-let flushes_tlb = true
 
 (* Raw kernel IPC: syscall entry/exit plus a direct space switch, without
    Barrelfish's activation and user-level dispatch. The 314-cycle switch
    constant calibrates the 2x2 AMD figure to L4's published 424 cycles. *)
 let space_switch = 314
 
-let latency (p : Platform.t) = p.Platform.syscall + space_switch
-
-(* One lazily allocated per-core region standing for TCBs + message regs. *)
-let l4_lines =
-  let tbl : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  fun m core ->
-    match Hashtbl.find_opt tbl core with
-    | Some b -> b
-    | None ->
-      let b = Machine.alloc_lines m dcache_lines in
-      Hashtbl.replace tbl core b;
-      b
-
-let ipc m ~core =
-  let p = m.Machine.plat in
-  Machine.compute m ~core (latency p);
-  (* The path's data footprint: touch the modelled TCB/message lines so
-     footprint tracking (Table 3) observes them. *)
-  let base = l4_lines m core in
-  for i = 0 to dcache_lines - 1 do
-    Coherence.load m.Machine.coh ~core (base + (i * p.Platform.cacheline))
-  done;
-  ignore (Tlb.flush m.Machine.tlbs.(core) : int)
+let latency (p : Mk_hw.Platform.t) = p.Mk_hw.Platform.syscall + space_switch

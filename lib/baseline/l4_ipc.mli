@@ -7,10 +7,6 @@
     substantially more instruction- and data-cache lines, which is the
     tradeoff Table 3 quantifies. *)
 
-val ipc : Mk_hw.Machine.t -> core:int -> unit
-(** Perform one one-way IPC on [core], charging the latency and touching
-    the modelled cache footprint (so footprint counters see it). *)
-
 val latency : Mk_hw.Platform.t -> int
 (** One-way IPC latency in cycles (≈424 on the paper's 2×2 AMD). *)
 
@@ -19,5 +15,3 @@ val icache_lines : int
 
 val dcache_lines : int
 (** 13 — TCBs, message registers, space structures. *)
-
-val flushes_tlb : bool

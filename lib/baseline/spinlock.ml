@@ -1,9 +1,8 @@
 open Mk_sim
 open Mk_hw
 
-(* All three locks use a simulation-level mutex for the actual mutual
-   exclusion and charge the hardware costs of their respective coherence
-   footprints explicitly. *)
+(* The lock uses a simulation-level mutex for the actual mutual exclusion
+   and charges the hardware cost of its coherence footprint explicitly. *)
 
 module Tas = struct
   type t = {
@@ -40,87 +39,4 @@ module Tas = struct
       raise e
 
   let acquisitions t = t.acqs
-end
-
-module Ticket = struct
-  type t = {
-    m : Machine.t;
-    next_line : int;
-    serving_line : int;
-    inner : Sync.Mutex.t;
-    mutable waiters : int;
-  }
-
-  let create m =
-    {
-      m;
-      next_line = Machine.alloc_lines m 1;
-      serving_line = Machine.alloc_lines m 1;
-      inner = Sync.Mutex.create ();
-      waiters = 0;
-    }
-
-  let lock t ~core =
-    (* Take a ticket (RMW on the ticket line)... *)
-    Coherence.store t.m.Machine.coh ~core t.next_line;
-    t.waiters <- t.waiters + 1;
-    Sync.Mutex.lock t.inner;
-    t.waiters <- t.waiters - 1;
-    (* ...and the read of now-serving that observed our turn. *)
-    Coherence.load t.m.Machine.coh ~core t.serving_line
-
-  let unlock t ~core =
-    (* Bumping now-serving invalidates every waiter's cached copy; they all
-       refetch. We charge the release store; waiters' refetches happen in
-       their own lock paths. *)
-    Coherence.store t.m.Machine.coh ~core t.serving_line;
-    Sync.Mutex.unlock t.inner
-
-  let with_lock t ~core f =
-    lock t ~core;
-    match f () with
-    | v ->
-      unlock t ~core;
-      v
-    | exception e ->
-      unlock t ~core;
-      raise e
-end
-
-module Mcs = struct
-  type t = {
-    m : Machine.t;
-    tail_line : int;
-    node_lines : int array;  (* one per core: private spin target *)
-    inner : Sync.Mutex.t;
-  }
-
-  let create m =
-    {
-      m;
-      tail_line = Machine.alloc_lines m 1;
-      node_lines = Array.init (Machine.n_cores m) (fun _ -> Machine.alloc_lines m 1);
-      inner = Sync.Mutex.create ();
-    }
-
-  let lock t ~core =
-    (* Swap ourselves onto the tail, then spin on our own line. *)
-    Coherence.store t.m.Machine.coh ~core t.tail_line;
-    Sync.Mutex.lock t.inner;
-    Coherence.load t.m.Machine.coh ~core t.node_lines.(core)
-
-  let unlock t ~core =
-    (* Hand off by writing the successor's node line (two-party traffic). *)
-    Coherence.store t.m.Machine.coh ~core t.node_lines.(core);
-    Sync.Mutex.unlock t.inner
-
-  let with_lock t ~core f =
-    lock t ~core;
-    match f () with
-    | v ->
-      unlock t ~core;
-      v
-    | exception e ->
-      unlock t ~core;
-      raise e
 end

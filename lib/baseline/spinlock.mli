@@ -1,7 +1,7 @@
-(** Shared-memory kernel locks — the synchronization discipline of the
+(** Shared-memory kernel lock — the synchronization discipline of the
     monolithic baseline (left end of Figure 4's spectrum).
 
-    Both locks really bounce a simulated cache line between cores, so lock
+    The lock really bounces a simulated cache line between cores, so lock
     contention shows up as coherence traffic and home-node queueing, just
     as in the measurements the paper contrasts messages against. *)
 
@@ -15,28 +15,4 @@ module Tas : sig
   val unlock : t -> core:int -> unit
   val with_lock : t -> core:int -> (unit -> 'a) -> 'a
   val acquisitions : t -> int
-end
-
-(** Ticket lock: FIFO handoff; waiters poll the now-serving word, so a
-    release invalidates every waiter's cached copy (the classic O(N)
-    handoff cost this design is known for). *)
-module Ticket : sig
-  type t
-
-  val create : Mk_hw.Machine.t -> t
-  val lock : t -> core:int -> unit
-  val unlock : t -> core:int -> unit
-  val with_lock : t -> core:int -> (unit -> 'a) -> 'a
-end
-
-(** MCS queue lock: each waiter spins on its own line, so handoff touches
-    only two cores — the scalable point-solution the paper mentions expert
-    developers reach for. *)
-module Mcs : sig
-  type t
-
-  val create : Mk_hw.Machine.t -> t
-  val lock : t -> core:int -> unit
-  val unlock : t -> core:int -> unit
-  val with_lock : t -> core:int -> (unit -> 'a) -> 'a
 end

@@ -2,25 +2,16 @@
    ensures all cores agree on a single ordering of changes to memory
    usage (§4.7). *)
 
-let retype_async mon ~plan ?rights cap ~to_ ~count ~bytes_each =
-  let db = Cpu_driver.capdb (Monitor.driver mon) in
-  match Cap.Db.frontier db cap with
-  | Error e -> fun () -> Error e
-  | Ok expected_frontier ->
-    let bytes = count * bytes_each in
-    let iv =
-      Monitor.agree_async mon ~plan
-        ~op:(Monitor.Ag_retype { cap; expected_frontier; bytes })
-    in
-    fun () ->
-      if Mk_sim.Sync.Ivar.read iv then
-        (* Committed everywhere: perform the real local retype, which
-           advances this replica's frontier and mints the children. *)
-        Cpu_driver.cap_retype (Monitor.driver mon) ?rights cap ~to_ ~count ~bytes_each
-      else Error Types.Err_retype_conflict
-
 let retype mon ~plan ?rights cap ~to_ ~count ~bytes_each =
-  (retype_async mon ~plan ?rights cap ~to_ ~count ~bytes_each) ()
+  match Cap.Db.frontier (Cpu_driver.capdb (Monitor.driver mon)) cap with
+  | Error e -> Error e
+  | Ok expected_frontier ->
+    let op = Monitor.Ag_retype { cap; expected_frontier; bytes = count * bytes_each } in
+    if Monitor.agree mon ~plan ~op then
+      (* Committed everywhere: perform the real local retype, which
+         advances this replica's frontier and mints the children. *)
+      Cpu_driver.cap_retype (Monitor.driver mon) ?rights cap ~to_ ~count ~bytes_each
+    else Error Types.Err_retype_conflict
 
 let revoke mon ~plan cap =
   let committed = Monitor.agree mon ~plan ~op:(Monitor.Ag_revoke { cap }) in

@@ -21,18 +21,6 @@ val retype :
     the children exist in the initiator's database and every other core
     has advanced its replica; on conflict, [Err_retype_conflict]. *)
 
-val retype_async :
-  Monitor.t ->
-  plan:Routing.plan ->
-  ?rights:Cap.rights ->
-  Cap.t ->
-  to_:Cap.objtype ->
-  count:int ->
-  bytes_each:int ->
-  (unit -> (Cap.t list, Types.error) result)
-(** Split-phase variant for pipelining (Figure 8): returns a completion
-    function that blocks until the 2PC finishes. *)
-
 val revoke :
   Monitor.t -> plan:Routing.plan -> Cap.t -> (int, Types.error) result
 (** Globally revoke: destroy all descendants and copies on every core;

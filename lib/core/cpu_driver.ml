@@ -20,9 +20,6 @@ let capdb t = t.db
 
 let add_dispatcher t d = t.disps <- d :: t.disps
 
-let remove_dispatcher t d =
-  t.disps <- List.filter (fun d' -> not (d' == d)) t.disps
-
 let dispatchers t = t.disps
 
 let syscall t f =

@@ -21,7 +21,6 @@ val machine : t -> Mk_hw.Machine.t
 val capdb : t -> Cap.Db.db
 
 val add_dispatcher : t -> Dispatcher.t -> unit
-val remove_dispatcher : t -> Dispatcher.t -> unit
 val dispatchers : t -> Dispatcher.t list
 
 val syscall : t -> (unit -> 'a) -> 'a

@@ -6,37 +6,18 @@
    (scheduler activations); above it each dispatcher runs a user-level
    thread scheduler (Threads module).
 
-   In the simulation a dispatcher is bookkeeping plus the cost constants of
-   the upcall path; actual execution interleaving is handled by the event
-   engine. *)
+   In the simulation a dispatcher is bookkeeping; actual execution
+   interleaving is handled by the event engine. *)
 
 type t = {
   domid : Types.domid;
   core : Types.coreid;
   name : string;
-  mutable runnable : bool;
-  mutable upcalls : int;  (* number of scheduler activations delivered *)
   mutable threads_spawned : int;
 }
 
-let create ~domid ~core ~name = {
-  domid;
-  core;
-  name;
-  runnable = true;
-  upcalls = 0;
-  threads_spawned = 0;
-}
+let create ~domid ~core ~name = { domid; core; name; threads_spawned = 0 }
 
 let domid t = t.domid
 let core t = t.core
 let name t = t.name
-
-(* Deliver a scheduler activation: the CPU driver upcalls the dispatcher
-   rather than resuming it transparently (contrast with Unix). The cost is
-   the platform's dispatch constant, charged by the caller. *)
-let upcall t = t.upcalls <- t.upcalls + 1
-
-let block t = t.runnable <- false
-let unblock t = t.runnable <- true
-let is_runnable t = t.runnable

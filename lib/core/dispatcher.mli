@@ -6,28 +6,17 @@
     upcall interface (scheduler activations, as in Psyche), and each
     dispatcher runs a user-level thread scheduler above it.
 
-    The record is transparent: the thread package and CPU driver maintain
-    its mutable bookkeeping directly, as the per-core structures they
-    are. *)
+    The record is transparent: the thread package maintains its mutable
+    bookkeeping directly, as the per-core structure it is. *)
 
 type t = {
   domid : Types.domid;
   core : Types.coreid;
   name : string;
-  mutable runnable : bool;
-  mutable upcalls : int;  (** scheduler activations delivered *)
-  mutable threads_spawned : int;
+  mutable threads_spawned : int;  (** names the dispatcher's unnamed threads *)
 }
 
 val create : domid:Types.domid -> core:Types.coreid -> name:string -> t
 val domid : t -> Types.domid
 val core : t -> Types.coreid
 val name : t -> string
-
-val upcall : t -> unit
-(** Record a scheduler activation delivered to this dispatcher (the cost
-    is the platform's dispatch constant, charged by the caller). *)
-
-val block : t -> unit
-val unblock : t -> unit
-val is_runnable : t -> bool

@@ -3,32 +3,19 @@ open Mk_hw
 
 let create_cost = 300  (* user-level bookkeeping to create a thread *)
 let join_cost = 120
-let migrate_dispatch_cost = 250  (* scheduler hand-off work on each side *)
-let tcb_lines = 2  (* thread control block: registers + scheduler state *)
 
 type thread = { t_core : int; finished : unit Sync.Ivar.t }
 
-(* A migratable execution context: threads spawned with [spawn_ctx] read
-   their current placement from it, so the user-level schedulers can move
-   them between dispatchers (and hence cores) as §4.8 describes. *)
-type ctx = {
-  c_m : Machine.t;
-  mutable c_core : int;
-  tcb_addr : int;
-}
-
-let current_core c = c.c_core
-
-let tids = ref 0
-
 let spawn m ~disp ?name body =
   let core = Dispatcher.core disp in
-  incr tids;
+  let n = disp.Dispatcher.threads_spawned + 1 in
+  disp.Dispatcher.threads_spawned <- n;
   let name =
-    Option.value name ~default:(Printf.sprintf "%s.t%d" (Dispatcher.name disp) !tids)
+    match name with
+    | Some s -> s
+    | None -> Printf.sprintf "%s.t%d" (Dispatcher.name disp) n
   in
   Machine.compute m ~core create_cost;
-  disp.Dispatcher.threads_spawned <- disp.Dispatcher.threads_spawned + 1;
   let finished = Sync.Ivar.create () in
   Engine.spawn m.Machine.eng ~name (fun () ->
       body ();
@@ -40,49 +27,6 @@ let join th =
   Sync.Ivar.read th.finished
 
 let core th = th.t_core
-
-let spawn_ctx m ~disp ?name body =
-  let ctx = { c_m = m; c_core = Dispatcher.core disp; tcb_addr = Machine.alloc_lines m tcb_lines } in
-  (* The creating core writes the fresh TCB. *)
-  spawn m ~disp ?name (fun () ->
-      let cl = m.Machine.plat.Platform.cacheline in
-      for i = 0 to tcb_lines - 1 do
-        Coherence.store m.Machine.coh ~core:ctx.c_core (ctx.tcb_addr + (i * cl))
-      done;
-      body ctx)
-
-(* Move the calling thread to another dispatcher: the two user-level
-   schedulers hand the TCB over; the destination core pulls its cache
-   lines. No kernel involvement (§4.8). *)
-let migrate ctx ~to_disp =
-  let dst = Dispatcher.core to_disp in
-  if dst <> ctx.c_core then begin
-    let m = ctx.c_m in
-    Machine.compute m ~core:ctx.c_core migrate_dispatch_cost;
-    Machine.compute m ~core:dst migrate_dispatch_cost;
-    let cl = m.Machine.plat.Platform.cacheline in
-    for i = 0 to tcb_lines - 1 do
-      Coherence.load m.Machine.coh ~core:dst (ctx.tcb_addr + (i * cl))
-    done;
-    Dispatcher.upcall to_disp;
-    ctx.c_core <- dst
-  end
-
-module Mutex = struct
-  type t = { m : Machine.t; line : int; inner : Sync.Mutex.t }
-
-  let create m = { m; line = Machine.alloc_lines m 1; inner = Sync.Mutex.create () }
-
-  (* A test-and-set acquire is (at least) one coherent store to the lock
-     line; contention beyond that is modelled by the FIFO handoff. *)
-  let lock t ~core =
-    Coherence.store t.m.Machine.coh ~core t.line;
-    Sync.Mutex.lock t.inner
-
-  let unlock t ~core =
-    Coherence.store t.m.Machine.coh ~core t.line;
-    Sync.Mutex.unlock t.inner
-end
 
 module Barrier = struct
   type t = {

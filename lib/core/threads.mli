@@ -14,39 +14,12 @@ type thread
 
 val spawn :
   Mk_hw.Machine.t -> disp:Dispatcher.t -> ?name:string -> (unit -> unit) -> thread
-(** Create a thread on the dispatcher's core (pure user-level operation). *)
+(** Create a thread on the dispatcher's core (pure user-level operation).
+    An unnamed thread is called [<dispatcher>.t<n>], [n] counting the
+    threads spawned on that dispatcher. *)
 
 val join : thread -> unit
 val core : thread -> int
-
-(** {1 Migratable threads}
-
-    §4.8: "The thread schedulers on each dispatcher exchange messages to
-    create and unblock threads, and to migrate threads between dispatchers
-    (and hence cores)." A context carries the thread's current placement;
-    migration hands the TCB between user-level schedulers, the destination
-    core pulling its cache lines — no kernel involvement. *)
-
-type ctx
-
-val current_core : ctx -> int
-
-val spawn_ctx :
-  Mk_hw.Machine.t -> disp:Dispatcher.t -> ?name:string -> (ctx -> unit) -> thread
-
-val migrate : ctx -> to_disp:Dispatcher.t -> unit
-(** Move the calling thread to another dispatcher (no-op if already
-    there). Charges the hand-off on both schedulers plus the TCB's
-    cache-line transfer. *)
-
-(** Spin-based mutex on a shared cache line (user space). *)
-module Mutex : sig
-  type t
-
-  val create : Mk_hw.Machine.t -> t
-  val lock : t -> core:int -> unit
-  val unlock : t -> core:int -> unit
-end
 
 (** Centralized sense-reversing barrier on shared cache lines: every
     arrival is a store to the (contended) counter line, every release a

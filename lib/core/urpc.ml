@@ -311,14 +311,6 @@ let recv_blocking t ~poll_cycles ~wakeup_cost =
   if Engine.now_ () - t0 > poll_cycles then Engine.charge wakeup_cost;
   charge_receive t d
 
-let try_recv t =
-  match Sync.Mailbox.try_recv t.box with
-  | Some d -> Some (charge_receive t d)
-  | None ->
-    (* Poll read of the head slot: a cache hit while we own/share it. *)
-    Engine.charge t.m.Machine.plat.Platform.l1_hit;
-    None
-
 module Broadcast = struct
   type 'a bc = {
     m : Machine.t;

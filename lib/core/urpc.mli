@@ -81,10 +81,6 @@ val recv_blocking : 'a t -> poll_cycles:int -> wakeup_cost:int -> 'a
     message had not arrived by then, charge [wakeup_cost] (the C of the
     paper's model: IPI + context switch via the monitor) on top. *)
 
-val try_recv : 'a t -> 'a option
-(** Non-blocking poll. Pays the fetch cost when a message is present and
-    only a cache-hit poll read otherwise. *)
-
 val sender : _ t -> int
 val receiver : _ t -> int
 val name : _ t -> string

@@ -72,12 +72,10 @@ let iter f t =
     done
   done
 
-let fold f init t =
-  let acc = ref init in
-  iter (fun i -> acc := f !acc i) t;
-  !acc
-
-let to_list t = List.rev (fold (fun acc i -> i :: acc) [] t)
+let to_list t =
+  let acc = ref [] in
+  iter (fun i -> acc := i :: !acc) t;
+  List.rev !acc
 
 let choose t =
   let rec go k =

@@ -29,8 +29,6 @@ val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
 (** Members in ascending order. *)
 
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-
 val to_list : t -> int list
 (** Ascending. *)
 

@@ -1,9 +1,9 @@
 (** Per-core timer device (APIC timer model).
 
     Drives anything that needs timeouts — TCP retransmission, scheduling
-    quanta, polling fallbacks. One-shot and periodic arms; each firing
-    charges the interrupt-delivery cost on its core. Cancellation is safe
-    at any point (a cancelled timer never fires). *)
+    quanta, polling fallbacks. Arms are one-shot; each firing charges
+    the interrupt-delivery cost on its core. Cancellation is safe at any
+    point (a cancelled timer never fires). *)
 
 type t
 
@@ -15,11 +15,7 @@ type handle
 val arm : t -> delay:int -> (unit -> unit) -> handle
 (** One-shot: run the callback on this core after [delay] cycles. *)
 
-val arm_periodic : t -> interval:int -> (unit -> unit) -> handle
-(** Fire every [interval] cycles until cancelled. *)
-
 val cancel : handle -> unit
-val is_armed : handle -> bool
 
 val fired : t -> int
 (** Number of expirations delivered (statistics). *)

@@ -8,16 +8,15 @@ type hdr = { src : int; dst : int; proto : int; payload_len : int; ttl : int }
 
 let addr_of_core core = 0x0a000000 lor (core + 1) (* 10.0.0.x *)
 
-let mutable_ident = ref 0
-
-let encode p ~src ~dst ~proto =
+(* [ident] comes from the sender's own counter, so a header's bytes
+   depend only on the simulation that sends it. *)
+let encode p ~ident ~src ~dst ~proto =
   let payload_len = Pbuf.len p in
   Pbuf.push_header p header_bytes;
-  incr mutable_ident;
   Pbuf.set_u8 p 0 0x45;  (* version 4, IHL 5 *)
   Pbuf.set_u8 p 1 0;
   Pbuf.set_u16 p 2 (header_bytes + payload_len);
-  Pbuf.set_u16 p 4 (!mutable_ident land 0xffff);
+  Pbuf.set_u16 p 4 (ident land 0xffff);
   Pbuf.set_u16 p 6 0x4000;  (* DF *)
   Pbuf.set_u8 p 8 64;  (* TTL *)
   Pbuf.set_u8 p 9 proto;

@@ -26,12 +26,12 @@ and t = {
   tcp_engine : Tcp_lite.t;
   ping_waiters : (int, int Sync.Ivar.t) Hashtbl.t;  (* seq -> send time *)
   mutable ping_seq : int;
+  mutable ip_ident : int;  (* last IPv4 identification sent *)
 }
 
 let machine t = t.m
 let core t = t.score
 let ip t = t.sip
-let netif t = t.nif
 
 let send_frame t ~dst_mac p =
   Machine.compute t.m ~core:t.score driver_layer_cost;
@@ -47,7 +47,8 @@ let send_frame t ~dst_mac p =
    is point-to-point, so the peer's MAC is derived from its address. *)
 let ip_output t ~proto ~dst_ip p =
   Machine.compute t.m ~core:t.score (ip_layer_cost + t.kernel_overhead);
-  Ipv4.encode p ~src:t.sip ~dst:dst_ip ~proto;
+  t.ip_ident <- t.ip_ident + 1;
+  Ipv4.encode p ~ident:t.ip_ident ~src:t.sip ~dst:dst_ip ~proto;
   send_frame t ~dst_mac:(Ethernet.mac_of_core (dst_ip land 0xff)) p
 
 (* Input path, run in the context of whatever task delivers the frame. *)
@@ -114,7 +115,7 @@ let create m ~core ?ip ?(checksum_offload = false) ?(kernel_overhead = 0) ?timer
   let t =
     { m; score = core; sip; nif; udp_socks = Hashtbl.create 8;
       offload = checksum_offload; kernel_overhead; tcp_engine;
-      ping_waiters = Hashtbl.create 8; ping_seq = 0 }
+      ping_waiters = Hashtbl.create 8; ping_seq = 0; ip_ident = 0 }
   in
   t_ref := Some t;
   Netif.set_rx nif (fun p -> input t p);

@@ -30,7 +30,6 @@ val create :
 val machine : t -> Mk_hw.Machine.t
 val core : t -> int
 val ip : t -> int
-val netif : t -> Netif.t
 
 val connect_urpc :
   Mk_hw.Machine.t -> core_a:int -> core_b:int -> ?slots:int -> unit -> Netif.t * Netif.t

@@ -155,15 +155,6 @@ module Histogram = struct
       let _, hi = bounds t (!i - 1) in
       Stdlib.max t.mn (Stdlib.min t.mx hi)
     end
-
-  let merge_into ~dst src =
-    Array.iteri (fun i c -> if c > 0 then dst.counts.(i) <- dst.counts.(i) + c) src.counts;
-    dst.n <- dst.n + src.n;
-    dst.sum <- dst.sum +. src.sum;
-    if src.n > 0 then begin
-      if src.mn < dst.mn then dst.mn <- src.mn;
-      if src.mx > dst.mx then dst.mx <- src.mx
-    end
 end
 
 (* One-shot list helpers (previously duplicated in the bench tree). *)
@@ -184,9 +175,3 @@ let stddev_ints l =
       /. (n -. 1.0)
     in
     sqrt var
-
-let summary t =
-  Printf.sprintf "mean=%.1f sd=%.1f min=%.1f max=%.1f n=%d" (mean t) (stddev t)
-    (if t.n = 0 then 0.0 else t.mn)
-    (if t.n = 0 then 0.0 else t.mx)
-    t.n

@@ -31,9 +31,6 @@ val samples : t -> float array
 (** Copy of the samples in insertion order. Raises [Invalid_argument]
     unless created with [~retain_samples:true]. *)
 
-val summary : t -> string
-(** ["mean=… sd=… min=… max=… n=…"] for quick printing. *)
-
 (** Log-bucketed latency histogram: constant space however many samples
     arrive, with quantile error bounded by the bucket width. Values below
     [2^sub_bits] are exact (one bucket per value); above that each
@@ -63,10 +60,6 @@ module Histogram : sig
       bucket holding the nearest-rank sample, clamped to the observed
       extrema — within one bucket width of the exact nearest-rank value.
       0 when empty. *)
-
-  val merge_into : dst:t -> t -> unit
-  (** Fold [src] into [dst] (e.g. per-shard histograms into a cluster
-      total). *)
 
   val bucket_of : t -> int -> int
   (** Bucket index a value lands in (exposed for the error-bound test). *)

@@ -152,9 +152,6 @@ module Mailbox = struct
       in
       wait_for ()
 
-  let try_recv t =
-    Engine.flush_charge ();
-    take_opt t
   let length t = Ring.length t.items
 end
 

@@ -30,7 +30,6 @@ module Mailbox : sig
       [None]. A message arriving in the same cycle as the deadline is still
       delivered. Must be called from a task. *)
 
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
 end
 

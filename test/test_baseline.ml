@@ -33,44 +33,14 @@ let test_locks_generate_coherence_traffic () =
       Spinlock.Tas.with_lock l ~core:2 (fun () -> ());
       Spinlock.Tas.with_lock l ~core:0 (fun () -> ());
       let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
-      check_bool "misses" true (d.Perfcounter.dcache_miss.(0) + d.Perfcounter.dcache_miss.(2) > 2))
-
-let test_ticket_and_mcs () =
-  run_machine (fun m ->
-      let t = Spinlock.Ticket.create m in
-      Spinlock.Ticket.with_lock t ~core:0 (fun () -> ());
-      let q = Spinlock.Mcs.create m in
-      Spinlock.Mcs.with_lock q ~core:1 (fun () -> ());
-      (* MCS handoff touches only per-core lines: cheaper under contention
-         than the ticket lock's broadcast. *)
-      let time_lock lock unlock =
-        let t0 = Engine.now_ () in
-        let done_ = Sync.Semaphore.create 0 in
-        List.iter
-          (fun core ->
-            Engine.spawn_ (fun () ->
-                lock ~core;
-                Engine.wait 5;
-                unlock ~core;
-                Sync.Semaphore.release done_))
-          [ 0; 1; 2; 3 ];
-        for _ = 1 to 4 do
-          Sync.Semaphore.acquire done_
-        done;
-        Engine.now_ () - t0
-      in
-      let mcs_time = time_lock (Spinlock.Mcs.lock q) (Spinlock.Mcs.unlock q) in
-      check_bool "contended handoff completes" true (mcs_time > 0))
+      check_bool "misses" true
+        (d.Perfcounter.dcache_miss.(0) + d.Perfcounter.dcache_miss.(2) > 2))
 
 let test_l4_model () =
   run_machine (fun m ->
       check_int "latency on 2x2" 424 (L4_ipc.latency m.Machine.plat);
       check_int "icache" 25 L4_ipc.icache_lines;
-      check_int "dcache" 13 L4_ipc.dcache_lines;
-      check_bool "flushes tlb" true L4_ipc.flushes_tlb;
-      Tlb.fill m.Machine.tlbs.(0) ~vpage:9;
-      L4_ipc.ipc m ~core:0;
-      check_bool "tlb flushed by space switch" false (Tlb.mem m.Machine.tlbs.(0) ~vpage:9))
+      check_int "dcache" 13 L4_ipc.dcache_lines)
 
 let test_kthreads () =
   run_machine (fun m ->
@@ -135,7 +105,6 @@ let suite =
     [
       tc "tas exclusion" test_tas_exclusion;
       tc "lock coherence traffic" test_locks_generate_coherence_traffic;
-      tc "ticket and mcs" test_ticket_and_mcs;
       tc "l4 model" test_l4_model;
       tc "kthreads" test_kthreads;
       tc "futex barrier" test_futex_barrier;

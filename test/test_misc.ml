@@ -111,7 +111,9 @@ let test_urpc_stats_under_load () =
 let test_echo_harness_under_light_load () =
   run_machine ~plat:Platform.intel_2x4 (fun m ->
       let nic = Mk_net.Nic.create m ~driver_core:2 () in
-      let stack = Mk_net.Stack.create m ~core:2 ~checksum_offload:true (Mk_net.Nic.netif nic) in
+      let stack =
+        Mk_net.Stack.create m ~core:2 ~checksum_offload:true (Mk_net.Nic.netif nic)
+      in
       let r =
         Mk_apps.Echo.run m ~nic ~app_stack:stack ~port:7 ~payload_bytes:200
           ~offered_mbps:50.0 ~duration:1_000_000
@@ -120,12 +122,6 @@ let test_echo_harness_under_light_load () =
       check_int "no drops at light load" 0 r.Mk_apps.Echo.dropped;
       check_bool "achieved under offered" true
         (r.Mk_apps.Echo.achieved_mbps <= 55.0))
-
-let test_stats_summary () =
-  let s = Stats.create () in
-  Stats.add_int s 10;
-  Stats.add_int s 20;
-  check_bool "summary text" true (String.length (Stats.summary s) > 10)
 
 let suite =
   ( "misc",
@@ -139,5 +135,4 @@ let suite =
       tc "name service shadowing" test_name_service_shadowing;
       tc "urpc stats under load" test_urpc_stats_under_load;
       tc "echo light load" test_echo_harness_under_light_load;
-      tc "stats summary" test_stats_summary;
     ] )

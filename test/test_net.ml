@@ -21,7 +21,9 @@ let test_pbuf_basics () =
       Pbuf.pull p 8;
       check_int "pulled" 100 (Pbuf.len p);
       check_bool "oob" true
-        (match Pbuf.get_u8 p 100 with _ -> false | exception Invalid_argument _ -> true))
+        (match Pbuf.get_u8 p 100 with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
 
 let test_pbuf_strings () =
   run_machine (fun m ->
@@ -71,7 +73,7 @@ let test_ethernet_roundtrip () =
 let test_ipv4_roundtrip () =
   run_machine (fun m ->
       let p = Pbuf.of_string m "data" in
-      Ipv4.encode p ~src:0x0a000001 ~dst:0x0a000002 ~proto:Ipv4.proto_udp;
+      Ipv4.encode p ~ident:1 ~src:0x0a000001 ~dst:0x0a000002 ~proto:Ipv4.proto_udp;
       match Ipv4.decode p with
       | Some h ->
         check_int "src" 0x0a000001 h.Ipv4.src;
@@ -83,7 +85,7 @@ let test_ipv4_roundtrip () =
 let test_ipv4_checksum_guard () =
   run_machine (fun m ->
       let p = Pbuf.of_string m "data" in
-      Ipv4.encode p ~src:1 ~dst:2 ~proto:17;
+      Ipv4.encode p ~ident:1 ~src:1 ~dst:2 ~proto:17;
       Pbuf.set_u8 p 8 7 (* corrupt the TTL *);
       check_bool "bad header rejected" true (Ipv4.decode p = None))
 
@@ -100,7 +102,9 @@ let test_udp_roundtrip () =
 
 let qcheck_tcp_header_roundtrip =
   qtest "TCP header encode/decode roundtrip" ~count:50
-    QCheck2.Gen.(tup4 (int_bound 65535) (int_bound 65535) (int_bound 0xffffff) (int_bound 0xffffff))
+    QCheck2.Gen.(
+      tup4 (int_bound 65535) (int_bound 65535) (int_bound 0xffffff)
+        (int_bound 0xffffff))
     (fun (sp, dp, seq, ack) ->
       run_machine (fun m ->
           let p = Pbuf.alloc m ~size:0 () in
@@ -126,15 +130,49 @@ let test_udp_over_link () =
   with_stacks (fun m sa sb ->
       let sock_a = Stack.udp_bind sa ~port:5000 in
       let sock_b = Stack.udp_bind sb ~port:6000 in
-      Stack.udp_sendto sock_a ~dst_ip:(Stack.ip sb) ~dst_port:6000 (Pbuf.of_string m "ping");
+      Stack.udp_sendto sock_a ~dst_ip:(Stack.ip sb) ~dst_port:6000
+        (Pbuf.of_string m "ping");
       let p, (from_ip, from_port) = Stack.udp_recvfrom sock_b in
       check_string "payload" "ping" (Pbuf.contents p);
       check_int "source ip" (Stack.ip sa) from_ip;
       check_int "source port" 5000 from_port;
       (* And back. *)
-      Stack.udp_sendto sock_b ~dst_ip:from_ip ~dst_port:from_port (Pbuf.of_string m "pong");
+      Stack.udp_sendto sock_b ~dst_ip:from_ip ~dst_port:from_port
+        (Pbuf.of_string m "pong");
       let p2, _ = Stack.udp_recvfrom sock_a in
       check_string "reply" "pong" (Pbuf.contents p2))
+
+(* Each stack numbers its own IPv4 identifications, so the same world
+   sends the same header bytes however many packets ran before it in
+   the process. *)
+let test_ipv4_ident_per_stack () =
+  let sent_frames () =
+    let log = ref [] in
+    run_machine (fun m ->
+        let nif_a, nif_b = Stack.connect_urpc m ~core_a:0 ~core_b:2 () in
+        let sa = Stack.create m ~core:0 nif_a in
+        let sb = Stack.create m ~core:2 nif_b in
+        List.iter
+          (fun nif ->
+            let up = nif.Netif.rx in
+            Netif.set_rx nif (fun p ->
+                log := Pbuf.contents p :: !log;
+                up p))
+          [ nif_a; nif_b ];
+        let sock_a = Stack.udp_bind sa ~port:5000 in
+        let sock_b = Stack.udp_bind sb ~port:6000 in
+        for i = 1 to 3 do
+          let msg = Pbuf.of_string m (string_of_int i) in
+          Stack.udp_sendto sock_a ~dst_ip:(Stack.ip sb) ~dst_port:6000 msg;
+          let _, (ip, port) = Stack.udp_recvfrom sock_b in
+          Stack.udp_sendto sock_b ~dst_ip:ip ~dst_port:port (Pbuf.of_string m "ack");
+          ignore (Stack.udp_recvfrom sock_a : Pbuf.t * (int * int))
+        done);
+    List.rev !log
+  in
+  let first = sent_frames () in
+  check_int "six frames" 6 (List.length first);
+  Alcotest.(check (list string)) "same world, same bytes" first (sent_frames ())
 
 (* A frame sent over a [connect_urpc] link allocates only its waits:
    over 1,000 sends each of a 1-line, a 2-line and a full 24-line
@@ -181,7 +219,8 @@ let test_udp_unbound_port_dropped () =
   with_stacks (fun m sa sb ->
       let sock_a = Stack.udp_bind sa ~port:5000 in
       ignore sock_a;
-      Stack.udp_sendto sock_a ~dst_ip:(Stack.ip sb) ~dst_port:7777 (Pbuf.of_string m "x");
+      Stack.udp_sendto sock_a ~dst_ip:(Stack.ip sb) ~dst_port:7777
+        (Pbuf.of_string m "x");
       Engine.wait 1_000_000;
       (* Nothing listens on 7777: silently dropped, no crash. *)
       check_bool "no listener" true (Stack.udp_pending sock_a = 0))
@@ -301,7 +340,8 @@ let test_nic_echo_path () =
       (* Inject a frame from the wire. *)
       let p = Pbuf.of_string m "echo me" in
       Udp.encode p ~src_port:9999 ~dst_port:7;
-      Ipv4.encode p ~src:0x0a0000fe ~dst:(Stack.ip stack) ~proto:Ipv4.proto_udp;
+      Ipv4.encode p ~ident:1 ~src:0x0a0000fe ~dst:(Stack.ip stack)
+        ~proto:Ipv4.proto_udp;
       Ethernet.encode p ~dst:(Netif.mac (Nic.netif nic)) ~src:0x02feedbeef00
         ~ethertype:Ethernet.ethertype_ipv4;
       Nic.inject nic p;
@@ -330,8 +370,10 @@ let suite =
       tc "udp roundtrip" test_udp_roundtrip;
       qcheck_tcp_header_roundtrip;
       tc "udp over link" test_udp_over_link;
+      tc "ipv4 ident per stack" test_ipv4_ident_per_stack;
       tc "udp unbound port" test_udp_unbound_port_dropped;
-      tc "urpc link send allocates only its waits" test_urpc_link_send_allocates_only_waits;
+      tc "urpc link send allocates only its waits"
+        test_urpc_link_send_allocates_only_waits;
       tc "tcp connect/send/close" test_tcp_connect_send_close;
       tc "tcp segmentation" test_tcp_segmentation;
       tc "tcp receive window" test_tcp_receive_window;

@@ -1,7 +1,6 @@
-(* ICMP echo, thread migration and monitor core-sleep. *)
+(* ICMP echo and monitor core-sleep. *)
 
 open Mk_sim
-open Mk_hw
 open Mk_net
 open Test_util
 
@@ -37,41 +36,6 @@ let test_icmp_checksum_guard () =
       Pbuf.set_u8 p 4 0xff;
       check_bool "corruption rejected" true (Icmp.decode p = None))
 
-(* ---- thread migration ---- *)
-
-let test_thread_migration () =
-  run_os (fun os ->
-      let m = Mk.Os.machine os in
-      let dom = Mk.Os.spawn_domain os ~name:"mig" ~cores:[ 0; 3 ] in
-      let cores_seen = ref [] in
-      let th =
-        Mk.Threads.spawn_ctx m ~disp:(Mk.Dom.dispatcher_on dom 0) (fun ctx ->
-            cores_seen := Mk.Threads.current_core ctx :: !cores_seen;
-            Machine.compute m ~core:(Mk.Threads.current_core ctx) 1000;
-            Mk.Threads.migrate ctx ~to_disp:(Mk.Dom.dispatcher_on dom 3);
-            cores_seen := Mk.Threads.current_core ctx :: !cores_seen;
-            Machine.compute m ~core:(Mk.Threads.current_core ctx) 1000;
-            (* Migrating to where we already are is a no-op. *)
-            Mk.Threads.migrate ctx ~to_disp:(Mk.Dom.dispatcher_on dom 3);
-            cores_seen := Mk.Threads.current_core ctx :: !cores_seen)
-      in
-      Mk.Threads.join th;
-      check_bool "placement history" true (List.rev !cores_seen = [ 0; 3; 3 ]))
-
-let test_migration_moves_tcb_lines () =
-  run_os (fun os ->
-      let m = Mk.Os.machine os in
-      let dom = Mk.Os.spawn_domain os ~name:"mig2" ~cores:[ 0; 2 ] in
-      let before = Perfcounter.snapshot m.Machine.counters in
-      let th =
-        Mk.Threads.spawn_ctx m ~disp:(Mk.Dom.dispatcher_on dom 0) (fun ctx ->
-            Mk.Threads.migrate ctx ~to_disp:(Mk.Dom.dispatcher_on dom 2))
-      in
-      Mk.Threads.join th;
-      let d = Perfcounter.diff (Perfcounter.snapshot m.Machine.counters) before in
-      (* The destination pulled the TCB across packages. *)
-      check_bool "tcb fetched" true (d.Perfcounter.c2c_fetch.(2) >= 2))
-
 (* ---- monitor core sleep ---- *)
 
 let test_monitor_sleeps_when_idle () =
@@ -104,8 +68,6 @@ let suite =
       tc "icmp ping" test_icmp_ping;
       tc "icmp ping timeout" test_icmp_ping_timeout;
       tc "icmp checksum" test_icmp_checksum_guard;
-      tc "thread migration" test_thread_migration;
-      tc "migration moves tcb" test_migration_moves_tcb_lines;
       tc "monitor sleeps" test_monitor_sleeps_when_idle;
       tc "busy monitor awake" test_busy_monitor_does_not_sleep;
     ] )

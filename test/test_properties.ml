@@ -78,7 +78,8 @@ let qcheck_sql_oracle =
           List.iter
             (fun (k, v) ->
               match
-                Mk_apps.Sqldb.exec db (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" k v)
+                Mk_apps.Sqldb.exec db
+                  (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" k v)
               with
               | Ok _ -> ()
               | Error e -> failwith e)
@@ -115,7 +116,8 @@ let qcheck_sql_index_transparent =
               ignore (Mk_apps.Sqldb.create_index db ~table:"t" ~column:"k");
             List.init 6 (fun k ->
                 match
-                  Mk_apps.Sqldb.exec db (Printf.sprintf "SELECT v FROM t WHERE k = %d" k)
+                  Mk_apps.Sqldb.exec db
+                    (Printf.sprintf "SELECT v FROM t WHERE k = %d" k)
                 with
                 | Ok r -> List.sort compare r.Mk_apps.Sqldb.rows
                 | Error e -> failwith e)
@@ -250,7 +252,8 @@ let fusion_observe ~fusion (traces, n_msgs) =
   let snap = Perfcounter.snapshot m.Machine.counters in
   ( Machine.now m,
     List.sort compare !ends,
-    { snap with Perfcounter.link_dwords = List.sort compare snap.Perfcounter.link_dwords }
+    { snap with
+      Perfcounter.link_dwords = List.sort compare snap.Perfcounter.link_dwords }
   )
 
 (* The two observations run as one 2-job pool batch — fusion on and off
@@ -269,7 +272,8 @@ let qcheck_fusion_equivalence =
   qtest "latency-charge fusion is observationally invisible" ~count:25
     QCheck2.Gen.(
       pair
-        (list_repeat 4 (list_size (int_range 5 25) (pair (int_bound 5) (int_range 1 40))))
+        (list_repeat 4
+           (list_size (int_range 5 25) (pair (int_bound 5) (int_range 1 40))))
         (int_range 1 8))
     (fun workload ->
       (* Each job saves/restores its *own* domain's fusion flag. *)
@@ -292,7 +296,7 @@ let qcheck_headers_roundtrip =
       run_machine (fun m ->
           let p = Mk_net.Pbuf.of_string m payload in
           Mk_net.Udp.encode p ~src_port:7 ~dst_port:8;
-          Mk_net.Ipv4.encode p ~src:1 ~dst:2 ~proto:Mk_net.Ipv4.proto_udp;
+          Mk_net.Ipv4.encode p ~ident:1 ~src:1 ~dst:2 ~proto:Mk_net.Ipv4.proto_udp;
           Mk_net.Ethernet.encode p ~dst:3 ~src:4
             ~ethertype:Mk_net.Ethernet.ethertype_ipv4;
           match Mk_net.Ethernet.decode p with

@@ -58,28 +58,26 @@ let test_msg_barrier () =
       List.iter Threads.join ths;
       check_int "all through" 4 !released)
 
-let test_user_mutex () =
-  run_os (fun os ->
-      let m = Os.machine os in
-      let mu = Threads.Mutex.create m in
-      let inside = ref false in
-      let violations = ref 0 in
-      let done_ = Sync.Semaphore.create 0 in
-      List.iter
-        (fun core ->
-          Engine.spawn_ (fun () ->
-              Threads.Mutex.lock mu ~core;
-              if !inside then incr violations;
-              inside := true;
-              Engine.wait 50;
-              inside := false;
-              Threads.Mutex.unlock mu ~core;
-              Sync.Semaphore.release done_))
-        [ 0; 1; 2; 3 ];
-      for _ = 1 to 4 do
-        Sync.Semaphore.acquire done_
-      done;
-      check_int "mutual exclusion" 0 !violations)
+(* An unnamed thread is named by its dispatcher's own spawn count, so a
+   deadlock report does not depend on what ran earlier in the process. *)
+let test_thread_names_per_dispatcher () =
+  let stalled () =
+    let m = Mk_hw.Machine.create Mk_hw.Platform.amd_2x2 in
+    let disp = Dispatcher.create ~domid:1 ~core:0 ~name:"app/0" in
+    Engine.spawn m.Mk_hw.Machine.eng ~name:"main" (fun () ->
+        for _ = 1 to 2 do
+          let body () = Engine.suspend ignore in
+          let _ : Threads.thread = Threads.spawn m ~disp body in
+          ()
+        done);
+    match Engine.run m.Mk_hw.Machine.eng ~allow_stall:false () with
+    | () -> Alcotest.fail "expected Stalled"
+    | exception Engine.Stalled msg -> msg
+  in
+  let first = stalled () in
+  check_string "same world, same report" first (stalled ());
+  check_bool "names app/0.t1 and app/0.t2" true
+    (String.ends_with ~suffix:": app/0.t1, app/0.t2" first)
 
 (* ---- OS-level ---- *)
 
@@ -90,7 +88,8 @@ let test_boot_services () =
          every ordered pair its own latency class. *)
       check_int "one fact per pair" 12
         (List.length
-           (Skb.query (Os.skb os) (Skb.fact "urpc_latency" [ Skb.Var "_"; Skb.Var "_" ])));
+           (Skb.query (Os.skb os)
+              (Skb.fact "urpc_latency" [ Skb.Var "_"; Skb.Var "_" ])));
       for s = 0 to 3 do
         for d = 0 to 3 do
           if s <> d then
@@ -108,11 +107,13 @@ let test_spawn_domain_dispatchers () =
       check_bool "not on 0" false (Dom.spans dom 0);
       check_int "two dispatchers" 2 (List.length (Dom.dispatchers dom));
       (* Registered with the right CPU drivers. *)
-      check_int "driver 1 has it" 1 (List.length (Cpu_driver.dispatchers (Os.driver os ~core:1)));
-      check_int "driver 0 empty" 0 (List.length (Cpu_driver.dispatchers (Os.driver os ~core:0)));
+      let n_disps core = List.length (Cpu_driver.dispatchers (Os.driver os ~core)) in
+      check_int "driver 1 has it" 1 (n_disps 1);
+      check_int "driver 0 empty" 0 (n_disps 0);
       (* Spawn was announced to the spanned OS nodes. *)
       let key = Printf.sprintf "dom%d" (Dom.domid dom) in
-      check_bool "announced" true (Monitor.get_replica (Os.monitor os ~core:3) key = Some 1))
+      check_bool "announced" true
+        (Monitor.get_replica (Os.monitor os ~core:3) key = Some 1))
 
 let test_name_service () =
   run_os (fun os ->
@@ -123,7 +124,8 @@ let test_name_service () =
          check_int "core" 2 r.Name_service.srv_core;
          check_int "tag" 7 r.Name_service.srv_tag
        | None -> Alcotest.fail "lookup failed");
-      check_bool "missing name" true (Name_service.lookup ns ~from_core:1 ~name:"nope" = None);
+      check_bool "missing name" true
+        (Name_service.lookup ns ~from_core:1 ~name:"nope" = None);
       check_int "registered" 1 (Name_service.registered ns))
 
 let test_flounder_rpc () =
@@ -174,7 +176,7 @@ let suite =
       tc "spawn/join" test_spawn_join;
       tc "user barrier" test_user_barrier;
       tc "msg barrier" test_msg_barrier;
-      tc "user mutex" test_user_mutex;
+      tc "thread names per dispatcher" test_thread_names_per_dispatcher;
       tc "boot services" test_boot_services;
       tc "spawn domain" test_spawn_domain_dispatchers;
       tc "name service" test_name_service;

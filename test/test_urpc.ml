@@ -63,14 +63,15 @@ let test_latency_nonzero_and_classed () =
   check_bool "positive" true (local > 0);
   check_bool "local < remote" true (local < remote)
 
-let test_try_recv () =
+let test_pending () =
   run_machine (fun m ->
       let ch = Urpc.create m ~sender:0 ~receiver:2 () in
-      check_bool "empty" true (Urpc.try_recv ch = None);
+      check_int "empty" 0 (Urpc.pending ch);
       Urpc.send ch 5;
       Engine.wait 10_000;
       check_int "pending" 1 (Urpc.pending ch);
-      check_bool "now present" true (Urpc.try_recv ch = Some 5))
+      check_int "received" 5 (Urpc.recv ch);
+      check_int "drained" 0 (Urpc.pending ch))
 
 let test_notify () =
   run_machine (fun m ->
@@ -321,7 +322,7 @@ let suite =
       tc "in order" test_in_order;
       tc "flow control" test_flow_control;
       tc "latency classes" test_latency_nonzero_and_classed;
-      tc "try_recv" test_try_recv;
+      tc "pending" test_pending;
       tc "notify" test_notify;
       tc "multiline cost" test_multiline_message_costs_more;
       tc "recv_blocking wakeup" test_recv_blocking_wakeup_charge;
