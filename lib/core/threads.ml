@@ -32,7 +32,7 @@ module Barrier = struct
   type t = {
     m : Machine.t;
     counter_line : int;
-    sense_line : int;
+    sense : Coherence.block;  (* the one sense line *)
     parties : int;
     mutable arrived : int;
     mutable waiters : Engine.waker list;
@@ -43,13 +43,15 @@ module Barrier = struct
     if parties <= 0 then invalid_arg "Threads.Barrier.create";
     (* Sense line first, then the counter: line addresses are simulated
        state, and this is the order the simulated results were fixed in. *)
-    let sense_line = Machine.alloc_lines m 1 in
+    let sense =
+      Coherence.block m.Machine.coh ~addr:(Machine.alloc_lines m 1) ~lines:1
+    in
     let counter_line = Machine.alloc_lines m 1 in
     let rec t =
       {
         m;
         counter_line;
-        sense_line;
+        sense;
         parties;
         arrived = 0;
         waiters = [];
@@ -73,7 +75,7 @@ module Barrier = struct
     if t.arrived = t.parties then begin
       t.arrived <- 0;
       (* Flip the sense line; every spinner then pulls the new value. *)
-      ignore (Coherence.store_posted t.m.Machine.coh ~core t.sense_line : int);
+      ignore (Coherence.store_posted_in t.m.Machine.coh ~core t.sense 0 : int);
       let ws = List.rev t.waiters in
       t.waiters <- [];
       List.iter (fun (w : Engine.waker) -> w ()) ws
@@ -81,7 +83,7 @@ module Barrier = struct
     else begin
       Engine.suspend t.park;
       (* Woken by the sense flip: fetch the sense line (coherence miss). *)
-      Coherence.load t.m.Machine.coh ~core t.sense_line
+      Coherence.load_in t.m.Machine.coh ~core t.sense 0
     end
 end
 
@@ -90,45 +92,63 @@ module Msg_barrier = struct
      barrier spans a PDES cut: senders only touch tx (their own shard's
      ring), receivers only rx. *)
   type t = {
-    chans_up : (int * unit Shard.link) list;  (* party -> coordinator *)
-    chans_down : (int * unit Shard.link) list;  (* coordinator -> party *)
-    coord_party : int option;  (* party index co-located with coord *)
+    up : unit Shard.link option array;  (* party -> its link to the coordinator *)
+    down : unit Shard.link option array;  (* party -> the coordinator's link to it *)
+    remote : int array;  (* the parties not on the coordinator, in [parties] order *)
+    coord_party : int;  (* party index co-located with coord, -1 = none *)
   }
 
   let create sh ~coordinator ~parties =
+    let remote = List.filter (fun (_, c) -> c <> coordinator) parties in
+    let size = List.fold_left (fun acc (p, _) -> max acc (p + 1)) 0 parties in
+    (* Every up link, then every down link, each in [parties] order: link
+       creation allocates the channels' lines, so this order fixes their
+       addresses. *)
     let links ~up =
-      List.filter_map
+      let a = Array.make size None in
+      List.iter
         (fun (p, c) ->
-          if c = coordinator then None
-          else if up then
+          a.(p) <-
             Some
-              ( p,
-                Shard.link_urpc sh ~sender:c ~receiver:coordinator
-                  ~name:(Printf.sprintf "bar_up%d" p) () )
-          else
-            Some
-              ( p,
-                Shard.link_urpc sh ~sender:coordinator ~receiver:c
-                  ~name:(Printf.sprintf "bar_down%d" p) () ))
-        parties
+              (if up then
+                 Shard.link_urpc sh ~sender:c ~receiver:coordinator
+                   ~name:(Printf.sprintf "bar_up%d" p) ()
+               else
+                 Shard.link_urpc sh ~sender:coordinator ~receiver:c
+                   ~name:(Printf.sprintf "bar_down%d" p) ()))
+        remote;
+      a
     in
-    let chans_up = links ~up:true in
-    let chans_down = links ~up:false in
+    let up = links ~up:true in
+    let down = links ~up:false in
     {
-      chans_up;
-      chans_down;
+      up;
+      down;
+      remote = Array.of_list (List.map fst remote);
       coord_party =
-        List.find_map (fun (p, c) -> if c = coordinator then Some p else None) parties;
+        (match List.find_opt (fun (_, c) -> c = coordinator) parties with
+         | Some (p, _) -> p
+         | None -> -1);
     }
+
+  let link links party =
+    match if party >= 0 && party < Array.length links then links.(party) else None with
+    | Some l -> l
+    | None -> invalid_arg "Threads.Msg_barrier.await: not a remote party"
 
   (* The coordinator's own await collects everyone's signal and releases
      them; remote parties signal up and block on their down channel. *)
   let await t ~party =
-    match t.coord_party with
-    | Some cp when cp = party ->
-      List.iter (fun (_, l) -> Urpc.recv l.Shard.rx) t.chans_up;
-      List.iter (fun (_, l) -> Urpc.send l.Shard.tx ()) t.chans_down
-    | _ ->
-      Urpc.send (List.assoc party t.chans_up).Shard.tx ();
-      Urpc.recv (List.assoc party t.chans_down).Shard.rx
+    if party = t.coord_party then begin
+      for i = 0 to Array.length t.remote - 1 do
+        Urpc.recv (link t.up t.remote.(i)).Shard.rx
+      done;
+      for i = 0 to Array.length t.remote - 1 do
+        Urpc.send (link t.down t.remote.(i)).Shard.tx ()
+      done
+    end
+    else begin
+      Urpc.send (link t.up party).Shard.tx ();
+      Urpc.recv (link t.down party).Shard.rx
+    end
 end

@@ -3,7 +3,9 @@
    posts its line stores; the message becomes visible when the last store
    completes, and the channel's one delivery thunk, scheduled at that
    time, hands it to the receive mailbox. No task stands behind a
-   channel. *)
+   channel. The ring and control lines are one {!Coherence.block}, reached
+   by offset: each line's coherence slot is resolved once, on its first
+   access. *)
 
 open Mk_sim
 open Mk_hw
@@ -29,7 +31,7 @@ let k_dropped = 2
    record per message. *)
 type 'a delivery = {
   mutable payload : 'a;
-  mutable slot_addr : int;
+  mutable slot : int;  (* ring slot of the message's first line *)
   mutable lines : int;
   mutable kind : int;
 }
@@ -38,9 +40,11 @@ type 'a t = {
   m : Machine.t;
   src : int;
   dst : int;
-  slot_addrs : int array;
-  send_ctrl : int array;  (* sender-local ring bookkeeping lines *)
-  recv_ctrl : int array;  (* receiver-local dispatch/waitset lines *)
+  (* The buffer block: [slots] ring lines, then [send_lines] sender-local
+     ring bookkeeping lines and [recv_lines] receiver-local
+     dispatch/waitset lines. *)
+  blk : Coherence.block;
+  slots : int;
   mutable head : int;
   flow : Sync.Semaphore.t;
   box : 'a delivery Sync.Mailbox.t;
@@ -81,13 +85,13 @@ let block_home ~ring ~sender ~receiver off =
 (* Pull a delivery record off the channel's free stack (or allocate the
    first few); released by the receiver once the payload has been read, or
    at the wire for an injected drop. *)
-let get_delivery t ~payload ~slot_addr ~lines ~kind =
-  if t.n_free = 0 then { payload; slot_addr; lines; kind }
+let get_delivery t ~payload ~slot ~lines ~kind =
+  if t.n_free = 0 then { payload; slot; lines; kind }
   else begin
     t.n_free <- t.n_free - 1;
     let d = t.free.(t.n_free) in
     d.payload <- payload;
-    d.slot_addr <- slot_addr;
+    d.slot <- slot;
     d.lines <- lines;
     d.kind <- kind;
     d
@@ -132,20 +136,16 @@ let deliver_next t =
   end
 
 let build (type a) m ~sender ~receiver ~slots ~prefetch ~name ~base : a t =
-  let cl = m.Machine.plat.Platform.cacheline in
-  let slot_addrs = Array.init slots (fun i -> base + (i * cl)) in
-  let send_ctrl = Array.init send_lines (fun i -> base + ((slots + i) * cl)) in
-  let recv_ctrl =
-    Array.init recv_lines (fun i -> base + ((slots + send_lines + i) * cl))
+  let blk =
+    Coherence.block m.Machine.coh ~addr:base ~lines:(slots + send_lines + recv_lines)
   in
   let rec t =
     {
       m;
       src = sender;
       dst = receiver;
-      slot_addrs;
-      send_ctrl;
-      recv_ctrl;
+      blk;
+      slots;
       head = 0;
       flow = Sync.Semaphore.create slots;
       box = Sync.Mailbox.create ();
@@ -190,22 +190,28 @@ let stats_sent t = t.sent
 let stats_received t = t.received
 
 (* Post [lines] consecutive line stores starting at the slot; the message
-   becomes visible when the last store's invalidation completes. *)
-let post_message t ~slot_addr ~lines =
+   becomes visible when the last store's invalidation completes. A message
+   longer than the ring's tail runs on into the lines that follow it. *)
+let post_message t ~slot ~lines =
   let coh = t.m.Machine.coh in
-  let cl = t.m.Machine.plat.Platform.cacheline in
   let delay = ref 0 in
   for i = 0 to lines - 1 do
-    let d = Coherence.store_posted coh ~core:t.src (slot_addr + (i * cl)) in
+    let d = Coherence.store_posted_in coh ~core:t.src t.blk (slot + i) in
     if d > !delay then delay := d
   done;
   !delay
 
+(* The ring slot at the head, advancing the head. *)
+let take_slot t =
+  let slot = t.head in
+  t.head <- (if slot + 1 = t.slots then 0 else slot + 1);
+  slot
+
 (* Queue a delivery record and schedule its delivery at [visible_at].
    [Engine.at_] pays the sender's banked charge first, so a fused run
    sequences the delivery exactly where an unfused one does. *)
-let wire_post t ~payload ~slot_addr ~lines ~kind ~visible_at =
-  Ring.push t.wire_q (get_delivery t ~payload ~slot_addr ~lines ~kind);
+let wire_post t ~payload ~slot ~lines ~kind ~visible_at =
+  Ring.push t.wire_q (get_delivery t ~payload ~slot ~lines ~kind);
   Engine.at_ ~at:visible_at t.deliver
 
 let send t ?(lines = 1) payload =
@@ -216,18 +222,17 @@ let send t ?(lines = 1) payload =
   Engine.charge (send_sw_cost + if t.prefetch then prefetch_latency_penalty else 0);
   (* Ring-position and channel-state updates (sender-local lines: one
      sender task per channel, so these hits fuse into the banked charge). *)
-  for i = 0 to Array.length t.send_ctrl - 1 do
-    Coherence.store_local t.m.Machine.coh ~core:t.src t.send_ctrl.(i)
+  for i = 0 to send_lines - 1 do
+    Coherence.store_local_in t.m.Machine.coh ~core:t.src t.blk (t.slots + i)
   done;
-  let slot_addr = t.slot_addrs.(t.head) in
-  t.head <- (t.head + 1) mod Array.length t.slot_addrs;
-  let delay = post_message t ~slot_addr ~lines in
+  let slot = take_slot t in
+  let delay = post_message t ~slot ~lines in
   let visible_at = max (Engine.now_ () + delay) t.last_visible in
   let inj = t.m.Machine.fault in
   if not (Mk_fault.Injector.armed inj) then begin
     t.last_visible <- visible_at;
     t.sent <- t.sent + 1;
-    wire_post t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at
+    wire_post t ~payload ~slot ~lines ~kind:k_normal ~visible_at
   end
   else begin
     (* Fault point: the injector decides this message's fate. Delay is
@@ -244,12 +249,12 @@ let send t ?(lines = 1) payload =
     t.sent <- t.sent + 1;
     match fate with
     | Mk_fault.Injector.Drop ->
-      wire_post t ~payload ~slot_addr ~lines ~kind:k_dropped ~visible_at
+      wire_post t ~payload ~slot ~lines ~kind:k_dropped ~visible_at
     | Mk_fault.Injector.Dup ->
-      wire_post t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at;
-      wire_post t ~payload ~slot_addr ~lines ~kind:k_dup ~visible_at
+      wire_post t ~payload ~slot ~lines ~kind:k_normal ~visible_at;
+      wire_post t ~payload ~slot ~lines ~kind:k_dup ~visible_at
     | Mk_fault.Injector.Deliver | Mk_fault.Injector.Delay _ ->
-      wire_post t ~payload ~slot_addr ~lines ~kind:k_normal ~visible_at
+      wire_post t ~payload ~slot ~lines ~kind:k_normal ~visible_at
   end
 
 (* Receive-side cost once a message line is visible: fetch each line from
@@ -258,22 +263,21 @@ let send t ?(lines = 1) payload =
    of the current one, halving the exposed fetch cost. *)
 let charge_receive t (d : 'a delivery) =
   let coh = t.m.Machine.coh in
-  let cl = t.m.Machine.plat.Platform.cacheline in
   if t.prefetch then
     (* Stride-prefetched endpoint array (§4.6): the hardware prefetcher
        issued the fetch before the dispatch loop reached this channel,
        hiding part of the transfer latency. *)
     for i = 0 to d.lines - 1 do
-      let lat = Coherence.load_async coh ~core:t.dst (d.slot_addr + (i * cl)) in
+      let lat = Coherence.load_async_in coh ~core:t.dst t.blk (d.slot + i) in
       Engine.charge (lat * 7 / 10)
     done
   else
     for i = 0 to d.lines - 1 do
-      Coherence.load coh ~core:t.dst (d.slot_addr + (i * cl))
+      Coherence.load_in coh ~core:t.dst t.blk (d.slot + i)
     done;
   (* Dispatch-table and waitset updates (receiver-local lines). *)
-  for i = 0 to Array.length t.recv_ctrl - 1 do
-    Coherence.store_local t.m.Machine.coh ~core:t.dst t.recv_ctrl.(i)
+  for i = 0 to recv_lines - 1 do
+    Coherence.store_local_in coh ~core:t.dst t.blk (t.slots + send_lines + i)
   done;
   Engine.charge recv_sw_cost;
   t.received <- t.received + 1;
@@ -290,9 +294,7 @@ let charge_receive t (d : 'a delivery) =
    semaphore never lent a credit for it — the sender half released its own
    credit at the wire. *)
 let deliver_remote t ?(lines = 1) payload =
-  let slot_addr = t.slot_addrs.(t.head) in
-  t.head <- (t.head + 1) mod Array.length t.slot_addrs;
-  let d = get_delivery t ~payload ~slot_addr ~lines ~kind:k_dup in
+  let d = get_delivery t ~payload ~slot:(take_slot t) ~lines ~kind:k_dup in
   Sync.Mailbox.send t.box d;
   match t.notify with Some f -> f () | None -> ()
 
@@ -315,7 +317,7 @@ module Broadcast = struct
   type 'a bc = {
     m : Machine.t;
     src : int;
-    line_addr : int;
+    line : Coherence.block;  (* the one line every receiver pulls *)
     (* Receiver mailboxes twice over: in creation order for delivery
        fan-out, and indexed by core id so [recv] is an array load rather
        than an assoc-list scan per message. *)
@@ -342,7 +344,9 @@ module Broadcast = struct
       | Some n -> n
       | None -> Platform.package_of m.Machine.plat sender
     in
-    let line_addr = Machine.alloc_lines m ~node 1 in
+    let line =
+      Coherence.block m.Machine.coh ~addr:(Machine.alloc_lines m ~node 1) ~lines:1
+    in
     let by_core = Array.make (Machine.n_cores m) None in
     let order =
       receivers
@@ -356,7 +360,7 @@ module Broadcast = struct
       {
         m;
         src = sender;
-        line_addr;
+        line;
         order;
         by_core;
         q_payload = Ring.create ();
@@ -368,7 +372,7 @@ module Broadcast = struct
 
   let send t payload =
     Engine.charge send_sw_cost;
-    let delay = Coherence.store_posted t.m.Machine.coh ~core:t.src t.line_addr in
+    let delay = Coherence.store_posted_in t.m.Machine.coh ~core:t.src t.line 0 in
     let visible_at = max (Engine.now_ () + delay) t.last_visible in
     t.last_visible <- visible_at;
     Ring.push t.q_payload payload;
@@ -385,7 +389,7 @@ module Broadcast = struct
     let payload = Sync.Mailbox.recv box in
     (* Every receiver pulls the line from wherever it currently lives —
        serialized at the home directory and the owner's cache port. *)
-    Coherence.load t.m.Machine.coh ~core t.line_addr;
+    Coherence.load_in t.m.Machine.coh ~core t.line 0;
     Engine.charge recv_sw_cost;
     payload
 end

@@ -16,7 +16,14 @@
     schedules the channel's one prebuilt delivery thunk at the message's
     visibility time ({!Mk_sim.Engine.at_}), and that thunk posts the head
     of the channel's in-flight queue to the receive mailbox. Visibility
-    times are monotonic per channel, so messages arrive in order. *)
+    times are monotonic per channel, so messages arrive in order.
+
+    A channel's ring and control lines are one {!Mk_hw.Coherence.block}:
+    every access names a line by its offset, and each line's coherence
+    slot is resolved once, on its first access. A message of [n] lines at
+    ring slot [s] touches offsets [s .. s+n-1]; past the ring's end those
+    are the control lines, and past the block's end the lines allocated
+    after it. *)
 
 type 'a t
 

@@ -27,7 +27,7 @@ type line_state = Invalid | Shared of int list | Modified of int
    three members), and it returns inline when the line leaves the shared
    state. A remote slot marks a line pinned to a package another shard
    owns: blocking accesses route it, everything else refuses it (see
-   [get_line]). *)
+   [serviced]). *)
 let field_bits = 15
 let nil = (1 lsl field_bits) - 1
 let home_shift = 3
@@ -70,6 +70,7 @@ let spilled_word w i = meta w lor tag_shared lor spilled_bit lor (i lsl a_shift)
 type t = {
   plat : Platform.t;
   counters : Perfcounter.t;
+  line_shift : int;  (* log2 of the line size: a line id is [addr lsr line_shift] *)
   (* The line table (see the layout comment at the top). *)
   index : int Inttbl.t;  (* line -> slot *)
   mutable state : int array;  (* slot -> packed state word *)
@@ -176,6 +177,13 @@ let create plat counters =
   let n = Platform.n_cores plat in
   if n >= nil then
     invalid_arg "Coherence.create: too many cores for the packed line table";
+  let cl = plat.Platform.cacheline in
+  if cl <= 0 || cl land (cl - 1) <> 0 then
+    invalid_arg "Coherence.create: the line size must be a power of two";
+  let line_shift = ref 0 in
+  while 1 lsl !line_shift < cl do
+    incr line_shift
+  done;
   let npkg = plat.Platform.n_packages in
   let topo = plat.Platform.topo in
   let pkg = Array.init n (fun c -> Platform.package_of plat c) in
@@ -215,6 +223,7 @@ let create plat counters =
   {
     plat;
     counters;
+    line_shift = !line_shift;
     index = Inttbl.create ~dummy:(-1) ();
     state = Array.make initial_slots 0;
     busy = Array.make initial_slots 0;
@@ -272,7 +281,7 @@ let link_extra t a b =
   else 0
 
 let platform t = t.plat
-let line_of_addr t addr = addr / t.plat.Platform.cacheline
+let line_of_addr t addr = addr lsr t.line_shift
 
 let set_home_range t ~first_line ~last_line ~node =
   (* The allocator hands out monotonically increasing addresses, so ranges
@@ -382,13 +391,12 @@ let slot t ~core line =
   let s = Inttbl.find_or t.index line (-1) in
   if s >= 0 then s else new_slot t ~core line
 
-(* The slot of a line this shard's directory services. Posted, async and
-   banked accesses (and remote service) rest on same-engine visibility
-   arguments that do not survive a shard boundary, so a line pinned to
-   another shard's package is refused here — whether this access created
-   its slot or a blocking access did before. *)
-let get_line t ~core line =
-  let s = slot t ~core line in
+(* [s], the slot of [line], if this shard's directory services it.
+   Posted, async and banked accesses (and remote service) rest on
+   same-engine visibility arguments that do not survive a shard boundary,
+   so a line pinned to another shard's package is refused here — whether
+   this access created its slot or a blocking access did before. *)
+let serviced t line s =
   if tag_of t.state.(s) = tag_remote then
     invalid_arg
       (Printf.sprintf
@@ -396,6 +404,33 @@ let get_line t ~core line =
           load/store may reach it"
          line);
   s
+
+(* -- line blocks --
+
+   A block is a run of consecutive lines that one owner reaches by offset
+   (a URPC channel's ring and control lines). [slots.(off)] holds line
+   [first + off]'s table slot, -1 until the first access that reaches the
+   line fills it through [slot] — at the point where a by-address access
+   probes the table, so first touches keep their order and homes and
+   remote tags come from the same code. A slot never moves, so a filled
+   entry never goes stale. An offset past the block's end resolves
+   through the table on every access. *)
+type block = { first : int; slots : int array }
+
+let block t ~addr ~lines =
+  { first = line_of_addr t addr; slots = Array.make lines (-1) }
+
+let block_slot t ~core b off =
+  if off < Array.length b.slots then begin
+    let s = b.slots.(off) in
+    if s >= 0 then s
+    else begin
+      let s = slot t ~core (b.first + off) in
+      b.slots.(off) <- s;
+      s
+    end
+  end
+  else slot t ~core (b.first + off)
 
 (* Cross-share-group transfer latency between two cores. Every caller has
    already established the cores are in different share groups, so the
@@ -740,7 +775,7 @@ let realize_posted t =
    context, so it must not flush or wait — there is no bank to flush and
    the returned latency travels back inside the reply message timestamp. *)
 let remote_service t ~now ~core ~line ~write =
-  let s = get_line t ~core line in
+  let s = serviced t line (slot t ~core line) in
   if write then prepare_store t ~core line s else prepare_load t ~core line s;
   if t.o_kind = k_hit then t.plat.Platform.l1_hit
   else if t.o_kind = k_local then t.o_lat
@@ -764,9 +799,7 @@ let realize_blocking t =
    request across the shard boundary and invokes the waker at the reply's
    arrival time. The caller has flushed its bank, so nothing runs between
    filling the request fields and [register] reading them. *)
-let blocking t ~core addr ~write =
-  let lid = line_of_addr t addr in
-  let s = slot t ~core lid in
+let blocking t ~core lid s ~write =
   let w = t.state.(s) in
   if tag_of w = tag_remote then begin
     t.rq_core <- core;
@@ -782,16 +815,22 @@ let blocking t ~core addr ~write =
 
 let load t ~core addr =
   Engine.flush_charge ();
-  blocking t ~core addr ~write:false
+  let lid = line_of_addr t addr in
+  blocking t ~core lid (slot t ~core lid) ~write:false
 
 let store t ~core addr =
   Engine.flush_charge ();
-  blocking t ~core addr ~write:true
-
-let load_async t ~core addr =
-  access_flush t;
   let lid = line_of_addr t addr in
-  prepare_load t ~core lid (get_line t ~core lid);
+  blocking t ~core lid (slot t ~core lid) ~write:true
+
+let load_in t ~core b off =
+  Engine.flush_charge ();
+  blocking t ~core (b.first + off) (block_slot t ~core b off) ~write:false
+
+let load_async_in t ~core b off =
+  access_flush t;
+  let lid = b.first + off in
+  prepare_load t ~core lid (serviced t lid (block_slot t ~core b off));
   realize_posted t
 
 (* Blocking store to a line the call site guarantees is effectively
@@ -801,18 +840,18 @@ let load_async t ~core addr =
    the window — so the common Hit/Local outcome is banked instead of
    waited. A transaction (first touch, post-migration refill) still joins
    the shared directory queues and waits. *)
-let store_local t ~core addr =
+let store_local_in t ~core b off =
   access_flush t;
-  let lid = line_of_addr t addr in
-  prepare_store t ~core lid (get_line t ~core lid);
+  let lid = b.first + off in
+  prepare_store t ~core lid (serviced t lid (block_slot t ~core b off));
   if t.o_kind = k_hit then Engine.charge t.plat.Platform.l1_hit
   else if t.o_kind = k_local then Engine.charge t.o_lat
   else Engine.wait (realize_posted t)
 
-let store_posted t ~core addr =
+let store_posted_in t ~core b off =
   access_flush t;
-  let lid = line_of_addr t addr in
-  prepare_store t ~core lid (get_line t ~core lid);
+  let lid = b.first + off in
+  prepare_store t ~core lid (serviced t lid (block_slot t ~core b off));
   let delay = realize_posted t in
   (* The posted-store pipeline drain is a fixed local cost. *)
   Engine.charge store_post_cost;

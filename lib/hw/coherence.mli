@@ -13,7 +13,8 @@
     behaviour comes from N cores fetching the same dirty line serially.
 
     The directory is a flat line table: each touched line gets a dense
-    slot on first touch (one {!Inttbl} probe per access finds it) holding
+    slot on first touch (one {!Inttbl} probe per by-address access finds
+    it; a {!block} keeps the slots of its lines and skips the probe) holding
     a packed state word (tag, exclusive owner, MOESI owner, home and up
     to two sharers inline) and the line's storm-slot time. A third sharer
     spills the set to a pooled {!Bitset}; sharers are always visited in
@@ -40,7 +41,8 @@ val set_fault : t -> Mk_fault.Injector.t -> unit
 val platform : t -> Platform.t
 
 val line_of_addr : t -> int -> int
-(** [addr / cacheline_bytes]. *)
+(** [addr / cacheline_bytes], as a shift: {!create} rejects a line size
+    that is not a power of two. *)
 
 val set_home_range : t -> first_line:int -> last_line:int -> node:int -> unit
 (** Pin the home (directory) node of a range of lines — NUMA-aware
@@ -79,8 +81,8 @@ val set_remote_home :
     arrives. [route] runs outside task context and must not perform task
     effects.
 
-    The posted/async/banked access variants ({!store_local},
-    {!store_posted}, {!load_async}) and {!remote_service} raise
+    The posted/async/banked block accesses ({!store_local_in},
+    {!store_posted_in}, {!load_async_in}) and {!remote_service} raise
     [Invalid_argument] on a remote line: their soundness arguments (single
     writer, visibility gated within one engine) do not cross a shard
     boundary, so callers must keep such lines home-local — the shard
@@ -102,7 +104,28 @@ val store : t -> core:int -> int -> unit
 (** Blocking store: waits until ownership is acquired (all remote copies
     invalidated). *)
 
-val store_local : t -> core:int -> int -> unit
+(** {1 Line blocks}
+
+    A block names a run of consecutive lines that its owner reaches by
+    offset: a URPC channel's ring and control lines. Each line's table
+    slot is resolved by the first access that reaches it, at the point a
+    by-address access would probe the table, and is then reused, so an
+    access by offset costs no table probe. Line state is shared with
+    by-address accesses to the same lines: a block only caches where a
+    line lives. An offset at or past [lines] is still legal; it resolves
+    through the table on every access. Posted, banked and async accesses
+    exist only on blocks. *)
+
+type block
+
+val block : t -> addr:int -> lines:int -> block
+(** The [lines] lines starting at the one holding [addr]. Touches no line:
+    a line a block never reaches stays untouched. *)
+
+val load_in : t -> core:int -> block -> int -> unit
+(** [load_in t ~core b off]: {!load} of line [off] of [b]. *)
+
+val store_local_in : t -> core:int -> block -> int -> unit
 (** Blocking store to a line the *call site* guarantees is effectively
     core-private (single writer, any readers gated on a later visibility
     event — e.g. URPC ring/channel-state words). Behaves like {!store},
@@ -113,12 +136,12 @@ val store_local : t -> core:int -> int -> unit
     events, which is only sound when nothing can observe the line or the
     caller's progress inside the banked window. *)
 
-val load_async : t -> core:int -> int -> int
+val load_async_in : t -> core:int -> block -> int -> int
 (** State transitions and traffic as {!load}, but does not block: returns
     the cycles until the data would arrive. Models a prefetched load whose
     latency is hidden behind other work. *)
 
-val store_posted : t -> core:int -> int -> int
+val store_posted_in : t -> core:int -> block -> int -> int
 (** Write-buffer store: charges the calling core only the store-post cost
     and returns the number of extra cycles until the store is globally
     visible (remote copies invalidated, line owned). State transitions and

@@ -13,7 +13,6 @@ type row = { dist : int array; next : int array }
    whose last row may be ragged — exactly the shapes the synthetic
    platform generators emit. *)
 type kind =
-  | Complete
   | Tree
   | Mesh of int  (* grid width *)
   | Irregular of {
@@ -68,7 +67,8 @@ let create ~n ~links =
   let adj = Array.make n [] in
   let seen = Hashtbl.create 16 in
   let add (a, b) =
-    if a < 0 || a >= n || b < 0 || b >= n then invalid_arg "Topology.create: bad endpoint";
+    if a < 0 || a >= n || b < 0 || b >= n then
+      invalid_arg "Topology.create: bad endpoint";
     if a = b then invalid_arg "Topology.create: self-loop";
     let l = norm (a, b) in
     if not (Hashtbl.mem seen l) then begin
@@ -91,10 +91,6 @@ let create ~n ~links =
   let link_arr = Array.of_seq (Hashtbl.to_seq_keys seen) in
   Array.sort compare link_arr;
   { n; kind = Irregular { link_arr; adj; rows; diam = -1 } }
-
-let fully_connected ~n =
-  if n <= 0 then invalid_arg "Topology.create: n must be positive";
-  { n; kind = Complete }
 
 let tree ~n =
   if n <= 0 then invalid_arg "Topology.tree: n must be positive";
@@ -148,7 +144,8 @@ let tree_next s d =
     else (s - 1) / 2
   end
 
-let mesh_dist side s d = abs ((s mod side) - (d mod side)) + abs ((s / side) - (d / side))
+let mesh_dist side s d =
+  abs ((s mod side) - (d mod side)) + abs ((s / side) - (d / side))
 
 (* First hop in the (possibly ragged) grid. BFS with ascending neighbor
    order routes via the numerically smallest neighbor of [s] that lies on
@@ -173,7 +170,6 @@ let hops t s d =
   check_node t s;
   check_node t d;
   match t.kind with
-  | Complete -> if s = d then 0 else 1
   | Tree -> tree_dist s d
   | Mesh side -> mesh_dist side s d
   | Irregular { adj; rows; _ } -> (irregular_row ~n:t.n ~adj ~rows s).dist.(d)
@@ -182,7 +178,6 @@ let next_hop t s d =
   check_node t s;
   check_node t d;
   match t.kind with
-  | Complete -> d
   | Tree -> tree_next s d
   | Mesh side -> mesh_next t.n side s d
   | Irregular { adj; rows; _ } -> (irregular_row ~n:t.n ~adj ~rows s).next.(d)
@@ -191,10 +186,6 @@ let next_hop t s d =
    (or building) any adjacency structure for the closed-form families. *)
 let iter_neighbors t u f =
   match t.kind with
-  | Complete ->
-    for v = 0 to t.n - 1 do
-      if v <> u then f v
-    done
   | Tree ->
     if u > 0 then f ((u - 1) / 2);
     if (2 * u) + 1 < t.n then f ((2 * u) + 1);
@@ -209,18 +200,6 @@ let iter_neighbors t u f =
 let links t =
   match t.kind with
   | Irregular { link_arr; _ } -> Array.copy link_arr
-  | Complete ->
-    (* All pairs (a, b) with a < b, in the lexicographic order the old
-       sort produced. *)
-    let arr = Array.make (t.n * (t.n - 1) / 2) (0, 0) in
-    let i = ref 0 in
-    for a = 0 to t.n - 1 do
-      for b = a + 1 to t.n - 1 do
-        arr.(!i) <- (a, b);
-        incr i
-      done
-    done;
-    arr
   | Tree -> Array.init (t.n - 1) (fun i -> ((i + 1 - 1) / 2, i + 1))
   | Mesh side ->
     let acc = ref [] in
@@ -244,7 +223,6 @@ let ecc_scan t s =
 
 let diameter t =
   match t.kind with
-  | Complete -> if t.n = 1 then 0 else 1
   | Tree ->
     (* Double sweep, exact on trees: the farthest node from any start is
        an endpoint of a diameter. *)
@@ -298,7 +276,8 @@ let path t s d = List.map norm (path_directed t s d)
    node). Contiguous ranges keep home-node pinning shard-local for bump
    allocators, which is why the PDES sharding uses exactly this rule. *)
 let contiguous_partition t ~parts =
-  if parts <= 0 then invalid_arg "Topology.contiguous_partition: parts must be positive";
+  if parts <= 0 then
+    invalid_arg "Topology.contiguous_partition: parts must be positive";
   Array.init t.n (fun v -> min (parts - 1) (v * parts / t.n))
 
 (* Per partition-class-pair minimum hop cost: [m.(a).(b)] is the smallest
@@ -308,8 +287,7 @@ let contiguous_partition t ~parts =
    between two different classes can take effect in fewer hops.
 
    Computed by one multi-source BFS per class — O(classes * (n + links))
-   time and O(n) scratch, never the old all-pairs scan — except on the
-   complete graph, where every cross-class distance is 1 by inspection. *)
+   time and O(n) scratch, never the old all-pairs scan. *)
 let min_cross_latency t ~part =
   if Array.length part <> t.n then
     invalid_arg "Topology.min_cross_latency: partition size mismatch";
@@ -321,37 +299,27 @@ let min_cross_latency t ~part =
   for i = 0 to k - 1 do
     m.(i).(i) <- 0
   done;
-  (match t.kind with
-  | Complete ->
-    let pop = Array.make k 0 in
-    Array.iter (fun c -> pop.(c) <- pop.(c) + 1) part;
-    for a = 0 to k - 1 do
-      for b = 0 to k - 1 do
-        if a <> b && pop.(a) > 0 && pop.(b) > 0 then m.(a).(b) <- 1
-      done
+  let dist = Array.make t.n max_int in
+  let q = Queue.create () in
+  for a = 0 to k - 1 do
+    Array.fill dist 0 t.n max_int;
+    for v = 0 to t.n - 1 do
+      if part.(v) = a then begin
+        dist.(v) <- 0;
+        Queue.add v q
+      end
+    done;
+    while not (Queue.is_empty q) do
+      let u = Queue.take q in
+      iter_neighbors t u (fun v ->
+          if dist.(v) = max_int then begin
+            dist.(v) <- dist.(u) + 1;
+            Queue.add v q
+          end)
+    done;
+    for v = 0 to t.n - 1 do
+      let b = part.(v) in
+      if b <> a && dist.(v) < m.(a).(b) then m.(a).(b) <- dist.(v)
     done
-  | _ ->
-    let dist = Array.make t.n max_int in
-    let q = Queue.create () in
-    for a = 0 to k - 1 do
-      Array.fill dist 0 t.n max_int;
-      for v = 0 to t.n - 1 do
-        if part.(v) = a then begin
-          dist.(v) <- 0;
-          Queue.add v q
-        end
-      done;
-      while not (Queue.is_empty q) do
-        let u = Queue.take q in
-        iter_neighbors t u (fun v ->
-            if dist.(v) = max_int then begin
-              dist.(v) <- dist.(u) + 1;
-              Queue.add v q
-            end)
-      done;
-      for v = 0 to t.n - 1 do
-        let b = part.(v) in
-        if b <> a && dist.(v) < m.(a).(b) then m.(a).(b) <- dist.(v)
-      done
-    done);
+  done;
   m

@@ -6,7 +6,7 @@
     for per-link traffic accounting (Table 4).
 
     Routing state is sub-quadratic in nodes: the synthetic families
-    ({!fully_connected}, {!tree}, {!mesh}) answer {!hops} and first-hop
+    ({!tree}, {!mesh}) answer {!hops} and first-hop
     queries in closed form with no per-pair state at all, and an
     arbitrary {!create} link list materializes one O(n) BFS row per
     queried source on demand (safe to share read-only across domains).
@@ -22,11 +22,6 @@ type link = int * int
 val create : n:int -> links:link list -> t
 (** [n] packages, connected by [links]. Raises [Invalid_argument] on
     out-of-range endpoints, self-loops, or a disconnected graph. *)
-
-val fully_connected : n:int -> t
-(** Convenience: every pair directly linked (small SMPs / single bus).
-    Implicit — no O(n²) link list is ever allocated; {!links} synthesizes
-    the array on demand. *)
 
 val tree : n:int -> t
 (** Complete binary tree with parent [(i-1)/2]: deep NUMA, log-depth with

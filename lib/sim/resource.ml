@@ -37,5 +37,4 @@ let utilization t ~since ~now =
     let busy = min t.busy_cycles (now - since) in
     float_of_int busy /. float_of_int (now - since)
 
-let reset_accounting t = t.busy_cycles <- 0
 let busy_cycles t = t.busy_cycles

@@ -31,8 +31,5 @@ val reserve_at : t -> now:int -> int -> int
 val utilization : t -> since:int -> now:int -> float
 (** Fraction of [since..now] the resource spent busy. *)
 
-val reset_accounting : t -> unit
-
 val busy_cycles : t -> int
-(** Total cycles of service accepted since creation or
-    {!reset_accounting}. *)
+(** Total cycles of service accepted since creation. *)

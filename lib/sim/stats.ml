@@ -157,21 +157,3 @@ module Histogram = struct
     end
 end
 
-(* One-shot list helpers (previously duplicated in the bench tree). *)
-
-let mean_ints l =
-  match l with
-  | [] -> 0.0
-  | _ -> float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
-
-let stddev_ints l =
-  let m = mean_ints l in
-  match l with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let n = float_of_int (List.length l) in
-    let var =
-      List.fold_left (fun acc x -> acc +. ((float_of_int x -. m) ** 2.0)) 0.0 l
-      /. (n -. 1.0)
-    in
-    sqrt var

@@ -67,11 +67,3 @@ module Histogram : sig
   val bounds : t -> int -> int * int
   (** Inclusive [(lo, hi)] value range of a bucket index. *)
 end
-
-val mean_ints : int list -> float
-(** Mean of an int list; 0 when empty. One-shot helper for callers that
-    have a list in hand and no accumulator. *)
-
-val stddev_ints : int list -> float
-(** Sample standard deviation (n-1 denominator) of an int list; 0 when
-    fewer than two samples. *)

@@ -99,9 +99,10 @@ let test_posted_store_delay () =
   run_machine (fun m ->
       let coh = m.Machine.coh in
       let a = Machine.alloc_lines m 1 in
+      let b = Coherence.block coh ~addr:a ~lines:1 in
       Coherence.load coh ~core:2 a;
       let t0 = Engine.now_ () in
-      let delay = Coherence.store_posted coh ~core:0 a in
+      let delay = Coherence.store_posted_in coh ~core:0 b 0 in
       let posted_cost = Engine.now_ () - t0 in
       check_int "post cost" Coherence.store_post_cost posted_cost;
       check_bool "invalidation still in flight" true (delay > 0))
@@ -214,7 +215,10 @@ let test_infinite_caches () =
    latencies and link paths are computed per access), with random pins;
    every access's latency, every line's state after it (sharer order
    included), the final clock, the counters and the link dwords must
-   agree. *)
+   agree. The flat table takes its posted, banked and async accesses,
+   and odd cores' loads, through a block over the first [block_lines]
+   lines (the rest run past its end); everything else reaches the same
+   lines by address. *)
 
 type model = {
   load : core:int -> int -> unit;
@@ -226,14 +230,25 @@ type model = {
   pin : first_line:int -> last_line:int -> node:int -> unit;
 }
 
+let diff_lines = 6
+let first_line = 16
+let block_lines = 4
+
 let flat plat counters =
   let c = Coherence.create plat counters in
+  let b =
+    Coherence.block c ~addr:(first_line * plat.Platform.cacheline) ~lines:block_lines
+  in
+  let off addr = Coherence.line_of_addr c addr - first_line in
   {
-    load = Coherence.load c;
+    load =
+      (fun ~core addr ->
+        if core land 1 = 1 then Coherence.load_in c ~core b (off addr)
+        else Coherence.load c ~core addr);
     store = Coherence.store c;
-    store_local = Coherence.store_local c;
-    store_posted = Coherence.store_posted c;
-    load_async = Coherence.load_async c;
+    store_local = (fun ~core addr -> Coherence.store_local_in c ~core b (off addr));
+    store_posted = (fun ~core addr -> Coherence.store_posted_in c ~core b (off addr));
+    load_async = (fun ~core addr -> Coherence.load_async_in c ~core b (off addr));
     state = Coherence.line_state c;
     pin = Coherence.set_home_range c;
   }
@@ -249,9 +264,6 @@ let reference plat counters =
     state = Coherence_ref.line_state c;
     pin = Coherence_ref.set_home_range c;
   }
-
-let diff_lines = 6
-let first_line = 16
 
 (* Two tasks share the stream by its [task] bit, so directory, port and
    storm-slot queueing interleave. Each access is traced with its return
@@ -335,6 +347,53 @@ let qcheck_flat_table_matches_reference =
     (fun (plat, pins, ops) ->
       let pins = List.sort_uniq (fun (a, _) (b, _) -> compare a b) pins in
       run_stream flat ~plat ~pins ~ops = run_stream reference ~plat ~pins ~ops)
+
+(* A block resolves each line's slot on the first access that reaches
+   it, not at creation: the same stream of accesses on two fresh amd_8x4
+   machines, one through an 8-line block (offsets up to 9, so two run past
+   its end) and one by address with the blocking access of the same
+   direction, leaves the same number of touched lines, the same line
+   states and the same homes after every access, and before the first.
+   Lines 0-3 are unpinned, so their homes are their first toucher's
+   package; lines 4-9 are pinned to package 5. *)
+let qcheck_block_first_touch =
+  qtest "block first touches = by-address first touches" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 1 40) (triple (int_bound 3) (int_bound 31) (int_bound 9)))
+    (fun ops ->
+      let run ~through_block =
+        let m = Machine.create Platform.amd_8x4 in
+        let coh = m.Machine.coh in
+        let addr = Machine.alloc_lines m 4 in
+        ignore (Machine.alloc_lines m ~node:5 6 : int);
+        let b =
+          if through_block then Some (Coherence.block coh ~addr ~lines:8) else None
+        in
+        let first = Coherence.line_of_addr coh addr in
+        let observe () =
+          ( (Coherence.table_stats coh).Coherence.touched_lines,
+            List.init 10 (fun i -> Coherence.line_state coh ~line:(first + i)),
+            List.init 10 (fun i -> Coherence.home_of coh ~line:(first + i)) )
+        in
+        let trace = ref [ observe () ] in
+        Engine.spawn m.Machine.eng (fun () ->
+            List.iter
+              (fun (kind, core, off) ->
+                let a = addr + (off * m.Machine.plat.Platform.cacheline) in
+                (match (b, kind) with
+                 | Some b, 0 -> Coherence.load_in coh ~core b off
+                 | Some b, 1 -> ignore (Coherence.load_async_in coh ~core b off : int)
+                 | Some b, 2 -> Coherence.store_local_in coh ~core b off
+                 | Some b, _ -> ignore (Coherence.store_posted_in coh ~core b off : int)
+                 | None, (0 | 1) -> Coherence.load coh ~core a
+                 | None, _ -> Coherence.store coh ~core a);
+                Engine.flush_charge ();
+                trace := observe () :: !trace)
+              ops);
+        Machine.run m;
+        !trace
+      in
+      run ~through_block:true = run ~through_block:false)
 
 (* Directed: a third sharer spills the set and a store returns it
    inline. *)
@@ -424,42 +483,55 @@ let access_words ?(setup = fun _ -> ()) ops =
   Machine.run m;
   (!words, Perfcounter.snapshot m.Machine.counters)
 
-(* A [store_local] hit banks its latency and bumps its counters. A
-   [store_posted] that invalidates a sharer and the [load_async] miss it
-   causes (sourced from core 8's cache), and a [load_async] miss on a line
-   only core 8 has read (fetched from memory), reserve the directory and
-   port and bump their counters. None of them waits, and none allocates:
-   every counter is bumped in a counted call, so a [count_*] that builds
-   a closure fails here. *)
+(* A [store_local_in] hit banks its latency and bumps its counters. A
+   [store_posted_in] that invalidates a sharer and the [load_async_in]
+   miss it causes (sourced from core 8's cache), and a [load_async_in]
+   miss on a line only core 8 has read (fetched from memory), reserve the
+   directory and port and bump their counters. None of them waits, and
+   none allocates: every counter is bumped in a counted call, so a
+   [count_*] that builds a closure fails here. *)
 let test_access_allocates_nothing () =
-  let line m = Machine.alloc_lines m 1 in
-  let a = ref 0 in
+  let line m =
+    Some (Coherence.block m.Machine.coh ~addr:(Machine.alloc_lines m 1) ~lines:1)
+  in
+  let b = ref None in
   let hit, hs =
     access_words
-      ~setup:(fun m -> a := line m)
-      [| (fun m _ -> Coherence.store_local m.Machine.coh ~core:0 !a) |]
+      ~setup:(fun m -> b := line m)
+      [|
+        (fun m _ ->
+          Coherence.store_local_in m.Machine.coh ~core:0 (Option.get !b) 0);
+      |]
   in
   let c2c, cs =
     access_words
-      ~setup:(fun m -> a := line m)
+      ~setup:(fun m -> b := line m)
       [|
-        (fun m _ -> ignore (Coherence.store_posted m.Machine.coh ~core:8 !a : int));
-        (fun m _ -> ignore (Coherence.load_async m.Machine.coh ~core:0 !a : int));
+        (fun m _ ->
+          ignore
+            (Coherence.store_posted_in m.Machine.coh ~core:8 (Option.get !b) 0
+              : int));
+        (fun m _ ->
+          ignore
+            (Coherence.load_async_in m.Machine.coh ~core:0 (Option.get !b) 0
+              : int));
       |]
   in
   (* One line per round, each first read by core 8. *)
-  let lines = Array.make 10_101 0 in
+  let lines = Array.make 10_101 None in
   let dram, ds =
     access_words
       ~setup:(fun m ->
         Array.iteri
           (fun i _ ->
             lines.(i) <- line m;
-            Coherence.load m.Machine.coh ~core:8 lines.(i))
+            Coherence.load_in m.Machine.coh ~core:8 (Option.get lines.(i)) 0)
           lines)
       [|
         (fun m i ->
-          ignore (Coherence.load_async m.Machine.coh ~core:0 lines.(i) : int));
+          ignore
+            (Coherence.load_async_in m.Machine.coh ~core:0 (Option.get lines.(i)) 0
+              : int));
       |]
   in
   let open Perfcounter in
@@ -491,6 +563,7 @@ let suite =
       tc "touch range" test_touch_range;
       tc "infinite default" test_infinite_caches;
       qcheck_flat_table_matches_reference;
+      qcheck_block_first_touch;
       tc "spill and return inline" test_spill_and_return;
       tc "spill allocates nothing" test_spill_allocates_nothing;
       tc "store_local hit, store_posted, load_async miss allocate nothing"

@@ -30,7 +30,9 @@ let test_single_shard_degenerate () =
         Engine.wait 25;
         Buffer.add_string log (Printf.sprintf "b@%d;" (Engine.now_ ())));
     Pdes.exec ~domains:1 p;
-    (Buffer.contents log, Engine.now (Pdes.engine p 0), Engine.events_executed (Pdes.engine p 0))
+    ( Buffer.contents log,
+      Engine.now (Pdes.engine p 0),
+      Engine.events_executed (Pdes.engine p 0) )
   in
   let rl, _, re = reference () in
   let sl, _, se = sharded () in
@@ -67,7 +69,8 @@ let test_message_at_horizon () =
       Engine.wait 10;
       (* tmin = 0 at the first window (both engines have t=0 spawns), so
          horizon = 50; from t=10 a +40 message lands exactly on it. *)
-      Pdes.send p ~dst:1 ~src_core:0 ~at:50 (fun () -> got := Engine.now (Pdes.engine p 1)));
+      Pdes.send p ~dst:1 ~src_core:0 ~at:50 (fun () ->
+          got := Engine.now (Pdes.engine p 1)));
   Pdes.spawn p ~shard:1 (fun () -> Engine.wait 1);
   Pdes.exec ~domains:1 p;
   check_int "delivered at its timestamp" 50 !got
@@ -196,9 +199,11 @@ let test_remote_coherence_roundtrip () =
   | Coherence.Modified c -> check_int "home sees the writer" 0 c
   | _ -> Alcotest.fail "home shard line not in Modified state")
 
-(* Only blocking accesses cross the cut: a posted store to a line pinned
-   on the other shard raises, whether it is the line's first touch here or
-   a blocking access already gave the line a (remote) slot. *)
+(* Only blocking accesses cross the cut: a posted store through a block to
+   a line pinned on the other shard raises, whether it is the line's first
+   touch here, a blocking load by address already gave the line a
+   (remote) slot, or a blocking load through the same block did — the
+   block then holds the remote slot, and the refusal must still come. *)
 let test_remote_line_refuses_posted () =
   let plat = Platform.amd_8x4 in
   let sh = Mk.Shard.create ~n_shards:2 plat in
@@ -208,22 +213,29 @@ let test_remote_line_refuses_posted () =
     let addr = Machine.alloc_lines m1 ~node:7 1 in
     let line = Coherence.line_of_addr coh0 addr in
     Coherence.set_home_range coh0 ~first_line:line ~last_line:line ~node:7;
-    addr
+    (addr, Coherence.block coh0 ~addr ~lines:1)
   in
-  let fresh = remote_line () and touched = remote_line () in
-  let raises addr =
-    match Coherence.store_posted coh0 ~core:0 addr with
+  let _, fresh = remote_line () in
+  let touched, by_addr = remote_line () in
+  let _, by_block = remote_line () in
+  let raises b =
+    match Coherence.store_posted_in coh0 ~core:0 b 0 with
     | (_ : int) -> false
     | exception Invalid_argument _ -> true
   in
-  let on_first_touch = ref false and after_blocking = ref false in
+  let on_first_touch = ref false in
+  let after_load = ref false and after_load_in = ref false in
   Pdes.spawn (Mk.Shard.pdes sh) ~shard:0 ~name:"req" (fun () ->
       on_first_touch := raises fresh;
       Coherence.load coh0 ~core:0 touched;
-      after_blocking := raises touched);
+      after_load := raises by_addr;
+      Coherence.load_in coh0 ~core:0 by_block 0;
+      after_load_in := raises by_block);
   Mk.Shard.exec ~domains:1 sh;
   check_bool "posted store raises on first touch" true !on_first_touch;
-  check_bool "posted store raises after a blocking load" true !after_blocking
+  check_bool "posted store raises after a blocking load" true !after_load;
+  check_bool "posted store raises after a blocking load in the block" true
+    !after_load_in
 
 (* Cross-shard IPI: handler runs on the owning shard, after at least the
    lookahead, and the trap serializes on the target core. *)
@@ -241,7 +253,8 @@ let test_remote_ipi () =
       Ipi.send (Mk.Shard.machine sh 0).Machine.ipi ~src ~dst:target ~vector:3);
   Mk.Shard.exec ~domains:1 sh;
   check_bool "handler ran" true (!handled >= 0);
-  check_bool "after wire + trap" true (!handled >= 100 + Mk.Shard.lookahead sh + plat.Platform.trap)
+  check_bool "after wire + trap" true
+    (!handled >= 100 + Mk.Shard.lookahead sh + plat.Platform.trap)
 
 (* Cross-shard URPC: in-order delivery, payloads intact, receiver's
    arrival times strictly after send + leg. *)

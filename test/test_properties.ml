@@ -216,7 +216,9 @@ let fusion_observe ~fusion (traces, n_msgs) =
   let m = Machine.create Platform.amd_2x2 in
   let coh = m.Machine.coh in
   let n = Machine.n_cores m in
-  let priv = Array.init n (fun _ -> Machine.alloc_lines m 1) in
+  let priv =
+    Array.init n (fun _ -> Coherence.block coh ~addr:(Machine.alloc_lines m 1) ~lines:1)
+  in
   let ends = ref [] in
   List.iteri
     (fun c ops ->
@@ -228,9 +230,9 @@ let fusion_observe ~fusion (traces, n_msgs) =
               | 0 -> Machine.compute m ~core amt
               | 1 -> Engine.wait amt
               | 2 -> Engine.charge amt
-              | 3 -> Coherence.store_local coh ~core priv.(core)
-              | 4 -> ignore (Coherence.load_async coh ~core priv.(core) : int)
-              | _ -> ignore (Coherence.store_posted coh ~core priv.(core) : int))
+              | 3 -> Coherence.store_local_in coh ~core priv.(core) 0
+              | 4 -> ignore (Coherence.load_async_in coh ~core priv.(core) 0 : int)
+              | _ -> ignore (Coherence.store_posted_in coh ~core priv.(core) 0 : int))
             ops;
           Engine.flush_charge ();
           ends := (c, Engine.now_ ()) :: !ends))

@@ -147,27 +147,9 @@ let qcheck_hist_quantile_error =
       let r = H.quantile h q in
       lo <= r && r <= hi)
 
-(* The one-shot int-list helpers (moved here from the bench tree) must
-   agree with an accumulator fed the same samples. *)
-let test_int_list_helpers () =
-  let feq name a b =
-    if abs_float (a -. b) > 1e-9 then
-      Alcotest.failf "%s: %f <> %f" name a b
-  in
-  feq "mean empty" 0.0 (Stats.mean_ints []);
-  feq "stddev empty" 0.0 (Stats.stddev_ints []);
-  feq "stddev singleton" 0.0 (Stats.stddev_ints [ 42 ]);
-  feq "mean" 2.5 (Stats.mean_ints [ 1; 2; 3; 4 ]);
-  let xs = [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
-  let s = Stats.create () in
-  List.iter (Stats.add_int s) xs;
-  feq "mean vs accumulator" (Stats.mean s) (Stats.mean_ints xs);
-  feq "stddev vs accumulator" (Stats.stddev s) (Stats.stddev_ints xs)
-
 let suite =
   ( "stats",
     [
-      tc "int list helpers" test_int_list_helpers;
       tc "basic" test_basic;
       tc "empty" test_empty;
       tc "percentiles" test_percentiles;

@@ -36,16 +36,14 @@ let test_path_validity () =
     done
   done
 
-let test_fully_connected () =
-  let t = Topology.fully_connected ~n:5 in
-  check_int "links" 10 (Array.length (Topology.links t));
-  check_int "diameter 1" 1 (Topology.diameter t)
-
 let test_rejects_bad_input () =
   let fails f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  check_bool "self loop" true (fails (fun () -> Topology.create ~n:2 ~links:[ (0, 0) ]));
-  check_bool "out of range" true (fails (fun () -> Topology.create ~n:2 ~links:[ (0, 5) ]));
-  check_bool "disconnected" true (fails (fun () -> Topology.create ~n:4 ~links:[ (0, 1); (2, 3) ]));
+  check_bool "self loop" true
+    (fails (fun () -> Topology.create ~n:2 ~links:[ (0, 0) ]));
+  check_bool "out of range" true
+    (fails (fun () -> Topology.create ~n:2 ~links:[ (0, 5) ]));
+  check_bool "disconnected" true
+    (fails (fun () -> Topology.create ~n:4 ~links:[ (0, 1); (2, 3) ]));
   check_bool "zero nodes" true (fails (fun () -> Topology.create ~n:0 ~links:[]))
 
 let test_duplicate_links_ignored () =
@@ -57,7 +55,8 @@ let test_contiguous_partition () =
   let p = Topology.contiguous_partition t ~parts:4 in
   Alcotest.(check (array int)) "even split" [| 0; 0; 1; 1; 2; 2; 3; 3 |] p;
   let p = Topology.contiguous_partition t ~parts:3 in
-  Alcotest.(check (array int)) "uneven split stays contiguous" [| 0; 0; 0; 1; 1; 1; 2; 2 |] p;
+  Alcotest.(check (array int))
+    "uneven split stays contiguous" [| 0; 0; 0; 1; 1; 1; 2; 2 |] p;
   let p = Topology.contiguous_partition t ~parts:1 in
   Alcotest.(check (array int)) "single class" (Array.make 8 0) p;
   let t1 = Topology.create ~n:1 ~links:[] in
@@ -169,7 +168,9 @@ let check_matches_reference name t ~links =
   for s = 0 to n - 1 do
     let dist, next = rows.(s) in
     for d = 0 to n - 1 do
-      check_int (Printf.sprintf "%s hops %d->%d" name s d) dist.(d) (Topology.hops t s d);
+      check_int
+        (Printf.sprintf "%s hops %d->%d" name s d)
+        dist.(d) (Topology.hops t s d);
       check_int
         (Printf.sprintf "%s next %d->%d" name s d)
         next.(d) (Topology.next_hop t s d)
@@ -186,15 +187,14 @@ let check_matches_reference name t ~links =
   Array.iter (fun (dist, _) -> Array.iter (fun d -> if d > !dm then dm := d) dist) rows;
   check_int (name ^ " diameter") !dm (Topology.diameter t)
 
-let complete_links n =
-  List.concat (List.init n (fun i -> List.init (n - 1 - i) (fun k -> (i, i + 1 + k))))
-
 let tree_links n = List.init (n - 1) (fun k -> ((k + 1 - 1) / 2, k + 1))
 
 let mesh_links n side =
   List.concat
     (List.init n (fun p ->
-         let right = if (p mod side) + 1 < side && p + 1 < n then [ (p, p + 1) ] else [] in
+         let right =
+           if (p mod side) + 1 < side && p + 1 < n then [ (p, p + 1) ] else []
+         in
          let down = if p + side < n then [ (p, p + side) ] else [] in
          right @ down))
 
@@ -203,9 +203,6 @@ let mesh_links n side =
 let test_closed_forms_match_bfs () =
   List.iter
     (fun n ->
-      check_matches_reference
-        (Printf.sprintf "complete n=%d" n)
-        (Topology.fully_connected ~n) ~links:(complete_links n);
       check_matches_reference
         (Printf.sprintf "tree n=%d" n)
         (Topology.tree ~n) ~links:(tree_links n))
@@ -271,7 +268,6 @@ let suite =
       tc "basics" test_basics;
       tc "symmetry" test_symmetry;
       tc "path validity" test_path_validity;
-      tc "fully connected" test_fully_connected;
       tc "rejects bad input" test_rejects_bad_input;
       tc "duplicate links" test_duplicate_links_ignored;
       tc "contiguous partition" test_contiguous_partition;
