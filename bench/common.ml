@@ -17,17 +17,6 @@ let sub title = printf "-- %s --\n%!" title
 
 let ns_of plat cycles = Platform.cycles_to_ns plat (float_of_int cycles)
 
-(* Fixed-width row printing for paper-style tables. *)
-let row fmt = printf fmt
-
-(* Constant-space latency quantiles for the serving benches; re-exported
-   here so every bench formats percentiles the same way and artifacts stay
-   byte-comparable. *)
-module Histogram = Stats.Histogram
-
-let percentiles h =
-  (Histogram.quantile h 0.50, Histogram.quantile h 0.99, Histogram.quantile h 0.999)
-
 let core_counts ~max_cores =
   (* The paper's x axes step by 2 from 2 up to the machine size. *)
   let rec go n acc = if n > max_cores then List.rev acc else go (n + 2) (n :: acc) in

@@ -8,7 +8,6 @@ type result = {
   rx_packets : int;
   echoed : int;
   dropped : int;
-  lost : int;  (* wire loss injected by an armed fault plan *)
 }
 
 let frame_overhead = Ethernet.header_bytes + Ipv4.header_bytes + Udp.header_bytes
@@ -73,5 +72,4 @@ let run m ~nic ~app_stack ~port ~payload_bytes ~offered_mbps ~duration =
     rx_packets = Nic.rx_count nic;
     echoed = !echoed;
     dropped = Nic.rx_dropped nic;
-    lost = Nic.rx_lost nic;
   }

@@ -13,7 +13,6 @@ type result = {
   rx_packets : int;
   echoed : int;
   dropped : int;
-  lost : int;  (** packets lost on the wire by an armed fault plan *)
 }
 
 val run :

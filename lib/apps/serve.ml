@@ -129,4 +129,3 @@ let submit t rq =
 let set_reply t f = t.reply_fn <- f
 let session t = t.session
 let served t = t.served
-let backend_id t = t.backend_id

@@ -57,4 +57,3 @@ val set_reply : t -> (request -> unit) -> unit
 
 val session : t -> Mk.Session.t
 val served : t -> int
-val backend_id : t -> int

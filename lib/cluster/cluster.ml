@@ -24,32 +24,19 @@ open Mk
 open Mk_net
 open Mk_apps
 
-type config = {
-  machines : int;
-  policy : Lb.policy;
-  platform : Platform.t;
-  wire_gbps : float;  (* LB <-> backend links *)
-  wire_latency : int;  (* one-way propagation, cycles *)
-  client_gbps : float;  (* client <-> LB aggregate pipe *)
-  client_latency : int;
-  lb_cost : int;  (* LB core cycles per message handled *)
-  max_outstanding : int;  (* per-backend in-flight cap at the LB *)
-  queue_cap : int;  (* per-backend hold queue before shedding *)
-}
+type config = { machines : int; policy : Lb.policy }
 
-let default_config ?(policy = Lb.Consistent_hash) ~machines () =
-  {
-    machines;
-    policy;
-    platform = Platform.amd_2x2;
-    wire_gbps = 10.0;
-    wire_latency = 6_000;  (* ~2.1 us at 2.8 GHz: switch + propagation *)
-    client_gbps = 400.0;  (* edge aggregation, so the uplink isn't the story *)
-    client_latency = 6_000;
-    lb_cost = 150;  (* L4 forwarding decision per message (flow-table hit) *)
-    max_outstanding = 64;
-    queue_cap = 512;
-  }
+let default_config ?(policy = Lb.Consistent_hash) ~machines () = { machines; policy }
+
+(* The rack every cluster is built from. *)
+let platform = Platform.amd_2x2
+let wire_gbps = 10.0  (* LB <-> backend links *)
+let wire_latency = 6_000  (* one-way cycles: ~2.1 us, switch + propagation *)
+let client_gbps = 400.0  (* client <-> LB edge aggregate, never the bottleneck *)
+let client_latency = 6_000
+let lb_cost = 150  (* LB core cycles per message: an L4 flow-table hit *)
+let max_outstanding = 64  (* per-backend in-flight cap at the LB *)
+let queue_cap = 512  (* per-backend hold queue before shedding *)
 
 (* Backend replies bypass the client-request queue: they ride a side
    queue the LB loop drains before taking the next client message. Without
@@ -71,7 +58,6 @@ type backend = {
 }
 
 type t = {
-  cfg : config;
   pdes : Pdes.t;
   lb_os : Os.t;
   lb : Lb.t;
@@ -104,8 +90,8 @@ let route t rq =
     | -1 -> reject t rq
     | bi ->
       let b = t.backends.(bi) in
-      if Lb.outstanding t.lb bi < t.cfg.max_outstanding then forward t b rq
-      else if Ring.length b.b_queue < t.cfg.queue_cap then Ring.push b.b_queue rq
+      if Lb.outstanding t.lb bi < max_outstanding then forward t b rq
+      else if Ring.length b.b_queue < queue_cap then Ring.push b.b_queue rq
       else reject t rq
 
 (* A reply freed a slot on [bi]: shed anything the stop time overtook,
@@ -118,7 +104,7 @@ let dispatch_queued t bi =
   if
     (not (Ring.is_empty b.b_queue))
     && Lb.alive t.lb bi
-    && Lb.outstanding t.lb bi < t.cfg.max_outstanding
+    && Lb.outstanding t.lb bi < max_outstanding
   then forward t b (Ring.pop b.b_queue)
 
 let serving_cores plat =
@@ -129,9 +115,9 @@ let serving_cores plat =
 let create cfg =
   let m = cfg.machines in
   if m < 1 then invalid_arg "Cluster.create: machines";
-  let lookahead = min cfg.wire_latency cfg.client_latency in
+  let lookahead = min wire_latency client_latency in
   let pdes = Pdes.create ~n_shards:(m + 2) ~lookahead in
-  let ghz = cfg.platform.Platform.ghz in
+  let ghz = platform.Platform.ghz in
   (* Distinct src_id per link endpoint: the canonical cross-shard merge
      key (Pdes.send) must identify the sender uniquely. *)
   let next_src = ref 0 in
@@ -141,14 +127,14 @@ let create cfg =
       ~latency ()
   in
   let lb_os =
-    Os.boot ~eng:(Pdes.engine pdes 0) ~measure_latencies:Os.No_measure cfg.platform
+    Os.boot ~eng:(Pdes.engine pdes 0) ~measure_latencies:Os.No_measure platform
   in
-  let client = Machine.create ~eng:(Pdes.engine pdes (m + 1)) cfg.platform in
-  let front, workers = serving_cores cfg.platform in
+  let client = Machine.create ~eng:(Pdes.engine pdes (m + 1)) platform in
+  let front, workers = serving_cores platform in
   let backends =
     Array.init m (fun i ->
         let eng = Pdes.engine pdes (i + 1) in
-        let os = Os.boot ~eng ~measure_latencies:Os.No_measure cfg.platform in
+        let os = Os.boot ~eng ~measure_latencies:Os.No_measure platform in
         (* Service bring-up (NS registration + lookup, Flounder connects)
            is messaging: run it as a task on this machine and drive the
            engine to quiescence — host context, every shard independent. *)
@@ -159,10 +145,11 @@ let create cfg =
         let serve =
           match !serve with Some s -> s | None -> failwith "backend setup stalled"
         in
-        let down = link ~src:0 ~dst:(i + 1) ~gbps:cfg.wire_gbps ~latency:cfg.wire_latency in
-        let up = link ~src:(i + 1) ~dst:0 ~gbps:cfg.wire_gbps ~latency:cfg.wire_latency in
+        let down = link ~src:0 ~dst:(i + 1) ~gbps:wire_gbps ~latency:wire_latency in
+        let up = link ~src:(i + 1) ~dst:0 ~gbps:wire_gbps ~latency:wire_latency in
         Machine_link.set_rx down (fun ~bytes:_ rq -> Serve.submit serve rq);
-        Serve.set_reply serve (fun rp -> Machine_link.send up ~bytes:rp.Serve.rp_bytes rp);
+        Serve.set_reply serve (fun rp ->
+            Machine_link.send up ~bytes:rp.Serve.rp_bytes rp);
         {
           b_id = i;
           b_os = os;
@@ -172,11 +159,10 @@ let create cfg =
           b_queue = Ring.create ();
         })
   in
-  let c2lb = link ~src:(m + 1) ~dst:0 ~gbps:cfg.client_gbps ~latency:cfg.client_latency in
-  let lb2c = link ~src:0 ~dst:(m + 1) ~gbps:cfg.client_gbps ~latency:cfg.client_latency in
+  let c2lb = link ~src:(m + 1) ~dst:0 ~gbps:client_gbps ~latency:client_latency in
+  let lb2c = link ~src:0 ~dst:(m + 1) ~gbps:client_gbps ~latency:client_latency in
   let t =
     {
-      cfg;
       pdes;
       lb_os;
       lb = Lb.create cfg.policy ~backends:m;
@@ -207,7 +193,7 @@ let create cfg =
       let drain_replies () =
         while not (Ring.is_empty t.pending_replies) do
           let rp = Ring.pop t.pending_replies in
-          Machine.compute lbm ~core:0 cfg.lb_cost;
+          Machine.compute lbm ~core:0 lb_cost;
           if rp.Serve.rp_backend >= 0 then begin
             Lb.note_done t.lb rp.Serve.rp_backend;
             dispatch_queued t rp.Serve.rp_backend
@@ -219,7 +205,7 @@ let create cfg =
         drain_replies ();
         let rq = Sync.Mailbox.recv t.lb_box in
         if rq != wake then begin
-          Machine.compute lbm ~core:0 cfg.lb_cost;
+          Machine.compute lbm ~core:0 lb_cost;
           route t rq
         end;
         loop ()
@@ -235,7 +221,7 @@ let time_base t =
   for s = 0 to Pdes.n_shards t.pdes - 1 do
     latest := max !latest (Engine.now (Pdes.engine t.pdes s))
   done;
-  !latest + t.cfg.client_latency
+  !latest + client_latency
 
 type result = {
   r_users : int;
@@ -307,7 +293,7 @@ let run_load t ~users ~think ~warmup ~window =
   let if1, ib1, wb1 = inter_traffic t in
   let im1, iby1 = intra_traffic t in
   let h = Loadgen.hist lg in
-  let secs = float_of_int window /. (t.cfg.platform.Platform.ghz *. 1e9) in
+  let secs = float_of_int window /. (platform.Platform.ghz *. 1e9) in
   {
     r_users = users;
     r_think = think;
@@ -361,7 +347,7 @@ let probe t ~session =
 let mark_backend_dead t b =
   Lb.mark_dead t.lb b;
   let os = t.backends.(b).b_os in
-  List.iter (fun c -> Os.mark_dead os ~core:c) (Platform.core_ids t.cfg.platform)
+  List.iter (fun c -> Os.mark_dead os ~core:c) (Platform.core_ids platform)
 
 let lb t = t.lb
 let pdes t = t.pdes

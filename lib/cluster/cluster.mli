@@ -10,22 +10,13 @@
     conservative windows sound. Results are byte-identical across domain
     counts ([MK_PDES] and [Pdes.exec ~domains] pick placement only). *)
 
-type config = {
-  machines : int;
-  policy : Lb.policy;
-  platform : Mk_hw.Platform.t;
-  wire_gbps : float;  (** LB ↔ backend link bandwidth *)
-  wire_latency : int;  (** one-way propagation, cycles (≥ lookahead) *)
-  client_gbps : float;  (** client ↔ LB aggregate pipe *)
-  client_latency : int;
-  lb_cost : int;  (** LB core cycles per message handled *)
-  max_outstanding : int;  (** per-backend in-flight cap at the LB *)
-  queue_cap : int;  (** per-backend hold queue before shedding (503) *)
-}
+type config = { machines : int; policy : Lb.policy }
 
 val default_config : ?policy:Lb.policy -> machines:int -> unit -> config
-(** 10 Gb/s backend wires, ~2 µs one-way latency, amd_2x2 machines,
-    consistent-hash policy. *)
+(** Consistent-hash policy by default. Every cluster is built from the
+    same rack: amd_2x2 machines, 10 Gb/s backend wires with ~2 µs one-way
+    latency, a 150-cycle LB decision per message, and at most 64 requests
+    in flight plus 512 held per backend before the LB sheds (503). *)
 
 type t
 

@@ -35,6 +35,3 @@ let cap_revoke_local t cap =
   syscall t (fun () ->
       Machine.compute t.m ~core:t.core_id cap_op_cost;
       Cap.Db.revoke t.db cap)
-
-let interrupt t ~vector handler =
-  Ipi.register t.m.Machine.ipi ~core:t.core_id ~vector handler

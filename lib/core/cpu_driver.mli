@@ -1,10 +1,9 @@
 (** The privileged-mode CPU driver (§4.3).
 
     Purely local to its core: enforces protection, checks capability
-    operations, performs dispatch and fast local messaging, and delivers
-    hardware interrupts to user-space drivers as messages. It shares no
-    state with other cores, is event-driven and serially processes traps
-    and interrupts — which is why it needs no locks.
+    operations, and performs dispatch and fast local messaging. It shares
+    no state with other cores and serially processes traps — which is why
+    it needs no locks.
 
     Capability invocations are system calls: each charges the platform's
     syscall cost before the (checked) operation runs. The CPU driver never
@@ -36,7 +35,3 @@ val cap_retype :
     what single-core programs use directly. *)
 
 val cap_revoke_local : t -> Cap.t -> (int, Types.error) result
-
-val interrupt : t -> vector:int -> (src:int -> unit) -> unit
-(** Route a hardware interrupt vector to a user-space handler: the driver
-    demultiplexes it and delivers it as a message ({!Mk_hw.Ipi}). *)

@@ -18,7 +18,6 @@ type stats = {
   mutable urpc_dropped : int;
   mutable urpc_duplicated : int;
   mutable urpc_delayed : int;
-  mutable nic_lost : int;
   mutable ipi_dropped : int;
 }
 
@@ -48,7 +47,6 @@ let create ~plan ~seed () =
         urpc_dropped = 0;
         urpc_duplicated = 0;
         urpc_delayed = 0;
-        nic_lost = 0;
         ipi_dropped = 0;
       };
   }
@@ -152,22 +150,4 @@ let urpc_fault t =
         Delay (1 + Prng.int t.prng (max 1 m.max_delay))
       end
       else Deliver
-  end
-
-let nic_drop t =
-  t.armed
-  &&
-  begin
-    Engine.flush_charge ();
-    let rel = rel_now t in
-    match
-      List.find_opt
-        (fun (n : Plan.nic_fault) -> rel >= n.nf_from && rel < n.nf_until)
-        t.plan.nics
-    with
-    | None -> false
-    | Some n ->
-      let lost = draw t n.loss_1_in in
-      if lost then t.stats.nic_lost <- t.stats.nic_lost + 1;
-      lost
   end

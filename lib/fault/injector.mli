@@ -18,7 +18,6 @@ type stats = {
   mutable urpc_dropped : int;
   mutable urpc_duplicated : int;
   mutable urpc_delayed : int;
-  mutable nic_lost : int;
   mutable ipi_dropped : int;
 }
 
@@ -59,6 +58,3 @@ val link_penalty : t -> src_pkg:int -> dst_pkg:int -> int
 
 val urpc_fault : t -> urpc_action
 (** Draw the fate of one URPC message send. *)
-
-val nic_drop : t -> bool
-(** Draw whether one NIC packet is lost. *)

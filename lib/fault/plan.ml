@@ -1,8 +1,8 @@
 (* A fault plan: the complete, declarative description of every fault a
    chaos run will inject. All times are offsets from the moment the plan is
    armed (Injector.arm), so one plan can be replayed against any workload
-   start time. Plans are plain data — generating one from a seed and
-   printing it is enough to reproduce a chaos run exactly. *)
+   start time. Plans are plain data — the seed that generated one is
+   enough to reproduce a chaos run exactly. *)
 
 type core_stop = { victim : int; stop_at : int }
 
@@ -23,19 +23,14 @@ type msg_fault = {
   max_delay : int;
 }
 
-type nic_fault = { nf_from : int; nf_until : int; loss_1_in : int }
-
 type t = {
   core_stops : core_stop list;
   links : link_fault list;
   msgs : msg_fault list;
-  nics : nic_fault list;
 }
 
-let empty = { core_stops = []; links = []; msgs = []; nics = [] }
-
-let is_empty p =
-  p.core_stops = [] && p.links = [] && p.msgs = [] && p.nics = []
+let empty = { core_stops = []; links = []; msgs = [] }
+let is_empty p = p.core_stops = [] && p.links = [] && p.msgs = []
 
 let victims p = List.map (fun s -> s.victim) p.core_stops
 
@@ -85,27 +80,4 @@ let generate ~seed ~victims:eligible ~packages ~horizon () =
       };
     ]
   in
-  let nics =
-    let from_t = pick_time (horizon / 8) (horizon / 2) in
-    [ { nf_from = from_t; nf_until = from_t + (horizon / 6); loss_1_in = 4 } ]
-  in
-  { core_stops; links; msgs; nics }
-
-let pp ppf p =
-  let open Format in
-  fprintf ppf "@[<v>";
-  List.iter (fun s -> fprintf ppf "stop core %d at +%d@," s.victim s.stop_at) p.core_stops;
-  List.iter
-    (fun l ->
-      fprintf ppf "link %d->%d +%d cycles during [+%d, +%d)@," l.lf_src l.lf_dst
-        l.lf_extra l.lf_from l.lf_until)
-    p.links;
-  List.iter
-    (fun m ->
-      fprintf ppf "urpc drop 1/%d dup 1/%d delay 1/%d (<=%d) during [+%d, +%d)@,"
-        m.drop_1_in m.dup_1_in m.delay_1_in m.max_delay m.mf_from m.mf_until)
-    p.msgs;
-  List.iter
-    (fun n -> fprintf ppf "nic loss 1/%d during [+%d, +%d)@," n.loss_1_in n.nf_from n.nf_until)
-    p.nics;
-  fprintf ppf "@]"
+  { core_stops; links; msgs }

@@ -1,8 +1,10 @@
 (** Declarative fault plans.
 
     A plan is the complete description of every fault a run will inject:
-    core stops, interconnect link degradation, URPC message perturbation
-    and NIC packet loss. All times are offsets from the moment the plan is
+    core stops, interconnect link degradation and URPC message
+    perturbation. A URPC message drop is also how a network frame is
+    lost: a netlink ([Mk_net.Stack.connect_urpc]) carries each frame as
+    one message. All times are offsets from the moment the plan is
     armed ({!Injector.arm}), so the same plan replays identically against
     any workload. Plans are plain data; {!generate} derives one
     deterministically from a seed. *)
@@ -26,13 +28,10 @@ type msg_fault = {
   max_delay : int;
 }
 
-type nic_fault = { nf_from : int; nf_until : int; loss_1_in : int }
-
 type t = {
   core_stops : core_stop list;
   links : link_fault list;
   msgs : msg_fault list;
-  nics : nic_fault list;
 }
 
 val empty : t
@@ -45,7 +44,5 @@ val victims : t -> int list
 val generate :
   seed:int -> victims:int list -> packages:int -> horizon:int -> unit -> t
 (** Deterministic random plan: 1–2 core stops drawn from [victims], one
-    degraded-link window, one URPC perturbation window and one NIC loss
-    window, all timed to land inside [horizon]. Same seed, same plan. *)
-
-val pp : Format.formatter -> t -> unit
+    degraded-link window and one URPC perturbation window, all timed to
+    land inside [horizon]. Same seed, same plan. *)

@@ -28,7 +28,7 @@ val create :
   t
 (** [eng] defaults to a fresh engine. [fault] attaches a fault injector
     to the coherence fabric, IPI controller and (via the machine record)
-    the URPC / NIC layers; the default [Injector.none] makes every fault
+    the URPC layer; the default [Injector.none] makes every fault
     point a single boolean read. *)
 
 val n_cores : t -> int

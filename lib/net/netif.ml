@@ -1,44 +1,21 @@
 (* Network-interface abstraction: anything that can transmit a framed
    packet and deliver received ones upward. Implementations: the e1000
-   device model (Nic), URPC point-to-point links (Stack.connect_urpc), and
-   the in-kernel loopback (Kernel_loopback). *)
+   device model (Nic) and URPC point-to-point links (Stack.connect_urpc).
+   A frame is lost only where the machine's fault injector says so (the
+   URPC channels under a link consult it); the interface itself delivers
+   everything. *)
 
 type t = {
   ifname : string;
   mac : int;
   send : Pbuf.t -> unit;
   mutable rx : Pbuf.t -> unit;  (* installed by the stack *)
-  mutable tx_packets : int;
-  mutable rx_packets : int;
-  mutable loss : (Mk_sim.Prng.t * float) option;  (* fault injection *)
-  mutable dropped : int;
 }
 
-let create ~name ~mac ~send =
-  { ifname = name; mac; send; rx = (fun _ -> ()); tx_packets = 0; rx_packets = 0;
-    loss = None; dropped = 0 }
-
-(* Fault injection: drop incoming frames with the given probability.
-   Deterministic per seed; used to exercise TCP's retransmission path. *)
-let set_loss t ?(seed = 1) rate =
-  if rate < 0.0 || rate >= 1.0 then invalid_arg "Netif.set_loss: rate in [0, 1)";
-  t.loss <- (if rate = 0.0 then None else Some (Mk_sim.Prng.create ~seed, rate))
-
-let drops t = t.dropped
+let create ~name ~mac ~send = { ifname = name; mac; send; rx = (fun _ -> ()) }
 
 let name t = t.ifname
 let mac t = t.mac
-
-let transmit t p =
-  t.tx_packets <- t.tx_packets + 1;
-  t.send p
-
-let deliver t p =
-  match t.loss with
-  | Some (rng, rate) when Mk_sim.Prng.float rng 1.0 < rate ->
-    t.dropped <- t.dropped + 1
-  | _ ->
-    t.rx_packets <- t.rx_packets + 1;
-    t.rx p
-
+let transmit t p = t.send p
+let deliver t p = t.rx p
 let set_rx t f = t.rx <- f

@@ -15,7 +15,6 @@ type t = {
   mutable nif : Netif.t option;
   mutable on_wire : Pbuf.t -> unit;
   mutable dropped : int;
-  mutable lost : int;  (* injected packet loss (vs ring-overflow drops) *)
   mutable rx_n : int;
   mutable tx_n : int;
 }
@@ -49,7 +48,6 @@ let create m ~driver_core ?(gbps = 1.0) () =
       nif = None;
       on_wire = (fun _ -> ());
       dropped = 0;
-      lost = 0;
       rx_n = 0;
       tx_n = 0;
     }
@@ -74,10 +72,7 @@ let create m ~driver_core ?(gbps = 1.0) () =
 let netif t = Option.get t.nif
 
 let inject t p =
-  (* Fault point: injected wire loss — the frame never reaches the ring. *)
-  if Mk_fault.Injector.armed t.m.Machine.fault && Mk_fault.Injector.nic_drop t.m.Machine.fault
-  then t.lost <- t.lost + 1
-  else if Sync.Mailbox.length t.rx_ring >= ring_slots then t.dropped <- t.dropped + 1
+  if Sync.Mailbox.length t.rx_ring >= ring_slots then t.dropped <- t.dropped + 1
   else begin
     (* Wire serialization, then DMA into a ring buffer (writes the frame's
        lines into memory, invalidating any cached copies). *)
@@ -93,6 +88,5 @@ let inject t p =
 let attach_wire t f = t.on_wire <- f
 
 let rx_dropped t = t.dropped
-let rx_lost t = t.lost
 let tx_count t = t.tx_n
 let rx_count t = t.rx_n

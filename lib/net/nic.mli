@@ -29,8 +29,5 @@ val wire_cycles : t -> bytes:int -> int
 val rx_dropped : t -> int
 (** Frames dropped because the receive ring was full. *)
 
-val rx_lost : t -> int
-(** Frames lost to injected wire faults (fault subsystem). *)
-
 val tx_count : t -> int
 val rx_count : t -> int

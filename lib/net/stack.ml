@@ -24,8 +24,6 @@ and t = {
   offload : bool;
   kernel_overhead : int;  (* per-packet syscall/softirq cost: in-kernel stacks *)
   tcp_engine : Tcp_lite.t;
-  ping_waiters : (int, int Sync.Ivar.t) Hashtbl.t;  (* seq -> send time *)
-  mutable ping_seq : int;
   mutable ip_ident : int;  (* last IPv4 identification sent *)
 }
 
@@ -51,24 +49,8 @@ let ip_output t ~proto ~dst_ip p =
   Ipv4.encode p ~ident:t.ip_ident ~src:t.sip ~dst:dst_ip ~proto;
   send_frame t ~dst_mac:(Ethernet.mac_of_core (dst_ip land 0xff)) p
 
-(* Input path, run in the context of whatever task delivers the frame. *)
-let handle_icmp t ~src_ip p =
-  match Icmp.decode p with
-  | None -> ()
-  | Some m ->
-    if m.Icmp.icmp_type = Icmp.type_echo_request then begin
-      let reply = Pbuf.of_string t.m (Pbuf.contents p) in
-      Icmp.encode reply ~icmp_type:Icmp.type_echo_reply ~ident:m.Icmp.ident
-        ~seq:m.Icmp.seq;
-      ip_output t ~proto:Icmp.protocol ~dst_ip:src_ip reply
-    end
-    else if m.Icmp.icmp_type = Icmp.type_echo_reply then
-      match Hashtbl.find_opt t.ping_waiters m.Icmp.seq with
-      | Some iv ->
-        Hashtbl.remove t.ping_waiters m.Icmp.seq;
-        Sync.Ivar.fill iv (Engine.now_ ())
-      | None -> ()
-
+(* Input path, run in the context of whatever task delivers the frame.
+   A protocol other than UDP or TCP is ignored. *)
 let input t p =
   Machine.compute t.m ~core:t.score (driver_layer_cost + t.kernel_overhead);
   match Ethernet.decode p with
@@ -99,7 +81,6 @@ let input t p =
           Machine.compute t.m ~core:t.score tcp_layer_cost;
           Tcp_lite.input t.tcp_engine ~src_ip:iph.Ipv4.src p
         end
-        else if iph.Ipv4.proto = Icmp.protocol then handle_icmp t ~src_ip:iph.Ipv4.src p
     end
 
 let create m ~core ?ip ?(checksum_offload = false) ?(kernel_overhead = 0) ?timer nif =
@@ -114,8 +95,7 @@ let create m ~core ?ip ?(checksum_offload = false) ?(kernel_overhead = 0) ?timer
   in
   let t =
     { m; score = core; sip; nif; udp_socks = Hashtbl.create 8;
-      offload = checksum_offload; kernel_overhead; tcp_engine;
-      ping_waiters = Hashtbl.create 8; ping_seq = 0; ip_ident = 0 }
+      offload = checksum_offload; kernel_overhead; tcp_engine; ip_ident = 0 }
   in
   t_ref := Some t;
   Netif.set_rx nif (fun p -> input t p);
@@ -137,25 +117,6 @@ let udp_sendto sock ~dst_ip ~dst_port payload =
 
 let udp_recvfrom sock = Sync.Mailbox.recv sock.rx_q
 let udp_pending sock = Sync.Mailbox.length sock.rx_q
-
-(* ICMP echo round trip; None on timeout. *)
-let ping t ~dst_ip ~timeout =
-  t.ping_seq <- t.ping_seq + 1;
-  let seq = t.ping_seq in
-  let iv = Sync.Ivar.create () in
-  Hashtbl.replace t.ping_waiters seq iv;
-  let p = Pbuf.of_string t.m "ping-payload-0123456789abcdef" in
-  Icmp.encode p ~icmp_type:Icmp.type_echo_request ~ident:1 ~seq;
-  let sent = Engine.now_ () in
-  ip_output t ~proto:Icmp.protocol ~dst_ip p;
-  Engine.at_ ~at:(Engine.now_ () + timeout) (fun () ->
-      match Hashtbl.find_opt t.ping_waiters seq with
-      | Some iv ->
-        Hashtbl.remove t.ping_waiters seq;
-        if not (Sync.Ivar.is_filled iv) then Sync.Ivar.fill iv (-1)
-      | None -> ());
-  let arrived = Sync.Ivar.read iv in
-  if arrived < 0 then None else Some (arrived - sent)
 
 let tcp t = t.tcp_engine
 let tcp_listen t ~port = Tcp_lite.listen t.tcp_engine ~port

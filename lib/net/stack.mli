@@ -48,12 +48,6 @@ val udp_recvfrom : udp_sock -> Pbuf.t * (int * int)
 
 val udp_pending : udp_sock -> int
 
-(** {1 ICMP} *)
-
-val ping : t -> dst_ip:int -> timeout:int -> int option
-(** ICMP echo round-trip time in cycles, or [None] on timeout. Task
-    context required. *)
-
 (** {1 TCP} *)
 
 val tcp : t -> Tcp_lite.t

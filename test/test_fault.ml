@@ -54,8 +54,7 @@ let test_injector_inert () =
   check_bool "none is unarmed" false (Injector.armed i);
   check_bool "no dead cores" false (Injector.core_dead i ~core:0);
   check_int "no link penalty" 0 (Injector.link_penalty i ~src_pkg:0 ~dst_pkg:1);
-  check_bool "deliver verdict" true (Injector.urpc_fault i = Injector.Deliver);
-  check_bool "no nic drop" false (Injector.nic_drop i)
+  check_bool "deliver verdict" true (Injector.urpc_fault i = Injector.Deliver)
 
 let test_injector_empty_arm_noop () =
   let eng = Engine.create () in

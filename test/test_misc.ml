@@ -43,8 +43,7 @@ let test_netif_counters () =
       Mk_net.Netif.transmit nif p;
       Mk_net.Netif.deliver nif p;
       Mk_net.Netif.deliver nif p;
-      check_int "handler ran" 2 !delivered;
-      check_int "no drops without loss" 0 (Mk_net.Netif.drops nif))
+      check_int "handler ran" 2 !delivered)
 
 let test_kernel_overhead_slows_stack () =
   let run_with overhead =

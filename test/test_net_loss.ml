@@ -27,21 +27,45 @@ let test_timer_cancel () =
       check_bool "never fired" false !fired;
       check_int "count" 0 (Timer.fired tm))
 
-(* Two stacks over a lossy URPC link; the client side has a timer, so its
-   segments are retransmitted until acknowledged. *)
-let with_lossy_stacks ~rate f =
-  run_machine (fun m ->
+(* Two stacks over a lossy URPC link: the machine's fault injector drops
+   one URPC message in three, in both directions, and each netlink frame
+   is one message. Both sides have a timer, so a lost segment or ACK is
+   retransmitted until acknowledged. *)
+let with_lossy_stacks f =
+  let lossy =
+    {
+      Mk_fault.Plan.empty with
+      Mk_fault.Plan.msgs =
+        [
+          {
+            Mk_fault.Plan.mf_from = 0;
+            mf_until = max_int;
+            drop_1_in = 3;
+            dup_1_in = 0;
+            delay_1_in = 0;
+            max_delay = 0;
+          };
+        ];
+    }
+  in
+  let fault = Mk_fault.Injector.create ~plan:lossy ~seed:7 () in
+  let m = Machine.create ~fault Platform.amd_2x2 in
+  Mk_fault.Injector.arm fault m.Machine.eng;
+  let result = ref None in
+  Engine.spawn m.Machine.eng ~name:"test" (fun () ->
       let nif_a, nif_b = Stack.connect_urpc m ~core_a:0 ~core_b:2 () in
-      (* Drop frames arriving at B (client->server direction). *)
-      Netif.set_loss nif_b ~seed:7 rate;
       let tm_a = Timer.create m ~core:0 in
       let tm_b = Timer.create m ~core:2 in
       let sa = Stack.create m ~core:0 ~timer:tm_a nif_a in
       let sb = Stack.create m ~core:2 ~timer:tm_b nif_b in
-      f m sa sb)
+      result := Some (f sa sb));
+  Machine.run m;
+  check_bool "simulation task completed" true (!result = Some ());
+  check_bool "frames were dropped" true
+    ((Mk_fault.Injector.stats fault).Mk_fault.Injector.urpc_dropped > 0)
 
 let test_tcp_survives_loss () =
-  with_lossy_stacks ~rate:0.35 (fun _m sa sb ->
+  with_lossy_stacks (fun sa sb ->
       let listener = Stack.tcp_listen sb ~port:80 in
       let got = Buffer.create 256 in
       Engine.spawn_ (fun () ->
@@ -60,7 +84,7 @@ let test_tcp_survives_loss () =
       Tcp_lite.close conn;
       (* Give the retransmission machinery room to converge. *)
       Engine.wait 300_000_000;
-      check_string "payload intact despite 35% loss" payload (Buffer.contents got);
+      check_string "payload intact despite 1-in-3 loss" payload (Buffer.contents got);
       check_bool "really retransmitted" true
         (Tcp_lite.retransmissions (Stack.tcp sa) > 0))
 
@@ -81,14 +105,6 @@ let test_tcp_gives_up_on_dead_peer () =
       check_bool "bounded retries" true (sent <= 10);
       check_bool "connect still blocked (no fake success)" false !gave_up)
 
-let test_loss_guard () =
-  run_machine (fun _m ->
-      let nif = Netif.create ~name:"x" ~mac:1 ~send:(fun _ -> ()) in
-      check_bool "rate 1 rejected" true
-        (match Netif.set_loss nif 1.0 with
-         | () -> false
-         | exception Invalid_argument _ -> true))
-
 let suite =
   ( "net-loss",
     [
@@ -96,5 +112,4 @@ let suite =
       tc "timer cancel" test_timer_cancel;
       tc "tcp survives loss" test_tcp_survives_loss;
       tc "tcp gives up" test_tcp_gives_up_on_dead_peer;
-      tc "loss guard" test_loss_guard;
     ] )
